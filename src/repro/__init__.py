@@ -5,27 +5,23 @@ Public entry points:
 
 * :func:`repro.simulate` — run one simulation, described by a
   :class:`RunRequest` (or its fields as keywords), returning a
-  :class:`RunResult`.  This is the single execution surface; pass
-  ``execution=ExecutionPlan(workers=N)`` to use the deterministic sharded
-  engine of :mod:`repro.parallel`.
+  :class:`RunResult`.  This is the single execution surface.
 * :class:`repro.core.CRISP` — the tracing facade (trace scenes, trace
   compute workloads).  Execution lives in :func:`simulate`.
 * :mod:`repro.graphics` — the Vulkan-like front-end and rendering pipeline.
 * :mod:`repro.compute` — the CUDA-like kernel tracer and XR workloads.
 * :mod:`repro.timing` — the Accel-Sim-style GPU timing model.
-* :mod:`repro.parallel` — the sharded, bit-identical parallel engine.
 * :mod:`repro.campaign` — parallel, cached, resumable simulation sweeps.
 * :mod:`repro.telemetry` — tracing, stall attribution, time-series metrics.
 * :mod:`repro.scenes` — the six rendering workloads of the paper.
 """
 
-from .api import ExecutionPlan, RunRequest, RunResult, WorkloadSpec, simulate
+from .api import RunRequest, RunResult, WorkloadSpec, simulate
 from .core import CRISP
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 __all__ = [
     "CRISP",
-    "ExecutionPlan",
     "RunRequest",
     "RunResult",
     "WorkloadSpec",

@@ -3,44 +3,32 @@
 Every way of running a simulation — CLI subcommands, campaign jobs,
 profiling, benchmarks, library use — funnels through one function::
 
-    from repro.api import RunRequest, simulate
-    from repro.parallel import ExecutionPlan
+    from repro.api import RunRequest, WorkloadSpec, simulate
 
     result = simulate(RunRequest(
         config="JetsonOrin-mini",
         workload=WorkloadSpec(scene="SPL", res="nano", compute="HOLO"),
         policy="mps",
-        execution=ExecutionPlan(engine="process", workers=4),
     ))
-    print(result.total_cycles, result.execution.engaged)
+    print(result.total_cycles)
 
 A :class:`RunRequest` describes *what* to simulate (a prebuilt stream dict
-or a declarative :class:`WorkloadSpec`), under which policy, and *how* to
-execute it: the ``execution`` field takes a first-class
-:class:`~repro.parallel.ExecutionPlan` (engine, workers, shard mode,
-speculation horizon) and is the only execution knob — the engine falls back to the
-serial loop, bit-identical, whenever sharding cannot be proven sound, and
-the returned :class:`RunResult` carries the :class:`~repro.parallel.ShardReport`
-(``result.execution``) saying what actually ran and the structured
-:class:`~repro.parallel.ShardRefusal` when it didn't shard.
-
-The PR-4 ``workers=``/``backend=`` integers are deprecated shims that
-fold into an ExecutionPlan with a :class:`DeprecationWarning`.
+or a declarative :class:`WorkloadSpec`) and under which policy;
+:func:`simulate` runs it on the serial timing model and returns a
+:class:`RunResult`.  Runs parallelise across whole jobs, through
+:class:`repro.campaign.CampaignRunner`, never inside one simulation.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Union
 
 from .config import GPUConfig, get_preset
 from .isa import KernelTrace
-from .parallel import ExecutionPlan, ShardReport, run_sharded
-from .timing import GPUStats, PartitionPolicy
+from .timing import GPU, GPUStats, PartitionPolicy
 
-__all__ = ["WorkloadSpec", "RunRequest", "RunResult", "ExecutionPlan",
-           "simulate"]
+__all__ = ["WorkloadSpec", "RunRequest", "RunResult", "simulate"]
 
 
 @dataclass(frozen=True)
@@ -82,12 +70,6 @@ class RunRequest:
     is only applied when more than one stream runs (single-stream runs own
     the whole GPU), matching the long-standing platform behaviour, while
     an *instance* is always applied.
-
-    ``execution`` is the only execution knob: an
-    :class:`~repro.parallel.ExecutionPlan`, a dict of its fields, or a
-    bare worker count (coerced).  The legacy ``workers=``/``backend=``
-    keywords still work but emit a :class:`DeprecationWarning` and fold
-    into the plan.
     """
 
     config: Union[str, GPUConfig] = "JetsonOrin-mini"
@@ -99,35 +81,7 @@ class RunRequest:
     #: Open-loop arrival cycles, ``{stream_id: [cycle per kernel]}``.
     #: Streams absent from the dict stay closed-loop (ready at cycle 0).
     arrivals: Optional[Dict[int, Sequence[int]]] = None
-    #: How to execute: ExecutionPlan | dict | int | None (= serial-auto).
-    execution: Union[ExecutionPlan, Dict[str, object], int, None] = None
-    #: Deprecated: use ``execution=ExecutionPlan(workers=N)``.
-    workers: Optional[int] = None
-    #: Deprecated: use ``execution=ExecutionPlan(engine=...)``.
-    backend: Optional[str] = None
     max_cycles: int = 200_000_000
-
-    def __post_init__(self) -> None:
-        if self.workers is not None or self.backend is not None:
-            warnings.warn(
-                "RunRequest(workers=, backend=) is deprecated; use "
-                "execution=ExecutionPlan(engine=..., workers=...)",
-                DeprecationWarning, stacklevel=3)
-            if self.execution is not None:
-                raise ValueError(
-                    "give either execution= or the deprecated "
-                    "workers=/backend=, not both")
-            engine = "auto"
-            if self.backend == "process":
-                engine = "process"
-            elif self.backend == "inline":
-                engine = "sharded"
-            self.execution = ExecutionPlan(
-                engine=engine,
-                workers=self.workers if self.workers else 1)
-            self.workers = None
-            self.backend = None
-        self.execution = ExecutionPlan.coerce(self.execution)
 
     def resolved_config(self) -> GPUConfig:
         if isinstance(self.config, GPUConfig):
@@ -164,16 +118,8 @@ class RunResult:
     #: The policy object actually used (post-run state carries e.g. TAP's
     #: final ratio); None for unpartitioned runs.
     policy: Optional[PartitionPolicy]
-    #: How the run executed: the ShardReport (mode, backend, rounds,
-    #: structured refusal when it fell back to the serial engine).
-    execution: ShardReport = field(default_factory=ShardReport)
     #: The request that produced this result.
     request: Optional[RunRequest] = None
-
-    @property
-    def parallel(self) -> ShardReport:
-        """Deprecated alias for :attr:`execution` (the PR-4 name)."""
-        return self.execution
 
     # -- PairResult-compatible accessors ------------------------------------
     @property
@@ -194,12 +140,8 @@ class RunResult:
         return self.stats.stream_cycles(COMPUTE_STREAM)
 
     def __repr__(self) -> str:
-        mode = ("sharded[%s] x%d" % (self.execution.mode,
-                                     self.execution.num_shards)
-                if self.execution.engaged else "serial")
-        return "RunResult(policy=%s, total=%d, %s)" % (
-            self.policy.name if self.policy else None,
-            self.total_cycles, mode)
+        return "RunResult(policy=%s, total=%d)" % (
+            self.policy.name if self.policy else None, self.total_cycles)
 
     def to_record(self, label: str = "",
                   wall_seconds: Optional[float] = None) -> Dict[str, object]:
@@ -226,11 +168,7 @@ class RunResult:
             "instructions": instructions,
             "wall_seconds": wall_seconds,
             "stats": stats,
-            "extras": {
-                "parallel_engaged": self.execution.engaged,
-                "num_shards": self.execution.num_shards,
-                "execution": self.execution.to_dict(),
-            },
+            "extras": {},
         }
 
 
@@ -238,10 +176,7 @@ def simulate(request: Optional[RunRequest] = None, **kwargs) -> RunResult:
     """Execute one simulation — the single entry point for every caller.
 
     Accepts either a prebuilt :class:`RunRequest` or its fields as keyword
-    arguments (``simulate(workload=..., policy="mps")``).  Dispatch,
-    including the serial case, goes through
-    :func:`repro.parallel.run_sharded`, so the execution path is the same
-    object graph everywhere and the result always carries a ShardReport.
+    arguments (``simulate(workload=..., policy="mps")``).
     """
     if request is None:
         request = RunRequest(**kwargs)
@@ -250,13 +185,10 @@ def simulate(request: Optional[RunRequest] = None, **kwargs) -> RunResult:
     config = request.resolved_config()
     streams = request.resolved_streams(config)
     policy = request.resolved_policy(config, streams)
-    stats, policy, report = run_sharded(
-        config, streams, policy=policy,
-        sample_interval=request.sample_interval,
-        telemetry=request.telemetry,
-        execution=request.execution,
-        max_cycles=request.max_cycles,
-        arrivals=request.arrivals,
-    )
-    return RunResult(stats=stats, policy=policy, execution=report,
-                     request=request)
+    gpu = GPU(config, policy=policy, sample_interval=request.sample_interval,
+              telemetry=request.telemetry)
+    arrivals = request.arrivals or {}
+    for sid, kernels in sorted(streams.items()):
+        gpu.add_stream(sid, kernels, arrivals=arrivals.get(sid))
+    stats = gpu.run(max_cycles=request.max_cycles)
+    return RunResult(stats=stats, policy=policy, request=request)

@@ -113,7 +113,7 @@ def run_job(job: Job) -> JobResult:
     )
     result = simulate(
         config=config, streams=streams, policy=job.policy,
-        sample_interval=job.sample_interval, execution=job.execution)
+        sample_interval=job.sample_interval)
     return JobResult(
         fingerprint=job.fingerprint(),
         label=job.display_label,

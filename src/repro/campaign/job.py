@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Union
 
 from ..config import GPUConfig, get_preset
-from ..parallel import ExecutionPlan
 
 #: Bumped whenever the fingerprinted spec layout changes, invalidating
 #: cached results written by incompatible builds.
@@ -55,14 +54,8 @@ class Job:
     params: Dict[str, object] = field(default_factory=dict)
     #: Display name only — never part of the fingerprint.
     label: Optional[str] = None
-    #: How to execute: an :class:`~repro.parallel.ExecutionPlan`, a dict of
-    #: its fields, or a bare worker count (coerced).  Execution detail only:
-    #: results are bit-identical for any plan, so it is deliberately NOT
-    #: part of the fingerprint (cached serial results stay valid).
-    execution: Union[ExecutionPlan, Dict[str, object], int, None] = None
 
     def __post_init__(self) -> None:
-        self.execution = ExecutionPlan.coerce(self.execution)
         if self.scene and self.graphics_trace:
             raise ValueError("give either scene or graphics_trace, not both")
         if self.compute and self.compute_trace:
@@ -70,6 +63,12 @@ class Job:
         if not (self.scene or self.graphics_trace
                 or self.compute or self.compute_trace):
             raise ValueError("empty job: no graphics and no compute input")
+
+    @property
+    def execution(self) -> None:
+        """Always None: every job runs on the serial engine.  Kept, read
+        only, for readers written when jobs carried an execution plan."""
+        return None
 
     # -- config ---------------------------------------------------------------
     def resolved_config(self) -> GPUConfig:
@@ -147,7 +146,6 @@ class Job:
             "compute_trace": self.compute_trace,
             "params": dict(self.params),
             "label": self.label,
-            "execution": self.execution.to_dict(),
         }
 
     @classmethod
@@ -161,10 +159,10 @@ class Job:
         if unknown:
             raise ValueError("unknown job fields: %s" % sorted(unknown))
         kwargs = dict(data)
-        # Legacy job files carry a bare worker count; fold it into a plan.
-        workers = kwargs.pop("workers", None)
-        if workers is not None and kwargs.get("execution") is None:
-            kwargs["execution"] = ExecutionPlan(workers=int(workers))
+        # Older job files, cache manifests and submissions carry an
+        # execution plan or a worker count; every job now runs serially.
+        kwargs.pop("execution", None)
+        kwargs.pop("workers", None)
         config = kwargs.get("config")
         if isinstance(config, dict):
             cache_fields = {"l1", "l2"}

@@ -10,7 +10,7 @@ Subcommands::
     python -m repro simulate --graphics spl.gz --compute vio.gz \
         --telemetry out/         # metrics.jsonl + Perfetto trace.json
     python -m repro telemetry out/   # text timeline + stall attribution
-    python -m repro validate fuzz --seeds 20 --invariants
+    python -m repro validate fuzz --seeds 20
     python -m repro validate check-goldens
     python -m repro qos run --scenario bursty --clients 3 --seed 7
     python -m repro qos campaign --out QOS_campaign.json
@@ -110,47 +110,18 @@ def _cmd_simulate(args) -> int:
               file=sys.stderr)
         return 2
     from .api import simulate
-    from .parallel import ExecutionPlan
     telemetry = None
     if args.telemetry:
         from .telemetry import Telemetry
         telemetry = Telemetry(out_dir=args.telemetry,
                               sample_interval=args.sample_interval or 1000)
-    execution = ExecutionPlan(engine=args.engine, workers=args.workers,
-                              shard_by=args.shard_by, horizon=args.horizon,
-                              speculation=args.speculation)
-    if args.explain_plan:
-        from .core.platform import make_policy
-        from .parallel import plan_shards
-        policy = (make_policy(args.policy, config, sorted(streams))
-                  if len(streams) > 1 else None)
-        plan, refusal = plan_shards(policy, streams, config=config,
-                                    execution=execution, telemetry=telemetry)
-        if plan is None:
-            print("serial: %s" % refusal.render())
-        else:
-            d = plan.describe()
-            groups = d.get("groups", d.get("sm_groups"))
-            print("sharded by %s: %d shard(s) %s"
-                  % (plan.mode, plan.num_shards, groups))
-            print("speculation %s: horizon=%d defer_cap=%s%s"
-                  % (execution.speculation, plan.horizon, plan.defer_cap,
-                     " mshr-shallow (interruptible ticks)"
-                     if plan.mshr_shallow else ""))
-        return 0
     result = simulate(config=config, streams=streams, policy=args.policy,
                       sample_interval=args.sample_interval,
-                      telemetry=telemetry, execution=execution)
+                      telemetry=telemetry)
     stats = result.stats
-    mode = ""
-    if execution.wants_parallel:
-        report = result.execution
-        mode = (" (sharded by %s x%d)" % (report.mode, report.num_shards)
-                if report.engaged
-                else " (serial: %s)" % report.fallback_reason)
-    print("simulated %d cycles on %s%s%s"
+    print("simulated %d cycles on %s%s"
           % (stats.cycles, config.name,
-             " under %s" % args.policy if result.policy else "", mode))
+             " under %s" % args.policy if result.policy else ""))
     for sid, summary in stats.summary().items():
         tag = "graphics" if sid == GRAPHICS_STREAM else "compute"
         print("  stream %d (%s): %d instr, %d cycles, IPC %.2f, "
@@ -216,11 +187,8 @@ def _cmd_validate(args) -> int:
         from .validate import run_fuzz
         seeds = range(args.start_seed, args.start_seed + args.seeds)
         progress = None if args.quiet else print
-        report = run_fuzz(seeds, check_invariants=args.invariants,
-                          corpus_dir=args.corpus,
+        report = run_fuzz(seeds, corpus_dir=args.corpus,
                           allow_scenes=not args.no_scenes,
-                          include_process=not args.no_process,
-                          spec_stress=True if args.spec_stress else None,
                           progress=progress)
         import json
         print(json.dumps(report.summary(), sort_keys=True))
@@ -397,29 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default="JetsonOrin-mini",
                    choices=sorted(PRESETS))
     p.add_argument("--sample-interval", type=int, default=None)
-    p.add_argument("--engine", default="auto",
-                   choices=("auto", "serial", "sharded", "process"),
-                   help="execution engine: serial loop, in-process shards, "
-                        "or forked shard workers (auto picks)")
-    p.add_argument("--shard-by", default="auto",
-                   choices=("auto", "stream", "sm"),
-                   help="shard layout: whole streams per worker or "
-                        "contiguous SM groups (auto picks the sound one)")
-    p.add_argument("--horizon", type=int, default=None, metavar="N",
-                   help="speculation depth: quanta each shard runs past "
-                        "its conservative memory horizon before waiting "
-                        "for patches (default: tuned per shard mode)")
-    p.add_argument("--speculation", default="auto",
-                   choices=("auto", "on", "off"),
-                   help="speculative epoch execution: off pins shards to "
-                        "their conservative horizons (and disables the "
-                        "tiny-MSHR interruptible-tick rescue)")
-    p.add_argument("--explain-plan", action="store_true",
-                   help="print the shard plan or the structured refusal "
-                        "and exit without simulating")
-    p.add_argument("--workers", type=int, default=1,
-                   help="shard the simulation across N workers where the "
-                        "policy permits (results are bit-identical)")
     p.add_argument("--csv", help="write per-stream stats CSV (with "
                                  "--sample-interval also writes sibling "
                                  "*_timeline.csv time series)")
@@ -456,23 +401,16 @@ def build_parser() -> argparse.ArgumentParser:
                     help="cycles between mid-run invariant sweeps")
     vp = vsub.add_parser(
         "fuzz",
-        help="differential-test fuzzed configs across all engines")
+        help="differential-test fuzzed configs: plain vs "
+             "invariant-checked runs")
     vp.add_argument("--seeds", type=int, default=20,
                     help="number of fuzz seeds to run")
     vp.add_argument("--start-seed", type=int, default=0,
                     help="first seed (reproduce a CI failure from its seed)")
-    vp.add_argument("--invariants", action="store_true",
-                    help="also re-run each passing case under the "
-                         "invariant checker")
     vp.add_argument("--corpus", metavar="DIR",
                     help="write one JSON repro per failing seed into DIR")
     vp.add_argument("--no-scenes", action="store_true",
                     help="skip rendered-scene workloads (faster)")
-    vp.add_argument("--no-process", action="store_true",
-                    help="skip the forked process backend")
-    vp.add_argument("--spec-stress", action="store_true",
-                    help="force the speculation-stress arm on every seed "
-                         "(horizon 1..3 + forced-rollback injection)")
     vp.add_argument("--quiet", action="store_true",
                     help="suppress per-seed progress lines")
 
@@ -646,8 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sort", default="cumulative",
                    choices=("cumulative", "tottime", "ncalls"),
                    help="cProfile sort order")
-    p.add_argument("--workers", type=int, default=1,
-                   help="shard the measured simulation across N workers")
     p.add_argument("--repeats", type=int, default=1,
                    help="unprofiled timing runs for the sim-rate record "
                         "(best wall-clock wins)")
@@ -881,13 +817,12 @@ def _cmd_profile(args) -> int:
     if not args.no_cprofile:
         report, prof_record = profile_simulation(
             config, streams, policy=args.policy, top=args.top,
-            sort=args.sort, label=label, execution=args.workers)
+            sort=args.sort, label=label)
         print(report, end="")
         print("profiled run: %d cycles in %.2fs (profiler overhead included)"
               % (prof_record["cycles"], prof_record["wall_seconds"]))
     record = measure_simrate(config, streams, policy=args.policy,
-                             repeats=args.repeats, label=label,
-                             execution=args.workers)
+                             repeats=args.repeats, label=label)
     print("sim-rate: %.0f instr/s, %.0f cycles/s "
           "(%d instr, %d cycles, %.2fs wall, best of %d)"
           % (record["instructions_per_second"],

@@ -417,63 +417,6 @@ class SetAssocCache:
             return None
         return min(self._pending.values())
 
-    # -- checkpoint / rollback ---------------------------------------------
-    def snapshot(self) -> tuple:
-        """Capture line/MSHR/partition/stat state for rollback.
-
-        Only materialized sets are copied (line fields are flat scalars).
-        Partition objects are captured by reference: ``partition_sets`` /
-        ``partition_ways`` replace them wholesale and never mutate in
-        place, so a reference pins the snapshot-time configuration.
-        """
-        sets = [
-            (idx, [(l.tag, l.valid, l.dirty, l.last_use, l.data_class,
-                    l.stream, l.sector_mask) for l in cache_set])
-            for idx, cache_set in enumerate(self._sets)
-            if cache_set is not None
-        ]
-        stats = {
-            s: (st.accesses, st.hits, st.misses, st.mshr_merges,
-                st.evictions)
-            for s, st in self.stats.items()
-        }
-        return (sets, dict(self._pending), self._use_clock,
-                self.usable_ways, stats, self.set_partition,
-                self._set_map, self.way_partition)
-
-    def restore(self, snap: tuple) -> None:
-        (sets, pending, use_clock, usable_ways, stats, set_partition,
-         set_map, way_partition) = snap
-        saved = dict(sets)
-        for idx in range(self.num_sets):
-            cache_set = self._sets[idx]
-            lines = saved.get(idx)
-            if lines is None:
-                # Materialized after the snapshot (or never): back to lazy.
-                if cache_set is not None:
-                    self._sets[idx] = None
-                continue
-            if cache_set is None:
-                cache_set = self._sets[idx] = [
-                    _Line() for _ in range(self.assoc)
-                ]
-            for line, vals in zip(cache_set, lines):
-                (line.tag, line.valid, line.dirty, line.last_use,
-                 line.data_class, line.stream, line.sector_mask) = vals
-        self._pending.clear()
-        self._pending.update(pending)
-        self._use_clock = use_clock
-        self.usable_ways = usable_ways
-        self.stats.clear()
-        for s, vals in stats.items():
-            st = CacheStats()
-            (st.accesses, st.hits, st.misses, st.mshr_merges,
-             st.evictions) = vals
-            self.stats[s] = st
-        self.set_partition = set_partition
-        self._set_map = set_map
-        self.way_partition = way_partition
-
     # -- introspection -----------------------------------------------------
     def composition(self) -> Dict[DataClass, int]:
         """Valid-line counts per data class (Fig 11 snapshots)."""

@@ -33,11 +33,10 @@ from .service.records import (  # noqa: F401 - re-exports
 
 
 def _run(config: GPUConfig, streams: Dict[int, List[KernelTrace]],
-         policy: Optional[str], sample_interval: Optional[int],
-         execution=None):
+         policy: Optional[str], sample_interval: Optional[int]):
     from .api import simulate
     result = simulate(config=config, streams=streams, policy=policy,
-                      sample_interval=sample_interval, execution=execution)
+                      sample_interval=sample_interval)
     return result.stats, result.policy
 
 
@@ -122,7 +121,6 @@ def measure_simrate(
     sample_interval: Optional[int] = None,
     repeats: int = 1,
     label: str = "",
-    execution=None,
 ) -> dict:
     """Time the simulation (best wall-clock of ``repeats`` runs).
 
@@ -135,8 +133,7 @@ def measure_simrate(
     best_stats = None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        stats, _ = _run(config, streams, policy, sample_interval,
-                        execution=execution)
+        stats, _ = _run(config, streams, policy, sample_interval)
         wall = time.perf_counter() - t0
         if best_wall is None or wall < best_wall:
             best_wall = wall
@@ -152,7 +149,6 @@ def profile_simulation(
     top: int = 20,
     sort: str = "cumulative",
     label: str = "",
-    execution=None,
 ) -> Tuple[str, dict]:
     """Run one simulation under cProfile.
 
@@ -164,8 +160,7 @@ def profile_simulation(
     profiler = cProfile.Profile()
     t0 = time.perf_counter()
     profiler.enable()
-    stats, _ = _run(config, streams, policy, sample_interval,
-                    execution=execution)
+    stats, _ = _run(config, streams, policy, sample_interval)
     profiler.disable()
     wall = time.perf_counter() - t0
     buf = io.StringIO()

@@ -101,8 +101,7 @@ class QoSMonitor(NullTelemetry):
     :meth:`track`; the timing core then reports completions through
     ``on_kernel_complete`` and the monitor turns them into per-client
     kernel-turnaround and frame-time (request latency) distributions,
-    counted against each client's SLO budget.  ``enabled = True`` keeps
-    the shard planner honest: monitored runs always use the serial engine.
+    counted against each client's SLO budget.
     """
 
     enabled = True

@@ -158,7 +158,6 @@ def run_scenario(scenario: Union[str, Scenario], seed: int,
         "config": {"name": config.name,
                    "fingerprint": config.fingerprint()},
         "total_cycles": stats.cycles,
-        "parallel_fallback": result.execution.fallback_reason,
         "clients": client_reports,
         "controller": controller_report,
     }

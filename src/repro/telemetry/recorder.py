@@ -64,9 +64,6 @@ class NullTelemetry:
     def on_run_end(self, gpu) -> None:
         pass
 
-    def reset(self) -> None:
-        pass
-
     def close(self) -> Dict[str, str]:
         return {}
 
@@ -182,19 +179,6 @@ class Telemetry(NullTelemetry):
             return
         self.sink.stream_row(0)
         self.sink.instant("event", name, PID_STREAMS, 0, cycle, args=args)
-
-    def reset(self) -> None:
-        """Drop everything recorded so far.
-
-        Used by the shard coordinator when a run aborts with
-        ``EpochUnsafeError`` and is redone serially: the redo must produce
-        the same files a serial-only run would, so the partial records
-        from the abandoned attempt are discarded.
-        """
-        self.metrics = MetricsRecorder()
-        self.sink = TraceSink()
-        self.runlog = RunLog()
-        self._open_kernels = {}
 
     # -- output ------------------------------------------------------------
     def close(self) -> Dict[str, str]:

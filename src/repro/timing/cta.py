@@ -211,22 +211,6 @@ class StreamQueue:
             return True
         return False
 
-    # -- checkpoint / rollback ---------------------------------------------
-    def snapshot(self) -> tuple:
-        return (
-            [(st.next_cta, st.outstanding, st.started, st.complete,
-              st.start_cycle, st.complete_cycle) for st in self.states],
-            self._issue_idx, len(self.kernel_completions),
-        )
-
-    def restore(self, snap: tuple) -> None:
-        states, issue_idx, n_completions = snap
-        for st, vals in zip(self.states, states):
-            (st.next_cta, st.outstanding, st.started, st.complete,
-             st.start_cycle, st.complete_cycle) = vals
-        self._issue_idx = issue_idx
-        del self.kernel_completions[n_completions:]
-
     def timeline(self) -> List:
         """(kernel name, start cycle, complete cycle) per finished kernel,
         in launch order — the per-drawcall/per-kernel timeline reports."""
@@ -284,17 +268,6 @@ class CTAScheduler:
             if t is not None and (best is None or t < best):
                 best = t
         return best
-
-    # -- checkpoint / rollback ---------------------------------------------
-    def snapshot(self) -> tuple:
-        return ({sid: sq.snapshot() for sid, sq in self.streams.items()},
-                self._rr_offset)
-
-    def restore(self, snap: tuple) -> None:
-        streams, rr_offset = snap
-        for sid, sq_snap in streams.items():
-            self.streams[sid].restore(sq_snap)
-        self._rr_offset = rr_offset
 
     # -- issue -----------------------------------------------------------------
     def _quota_allows(self, sm: SM, stream: int, res: CTAResources) -> bool:

@@ -88,15 +88,6 @@ class LDSTPath:
         ways = max(1, usable_bytes // (self._l1_sets * self._l1_line))
         self.l1.set_usable_ways(min(ways, self.l1.assoc))
 
-    # -- checkpoint / rollback ---------------------------------------------
-    def snapshot(self) -> tuple:
-        """Injection-port and L1 state (the L2 is shared, owned elsewhere)."""
-        return (self._icnt_free, self.l1.snapshot())
-
-    def restore(self, snap: tuple) -> None:
-        self._icnt_free = snap[0]
-        self.l1.restore(snap[1])
-
     def issue(self, inst: WarpInstruction, cycle: int, stream: int) -> int:
         """Execute a memory instruction; returns its completion cycle."""
         space = inst.info.space

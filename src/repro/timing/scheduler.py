@@ -31,11 +31,10 @@ The ready queue itself has two representations:
   while replacing O(log n) sift operations (~3 heap pops per issued
   instruction under contention) with list appends and cursor bumps, and
   dropping the per-entry tuple allocation and seq draw entirely.
-* **Lazy min-heap** of ``(estimate, seq, slot)`` tuples: kept for LRR
-  (which re-queues *losing* ready warps with their original, out-of-order
-  seqs — breaking the FIFO-within-bucket equivalence) and for the parallel
-  shard engine, whose seq-lockstep parking ledger needs real sequence
-  numbers.  ``_bucketed`` selects the representation at construction.
+* **Lazy min-heap** of ``(estimate, seq, slot)`` tuples: LRR only.  LRR
+  re-queues *losing* ready warps with their original, out-of-order seqs,
+  which breaks the FIFO-within-bucket equivalence.  ``_bucketed`` selects
+  the representation at construction.
 """
 
 from __future__ import annotations
@@ -74,14 +73,12 @@ class GTOScheduler:
         self.policy = policy
         self.state = state if state is not None else SlotState()
         #: Lazy min-heap of (estimated issue cycle, seq, warp slot) — the
-        #: LRR/shard representation (see module docstring).
+        #: LRR representation (see module docstring).
         self._heap: List[Tuple[int, int, int]] = []
-        #: Monotone push sequence for the heap representation.  A plain int
-        #: (not itertools.count) so checkpoints can capture and restore it.
+        #: Monotone push sequence for the heap representation.
         self._seq = 0
         #: GTO bucket-queue representation: estimate -> [cursor, slot, ...]
         #: (element 0 is the read cursor) plus a min-heap of live keys.
-        #: The shard subclass forces heap mode even for GTO.
         self._bucketed = policy == "gto"
         self._buckets: Dict[int, List[int]] = {}
         self._bkeys: List[int] = []
@@ -223,41 +220,6 @@ class GTOScheduler:
                 heapq.heappush(heap, item)
         self._picked_from_heap = True
         return chosen[2]
-
-    # -- checkpoint / rollback ---------------------------------------------
-    def snapshot(self) -> tuple:
-        """Capture the ready queue, pipe state and selection bookkeeping.
-
-        ``next_event`` prunes dead queue heads lazily, so the queue contents
-        are part of observable state and are copied wholesale (entries are
-        immutable ints/tuples).  The pipe arrays live on ``units`` but are
-        owned by exactly one scheduler, so they snapshot here too.
-        """
-        return (
-            list(self._heap), self._seq,
-            {k: list(v) for k, v in self._buckets.items()},
-            list(self._bkeys),
-            self._greedy, self._last_warp_id, self._picked_from_heap,
-            self.issued, self.next_event_cache,
-            list(self._pnf), list(self._icnt),
-        )
-
-    def restore(self, snap: tuple) -> None:
-        (heap, seq, buckets, bkeys, greedy, last_warp_id, picked,
-         issued, next_event_cache, pnf, icnt) = snap
-        self._heap[:] = heap
-        self._seq = seq
-        self._buckets.clear()
-        for k, v in buckets.items():
-            self._buckets[k] = list(v)
-        self._bkeys[:] = bkeys
-        self._greedy = greedy
-        self._last_warp_id = last_warp_id
-        self._picked_from_heap = picked
-        self.issued = issued
-        self.next_event_cache = next_event_cache
-        self._pnf[:] = pnf
-        self._icnt[:] = icnt
 
     # -- telemetry ---------------------------------------------------------
     def stall_reason(self, slot: int, cycle: int) -> str:

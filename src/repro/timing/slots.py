@@ -34,9 +34,8 @@ Columns are plain Python lists of ints (flags are bytearrays), not
 ``array('q')``/numpy: CPython re-boxes a fresh int object on every typed-
 array read, which costs more on this read-dominated path than the pointer
 indexing a list does.  Values are kept int64-safe by construction —
-``BLOCKED`` (1 << 62) and the parallel engine's deferred-completion
-sentinels (>= 1 << 61) both fit — so a typed-array or numpy snapshot of any
-column is always well-defined.
+``BLOCKED`` (1 << 62) fits — so a typed-array or numpy copy of any column
+is always well-defined.
 """
 
 from __future__ import annotations
@@ -126,61 +125,6 @@ class SlotState:
         self.warps[slot] = None
         self.sstats[slot] = None
         self.entries[slot] = None
-
-    # -- checkpoint / rollback ---------------------------------------------
-    def snapshot(self) -> tuple:
-        """Capture every mutable column (cheap flat copies).
-
-        Slots are monotonic and the int columns append-only in shape, so a
-        snapshot is the slot count plus full copies of the value columns.
-        The object columns (``warps``/``sstats``/``entries``) are copied as
-        reference lists because :meth:`release_handle` nulls entries when a
-        CTA retires — a retirement inside a speculative window must be
-        undone on rollback.
-        """
-        return (
-            self.count,
-            list(self.pc), list(self.stall_until), list(self.next_ready),
-            list(self.last_issue), list(self.last_commit),
-            bytearray(self.done), bytearray(self.barrier),
-            list(self.sb), list(self.cur),
-            list(self.warps), list(self.sstats), list(self.entries),
-        )
-
-    def restore(self, snap: tuple) -> None:
-        """Restore the state captured by :meth:`snapshot`.
-
-        Slots allocated after the snapshot are dropped (their CTAs are
-        rolled back with them); the append-only identity columns are simply
-        truncated back to the snapshot's slot count.
-        """
-        (count, pc, stall_until, next_ready, last_issue, last_commit,
-         done, barrier, sb, cur, warps, sstats, entries) = snap
-        self.count = count
-        self.pc[:] = pc
-        self.stall_until[:] = stall_until
-        self.next_ready[:] = next_ready
-        self.last_issue[:] = last_issue
-        self.last_commit[:] = last_commit
-        self.done[:] = done
-        self.barrier[:] = barrier
-        self.sb[:] = sb
-        self.cur[:] = cur
-        self.warps[:] = warps
-        self.sstats[:] = sstats
-        self.entries[:] = entries
-        del self.warp_ids[count:]
-        del self.streams[count:]
-        del self.n_insts[count:]
-        del self.sb_base[count:]
-
-    def scoreboard_slice(self, slot: int):
-        """The slot's scoreboard as a (renamed-reg -> ready-cycle) array
-        slice copy — the read half of the slice-based shard handoff."""
-        base = self.sb_base[slot]
-        n = (self.sb_base[slot + 1] if slot + 1 < self.count
-             else len(self.sb))
-        return self.sb[base:n]
 
     def __len__(self) -> int:
         return self.count

@@ -214,9 +214,8 @@ class SM:
         arrays with zero per-instruction Python calls (barring LDST/CTA
         boundaries).  The fused body must stay operation-for-operation in
         sync with :meth:`GTOScheduler.pick` and :meth:`_issue`, which remain
-        the reference path — and the only path for LRR and the parallel
-        shard engine, whose scheduler subclasses override ``pick``/
-        ``_issue`` behaviour (``_bucketed`` is False there).
+        the reference path and the only path for LRR (heap-mode
+        schedulers, ``_bucketed`` is False).
         """
         best = BLOCKED
         st = self.slot_state
@@ -233,7 +232,7 @@ class SM:
                     best = t
                 continue
             if not sched._bucketed:
-                # LRR / shard engine: virtual pick + virtual issue.
+                # LRR: virtual pick + virtual issue.
                 slot = sched.pick(cycle)
                 if slot < 0:
                     t = sched.next_event(cycle)
@@ -496,61 +495,6 @@ class SM:
             cta.barrier_arrived = 0
         else:
             self.slot_state.barrier[warp.slot] = 1
-
-    # -- checkpoint / rollback ---------------------------------------------
-    def snapshot(self) -> tuple:
-        """Capture the SM's full dynamic state (resources, residency,
-        completions, slot arrays, scheduler queues, LDST/L1 state).
-
-        Stream-level stats are shared GPU-wide and snapshot at the GPU
-        level, not here.  ResidentCTA objects are kept by reference with
-        their mutable fields saved alongside: a CTA launched after the
-        snapshot simply drops out of the restored ``resident`` list, and a
-        CTA that retired after the snapshot is reinstated with its fields.
-        """
-        return (
-            (self.free_threads, self.free_registers, self.free_shared_mem,
-             self.free_warp_slots, self.free_cta_slots),
-            dict(self.threads_used), dict(self.registers_used),
-            dict(self.shared_used), dict(self.warps_used),
-            [(cta, cta.live_warps, cta.barrier_arrived, cta.barrier_release,
-              cta.launch_cycle) for cta in self.resident],
-            list(self._completions), self._completion_seq, self._next_sched,
-            self.next_event_cache, self._queued_event,
-            dict(self.issued_by_stream),
-            self.slot_state.snapshot(),
-            tuple(s.snapshot() for s in self.schedulers),
-            self.ldst.snapshot(),
-        )
-
-    def restore(self, snap: tuple) -> None:
-        (free, threads_used, registers_used, shared_used, warps_used,
-         resident, completions, completion_seq, next_sched,
-         next_event_cache, queued_event, issued_by_stream,
-         slots_snap, sched_snaps, ldst_snap) = snap
-        (self.free_threads, self.free_registers, self.free_shared_mem,
-         self.free_warp_slots, self.free_cta_slots) = free
-        self.threads_used = dict(threads_used)
-        self.registers_used = dict(registers_used)
-        self.shared_used = dict(shared_used)
-        self.warps_used = dict(warps_used)
-        self.resident[:] = []
-        for cta, live, arrived, release, launch in resident:
-            cta.live_warps = live
-            cta.barrier_arrived = arrived
-            cta.barrier_release = release
-            cta.launch_cycle = launch
-            self.resident.append(cta)
-        self._completions[:] = completions
-        self._completion_seq = completion_seq
-        self._next_sched = next_sched
-        self.next_event_cache = next_event_cache
-        self._queued_event = queued_event
-        self.issued_by_stream = dict(issued_by_stream)
-        self.slot_state.restore(slots_snap)
-        for s, ss in zip(self.schedulers, sched_snaps):
-            s.restore(ss)
-        self.ldst.restore(ldst_snap)
 
     # -- telemetry ---------------------------------------------------------
     def sample_stalls(self, cycle: int,

@@ -102,24 +102,6 @@ class StreamStats:
             if hit:
                 self.l1_tex_hits += transactions
 
-    # -- checkpoint / rollback ---------------------------------------------
-    def snapshot(self) -> tuple:
-        return (self.instructions, list(self._issue_by_unit),
-                self.mem_transactions, self.l1_accesses, self.l1_hits,
-                self.l1_tex_accesses, self.l1_tex_hits,
-                self.shared_accesses, self.ctas_launched,
-                self.ctas_completed, self.kernels_completed,
-                self.warps_launched, self.first_issue_cycle,
-                self.last_commit_cycle)
-
-    def restore(self, snap: tuple) -> None:
-        (self.instructions, issue_by_unit, self.mem_transactions,
-         self.l1_accesses, self.l1_hits, self.l1_tex_accesses,
-         self.l1_tex_hits, self.shared_accesses, self.ctas_launched,
-         self.ctas_completed, self.kernels_completed, self.warps_launched,
-         self.first_issue_cycle, self.last_commit_cycle) = snap
-        self._issue_by_unit[:] = issue_by_unit
-
     def to_dict(self) -> dict:
         """JSON-safe dump of every counter (enum keys become strings)."""
         return {
@@ -199,25 +181,6 @@ class GPUStats:
             st = StreamStats(stream)
             self.streams[stream] = st
         return st
-
-    # -- checkpoint / rollback ---------------------------------------------
-    def snapshot(self) -> tuple:
-        """Counters plus trace-list lengths (the traces are append-only)."""
-        return ({sid: st.snapshot() for sid, st in self.streams.items()},
-                self.cycles, len(self.occupancy_trace),
-                len(self.l2_snapshots), len(self.l2_stream_snapshots))
-
-    def restore(self, snap: tuple) -> None:
-        streams, cycles, n_occ, n_l2, n_l2s = snap
-        for sid in list(self.streams):
-            if sid not in streams:
-                del self.streams[sid]
-        for sid, st_snap in streams.items():
-            self.stream(sid).restore(st_snap)
-        self.cycles = cycles
-        del self.occupancy_trace[n_occ:]
-        del self.l2_snapshots[n_l2:]
-        del self.l2_stream_snapshots[n_l2s:]
 
     @property
     def total_instructions(self) -> int:

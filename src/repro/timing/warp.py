@@ -116,7 +116,11 @@ class WarpContext:
         Built on demand for inspection/validation; the timing core itself
         only touches the underlying array.
         """
-        return dict(enumerate(self.state.scoreboard_slice(self.slot)))
+        st = self.state
+        base = st.sb_base[self.slot]
+        end = (st.sb_base[self.slot + 1] if self.slot + 1 < st.count
+               else len(st.sb))
+        return dict(enumerate(st.sb[base:end]))
 
     def peek(self) -> Optional[WarpInstruction]:
         cur = self.state.cur[self.slot]

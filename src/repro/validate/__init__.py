@@ -1,7 +1,7 @@
 """repro.validate — the simulator's correctness layer.
 
-Four tools, one goal: every engine change is either provably neutral or
-deliberately snapshotted.
+Four tools, one goal: every timing-model change is either provably neutral
+or deliberately snapshotted.
 
 * :mod:`~repro.validate.invariants` — an :class:`InvariantChecker`
   telemetry recorder asserting conservation laws during a run (instruction
@@ -9,21 +9,17 @@ deliberately snapshotted.
   partition disjointness, scoreboard drain).
 * :mod:`~repro.validate.fuzz` — seeded random RunRequests over policy ×
   partition fractions × cache geometry × workload mix.
-* :mod:`~repro.validate.differential` — runs each case through the
-  serial engine and sharded :class:`~repro.parallel.ExecutionPlan`\\ s
-  (2/4 workers plus the process backend), asserts bit-identity — stats,
-  run logs and trace events alike — and shrinks failures to minimal
-  repros.
+* :mod:`~repro.validate.differential` — runs each case plain and under
+  the invariant checker, asserts the two are bit-identical and violation
+  free, and shrinks failures to minimal repros.
 * :mod:`~repro.validate.goldens` — regenerates/checks the
   ``tests/golden`` snapshots (``repro validate regen-goldens``).
 """
 
 from .differential import (
     CaseResult,
-    ENGINES,
     FuzzReport,
     check_case,
-    engines_for,
     first_difference,
     run_fuzz,
     shrink_case,
@@ -35,7 +31,6 @@ from .invariants import InvariantChecker, InvariantViolation, check_run
 
 __all__ = [
     "CaseResult",
-    "ENGINES",
     "FuzzCase",
     "FuzzReport",
     "InvariantChecker",
@@ -45,7 +40,6 @@ __all__ = [
     "check_case",
     "check_goldens",
     "check_run",
-    "engines_for",
     "first_difference",
     "regen_goldens",
     "run_fuzz",

@@ -1,14 +1,14 @@
-"""Differential oracle: every execution engine must agree bit-for-bit.
+"""Differential oracle: the invariant checker must observe, not disturb.
 
-The sharded parallel engine promises results *bit-identical* to the serial
-engine.  The golden tests pin six hand-picked workloads; this module
-checks the promise on arbitrary fuzzed cases by running each case through
-the serial engine, ``workers=2`` and ``workers=4`` inline sharding, and
-the forked process backend, then comparing the full canonical
-``GPUStats.to_dict()`` trees — plus, on telemetry-on cases, the recorded
-run logs and trace events.  A mismatch is shrunk to a minimal failing
-case (fewer streams, kernels, CTAs, a simpler policy) before it is
-reported, so a CI failure arrives as a small repro, not a 40-kernel blob.
+Each fuzzed case runs twice on the serial timing model: once plain (the
+reference) and once under an :class:`~repro.validate.InvariantChecker`.
+The two ``GPUStats.to_dict()`` trees must be bit-identical, and the
+checked run must not raise :class:`~repro.validate.InvariantViolation`.
+The golden tests pin six hand-picked workloads; this module checks both
+promises on arbitrary fuzzed configs, workloads and policies.  A failure
+is shrunk to a minimal failing case (fewer streams, kernels, CTAs, a
+simpler policy) before it is reported, so a CI failure arrives as a small
+repro, not a 40-kernel blob.
 """
 
 from __future__ import annotations
@@ -19,45 +19,11 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from ..api import simulate
 from ..isa import KernelTrace
-from ..parallel import ExecutionPlan, plan_shards
 from .fuzz import FuzzCase
+from .invariants import InvariantChecker, InvariantViolation
 
-__all__ = ["ENGINES", "CaseResult", "FuzzReport", "engines_for", "run_case",
-           "check_case", "shrink_case", "run_fuzz", "first_difference"]
-
-#: Engine labels the oracle can drive, with the ExecutionPlan each denotes.
-_ENGINE_PLANS = {
-    "serial": ExecutionPlan(engine="serial"),
-    "workers2": ExecutionPlan(engine="sharded", workers=2),
-    "workers4": ExecutionPlan(engine="sharded", workers=4),
-    "process": ExecutionPlan(engine="process", workers=2),
-}
-
-ENGINES = tuple(_ENGINE_PLANS)
-
-
-def engines_for(case: FuzzCase, include_process: bool = True
-                ) -> List[str]:
-    """Engines worth running for ``case``.
-
-    When the shard plan refuses the case outright (e.g. a single-SM
-    config), every ``workers=K`` run is the same serial code path; one
-    ``workers2`` run still exercises the fallback dispatch, but
-    ``workers4``/``process`` would simulate the exact same thing twice
-    more for no coverage.
-    """
-    plan, _ = plan_shards(case.make_policy(), case.streams,
-                          config=case.config,
-                          execution=ExecutionPlan(workers=2),
-                          telemetry=case.make_telemetry())
-    if plan is None:
-        return ["serial", "workers2"]
-    engines = ["serial", "workers2", "workers4"]
-    if include_process:
-        from ..parallel.worker import fork_available
-        if fork_available():
-            engines.append("process")
-    return engines
+__all__ = ["CaseResult", "FuzzReport", "run_case", "check_case",
+           "shrink_case", "run_fuzz", "first_difference"]
 
 
 def canonical(stats) -> dict:
@@ -93,52 +59,15 @@ def first_difference(a, b, path: str = "$") -> Optional[str]:
     return None
 
 
-def _strip_volatile(obj):
-    """Drop wall-clock fields (``unix_time``) from a record tree."""
-    if isinstance(obj, dict):
-        return {k: _strip_volatile(v) for k, v in obj.items()
-                if k != "unix_time"}
-    if isinstance(obj, list):
-        return [_strip_volatile(v) for v in obj]
-    return obj
+def run_case(case: FuzzCase, checker: Optional[InvariantChecker] = None):
+    """Execute ``case`` serially; returns the RunResult.
 
-
-def canonical_run(out) -> dict:
-    """Everything of one run the oracle holds identical across engines:
-    the stats tree plus, when the run recorded telemetry, the structured
-    run log and the trace events (wall-clock stamps excluded)."""
-    tree: Dict[str, object] = {"stats": canonical(out.stats)}
-    request = getattr(out, "request", None)
-    telemetry = request.telemetry if request is not None else None
-    if telemetry is not None and getattr(telemetry, "enabled", False):
-        tree["runlog"] = _strip_volatile(telemetry.runlog.records)
-        tree["trace"] = telemetry.sink.events
-    return json.loads(json.dumps(tree, sort_keys=True))
-
-
-def run_case(case: FuzzCase, engine: str):
-    """Execute ``case`` on one engine; returns the RunResult.
-
-    A speculation-stress case overrides the sharded engines' horizon and
-    arms the forced-rollback injection hook for the duration of the run
-    (the serial engine always runs pristine — it is the reference).
+    With ``checker`` the run is checked.  Without one it is the plain
+    reference run, which records full telemetry on the case's telemetry
+    arm, so the comparison also proves the recorder leaves stats alone.
     """
-    from ..parallel import fabric as _fabric_mod
-
-    plan = _ENGINE_PLANS[engine]
-    stress = 0
-    spec = case.execution_spec
-    if spec and engine != "serial":
-        plan = ExecutionPlan(engine=plan.engine, workers=plan.workers,
-                             horizon=spec.get("horizon"))
-        stress = int(spec.get("force_rollback_every") or 0)
-    prior = _fabric_mod.FORCE_ROLLBACK_EVERY
-    _fabric_mod.FORCE_ROLLBACK_EVERY = stress
-    try:
-        return simulate(case.request(execution=plan,
-                                     telemetry=case.make_telemetry()))
-    finally:
-        _fabric_mod.FORCE_ROLLBACK_EVERY = prior
+    telemetry = checker if checker is not None else case.make_telemetry()
+    return simulate(case.request(telemetry=telemetry))
 
 
 @dataclass
@@ -146,49 +75,43 @@ class CaseResult:
     """Oracle verdict for one case."""
 
     case: FuzzCase
-    engines: List[str]
-    #: engine -> first-difference description (empty when all agree).
-    mismatches: Dict[str, str] = field(default_factory=dict)
-    #: True when at least one engine actually sharded.
-    any_engaged: bool = False
-    #: True when a shard bailed (EpochUnsafeError) and reran serially.
-    any_restarted: bool = False
-    #: True when at least one sharded run rolled back speculation.
-    any_rolled_back: bool = False
+    #: First difference between the plain and the checked run's stats.
+    diff: Optional[str] = None
+    #: The InvariantViolation message, when the checked run raised one.
+    violation: Optional[str] = None
+    #: Check groups the checker ran, by name.
+    checks: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def kind(self) -> Optional[str]:
+        """Failure kind as written to the corpus; None when the case passed."""
+        if self.violation is not None:
+            return "invariant-violation"
+        if self.diff is not None:
+            return "invariants-perturbed"
+        return None
 
     @property
     def ok(self) -> bool:
-        return not self.mismatches
+        return self.kind is None
 
 
-def check_case(case: FuzzCase, engines: Optional[Sequence[str]] = None,
-               run: Callable = run_case) -> CaseResult:
-    """Run ``case`` through ``engines`` and compare against the serial run.
+def check_case(case: FuzzCase, run: Callable = run_case) -> CaseResult:
+    """Run ``case`` plain and under an invariant checker; compare the two.
 
-    ``run`` is injectable so tests can wrap the engine with a deliberate
-    regression and watch the shrinker catch it.
+    ``run`` is injectable so tests can wrap the checked run with a
+    deliberate perturbation and watch the shrinker catch it.
     """
-    if engines is None:
-        engines = engines_for(case)
-    result = CaseResult(case=case, engines=list(engines))
-    reference = None
-    for engine in engines:
-        out = run(case, engine)
-        tree = canonical_run(out)
-        report = getattr(out, "execution", None)
-        if report is not None:
-            result.any_engaged |= bool(report.engaged)
-            result.any_restarted |= bool(report.restarted)
-            result.any_rolled_back |= \
-                bool(getattr(report, "spec_rollbacks", 0))
-        if engine == "serial":
-            reference = tree
-            continue
-        if reference is None:
-            raise ValueError("engine list must start with 'serial'")
-        diff = first_difference(reference, tree)
-        if diff:
-            result.mismatches[engine] = diff
+    result = CaseResult(case=case)
+    reference = canonical(run(case).stats)
+    checker = InvariantChecker()
+    try:
+        checked = run(case, checker)
+    except InvariantViolation as exc:
+        result.violation = str(exc)
+    else:
+        result.diff = first_difference(reference, canonical(checked.stats))
+    result.checks = checker.report()
     return result
 
 
@@ -218,8 +141,7 @@ def _with_streams(case: FuzzCase, streams: Dict[int, List[KernelTrace]],
     descr["policy"] = spec
     return FuzzCase(seed=case.seed, config=case.config, streams=streams,
                     policy_spec=spec, descr=descr,
-                    telemetry_on=case.telemetry_on,
-                    execution_spec=case.execution_spec)
+                    telemetry_on=case.telemetry_on)
 
 
 def _candidates(case: FuzzCase):
@@ -303,10 +225,6 @@ class FuzzReport:
 
     seeds: List[int] = field(default_factory=list)
     failures: List[dict] = field(default_factory=list)
-    cases_engaged: int = 0
-    cases_restarted: int = 0
-    spec_stress_cases: int = 0
-    cases_rolled_back: int = 0
     invariant_runs: int = 0
     qos_probes: int = 0
 
@@ -318,10 +236,6 @@ class FuzzReport:
         return {
             "seeds": len(self.seeds),
             "failures": len(self.failures),
-            "cases_sharded": self.cases_engaged,
-            "cases_epoch_restarted": self.cases_restarted,
-            "speculation_stress_cases": self.spec_stress_cases,
-            "cases_rolled_back": self.cases_rolled_back,
             "invariant_checked_runs": self.invariant_runs,
             "qos_probes": self.qos_probes,
         }
@@ -330,7 +244,7 @@ class FuzzReport:
 #: Every Nth fuzz seed also replays a short open-loop QoS scenario twice
 #: and compares the canonical reports — the QoS stack (arrival
 #: generation, monitor, adaptive controller) is policed for determinism
-#: by the same sweep that polices the engines.  Sparse because one QoS
+#: by the same sweep that polices the checker.  Sparse because one QoS
 #: probe costs two multi-client simulations.
 _QOS_PROBE_EVERY = 5
 _QOS_PROBE_REQUESTS = 3
@@ -359,75 +273,48 @@ def _qos_probe(seed: int) -> Optional[dict]:
             "scenario": scenario, "diff": diff}
 
 
-def run_fuzz(seeds: Sequence[int], check_invariants: bool = False,
-             corpus_dir: Optional[str] = None, allow_scenes: bool = True,
-             include_process: bool = True, include_qos: bool = True,
-             spec_stress: Optional[bool] = None,
+def run_fuzz(seeds: Sequence[int], corpus_dir: Optional[str] = None,
+             allow_scenes: bool = True, include_qos: bool = True,
              progress: Optional[Callable[[str], None]] = None) -> FuzzReport:
-    """Differential-test every seed; optionally re-run with invariants on.
-
-    With ``check_invariants``, each case additionally runs serially under
-    an :class:`~repro.validate.InvariantChecker` and the checked run must
-    be bit-identical to the unchecked serial reference — proving on the
-    whole fuzz corpus that the checker observes without disturbing.
+    """Check every seed plain against invariant-checked (see
+    :func:`check_case`).
 
     With ``include_qos``, every ``_QOS_PROBE_EVERY``-th seed also runs a
     short open-loop QoS scenario twice under the adaptive controller and
     requires bit-identical reports (failure kind ``qos-nondeterminism``).
 
-    ``spec_stress`` forces the speculation-stress arm on (or off) for
-    every seed instead of the per-seed roll — the nightly 500-seed
-    speculation sweep runs with it forced on.
-
-    Failures (mismatch details plus the shrunk minimal case description)
-    are appended to ``report.failures`` and, when ``corpus_dir`` is given,
-    written there as one JSON file per failing seed.
+    Failures (the difference or violation plus the shrunk minimal case
+    description) are appended to ``report.failures`` and, when
+    ``corpus_dir`` is given, written there as one JSON file per failing
+    seed.
     """
     import os
 
     from .fuzz import build_case
-    from .invariants import InvariantChecker, InvariantViolation
 
     report = FuzzReport()
     for seed in seeds:
-        case = build_case(seed, allow_scenes=allow_scenes,
-                          spec_stress=spec_stress)
-        engines = engines_for(case, include_process=include_process)
-        result = check_case(case, engines)
+        case = build_case(seed, allow_scenes=allow_scenes)
+        result = check_case(case)
         report.seeds.append(seed)
-        report.cases_engaged += 1 if result.any_engaged else 0
-        report.cases_restarted += 1 if result.any_restarted else 0
-        report.spec_stress_cases += 1 if case.execution_spec else 0
-        report.cases_rolled_back += 1 if result.any_rolled_back else 0
+        report.invariant_runs += 1
         failure = None
         if not result.ok:
             def still_fails(c: FuzzCase) -> bool:
-                return not check_case(c, engines_for(
-                    c, include_process=include_process)).ok
+                return check_case(c).kind == result.kind
             minimal, evals = shrink_case(case, still_fails)
             failure = {
                 "seed": seed,
-                "kind": "engine-mismatch",
-                "mismatches": result.mismatches,
+                "kind": result.kind,
                 "case": case.descr,
                 "minimal": minimal.descr,
                 "shrink_evals": evals,
+                "checks": result.checks,
             }
-        elif check_invariants:
-            report.invariant_runs += 1
-            checker = InvariantChecker()
-            try:
-                checked = simulate(case.request(telemetry=checker))
-                serial = run_case(case, "serial")
-                diff = first_difference(canonical(serial.stats),
-                                        canonical(checked.stats))
-                if diff:
-                    failure = {"seed": seed, "kind": "invariants-perturbed",
-                               "diff": diff, "case": case.descr}
-            except InvariantViolation as exc:
-                failure = {"seed": seed, "kind": "invariant-violation",
-                           "error": str(exc), "case": case.descr,
-                           "checks": checker.report()}
+            if result.violation is not None:
+                failure["error"] = result.violation
+            else:
+                failure["diff"] = result.diff
         if (failure is None and include_qos
                 and seed % _QOS_PROBE_EVERY == 0):
             report.qos_probes += 1
@@ -441,7 +328,6 @@ def run_fuzz(seeds: Sequence[int], check_invariants: bool = False,
                     json.dump(failure, f, indent=1, sort_keys=True)
         if progress:
             status = "FAIL" if failure else "ok"
-            progress("seed %d: %s (%d insts, engines: %s)"
-                     % (seed, status, case.total_instructions,
-                        ",".join(engines)))
+            progress("seed %d: %s (%d insts)"
+                     % (seed, status, case.total_instructions))
     return report

@@ -5,7 +5,7 @@ random GPU configuration (cache geometry, scheduler mix, SM count), a
 random workload mix (synthetic kernels, the named compute workloads, nano
 scene traces) and a random partition policy (named policies, uneven MPS
 splits, uneven MiG bank routing, skewed FG fractions) — everything the
-differential oracle then replays through every execution engine.
+differential oracle then replays plain and under the invariant checker.
 
 Design constraints:
 
@@ -14,7 +14,7 @@ Design constraints:
   --seeds 1 --start-seed N``).
 * **Fresh policies per run** — policy objects are stateful (TAP re-points
   ranges, Warped-Slicer records decisions), so a case carries a JSON-able
-  *spec* and materialises a new instance for every engine run.
+  *spec* and materialises a new instance for every run.
 * **Small cases** — a case simulates in well under a second so a 200-seed
   sweep fits a CI leg; the point is configuration coverage, not scale.
 """
@@ -62,15 +62,8 @@ class FuzzCase:
     policy_spec: Optional[dict]
     #: Human/JSON description of the case (written to failure corpora).
     descr: dict = field(default_factory=dict)
-    #: When True every engine run records full telemetry and the oracle
-    #: compares the run logs and trace events too, not just the stats.
+    #: When True the plain reference run records full telemetry.
     telemetry_on: bool = False
-    #: Speculation-stress arm: ``{"horizon": 1..3,
-    #: "force_rollback_every": N}`` overrides the sharded engines'
-    #: speculation depth and arms the forced-rollback injection hook
-    #: (``repro.parallel.fabric.FORCE_ROLLBACK_EVERY``) for the duration
-    #: of each non-serial run; None = plain case.
-    execution_spec: Optional[dict] = None
 
     def make_policy(self):
         """Materialise a *fresh* policy instance (policies are stateful)."""
@@ -97,7 +90,7 @@ class FuzzCase:
         raise ValueError("unknown policy spec %r" % (spec,))
 
     def make_telemetry(self):
-        """Fresh recorder for one engine run, or None for plain cases.
+        """Fresh recorder for one run, or None for plain cases.
 
         Fresh per run because recorders accumulate; a short sample
         interval so even sub-thousand-cycle cases take several samples.
@@ -107,10 +100,9 @@ class FuzzCase:
         from ..telemetry import Telemetry
         return Telemetry(sample_interval=256)
 
-    def request(self, execution=None, telemetry=None) -> RunRequest:
+    def request(self, telemetry=None) -> RunRequest:
         return RunRequest(config=self.config, streams=self.streams,
-                          policy=self.make_policy(), execution=execution,
-                          telemetry=telemetry)
+                          policy=self.make_policy(), telemetry=telemetry)
 
     @property
     def total_instructions(self) -> int:
@@ -131,13 +123,11 @@ def _random_config(rng: random.Random, seed: int) -> Tuple[GPUConfig, bool]:
     scheds, warps = rng.choice(_SCHED_WARPS)
     roomy = rng.random() < 0.4
     if roomy:
-        # Roomy L1 (preset-like): misses stay within the MSHR file, so
-        # sharded runs usually *complete* rather than epoch-restart —
-        # without this arm the oracle would only ever test the fallback.
+        # Roomy L1 (preset-like): misses stay within the MSHR file.
         l1_sets, l1_assoc, l1_mshr = rng.choice((64, 128)), 8, 64
     else:
         # Tight L1: non-power-of-two sets, scarce MSHRs — stresses the
-        # miss paths and the EpochUnsafeError serial-rerun fallback.
+        # miss paths.
         l1_sets = rng.choice((8, 16, 24, 32))   # 24: non-power-of-two path
         l1_assoc = rng.choice((2, 4, 8))
         l1_mshr = rng.choice((2, 4, 16, 64))
@@ -185,10 +175,9 @@ def _synthetic_kernel(rng: random.Random, name: str, region: int,
     )
     buf = mem.buffer("a", rng.choice((4, 16, 64)) * 1024)
     out = mem.buffer("b", 16 * 1024)
-    # Gentle kernels keep each warp load to a line or two, so a sharded
-    # run's deferred-fill file stays below MSHR capacity and the parallel
-    # engine actually completes; scatter patterns are MSHR bombs (one
-    # random load can touch 32 lines) that force the serial-rerun path.
+    # Gentle kernels keep each warp load to a line or two (preset-like
+    # traffic); scatter patterns are MSHR bombs (one random load can touch
+    # 32 lines) that keep the tight-L1 miss paths busy.
     patterns = (("coalesced", "coalesced", "broadcast") if gentle else
                 ("coalesced", "strided", "random", "broadcast"))
     for _ in range(rng.randint(1, 3)):
@@ -246,7 +235,7 @@ def _random_policy_spec(rng: random.Random, config: GPUConfig,
         return None
     # Warp-quota policies (FG fractions, fg-even, warped-slicer) can hand a
     # stream fewer warps than its largest CTA needs, which is a genuine
-    # deadlock, not an engine bug — only offer them when even a quarter
+    # deadlock, not a simulator bug — only offer them when even a quarter
     # share still fits the biggest CTA.
     quota_ok = config.max_warps_per_sm // 4 >= max_warps_per_cta
     roll = rng.random()
@@ -278,14 +267,8 @@ def _random_policy_spec(rng: random.Random, config: GPUConfig,
 
 # -- entry points -----------------------------------------------------------
 
-def build_case(seed: int, allow_scenes: bool = True,
-               spec_stress: Optional[bool] = None) -> FuzzCase:
-    """Derive the fuzz case for ``seed`` (same seed -> same case).
-
-    ``spec_stress`` forces the speculation-stress arm on (True) or off
-    (False) instead of rolling for it — the dedicated 500-seed CI sweep
-    runs every seed with the arm forced on.
-    """
+def build_case(seed: int, allow_scenes: bool = True) -> FuzzCase:
+    """Derive the fuzz case for ``seed`` (same seed -> same case)."""
     rng = random.Random(seed)
     config, roomy = _random_config(rng, seed)
     num_streams = 2 if rng.random() < 0.8 else 1
@@ -300,34 +283,19 @@ def build_case(seed: int, allow_scenes: bool = True,
                   for kernels in streams.values() for k in kernels)
     policy_spec = _random_policy_spec(rng, config, sorted(streams),
                                       max_warps_per_cta=max_wpc)
-    # Telemetry-on arm: the recorder hooks run coordinator-side in sm-mode
-    # sharding, so a quarter of the corpus polices run-log/trace-event
-    # identity across engines, not just the stats trees.
+    # Telemetry-on arm: a quarter of the reference runs record full
+    # telemetry, so the checked comparison also polices the recorder hooks.
     telemetry_on = rng.random() < 0.25
-    # Speculation-stress arm: deepen the sharded engines' speculation
-    # window (horizon 1..3) and arm the forced-rollback injection hook,
-    # so the checkpoint/rollback machinery runs orders of magnitude more
-    # often than organic patch traffic would trigger it — under the same
-    # bit-identity oracle as every other case.
-    stressed = rng.random() < 0.25
-    if spec_stress is not None:
-        stressed = spec_stress
-    execution_spec = None
-    if stressed:
-        execution_spec = {"horizon": rng.randint(1, 3),
-                          "force_rollback_every": rng.choice((3, 5, 7))}
     descr = {
         "seed": seed,
         "config": config.canonical_dict(),
         "workload": workload_descr,
         "policy": policy_spec,
         "telemetry": telemetry_on,
-        "execution": execution_spec,
     }
     return FuzzCase(seed=seed, config=config, streams=streams,
                     policy_spec=policy_spec, descr=descr,
-                    telemetry_on=telemetry_on,
-                    execution_spec=execution_spec)
+                    telemetry_on=telemetry_on)
 
 
 def build_cases(seeds: Sequence[int],

@@ -34,10 +34,8 @@ Checked invariants:
   scoreboard is pending beyond the warp's last commit, and no warp is
   parked at a barrier.
 
-The checker marks itself ``requires_serial``, so the parallel planner
-routes checked runs through the serial engine — the invariants walk
-serial data structures that the sm-mode coordinator only mirrors (the
-differential oracle separately proves the engines agree).
+The differential fuzzer runs every case both with and without a checker
+attached and requires the two results to be bit-identical.
 """
 
 from __future__ import annotations
@@ -71,10 +69,6 @@ class InvariantChecker(NullTelemetry):
     """
 
     enabled = True
-    #: The invariants dereference serial-engine internals (live warp
-    #: objects, scoreboards, cache tag stores) that the sm-mode
-    #: coordinator only mirrors; the planner must not shard checked runs.
-    requires_serial = True
     # The checker records nothing, so the sampling/span recorder flags stay
     # False; only sample_interval is consumed (by the GPU loop's tick).
 

@@ -1,31 +1,24 @@
 """Contract tests for the unified ``repro.api`` execution surface.
 
-Pins three things: the public surface itself (names and call signatures,
-so accidental breaks show up as a failed snapshot rather than a user bug
-report), the ``execution=`` knob and its deprecation shims (the legacy
-``workers=``/``backend=`` keywords must warn *and* fold into an
-equivalent :class:`ExecutionPlan`), and request resolution semantics
+Pins two things: the public surface itself (names, call signatures and
+the package version, so accidental breaks show up as a failed snapshot
+rather than a user bug report), and request resolution semantics
 (streams-vs-workload exclusivity, named-policy single-stream behaviour).
 """
 
 from __future__ import annotations
 
 import inspect
+import os
+import re
 
 import pytest
 
 import repro
-from repro.api import (
-    ExecutionPlan,
-    RunRequest,
-    RunResult,
-    WorkloadSpec,
-    simulate,
-)
+from repro.api import RunRequest, RunResult, WorkloadSpec, simulate
 from repro.config import get_preset
 from repro.core.platform import CRISP, collect_streams, make_policy
 from repro.core.streams import COMPUTE_STREAM, GRAPHICS_STREAM
-from repro.parallel import ShardReport
 
 
 @pytest.fixture(scope="module")
@@ -47,11 +40,19 @@ def baseline(reference_workload):
 
 def test_package_exports():
     assert set(repro.__all__) == {
-        "CRISP", "ExecutionPlan", "RunRequest", "RunResult", "WorkloadSpec",
-        "simulate", "__version__",
+        "CRISP", "RunRequest", "RunResult", "WorkloadSpec", "simulate",
+        "__version__",
     }
     for name in repro.__all__:
         assert hasattr(repro, name)
+    assert repro.__version__ == "2.0.0"
+
+
+def test_version_matches_pyproject():
+    path = os.path.join(os.path.dirname(__file__), "..", "pyproject.toml")
+    with open(path, encoding="utf-8") as f:
+        match = re.search(r'^version = "([^"]+)"', f.read(), re.MULTILINE)
+    assert match and match.group(1) == repro.__version__
 
 
 def test_simulate_signature():
@@ -63,8 +64,7 @@ def test_run_request_fields():
     fields = list(inspect.signature(RunRequest).parameters)
     assert fields == [
         "config", "streams", "workload", "policy", "sample_interval",
-        "telemetry", "arrivals", "execution", "workers", "backend",
-        "max_cycles",
+        "telemetry", "arrivals", "max_cycles",
     ]
 
 
@@ -83,47 +83,6 @@ def test_pr4_shims_are_gone():
     assert not hasattr(platform, "execute_streams")
     for name in ("run", "run_single", "run_pair"):
         assert not hasattr(CRISP, name)
-
-
-# -- ExecutionPlan -----------------------------------------------------------
-
-def test_execution_plan_defaults_and_validation():
-    plan = ExecutionPlan()
-    assert (plan.engine, plan.workers, plan.shard_by, plan.horizon) == \
-        ("auto", 1, "auto", None)
-    assert not plan.wants_parallel
-    assert ExecutionPlan(workers=2).wants_parallel
-    assert not ExecutionPlan(engine="serial", workers=8).wants_parallel
-    with pytest.raises(ValueError):
-        ExecutionPlan(engine="turbo")
-    with pytest.raises(ValueError):
-        ExecutionPlan(shard_by="kernel")
-    with pytest.raises(ValueError):
-        ExecutionPlan(workers=0)
-    with pytest.raises(ValueError):
-        ExecutionPlan(horizon=0)
-
-
-def test_execution_plan_coercion():
-    assert RunRequest(streams={}, execution=None).execution == ExecutionPlan()
-    assert RunRequest(streams={}, execution=4).execution == \
-        ExecutionPlan(workers=4)
-    assert RunRequest(
-        streams={}, execution={"engine": "process", "workers": 2}
-    ).execution == ExecutionPlan(engine="process", workers=2)
-    plan = ExecutionPlan(engine="sharded", workers=2, shard_by="sm")
-    assert RunRequest(streams={}, execution=plan).execution is plan
-    d = plan.to_dict()
-    assert ExecutionPlan.from_dict(d) == plan
-
-
-def test_execution_plan_runs_sharded(reference_workload, baseline):
-    config, streams = reference_workload
-    result = simulate(config=config, streams=streams, policy="mps",
-                      execution=ExecutionPlan(engine="sharded", workers=2))
-    assert result.execution.engaged
-    assert result.execution.num_shards == 2
-    assert result.stats.to_dict() == baseline.stats.to_dict()
 
 
 # -- request resolution ------------------------------------------------------
@@ -166,48 +125,21 @@ def test_result_accessors(baseline):
     assert r.total_cycles == r.stats.cycles
     assert r.graphics_cycles == r.stats.stream_cycles(GRAPHICS_STREAM)
     assert r.compute_cycles == r.stats.stream_cycles(COMPUTE_STREAM)
-    assert isinstance(r.execution, ShardReport)
-    assert r.execution.requested_workers == 1
-    assert not r.execution.engaged
-    assert r.execution.refusal is not None
-    assert r.execution.refusal.code == "workers-not-parallel"
-    assert r.parallel is r.execution  # deprecated alias
     assert isinstance(r, RunResult)
-    assert "serial" in repr(r)
+    assert repr(r) == "RunResult(policy=mps, total=%d)" % r.total_cycles
 
 
-def test_to_record_carries_execution(baseline):
+def test_to_record_shape(baseline):
     record = baseline.to_record(label="t")
-    assert record["extras"]["parallel_engaged"] is False
-    assert record["extras"]["execution"]["execution"]["workers"] == 1
-
-
-# -- deprecation shims -------------------------------------------------------
-
-def test_workers_kwarg_warns_and_folds(reference_workload, baseline):
-    config, streams = reference_workload
-    with pytest.warns(DeprecationWarning, match="workers"):
-        request = RunRequest(config=config, streams=streams, policy="mps",
-                             workers=2, backend="inline")
-    assert request.execution == ExecutionPlan(engine="sharded", workers=2)
-    assert request.workers is None and request.backend is None
-    result = simulate(request)
-    assert result.execution.engaged
-    assert result.stats.to_dict() == baseline.stats.to_dict()
-
-
-def test_workers_and_execution_conflict(reference_workload):
-    config, streams = reference_workload
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(ValueError, match="not both"):
-            RunRequest(config=config, streams=streams,
-                       execution=ExecutionPlan(workers=2), workers=2)
+    assert record["cycles"] == baseline.total_cycles
+    assert record["policy"] == "mps"
+    assert record["extras"] == {}
 
 
 def test_repro_internals_emit_no_deprecation_warnings(reference_workload):
-    """No internal code path still uses the ``workers=`` shim.
+    """No internal code path raises a DeprecationWarning.
 
-    pyproject's filterwarnings escalates the shim messages to errors
+    pyproject's filterwarnings escalates the old shim messages to errors
     suite-wide; this test additionally pins the contract explicitly, with
     the filters neutralised, so the guarantee survives someone running a
     single file with ``-W ignore``.
@@ -218,8 +150,6 @@ def test_repro_internals_emit_no_deprecation_warnings(reference_workload):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = simulate(config=config, streams=streams, policy="tap",
-                          execution=ExecutionPlan(engine="sharded",
-                                                  workers=2),
                           sample_interval=500)
         assert result.stats.cycles > 0
     ours = [w for w in caught

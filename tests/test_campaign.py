@@ -74,6 +74,19 @@ class TestJobFingerprint:
         assert restored.fingerprint() == job.fingerprint()
         assert restored.display_label == job.display_label
 
+    def test_legacy_execution_fields_load_and_drop(self):
+        """Job files, cache manifests and submissions written when jobs
+        carried an execution plan still load, and key identically."""
+        plain = nano_job("tap").to_dict()
+        for legacy in ({"execution": {"engine": "process", "workers": 2}},
+                       {"workers": 4}):
+            job = Job.from_dict({**plain, **legacy})
+            assert job.fingerprint() == Job.from_dict(plain).fingerprint()
+            assert job.execution is None
+            assert "execution" not in job.to_dict()
+        with pytest.raises(ValueError, match="unknown job fields"):
+            Job.from_dict({**plain, "engine": "process"})
+
     def test_rejects_empty_and_conflicting_specs(self):
         with pytest.raises(ValueError):
             Job()

@@ -1,28 +1,21 @@
 """Fuzzer determinism, the differential oracle, and the shrinker.
 
-The oracle's promise: any fuzzed case runs bit-identically on every
-execution engine, and when an engine diverges the failure arrives as a
-*minimal* repro.  We pin:
+The oracle's promise: any fuzzed case runs bit-identically with and
+without the invariant checker attached, and when the two diverge the
+failure arrives as a *minimal* repro.  We pin:
 
 * seed determinism (a CI failure reproduces locally from the seed alone);
 * a small clean sweep (tier-1 smoke — CI runs the 200-seed version);
-* the shrinker actually shrinking an injected engine regression;
-* the EpochUnsafeError path: a shard that bails mid-flight is redone
-  serially with bit-identical stats and the report says why.
+* the shrinker actually shrinking an injected perturbation of the
+  checked run.
 """
+
+import json
 
 import pytest
 
-from repro.api import simulate
-from repro.compute import DeviceMemory, KernelBuilder
-from repro.config import get_preset
 from repro.validate import build_case, check_case, run_fuzz, shrink_case
-from repro.validate.differential import (
-    canonical,
-    engines_for,
-    first_difference,
-    run_case,
-)
+from repro.validate.differential import canonical, first_difference, run_case
 
 
 class TestFuzzerDeterminism:
@@ -37,9 +30,8 @@ class TestFuzzerDeterminism:
     def test_same_seed_same_stats(self):
         case = build_case(11, allow_scenes=False)
         again = build_case(11, allow_scenes=False)
-        assert first_difference(canonical(run_case(case, "serial").stats),
-                                canonical(run_case(again, "serial").stats)) \
-            is None
+        assert first_difference(canonical(run_case(case).stats),
+                                canonical(run_case(again).stats)) is None
 
     def test_cases_are_small(self):
         """The 200-seed CI sweep only fits if cases stay tiny."""
@@ -48,54 +40,19 @@ class TestFuzzerDeterminism:
             assert case.total_instructions < 2_000_000
 
     def test_policy_specs_are_jsonable(self):
-        import json
         for seed in range(20):
             case = build_case(seed, allow_scenes=False)
             json.dumps(case.descr)  # must not raise
-            # A fresh policy materialises per engine run (stateful objects).
+            # A fresh policy materialises per run (stateful objects).
             p1, p2 = case.make_policy(), case.make_policy()
             if p1 is not None:
                 assert p1 is not p2
 
 
-class TestEngineSelection:
-    def test_unshardable_case_skips_redundant_engines(self):
-        # The planner is total over policies and stream counts (single
-        # stream cases shard by SM group), so the only structural refusal
-        # left is a single-SM device without a pre-partitioned policy:
-        # every workers=K run is the same serial path, and
-        # workers4/process add nothing.
-        case = build_case(0, allow_scenes=False)
-        case.config = case.config.replace(num_sms=1)
-        case.policy_spec = None
-        assert engines_for(case) == ["serial", "workers2"]
-
-    def test_single_stream_case_still_shards(self):
-        # Planner totality: a single stream can't split by stream, but its
-        # CTAs still spread over SM groups, so the full matrix applies.
-        for seed in range(40):
-            case = build_case(seed, allow_scenes=False)
-            if len(case.streams) == 1:
-                engines = engines_for(case, include_process=False)
-                assert engines[:3] == ["serial", "workers2", "workers4"]
-                return
-        pytest.fail("no single-stream case in the first 40 seeds")
-
-    def test_shardable_case_gets_full_matrix(self):
-        for seed in range(40):
-            case = build_case(seed, allow_scenes=False)
-            engines = engines_for(case, include_process=False)
-            if "workers4" in engines:
-                assert engines[:3] == ["serial", "workers2", "workers4"]
-                return
-        pytest.fail("no shardable case in the first 40 seeds")
-
-
 class TestOracleSmoke:
     def test_small_sweep_is_clean(self):
         """Tier-1 canary for the nightly 200-seed run."""
-        report = run_fuzz(range(4), allow_scenes=False,
-                          include_process=False)
+        report = run_fuzz(range(4), allow_scenes=False)
         assert report.ok, report.failures
         assert len(report.seeds) == 4
         # Seed 0 lands on the QoS rerun probe: the open-loop scenarios are
@@ -104,60 +61,66 @@ class TestOracleSmoke:
         assert report.summary()["qos_probes"] == 1
 
     def test_qos_probe_can_be_disabled(self):
-        report = run_fuzz(range(1), allow_scenes=False,
-                          include_process=False, include_qos=False)
+        report = run_fuzz(range(1), allow_scenes=False, include_qos=False)
         assert report.ok and report.qos_probes == 0
 
-    def test_spec_stress_arm_forces_rollbacks(self):
-        """Tier-1 canary for the nightly 500-seed spec-stress sweep: the
-        forced-arm must actually exercise the rollback path (a hook that
-        silently stopped firing would leave the sweep vacuously green)."""
-        report = run_fuzz(range(8), allow_scenes=False,
-                          include_process=False, include_qos=False,
-                          spec_stress=True)
-        assert report.ok, report.failures
-        assert report.spec_stress_cases == 8
-        assert report.cases_rolled_back > 0
-        summary = report.summary()
-        assert summary["speculation_stress_cases"] == 8
-        assert summary["cases_rolled_back"] == report.cases_rolled_back
-
     def test_invariant_mode_counts_runs(self):
-        report = run_fuzz(range(2), check_invariants=True,
-                          allow_scenes=False, include_process=False)
+        report = run_fuzz(range(2), allow_scenes=False, include_qos=False)
         assert report.ok, report.failures
         assert report.invariant_runs == 2
-        assert report.summary()["invariant_checked_runs"] == 2
+        assert report.summary() == {"seeds": 2, "failures": 0,
+                                    "invariant_checked_runs": 2,
+                                    "qos_probes": 0}
 
     def test_failure_corpus_written(self, tmp_path, monkeypatch):
         import repro.validate.differential as diff_mod
 
         real = diff_mod.check_case
 
-        def buggy_check(case, engines=None, run=run_case):
-            result = real(case, engines, run)
-            result.mismatches["workers2"] = "$.injected: 1 vs 2"
+        def buggy_check(case, run=run_case):
+            result = real(case, run)
+            result.diff = "$.injected: 1 vs 2"
             return result
 
         monkeypatch.setattr(diff_mod, "check_case", buggy_check)
         report = diff_mod.run_fuzz([3], corpus_dir=str(tmp_path),
-                                   allow_scenes=False, include_process=False)
+                                   allow_scenes=False)
         assert not report.ok
         corpus = list(tmp_path.glob("fuzz-seed-*.json"))
         assert len(corpus) == 1
-        import json
         entry = json.loads(corpus[0].read_text())
-        assert entry["kind"] == "engine-mismatch"
+        assert entry["kind"] == "invariants-perturbed"
         assert entry["seed"] == 3
+        assert entry["diff"] == "$.injected: 1 vs 2"
         assert "minimal" in entry
+
+    def test_violation_is_reported_and_shrunk(self, tmp_path, monkeypatch):
+        import repro.validate.differential as diff_mod
+        from repro.validate import InvariantViolation
+
+        def violating_run(case, checker=None):
+            if checker is not None:
+                raise InvariantViolation("[final] injected")
+            return run_case(case)
+
+        real = diff_mod.check_case
+        monkeypatch.setattr(diff_mod, "check_case",
+                            lambda case, run=violating_run: real(case, run))
+        report = diff_mod.run_fuzz([1], corpus_dir=str(tmp_path),
+                                   allow_scenes=False)
+        entry = json.loads((tmp_path / "fuzz-seed-1.json").read_text())
+        assert entry["kind"] == "invariant-violation"
+        assert entry["error"] == "[final] injected"
+        assert entry["minimal"]["shrunk"], "shrinker made no progress"
+        assert report.failures == [entry]
 
 
 class TestShrinker:
-    def _buggy_run(self, case, engine):
-        """A deliberate engine regression: workers2 over-counts stream 0's
-        instructions by one."""
-        out = run_case(case, "serial" if engine != "serial" else engine)
-        if engine != "serial":
+    def _buggy_run(self, case, checker=None):
+        """A deliberate perturbation: the checked run over-counts stream
+        0's instructions by one."""
+        out = run_case(case, checker)
+        if checker is not None:
             sid = sorted(case.streams)[0]
             out.stats.streams[sid].instructions += 1
         return out
@@ -167,13 +130,13 @@ class TestShrinker:
         case = build_case(1, allow_scenes=False)
         assert len(case.streams) == 2
 
-        result = check_case(case, ["serial", "workers2"], run=self._buggy_run)
+        result = check_case(case, run=self._buggy_run)
         assert not result.ok
-        assert "instructions" in result.mismatches["workers2"]
+        assert result.kind == "invariants-perturbed"
+        assert "instructions" in result.diff
 
         def still_fails(c):
-            return not check_case(c, ["serial", "workers2"],
-                                  run=self._buggy_run).ok
+            return not check_case(c, run=self._buggy_run).ok
 
         minimal, evals = shrink_case(case, still_fails)
         assert evals > 0
@@ -189,102 +152,9 @@ class TestShrinker:
         case = build_case(1, allow_scenes=False)
 
         def still_fails(c):
-            return not check_case(c, ["serial", "workers2"],
-                                  run=self._buggy_run).ok
+            return not check_case(c, run=self._buggy_run).ok
 
         minimal, _ = shrink_case(case, still_fails)
         # The minimal case is a real, runnable case — exactly what lands
         # in the CI failure corpus.
-        assert run_case(minimal, "serial").stats.cycles > 0
-
-
-def _mshr_bomb_workload():
-    """Two streams of scatter loads on a 2-entry-MSHR L1.
-
-    One random-pattern warp load touches up to 32 lines; with shards owning
-    alternating lines, half become deferred remote fills, so a 2-entry MSHR
-    file overflows within cycles and the shard raises EpochUnsafeError.
-    """
-    base = get_preset("JetsonOrin-mini")
-    config = base.replace(
-        name="mshr-bomb",
-        num_sms=2,
-        l1=base.l1.__class__(size_bytes=8 * 4 * 128, assoc=4,
-                             mshr_entries=2,
-                             hit_latency=base.l1.hit_latency),
-    )
-    streams = {}
-    for sid in range(2):
-        mem = DeviceMemory(region=8 + sid)
-        kb = KernelBuilder("bomb%d" % sid, grid=4, block=32,
-                           regs_per_thread=16)
-        buf = mem.buffer("a", 64 * 1024)
-        for _ in range(4):
-            kb.load(buf, pattern="random", words=2)
-            kb.fp(2)
-        streams[sid] = [kb.build()]
-    return config, streams
-
-
-class TestEpochUnsafeFallback:
-    def test_restart_matches_pristine_serial(self):
-        """A mid-flight shard bailout reruns serially and the rerun is
-        bit-identical to a run that never attempted sharding.
-
-        ``speculation="off"`` disables the interruptible-tick rescue so
-        the bomb still exercises the EpochUnsafeError restart path."""
-        from repro.parallel import ExecutionPlan
-
-        config, streams = _mshr_bomb_workload()
-        pristine = simulate(config=config, streams=streams, policy="mps")
-        sharded = simulate(config=config, streams=streams, policy="mps",
-                           execution=ExecutionPlan(engine="sharded",
-                                                   workers=2,
-                                                   speculation="off"))
-        report = sharded.execution
-        assert report.restarted, (
-            "workload no longer trips EpochUnsafeError; fallback untested "
-            "(report: %r)" % report)
-        assert not report.engaged
-        assert "redone serially" in report.fallback_reason
-        diff = first_difference(canonical(pristine.stats),
-                                canonical(sharded.stats))
-        assert diff is None, "serial rerun diverged from pristine: %s" % diff
-
-    @pytest.mark.parametrize("engine", ["sharded", "process"])
-    def test_mshr_bomb_interrupts_instead_of_restarting(self, engine):
-        """Tiny-MSHR planning: the bomb shape plans a shallow horizon with
-        interruptible ticks, so the MSHR-full bailout interrupts the tick
-        (shipping its partial log as probes) instead of restarting the
-        whole run serially — and stays bit-identical."""
-        from repro.parallel import ExecutionPlan, plan_shards
-        from repro.core.partition import MPSPolicy
-
-        config, streams = _mshr_bomb_workload()
-        plan, refusal = plan_shards(
-            MPSPolicy({0: [0], 1: [1]}), streams, config=config,
-            execution=ExecutionPlan(engine=engine, workers=2))
-        assert refusal is None
-        assert plan.mshr_shallow
-        assert plan.horizon == 0
-
-        pristine = simulate(config=config, streams=streams, policy="mps")
-        sharded = simulate(config=config, streams=streams, policy="mps",
-                           execution=ExecutionPlan(engine=engine, workers=2))
-        report = sharded.execution
-        assert report.engaged and not report.restarted, report
-        assert report.refusal is None
-        assert report.spec_interrupts > 0
-        diff = first_difference(canonical(pristine.stats),
-                                canonical(sharded.stats))
-        assert diff is None, "interrupted run diverged from serial: %s" % diff
-
-    def test_fuzz_corpus_covers_both_parallel_paths(self):
-        """The tuned fuzzer must keep exercising BOTH the engaged sharded
-        engine and the epoch-restart fallback — a corpus that only ever
-        restarts proves nothing about the parallel engine."""
-        report = run_fuzz(range(30), allow_scenes=False,
-                          include_process=False)
-        assert report.ok, report.failures
-        assert report.cases_engaged > 0, "no fuzz case engaged the shards"
-        assert report.cases_restarted > 0, "no fuzz case hit the fallback"
+        assert run_case(minimal).stats.cycles > 0

@@ -51,22 +51,6 @@ class TestBitIdentity:
             assert report.get(group, 0) > 0, (
                 "check group %r never ran: %r" % (group, report))
 
-    def test_checked_run_reports_serial_fallback(self, reference_workload):
-        """The checker marks itself requires_serial, so it forces the
-        serial engine even at workers=2 (ordinary telemetry shards in sm
-        mode; the invariants walk serial data structures)."""
-        from repro.parallel import ExecutionPlan
-
-        config, streams = reference_workload
-        checker = InvariantChecker()
-        result = simulate(config=config, streams=streams, policy="mps",
-                          telemetry=checker,
-                          execution=ExecutionPlan(engine="sharded",
-                                                  workers=2))
-        assert not result.execution.engaged
-        assert result.execution.refusal.code == "telemetry-requires-serial"
-        assert checker.finalized
-
 
 class _CorruptingChecker(InvariantChecker):
     """Checker that vandalises simulator state once, mid-run."""
