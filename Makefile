@@ -3,8 +3,8 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test lint bench bench-smoke bench-compare fuzz fuzz-smoke \
-	check-goldens qos-smoke qos-campaign serve-smoke
+.PHONY: test lint bench bench-smoke bench-compare bench-selftest fuzz \
+	fuzz-smoke check-goldens qos-smoke qos-campaign serve-smoke
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -26,6 +26,12 @@ bench-compare:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro profile --no-cprofile \
 		--repeats 3 --compare benchmarks/BENCH_timing.json \
 		--max-regression 30
+
+# The end-to-end benchmark's own self-test, on tiny inputs: every
+# workload's pinned digests and work counters in perfbench/expected.json
+# must match, and a tampered digest must turn into failed operations.
+bench-selftest:
+	$(PYTHON) perfbench/selftest.py
 
 # Differential fuzzing: on random configs/workloads/policies the
 # invariant-checked run must hold every invariant and match the plain run

@@ -3,7 +3,8 @@
 Every figure of the paper is a sweep — scene x compute workload x policy x
 machine config.  This subsystem turns the ad-hoc loops that ran those
 sweeps into data: a list of :class:`Job` specs handed to a
-:class:`CampaignRunner`, which fans them out over worker processes, serves
+:class:`CampaignRunner`, which traces each workload once for all the jobs
+that share it, fans them out over worker processes, serves
 repeats from an on-disk result cache keyed by content fingerprint, retries
 crashed jobs, and emits a machine-readable summary with per-job wall-clock
 and per-stream GPU counters.
@@ -25,6 +26,7 @@ from .execute import (
     STATUS_TIMEOUT,
     JobResult,
     JobTimeoutError,
+    run_group_guarded,
     run_job,
     run_job_guarded,
 )
@@ -51,6 +53,7 @@ __all__ = [
     "campaign_id",
     "default_cache_dir",
     "run_campaign",
+    "run_group_guarded",
     "run_job",
     "run_job_guarded",
 ]

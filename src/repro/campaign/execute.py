@@ -1,10 +1,12 @@
-"""Job execution: the function campaign worker processes actually run.
+"""Job execution: the functions campaign worker processes actually run.
 
-Everything in this module is top-level and operates on plain data, so it
-pickles cleanly into a ``ProcessPoolExecutor``.  A worker never raises:
-failures (including per-job timeouts, enforced with ``SIGALRM`` inside the
-worker process itself) come back as a failed :class:`JobResult`, which
-keeps crash handling and retry logic in the parent deterministic.
+Jobs run in groups that share one trace key: the group's streams are
+collected once and every job simulates on them.  Everything in this
+module is top-level and operates on plain data, so it pickles cleanly
+into a ``ProcessPoolExecutor``.  A worker never raises: failures
+(including per-job timeouts, enforced with ``SIGALRM`` inside the worker
+process itself) come back as a failed :class:`JobResult`, which keeps
+crash handling and retry logic in the parent deterministic.
 """
 
 from __future__ import annotations
@@ -12,11 +14,12 @@ from __future__ import annotations
 import signal
 import time
 import traceback
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from ..api import simulate
 from ..core.platform import collect_streams
+from ..isa import KernelTrace
 from .job import Job
 
 #: Terminal job states.
@@ -37,6 +40,9 @@ class JobResult:
     fingerprint: str
     label: str
     status: str
+    #: Wall time of this job's attempt.  Jobs that share a trace key run
+    #: as one group on shared streams, and the time spent collecting them
+    #: is charged to the group's first job alone.
     wall_seconds: float = 0.0
     #: ``GPUStats.to_dict()`` of the run (None on failure).
     stats: Optional[dict] = None
@@ -101,18 +107,19 @@ def _policy_extras(policy) -> Dict[str, object]:
     return extras
 
 
-def run_job(job: Job) -> JobResult:
-    """Simulate one job to completion; raises on any failure."""
-    start = time.perf_counter()
-    config = job.resolved_config()
-    streams = collect_streams(
-        config,
+def _collect(job: Job) -> Dict[int, List[KernelTrace]]:
+    return collect_streams(
+        job.resolved_config(),
         scene=job.scene, res=job.res, lod_enabled=job.lod_enabled,
         compute=job.compute, compute_args=job.compute_args,
         graphics_trace=job.graphics_trace, compute_trace=job.compute_trace,
     )
+
+
+def _simulate(job: Job, streams: Dict[int, List[KernelTrace]],
+              start: float) -> JobResult:
     result = simulate(
-        config=config, streams=streams, policy=job.policy,
+        config=job.resolved_config(), streams=streams, policy=job.policy,
         sample_interval=job.sample_interval)
     return JobResult(
         fingerprint=job.fingerprint(),
@@ -124,12 +131,20 @@ def run_job(job: Job) -> JobResult:
     )
 
 
+def run_job(job: Job) -> JobResult:
+    """Simulate one job to completion; raises on any failure."""
+    start = time.perf_counter()
+    return _simulate(job, _collect(job), start)
+
+
 def _alarm_handler(signum, frame):  # pragma: no cover - fires only on timeout
     raise JobTimeoutError()
 
 
-def run_job_guarded(job: Job, timeout: Optional[float] = None) -> JobResult:
-    """Run one job, converting every failure into a failed JobResult.
+def _guarded(job: Job, timeout: Optional[float],
+             step: Callable[[float], JobResult]) -> JobResult:
+    """Call ``step(start)`` under the job's timer, converting every
+    failure into a failed JobResult.
 
     The timeout is armed *inside* the (worker) process with an interval
     timer, so a wedged simulation cannot outlive its budget no matter how
@@ -142,7 +157,7 @@ def run_job_guarded(job: Job, timeout: Optional[float] = None) -> JobResult:
         old_handler = signal.signal(signal.SIGALRM, _alarm_handler)
         signal.setitimer(signal.ITIMER_REAL, timeout)
     try:
-        return run_job(job)
+        return step(start)
     except JobTimeoutError:
         return JobResult(
             fingerprint=job.fingerprint(), label=job.display_label,
@@ -159,3 +174,39 @@ def run_job_guarded(job: Job, timeout: Optional[float] = None) -> JobResult:
         if use_alarm:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, old_handler)
+
+
+def run_group_guarded(jobs: Sequence[Job],
+                      timeout: Optional[float] = None
+                      ) -> Iterator[JobResult]:
+    """Run jobs that share one :meth:`Job.trace_key`, yielding each
+    job's result the moment it finishes.  Never raises.
+
+    The streams are collected once, inside the first job's timer, so the
+    trace time counts against that job's budget and wall time; every job
+    then simulates on the same streams under its own timer.  If tracing
+    fails or times out, every job of the group gets that status.
+    """
+    streams: Optional[Dict[int, List[KernelTrace]]] = None
+    failure: Optional[JobResult] = None
+    for job in jobs:
+        if failure is not None:
+            yield replace(failure, fingerprint=job.fingerprint(),
+                          label=job.display_label, wall_seconds=0.0)
+            continue
+
+        def step(start: float, job: Job = job) -> JobResult:
+            nonlocal streams
+            if streams is None:
+                streams = _collect(job)
+            return _simulate(job, streams, start)
+
+        result = _guarded(job, timeout, step)
+        if streams is None:
+            failure = result
+        yield result
+
+
+def run_job_guarded(job: Job, timeout: Optional[float] = None) -> JobResult:
+    """Run one job, converting every failure into a failed JobResult."""
+    return next(run_group_guarded([job], timeout))

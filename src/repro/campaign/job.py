@@ -77,25 +77,39 @@ class Job:
         return get_preset(self.config)
 
     # -- identity -------------------------------------------------------------
-    def spec_dict(self) -> dict:
-        """Canonical plain-data form of everything that determines the
-        simulation's outcome (and nothing that doesn't)."""
-        config = self.resolved_config()
-        spec: Dict[str, object] = {
+    def _trace_spec(self) -> Dict[str, object]:
+        """The canonical inputs of trace collection: what the kernels
+        depend on.  Config, policy, sample interval and params are not
+        here — ``collect_streams`` never reads them."""
+        return {
             "scene": self.scene,
             "res": self.res if (self.scene or self.graphics_trace) else None,
             "lod_enabled": self.lod_enabled,
             "compute": self.compute,
             "compute_args": dict(self.compute_args or {}),
-            "policy": self.policy,
-            "config": config.fingerprint(),
-            "sample_interval": self.sample_interval,
             "graphics_trace": (_hash_trace_file(self.graphics_trace)
                                if self.graphics_trace else None),
             "compute_trace": (_hash_trace_file(self.compute_trace)
                               if self.compute_trace else None),
-            "params": dict(self.params),
         }
+
+    def trace_key(self) -> str:
+        """Canonical text of the trace part of :meth:`spec_dict`.  Jobs
+        with equal keys simulate on identical streams, so a campaign
+        collects those streams once for all of them."""
+        return json.dumps(self._trace_spec(), sort_keys=True,
+                          separators=(",", ":"))
+
+    def spec_dict(self) -> dict:
+        """Canonical plain-data form of everything that determines the
+        simulation's outcome (and nothing that doesn't)."""
+        spec = self._trace_spec()
+        spec.update(
+            policy=self.policy,
+            config=self.resolved_config().fingerprint(),
+            sample_interval=self.sample_interval,
+            params=dict(self.params),
+        )
         return spec
 
     def fingerprint(self) -> str:

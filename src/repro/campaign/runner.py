@@ -5,7 +5,9 @@ Execution model:
 * Every job gets a content fingerprint; cache hits short-circuit without
   simulating (this is also what makes a killed campaign resumable — finished
   work is already on disk).
-* Misses run either in-process (``workers=1``) or across a
+* Misses are grouped by :meth:`Job.trace_key`, so jobs that simulate the
+  same streams (a policy or config sweep of one workload) trace once, and
+  run either in-process (``workers=1``) or across a
   ``ProcessPoolExecutor``.  Results are indexed by the job's position in
   the submitted list, never by completion order, so a parallel campaign's
   output is identical to the serial one job-for-job.
@@ -31,7 +33,7 @@ from .execute import (
     STATUS_FAILED,
     STATUS_OK,
     JobResult,
-    run_job_guarded,
+    run_group_guarded,
 )
 from .job import Job
 from .manifest import CampaignManifest
@@ -259,41 +261,74 @@ class CampaignRunner:
                         attempts=result.attempts)
         reporter.job_done(result)
 
+    def _chunks(self, wave: Sequence[Tuple[int, Job, str]]
+                ) -> List[List[int]]:
+        """Positions in ``wave`` grouped by trace key, in first-occurrence
+        order.  A group is split only when it holds more than
+        ``ceil(len(wave) / workers)`` jobs (one worker's share), so a
+        sweep of a single workload still spreads across the pool."""
+        groups: Dict[str, List[int]] = {}
+        for pos, (_, job, _) in enumerate(wave):
+            groups.setdefault(job.trace_key(), []).append(pos)
+        cap = -(-len(wave) // self.workers)
+        return [group[at:at + cap] for group in groups.values()
+                for at in range(0, len(group), cap)]
+
     def _execute_wave(self, wave: Sequence[Tuple[int, Job, str]],
                       on_complete) -> List[JobResult]:
-        if self.workers <= 1 or len(wave) <= 1:
-            out = []
-            for _, job, fp in wave:
-                self._heartbeat("job_start", fingerprint=fp,
-                                label=job.display_label)
-                result = run_job_guarded(job, self.timeout)
-                on_complete(job, fp, result)
-                out.append(result)
-            return out
+        chunks = self._chunks(wave)
         results: List[Optional[JobResult]] = [None] * len(wave)
+        if self.workers <= 1 or len(chunks) <= 1:
+            for chunk in chunks:
+                # Rebinding ``outcomes`` drops the previous chunk's
+                # streams before this chunk starts tracing.
+                outcomes = run_group_guarded(
+                    [wave[pos][1] for pos in chunk], self.timeout)
+                for pos in chunk:
+                    _, job, fp = wave[pos]
+                    self._heartbeat("job_start", fingerprint=fp,
+                                    label=job.display_label)
+                    results[pos] = next(outcomes)
+                    on_complete(job, fp, results[pos])
+            return [r for r in results if r is not None]
         with ProcessPoolExecutor(
-                max_workers=min(self.workers, len(wave))) as pool:
+                max_workers=min(self.workers, len(chunks))) as pool:
             futures = {}
-            for idx, (_, job, fp) in enumerate(wave):
-                self._heartbeat("job_start", fingerprint=fp,
-                                label=job.display_label)
-                futures[pool.submit(run_job_guarded, job, self.timeout)] = idx
+            for chunk in chunks:
+                for pos in chunk:
+                    _, job, fp = wave[pos]
+                    self._heartbeat("job_start", fingerprint=fp,
+                                    label=job.display_label)
+                futures[pool.submit(_run_chunk,
+                                    [wave[pos][1] for pos in chunk],
+                                    self.timeout)] = chunk
             for future in as_completed(futures):
-                idx = futures[future]
-                _, job, fp = wave[idx]
+                chunk = futures[future]
                 try:
-                    results[idx] = future.result()
+                    outcomes = future.result()
                 except BrokenProcessPool:
                     # The worker died outright (OOM kill, segfault): the
                     # guarded wrapper never got to report, so synthesise
                     # the failure here and let the retry wave — which
                     # builds a fresh pool — take another shot.
-                    results[idx] = JobResult(
-                        fingerprint=fp, label=job.display_label,
+                    outcomes = [JobResult(
+                        fingerprint=wave[pos][2],
+                        label=wave[pos][1].display_label,
                         status=STATUS_FAILED,
                         error="worker process died before returning")
-                on_complete(job, fp, results[idx])
+                        for pos in chunk]
+                for pos, result in zip(chunk, outcomes):
+                    _, job, fp = wave[pos]
+                    results[pos] = result
+                    on_complete(job, fp, result)
         return [r for r in results if r is not None]
+
+
+def _run_chunk(jobs: Sequence[Job],
+              timeout: Optional[float] = None) -> List[JobResult]:
+    """Pool task: one chunk's results as a list (a generator does not
+    pickle back to the parent)."""
+    return list(run_group_guarded(jobs, timeout))
 
 
 def run_campaign(jobs: Sequence[Job], workers: int = 1,

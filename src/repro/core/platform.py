@@ -21,6 +21,7 @@ Typical use::
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
 from ..compute import build_compute_workload
@@ -98,10 +99,7 @@ class CRISP:
         scene = build_scene(code)
         cfg = self.pipeline_config
         if lod_enabled is not None and lod_enabled != cfg.lod_enabled:
-            cfg = PipelineConfig(
-                batch_size=cfg.batch_size, tile_size=cfg.tile_size,
-                lod_enabled=lod_enabled, early_z=cfg.early_z,
-                warp_size=cfg.warp_size)
+            cfg = replace(cfg, lod_enabled=lod_enabled)
         pipe = GraphicsPipeline(scene.textures, config=cfg)
         w, h = resolution(res)
         return pipe.render_frame(scene.draws, scene.camera, w, h)

@@ -338,9 +338,10 @@ def run_policy_comparison(
     """Scene x compute x policy sweep through the campaign runner.
 
     ``jobs`` fans the sweep out over worker processes; ``cache_dir`` (or a
-    pre-built ``runner``) turns re-runs into cache hits.  Results are
-    identical to the old serial in-process loop — campaign job ordering is
-    deterministic and each point's traces regenerate bit-identically.
+    pre-built ``runner``) turns re-runs into cache hits.  Each scene x
+    compute pair is traced once and every policy simulates on those
+    streams.  Results are identical to running each point on its own:
+    job ordering is deterministic and simulation never changes a trace.
     """
     from ..campaign import CampaignRunner
     if runner is None:

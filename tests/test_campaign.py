@@ -201,6 +201,106 @@ class TestCampaignRunner:
         assert stats.stream_cycles(COMPUTE_STREAM) > 0
 
 
+def count_traces(monkeypatch, fail_scene=None, delay=0.0):
+    """Wrap the campaign's ``collect_streams``; returns the call log.
+    A job with scene ``fail_scene`` raises; ``delay`` sleeps first."""
+    import time
+
+    import repro.campaign.execute as execute_mod
+    calls = []
+    original = execute_mod.collect_streams
+
+    def collect_streams(config, **kwargs):
+        calls.append(kwargs)
+        time.sleep(delay)
+        if fail_scene is not None and kwargs.get("scene") == fail_scene:
+            raise RuntimeError("injected trace failure")
+        return original(config, **kwargs)
+
+    monkeypatch.setattr(execute_mod, "collect_streams", collect_streams)
+    return calls
+
+
+class TestTraceGroups:
+    def test_trace_key_ignores_simulation_only_fields(self):
+        base = nano_job().trace_key()
+        assert nano_job("tap", config="RTX3070-mini", sample_interval=500,
+                        params={"rep": 2}).trace_key() == base
+        assert nano_job(res="2k").trace_key() != base
+        assert nano_job(lod_enabled=False).trace_key() != base
+        assert nano_job(compute_args={"frames": 2}).trace_key() != base
+
+    def test_fingerprint_covers_trace_key(self):
+        """Equal fingerprints imply equal trace keys: the key is a part
+        of the fingerprinted spec, not a second canonicalisation."""
+        job = nano_job("tap", compute_args={"frames": 2})
+        spec = job.spec_dict()
+        assert {k: spec[k] for k in json.loads(job.trace_key())} == \
+            json.loads(job.trace_key())
+
+    def test_sweep_traces_once_and_matches_run_job(self, monkeypatch):
+        from repro.campaign import run_job
+        jobs = [nano_job(policy) for policy in ("mps", "tap", "mig")]
+        calls = count_traces(monkeypatch)
+        campaign = run_campaign(jobs)
+        assert len(calls) == 1
+        assert campaign.executed == 3
+        for job, result in zip(jobs, campaign.results):
+            alone = run_job(job)
+            assert result.fingerprint == alone.fingerprint == \
+                job.fingerprint()
+            assert result.label == alone.label
+            assert result.stats == alone.stats
+            assert result.extras == alone.extras
+
+    def test_chunking_splits_only_oversized_groups(self):
+        a = [nano_job(p) for p in ("mps", "tap", "mig", "fg-even")]
+        b = [nano_job(p, lod_enabled=False) for p in ("mps", "tap")]
+        wave = [(i, job, job.fingerprint())
+                for i, job in enumerate([a[0], b[0], a[1], a[2], b[1],
+                                         a[3]])]
+        assert CampaignRunner(workers=1)._chunks(wave) == \
+            [[0, 2, 3, 5], [1, 4]]
+        # ceil(6 / 2) = 3: the 4-job group splits, the 2-job one does not.
+        assert CampaignRunner(workers=2)._chunks(wave) == \
+            [[0, 2, 3], [5], [1, 4]]
+        assert CampaignRunner(workers=6)._chunks(wave) == \
+            [[0], [2], [3], [5], [1], [4]]
+
+    def test_two_keys_parallel_equals_serial(self):
+        jobs = [nano_job("mps"), nano_job("tap", lod_enabled=False),
+                nano_job("tap"), nano_job("mps", lod_enabled=False)]
+        serial = run_campaign(jobs, workers=1)
+        parallel = run_campaign(jobs, workers=2)
+        assert serial.ok and parallel.ok
+        for s, p in zip(serial.results, parallel.results):
+            assert (p.fingerprint, p.label, p.status) == \
+                (s.fingerprint, s.label, s.status)
+            assert p.stats == s.stats
+            assert p.extras == s.extras
+
+    def test_trace_failure_fails_its_group_only(self, monkeypatch):
+        calls = count_traces(monkeypatch, fail_scene="SPL")
+        jobs = [nano_job("mps"), Job(compute="VIO"), nano_job("tap")]
+        campaign = run_campaign(jobs)
+        # One trace per group per attempt: SPL twice (retried), VIO once.
+        assert [c["scene"] for c in calls] == ["SPL", None, "SPL"]
+        failed_mps, vio, failed_tap = campaign.results
+        for result in (failed_mps, failed_tap):
+            assert result.status == "failed"
+            assert result.attempts == 2
+            assert "injected trace failure" in result.error
+        assert vio.status == "ok" and vio.attempts == 1
+        assert vio.stats == run_campaign([Job(compute="VIO")]).results[0].stats
+
+    def test_trace_timeout_times_out_group(self, monkeypatch):
+        count_traces(monkeypatch, delay=5.0)
+        campaign = run_campaign([nano_job("mps"), nano_job("tap")],
+                                timeout=0.2, retries=0)
+        assert [r.status for r in campaign.results] == \
+            ["timeout", "timeout"]
+
+
 class TestCampaignCLI:
     def test_cross_product_sweep(self, tmp_path, capsys):
         out = str(tmp_path / "s.json")

@@ -118,6 +118,27 @@ class TestPlatformFacade:
         off = crisp.trace_scene("SPL", "2k", lod_enabled=False)
         assert off.tex_transactions > on.tex_transactions
 
+    def test_lod_override_keeps_other_pipeline_settings(self):
+        """Overriding lod_enabled changes only that field: a bilinear
+        pipeline must not fall back to the default nearest filter."""
+        from dataclasses import replace
+
+        from repro.graphics.pipeline import GraphicsPipeline, PipelineConfig
+        from repro.isa.serialize import traces_equal
+        from repro.scenes import build_scene, resolution
+
+        cfg = PipelineConfig(tex_filter="bilinear")
+        frame = CRISP(pipeline_config=cfg).trace_scene(
+            "SPL", "nano", lod_enabled=False)
+        scene = build_scene("SPL")
+        pipe = GraphicsPipeline(scene.textures,
+                                config=replace(cfg, lod_enabled=False))
+        expected = pipe.render_frame(scene.draws, scene.camera,
+                                     *resolution("nano"))
+        assert traces_equal(frame.kernels, expected.kernels)
+        assert np.array_equal(frame.framebuffer.color,
+                              expected.framebuffer.color)
+
     def test_l2_composition_tagged_during_run(self, crisp, spl_frame):
         gpu = GPU(JETSON_ORIN_MINI, sample_interval=500)
         gpu.add_stream(GRAPHICS_STREAM, spl_frame.kernels)

@@ -491,14 +491,15 @@ class TestCampaignRepositorySink:
                                 heartbeat_sink=beats.append)
         job = _job()
         import repro.campaign.runner as runner_mod
-        original = runner_mod.run_job_guarded
-        runner_mod.run_job_guarded = lambda j, t: JobResult(
+        original = runner_mod.run_group_guarded
+        runner_mod.run_group_guarded = lambda js, t: iter([JobResult(
             fingerprint=j.fingerprint(), label=j.display_label,
             status=STATUS_OK, wall_seconds=0.01, stats=_stats_doc())
+            for j in js])
         try:
             campaign = runner.run([job])
         finally:
-            runner_mod.run_job_guarded = original
+            runner_mod.run_group_guarded = original
         assert campaign.ok
         stored = repo.find_job(job.fingerprint())
         assert stored is not None
