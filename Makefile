@@ -3,7 +3,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test lint bench bench-smoke bench-compare bench-selftest fuzz \
+.PHONY: test lint bench bench-smoke bench-compare bench-selftest bench-ab fuzz \
 	fuzz-smoke check-goldens qos-smoke qos-campaign serve-smoke
 
 test:
@@ -32,6 +32,17 @@ bench-compare:
 # must match, and a tampered digest must turn into failed operations.
 bench-selftest:
 	$(PYTHON) perfbench/selftest.py
+
+# Same-machine A/B of the end-to-end benchmark: alternates PAIRS runs of
+# WORKLOAD between a git-archive extract of BASE and the working tree,
+# then prints each metric's medians, quartiles and the change's win count.
+# By hand only; not a CI step.
+WORKLOAD ?= frame-4k
+PAIRS ?= 10
+BASE ?= HEAD
+bench-ab:
+	$(PYTHON) scripts/bench_ab.py --workload $(WORKLOAD) --pairs $(PAIRS) \
+		--base $(BASE)
 
 # Differential fuzzing: on random configs/workloads/policies the
 # invariant-checked run must hold every invariant and match the plain run

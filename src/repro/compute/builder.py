@@ -25,9 +25,10 @@ from ..isa import (
     ShaderKind,
     Unit,
     WarpInstruction,
+    WarpTemplate,
     WarpTrace,
 )
-from ..memory.address import AddressAllocator, coalesce_array, coalesce_sectors
+from ..memory.address import SECTOR_SIZE, AddressAllocator, coalesce_rows
 
 #: Address-space region reserved for compute workloads.
 COMPUTE_REGION = 2
@@ -144,9 +145,12 @@ class KernelBuilder:
         Patterns: ``"coalesced"`` (thread-linear), ``"strided"`` (one line
         per thread), ``"broadcast"`` (all threads one element), ``"random"``
         (hash-scattered), or a callable mapping global thread ids to element
-        indices.  ``streaming=True`` marks the load as cache-global
-        (``ld.cg``): it bypasses the L1, which is how memory-bound kernels
-        avoid thrashing a co-resident workload's L1 working set.
+        indices.  A callable receives the kernel's whole (warps, lanes)
+        thread-id block at once, dead lanes of divergent regions included,
+        so it must work elementwise.  ``streaming=True`` marks the load as
+        cache-global (``ld.cg``): it bypasses the L1, which is how
+        memory-bound kernels avoid thrashing a co-resident workload's L1
+        working set.
         """
         self._ops.append(_LoadOp(buffer, pattern, words, element_bytes,
                                  streaming))
@@ -224,84 +228,98 @@ class KernelBuilder:
             raise ValueError("unknown access pattern %r" % (pattern,))
         return np.mod(idx, capacity)
 
-    def _emit_ops(self, ops, trace: WarpTrace, tids: np.ndarray,
-                  active: int, state: List[int]) -> None:
-        """Lower ``ops`` into ``trace`` for ``active`` live lanes.
+    def _lower_ops(self, ops, insts: List[WarpInstruction],
+                   operands: list, tids: np.ndarray, active: int,
+                   state: List[int]) -> None:
+        """Lower ``ops`` for ``active`` live lanes of every warp at once.
 
+        ``insts`` receives the instructions every warp shares, with a
+        placeholder per memory instruction; ``operands`` receives one
+        (position, per-warp MemAccess arguments) pair per placeholder.
+        ``tids`` is the kernel's (warps, lanes) thread-id block.
         ``state`` carries [next_load_reg, last_value_reg] across nesting
         levels so dependency chains flow through divergent regions.
         """
-        live = tids[:active]
+        def mem_op(op: Op, dst: int, src: int, addrs: np.ndarray,
+                   element_bytes: int, streaming: bool = False) -> None:
+            operands.append((len(insts), coalesce_rows(addrs, active),
+                             coalesce_rows(addrs, active, SECTOR_SIZE),
+                             element_bytes, active, streaming))
+            insts.append(WarpInstruction(op, dst=dst, srcs=(src,),
+                                         active=active))
+
         for op in ops:
             if isinstance(op, _LoadOp):
                 for word in range(op.words):
-                    idx = self._indices(op.pattern, live + word,
+                    idx = self._indices(op.pattern, tids + word,
                                         op.buffer, op.element_bytes)
-                    addrs = op.buffer.base + idx * op.element_bytes
-                    lines = coalesce_array(addrs)
-                    trace.append(WarpInstruction(
-                        Op.LDG, dst=state[0], srcs=(1,),
-                        mem=MemAccess(lines, DataClass.COMPUTE,
-                                      bytes_per_lane=op.element_bytes,
-                                      num_lanes=active,
-                                      bypass_l1=op.streaming,
-                                      sectors=coalesce_sectors(addrs)),
-                        active=active))
+                    mem_op(Op.LDG, state[0], 1,
+                           op.buffer.base + idx * op.element_bytes,
+                           op.element_bytes, op.streaming)
                     state[1] = state[0]
                     state[0] = 4 + (state[0] - 3) % 12
             elif isinstance(op, _StoreOp):
-                idx = self._indices(op.pattern, live, op.buffer,
+                idx = self._indices(op.pattern, tids, op.buffer,
                                     op.element_bytes)
-                addrs = op.buffer.base + idx * op.element_bytes
-                lines = coalesce_array(addrs)
-                trace.append(WarpInstruction(
-                    Op.STG, srcs=(state[1],),
-                    mem=MemAccess(lines, DataClass.COMPUTE,
-                                  bytes_per_lane=op.element_bytes,
-                                  num_lanes=active,
-                                  sectors=coalesce_sectors(addrs)),
-                    active=active))
+                mem_op(Op.STG, -1, state[1],
+                       op.buffer.base + idx * op.element_bytes,
+                       op.element_bytes)
             elif isinstance(op, _AluOp):
                 opcode = _ALU_OP[op.unit]
                 for i in range(op.count):
                     dst = 16 + (i % 8)
-                    trace.append(WarpInstruction(
+                    insts.append(WarpInstruction(
                         opcode, dst=dst, srcs=(state[1],), active=active))
                     state[1] = dst
             elif isinstance(op, _SharedOp):
                 opcode = Op.STS if op.is_store else Op.LDS
                 for _ in range(op.count):
                     if op.is_store:
-                        trace.append(WarpInstruction(
+                        insts.append(WarpInstruction(
                             opcode, srcs=(state[1],), active=active))
                     else:
-                        trace.append(WarpInstruction(
+                        insts.append(WarpInstruction(
                             opcode, dst=14, srcs=(1,), active=active))
                         state[1] = 14
             elif isinstance(op, _BarrierOp):
-                trace.append(WarpInstruction(Op.BAR, active=active))
+                insts.append(WarpInstruction(Op.BAR, active=active))
             elif isinstance(op, _DivergeOp):
                 taken = max(1, int(round(active * op.fraction)))
-                trace.append(WarpInstruction(
+                insts.append(WarpInstruction(
                     Op.BRA, srcs=(state[1],), active=active))
-                self._emit_ops(op.body, trace, tids, taken, state)
+                self._lower_ops(op.body, insts, operands, tids, taken, state)
             else:  # pragma: no cover
                 raise TypeError("unknown kernel op %r" % (op,))
 
     def build(self) -> KernelTrace:
-        """Lower the description to a replayable trace."""
+        """Lower the description to a replayable trace.
+
+        Every warp of a kernel is full and runs the same instructions, so
+        the kernel is lowered once into a :class:`~repro.isa.WarpTemplate`
+        and each memory operand is coalesced for all warps in one call.
+        """
         warps_per_cta = self.block // self.warp_size
+        num_warps = self.grid * warps_per_cta
+        tids = np.arange(num_warps * self.warp_size, dtype=np.int64).reshape(
+            num_warps, self.warp_size)
+        insts: List[WarpInstruction] = []
+        operands: list = []
+        state = [4, 4]  # [next_load_reg, last_value_reg]
+        self._lower_ops(self._ops, insts, operands, tids, self.warp_size,
+                        state)
+        insts.append(WarpInstruction(Op.EXIT))
+        template = WarpTemplate(insts, [slot[0] for slot in operands])
         ctas: List[CTATrace] = []
         for cta_id in range(self.grid):
             warps: List[WarpTrace] = []
-            for w in range(warps_per_cta):
-                trace = WarpTrace()
-                lane0 = cta_id * self.block + w * self.warp_size
-                tids = np.arange(lane0, lane0 + self.warp_size, dtype=np.int64)
-                state = [4, 4]  # [next_load_reg, last_value_reg]
-                self._emit_ops(self._ops, trace, tids, self.warp_size, state)
-                trace.append(WarpInstruction(Op.EXIT))
-                warps.append(trace)
+            for w in range(cta_id * warps_per_cta,
+                           (cta_id + 1) * warps_per_cta):
+                warps.append(template.instantiate([
+                    MemAccess(lines[w], DataClass.COMPUTE,
+                              bytes_per_lane=element_bytes, num_lanes=active,
+                              bypass_l1=streaming, sectors=sectors[w])
+                    for _, lines, sectors, element_bytes, active, streaming
+                    in operands]))
             ctas.append(CTATrace(warps, cta_id))
         self._seed += 1
         return KernelTrace(

@@ -230,6 +230,20 @@ def resolve_fragment_order(frag: FragmentBuffer, width: int,
     return np.argsort(key, kind="stable")
 
 
-def warp_slices(count: int, warp_size: int = 32) -> List[slice]:
-    """Slices chunking ``count`` fragments into warps."""
-    return [slice(i, min(i + warp_size, count)) for i in range(0, count, warp_size)]
+def warp_rows(values: np.ndarray, warp_size: int = 32
+              ) -> Tuple[np.ndarray, np.ndarray]:
+    """Chunk per-lane ``values`` (N, ...) into warps.
+
+    Returns a (warps, warp_size, ...) block and each warp's live lanes.
+    The ragged last warp is padded by repeating its last lane; the padded
+    lanes are dead, and :func:`~repro.memory.address.coalesce_rows`
+    ignores them.
+    """
+    count = len(values)
+    rows = -(-count // warp_size)
+    pad = rows * warp_size - count
+    if pad:
+        values = np.concatenate([values, np.repeat(values[-1:], pad, axis=0)])
+    active = np.full(rows, warp_size, dtype=np.int64)
+    active[-1] = count - (rows - 1) * warp_size
+    return values.reshape((rows, warp_size) + values.shape[1:]), active

@@ -22,20 +22,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..isa import (
-    CTATrace,
-    DataClass,
-    KernelTrace,
-    MemAccess,
-    Op,
-    ShaderKind,
-    WarpInstruction,
-    WarpTrace,
-)
+from ..isa import CTATrace, KernelTrace, ShaderKind, WarpTrace
 from ..memory.address import (
+    SECTOR_SIZE,
     AddressAllocator,
-    coalesce_array,
-    coalesce_sectors,
+    coalesce_rows,
     span_lines,
 )
 from .framebuffer import Framebuffer
@@ -47,7 +38,7 @@ from .raster import (
     frustum_cull,
     rasterize_batch,
     resolve_fragment_order,
-    warp_slices,
+    warp_rows,
 )
 from .shaders import ShaderTranslator, WarpBindings, shader_pair
 from .texture import Texture2D
@@ -242,38 +233,38 @@ class TraceGenerator:
         out_base: int,
         draw: DrawCall,
     ) -> CTATrace:
-        warps: List[WarpTrace] = []
-        verts = batch.unique_vertices
-        # The primitive distributor's index fetch for this batch is
-        # fixed-function; its memory traffic is recreated as loads at the
-        # head of the batch (Section IV: "the memory traffic is recreated
-        # with Load/Stores").
+        verts, active = warp_rows(batch.unique_vertices, self.warp_size)
+        attr_addrs = {
+            name: vb_base + verts * VERTEX_STRIDE + off
+            for name, off in _ATTR_OFFSETS.items()
+        }
+        if draw.instances is not None:
+            attr_addrs["instance"] = np.full(
+                verts.shape, inst_base + instance * INSTANCE_STRIDE,
+                dtype=np.int64)
+        fetched = [name for name in translator.attributes
+                   if name in attr_addrs]
+        attr_lines = {name: coalesce_rows(attr_addrs[name], active)
+                      for name in fetched}
+        attr_sectors = {name: coalesce_rows(attr_addrs[name], active,
+                                            SECTOR_SIZE)
+                        for name in fetched}
+        slots = np.arange(verts.size, dtype=np.int64).reshape(verts.shape)
+        out = out_base + slots * _VARYING_BYTES
+        store_lines = [coalesce_rows(out + i * 16, active)
+                       for i in range(translator.varying_stores)]
+        # The batch's index fetch rides on its first warp.
         index_lines = span_lines(ib_base + batch.first_index_offset * 4,
-                                 batch.num_triangles * 12)
-        for sl in warp_slices(len(verts), self.warp_size):
-            vids = verts[sl]
-            active = len(vids)
-            attr_addrs = {
-                name: vb_base + vids * VERTEX_STRIDE + off
-                for name, off in _ATTR_OFFSETS.items()
-            }
-            if draw.instances is not None:
-                attr_addrs["instance"] = np.full(
-                    active, inst_base + instance * INSTANCE_STRIDE, dtype=np.int64)
-            slots = np.arange(sl.start, sl.start + active, dtype=np.int64)
-            bindings = WarpBindings(
-                active=active,
-                attr_addresses=attr_addrs,
-                varying_store_addresses=out_base + slots * _VARYING_BYTES,
-            )
-            warp_trace = translator.emit_warp(bindings)
-            if sl.start == 0 and index_lines:
-                warp_trace.instructions.insert(0, WarpInstruction(
-                    Op.LDG, dst=2, srcs=(1,),
-                    mem=MemAccess(index_lines, DataClass.VERTEX,
-                                  num_lanes=active),
-                    active=active))
-            warps.append(warp_trace)
+                                 batch.num_triangles * 12) or None
+        warps: List[WarpTrace] = []
+        for w, lanes in enumerate(active.tolist()):
+            warps.append(translator.emit_warp(WarpBindings(
+                active=lanes,
+                attr_lines={n: r[w] for n, r in attr_lines.items()},
+                attr_sectors={n: r[w] for n, r in attr_sectors.items()},
+                varying_store_lines=[r[w] for r in store_lines],
+                index_lines=index_lines if w == 0 else None,
+            )))
         return CTATrace(warps, cta_id=batch.batch_id)
 
     # -- raster -------------------------------------------------------------------
@@ -355,8 +346,8 @@ class TraceGenerator:
         slot_textures = self._bind_textures(draw, slots)
 
         # Functional shading inputs per texture slot.  ``addrs`` is (N,)
-        # for nearest filtering or (N, 4) for bilinear; downstream
-        # coalescing flattens per-warp slices either way.
+        # for nearest filtering or (N, 4) for bilinear; coalescing counts
+        # trailing axes as part of their lane either way.
         colors_by_slot: Dict[int, np.ndarray] = {}
         addrs_by_slot: Dict[int, np.ndarray] = {}
         for slot, tex in slot_textures.items():
@@ -381,28 +372,38 @@ class TraceGenerator:
         framebuffer.write_color(x, y, shaded)
 
         fb_addr = framebuffer.pixel_addresses(x, y)
+        # Coalesce each operand of the whole kernel at once: one call per
+        # texture slot, interpolant load and colour store, not per warp.
+        tex_lines: Dict[int, List[List[int]]] = {}
+        tex_sectors: Dict[int, List[List[int]]] = {}
+        vary_block, active = warp_rows(vary, self.warp_size)
+        for slot in slot_textures:
+            block, _ = warp_rows(addrs_by_slot[slot], self.warp_size)
+            tex_lines[slot] = coalesce_rows(block, active)
+            tex_sectors[slot] = coalesce_rows(block, active, SECTOR_SIZE)
+        varying_lines = [coalesce_rows(vary_block + i * 16, active)
+                         for i in range(translator.varying_loads)]
+        fb_block, _ = warp_rows(fb_addr, self.warp_size)
+        color_lines = coalesce_rows(fb_block, active)
+        color_sectors = coalesce_rows(fb_block, active, SECTOR_SIZE)
+
         ctas: List[CTATrace] = []
         warps: List[WarpTrace] = []
         cta_tex_lines: set = set()
-        for sl in warp_slices(frag.count, self.warp_size):
-            active = sl.stop - sl.start
-            tex_lines = {}
-            tex_sectors = {}
-            for slot in slot_textures:
-                lane_addrs = addrs_by_slot[slot][sl].ravel()
-                lines = coalesce_array(lane_addrs)
-                tex_lines[slot] = lines
-                tex_sectors[slot] = coalesce_sectors(lane_addrs)
+        for w, lanes in enumerate(active.tolist()):
+            warp_tex = {slot: rows[w] for slot, rows in tex_lines.items()}
+            for lines in warp_tex.values():
                 stats.tex_transactions += len(lines)
                 cta_tex_lines.update(lines)
-            bindings = WarpBindings(
-                active=active,
-                varying_addresses=vary[sl],
-                tex_lines=tex_lines,
-                color_addresses=fb_addr[sl],
-                tex_sectors=tex_sectors,
-            )
-            warps.append(translator.emit_warp(bindings))
+            warps.append(translator.emit_warp(WarpBindings(
+                active=lanes,
+                varying_lines=[rows[w] for rows in varying_lines],
+                tex_lines=warp_tex,
+                tex_sectors={slot: rows[w]
+                             for slot, rows in tex_sectors.items()},
+                color_lines=color_lines[w],
+                color_sectors=color_sectors[w],
+            )))
             if len(warps) == _FS_WARPS_PER_CTA:
                 ctas.append(CTATrace(warps, cta_id=len(ctas)))
                 stats.tex_lines_per_cta.append(len(cta_tex_lines))

@@ -3,7 +3,16 @@
 from .instructions import MemAccess, WarpInstruction
 from .opcodes import DataClass, Op, OpInfo, Space, Unit, op_info
 from .serialize import load_metadata, load_traces, save_traces, traces_equal
-from .trace import CTAResources, CTATrace, KernelTrace, ShaderKind, WarpTrace, merge_traces
+from .trace import (
+    CTAResources,
+    CTATrace,
+    KernelTrace,
+    ShaderKind,
+    WarpTemplate,
+    WarpTrace,
+    lower,
+    merge_traces,
+)
 
 __all__ = [
     "CTAResources",
@@ -17,9 +26,11 @@ __all__ = [
     "Space",
     "Unit",
     "WarpInstruction",
+    "WarpTemplate",
     "WarpTrace",
     "load_metadata",
     "load_traces",
+    "lower",
     "merge_traces",
     "save_traces",
     "traces_equal",

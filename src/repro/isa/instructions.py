@@ -13,15 +13,14 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
 
-from .opcodes import DataClass, Op, OpInfo, Space, UNIT_INDEX, Unit, op_info
+from .opcodes import DataClass, Op, Space, op_info
 
 # Field offsets of the flat issue tuples the timing hot path walks
 # (scheduler pick / SM issue) instead of chasing ``inst.info`` attributes on
-# every visit.  The canonical streams are built by
-# :meth:`~repro.isa.trace.WarpTrace.issue_stream`, where IE_REGS / IE_DST
-# hold *renamed* dense register indices (0..num_renamed_regs-1, first-use
-# order) that index the flat per-warp scoreboard slice directly;
-# :meth:`WarpInstruction.issue_entry` builds the same tuple with raw ids.
+# every visit.  The streams are built by :func:`~repro.isa.trace.lower`,
+# where IE_REGS / IE_DST hold *renamed* dense register indices
+# (0..num_renamed_regs-1, first-use order) that index the flat per-warp
+# scoreboard slice directly.
 IE_UNIT = 0        # Unit enum (for per-unit stat counters)
 IE_UNIT_IDX = 1    # dense unit index (execution-pipe list index)
 IE_LATENCY = 2     # issue-to-writeback latency
@@ -107,21 +106,19 @@ class WarpInstruction:
         # scheduling loop never touches the enum-keyed lookup table.
         self.info = info
 
-    def issue_entry(self) -> tuple:
-        """Flat issue tuple for the timing hot path (see ``IE_*`` offsets)."""
-        info = self.info
-        regs = self.srcs + (self.dst,) if self.dst >= 0 else self.srcs
-        return (
-            info.unit,
-            UNIT_INDEX[info.unit],
-            info.latency,
-            info.initiation,
-            regs,
-            self.dst,
-            info.unit is Unit.MEM and info.space is not Space.NONE,
-            self.op is Op.BAR,
-            self,
-        )
+    def with_mem(self, mem: MemAccess) -> "WarpInstruction":
+        """A copy of this memory instruction carrying ``mem``."""
+        if self.info.space is Space.NONE:
+            raise ValueError("non-memory opcode %s cannot carry a MemAccess"
+                             % self.op)
+        inst = WarpInstruction.__new__(WarpInstruction)
+        inst.op = self.op
+        inst.dst = self.dst
+        inst.srcs = self.srcs
+        inst.mem = mem
+        inst.active = self.active
+        inst.info = self.info
+        return inst
 
     @property
     def is_mem(self) -> bool:

@@ -11,10 +11,53 @@ work on one architecture model (Section III).
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .instructions import WarpInstruction
+from .instructions import IE_INST, MemAccess, WarpInstruction
 from .opcodes import DataClass, Op, Space, UNIT_INDEX, Unit
+
+
+def lower(instructions: Sequence[WarpInstruction]) -> Tuple[List[tuple], int]:
+    """Lower an instruction list to flat issue tuples (see ``IE_*``).
+
+    The timing model's issue loop indexes these tuples instead of
+    dereferencing ``inst.info`` per scheduler visit.  Register identifiers
+    are *renamed* here: the trace's raw register ids (arbitrary small ints
+    private to the warp) are mapped to dense indices ``0..n-1`` in
+    first-use order, so a warp's scoreboard is a flat array slice indexed
+    directly by ``IE_REGS`` / ``IE_DST`` with no per-register dict lookup
+    on the issue path.  Renaming is a bijection per trace, so dependency
+    timing (and hence simulated behaviour) is bit-identical to raw ids.
+
+    Returns the issue tuples and ``n``, the number of renamed registers.
+    This is the only lowering: :meth:`WarpTrace.issue_stream` calls it
+    per trace and :class:`WarpTemplate` once per shader program or kernel.
+    """
+    remap: Dict[int, int] = {}
+    stream: List[tuple] = []
+    app = stream.append
+    for inst in instructions:
+        info = inst.info
+        dst = inst.dst
+        regs = inst.srcs + (dst,) if dst >= 0 else inst.srcs
+        renamed = []
+        for r in regs:
+            i = remap.get(r)
+            if i is None:
+                i = remap[r] = len(remap)
+            renamed.append(i)
+        app((
+            info.unit,
+            UNIT_INDEX[info.unit],
+            info.latency,
+            info.initiation,
+            tuple(renamed),
+            remap[dst] if dst >= 0 else -1,
+            info.unit is Unit.MEM and info.space is not Space.NONE,
+            inst.op is Op.BAR,
+            inst,
+        ))
+    return stream, len(remap)
 
 
 class WarpTrace:
@@ -32,48 +75,12 @@ class WarpTrace:
         self._issue_stream = None
 
     def issue_stream(self) -> List[tuple]:
-        """Precomputed flat issue tuples (one per instruction), cached.
-
-        Built once per trace — the timing model's issue loop indexes these
-        instead of dereferencing ``inst.info`` per scheduler visit.
-
-        Register identifiers are *renamed* here: the trace's raw register
-        ids (arbitrary small ints private to the warp) are mapped to dense
-        indices ``0..num_renamed_regs()-1`` in first-use order, so a warp's
-        scoreboard is a flat array slice indexed directly by ``IE_REGS`` /
-        ``IE_DST`` — no per-register dict lookup on the issue path.
-        Renaming is a bijection per trace, so dependency timing (and hence
-        simulated behaviour) is bit-identical to raw ids.
-        """
-        stream = self._issue_stream
-        if stream is None:
-            remap: Dict[int, int] = {}
-            stream = []
-            app = stream.append
-            for inst in self.instructions:
-                info = inst.info
-                dst = inst.dst
-                regs = inst.srcs + (dst,) if dst >= 0 else inst.srcs
-                renamed = []
-                for r in regs:
-                    i = remap.get(r)
-                    if i is None:
-                        i = remap[r] = len(remap)
-                    renamed.append(i)
-                app((
-                    info.unit,
-                    UNIT_INDEX[info.unit],
-                    info.latency,
-                    info.initiation,
-                    tuple(renamed),
-                    remap[dst] if dst >= 0 else -1,
-                    info.unit is Unit.MEM and info.space is not Space.NONE,
-                    inst.op is Op.BAR,
-                    inst,
-                ))
-            self._issue_stream = stream
-            self._num_regs = len(remap)
-        return stream
+        """Flat issue tuples with renamed registers (see :func:`lower`),
+        built on first call and cached until the next :meth:`append`.
+        Warps built from a :class:`WarpTemplate` arrive with it set."""
+        if self._issue_stream is None:
+            self._issue_stream, self._num_regs = lower(self.instructions)
+        return self._issue_stream
 
     def num_renamed_regs(self) -> int:
         """Distinct registers the trace touches (the warp's flat scoreboard
@@ -90,6 +97,45 @@ class WarpTrace:
 
     def __getitem__(self, idx: int) -> WarpInstruction:
         return self.instructions[idx]
+
+
+class WarpTemplate:
+    """One shader program or compute kernel, lowered once for many warps.
+
+    Every warp of a program runs the same opcodes on the same registers
+    with the same renaming; only its memory operands differ.  A template
+    holds the skeleton ``instructions`` (memory slots hold placeholders
+    without a :class:`MemAccess`), their lowered ``stream``, the
+    ``mem_slots`` positions of the memory instructions and ``num_regs``.
+    :meth:`instantiate` builds a warp by swapping a fresh memory
+    instruction into each slot.  The other instructions are immutable and
+    shared by every warp built from the template.
+    """
+
+    __slots__ = ("instructions", "stream", "mem_slots", "num_regs")
+
+    def __init__(self, instructions: List[WarpInstruction],
+                 mem_slots: Sequence[int]) -> None:
+        self.instructions = instructions
+        self.mem_slots = tuple(mem_slots)
+        self.stream, self.num_regs = lower(instructions)
+
+    def instantiate(self, mems: Sequence[MemAccess]) -> WarpTrace:
+        """A warp whose memory slots carry ``mems``, in slot order."""
+        if len(mems) != len(self.mem_slots):
+            raise ValueError("template has %d memory slots, got %d operands"
+                             % (len(self.mem_slots), len(mems)))
+        insts = list(self.instructions)
+        stream = list(self.stream)
+        for pos, mem in zip(self.mem_slots, mems):
+            inst = insts[pos].with_mem(mem)
+            insts[pos] = inst
+            stream[pos] = stream[pos][:IE_INST] + (inst,)
+        warp = WarpTrace()
+        warp.instructions = insts
+        warp._issue_stream = stream
+        warp._num_regs = self.num_regs
+        return warp
 
 
 class CTATrace:

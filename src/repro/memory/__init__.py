@@ -6,6 +6,7 @@ from .address import (
     AddressAllocator,
     coalesce,
     coalesce_array,
+    coalesce_rows,
     coalesce_sectors,
     interleave_lines,
     line_of,
@@ -29,6 +30,7 @@ __all__ = [
     "WayPartition",
     "coalesce",
     "coalesce_array",
+    "coalesce_rows",
     "coalesce_sectors",
     "interleave_lines",
     "line_of",

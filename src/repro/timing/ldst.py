@@ -129,8 +129,9 @@ class LDSTPath:
         sectored = self._l1_sectored and mem.sectors is not None
         done = cycle
         # Transactions serialise on the L1 port: one line per cycle.
-        # Coalescing emits sorted, distinct line addresses, so each loop
-        # iteration touches a fresh line — no per-line dedup needed here.
+        # Coalescing emits distinct line addresses in first-occurrence
+        # (lane) order, so each loop iteration touches a fresh line — no
+        # per-line dedup needed here.
         for i, line in enumerate(mem.lines):
             t_cycle = cycle + i
             if is_store:

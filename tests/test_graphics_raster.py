@@ -10,7 +10,7 @@ from repro.graphics.raster import (
     frustum_cull,
     rasterize_batch,
     resolve_fragment_order,
-    warp_slices,
+    warp_rows,
 )
 
 
@@ -153,10 +153,14 @@ class TestOrderingAndWarps:
         fb = FragmentBuffer.empty(("uv",))
         assert len(resolve_fragment_order(fb, 64)) == 0
 
-    def test_warp_slices(self):
-        slices = warp_slices(70)
-        assert len(slices) == 3
-        assert slices[-1] == slice(64, 70)
+    def test_warp_rows(self):
+        block, active = warp_rows(np.arange(70))
+        assert block.shape == (3, 32)
+        assert active.tolist() == [32, 32, 6]
+        assert block[2, :6].tolist() == list(range(64, 70))
+        assert (block[2, 6:] == 69).all()   # dead lanes repeat the last
+        texels, active = warp_rows(np.zeros((33, 4)))
+        assert texels.shape == (2, 32, 4) and active.tolist() == [32, 1]
 
     def test_concatenate_empty(self):
         assert FragmentBuffer.concatenate([]).count == 0

@@ -22,6 +22,7 @@ from repro.graphics.shaders import (
     vertex_instanced,
 )
 from repro.isa import DataClass, Op, Space, Unit
+from repro.memory import coalesce_array
 
 
 class TestIRValidation:
@@ -87,20 +88,23 @@ class TestLibrary:
 
 def vertex_bindings(active=32):
     addrs = np.arange(active, dtype=np.int64) * 32
+    out = 1 << 20 | np.arange(active, dtype=np.int64) * 32
     return WarpBindings(
         active=active,
-        attr_addresses={"position": addrs, "normal": addrs + 12,
-                        "uv": addrs + 24},
-        varying_store_addresses=1 << 20 | np.arange(active, dtype=np.int64) * 32,
+        attr_lines={"position": coalesce_array(addrs),
+                    "normal": coalesce_array(addrs + 12),
+                    "uv": coalesce_array(addrs + 24)},
+        varying_store_lines=[coalesce_array(out), coalesce_array(out + 16)],
     )
 
 
 def fragment_bindings(active=32, tex_slots=(0,)):
     return WarpBindings(
         active=active,
-        varying_addresses=np.full(active, 1 << 20, dtype=np.int64),
+        varying_lines=[[1 << 20]] * 4,
         tex_lines={s: [128 * s, 128 * s + 128] for s in tex_slots},
-        color_addresses=(2 << 20) + np.arange(active, dtype=np.int64) * 4,
+        color_lines=coalesce_array(
+            (2 << 20) + np.arange(active, dtype=np.int64) * 4),
     )
 
 
@@ -164,8 +168,8 @@ class TestTranslator:
         assert all(i.active == 7 for i in trace)
 
     def test_missing_attribute_raises(self):
-        b = WarpBindings(active=32, attr_addresses={},
-                         varying_store_addresses=np.zeros(32, dtype=np.int64))
+        b = WarpBindings(active=32, attr_lines={},
+                         varying_store_lines=[[0], [0]])
         with pytest.raises(KeyError, match="position"):
             ShaderTranslator(vertex_basic()).emit_warp(b)
 
@@ -175,8 +179,7 @@ class TestTranslator:
             ShaderTranslator(fragment_basic()).emit_warp(b)
 
     def test_missing_color_addresses_raises(self):
-        b = WarpBindings(active=32,
-                         varying_addresses=np.zeros(32, dtype=np.int64),
+        b = WarpBindings(active=32, varying_lines=[[0]] * 4,
                          tex_lines={0: [0]})
         with pytest.raises(KeyError, match="color"):
             ShaderTranslator(fragment_basic()).emit_warp(b)

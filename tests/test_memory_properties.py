@@ -7,7 +7,8 @@ Hypothesis sweeps what the example-based tests spot-check:
   non-power-of-two geometries, before and after set-partition re-pointing;
 * warp coalescing — the coalesced transaction list covers *exactly* the
   lines (or sectors) the lanes touched: nothing missing, nothing extra,
-  first-occurrence order preserved;
+  first-occurrence order preserved; coalescing a whole kernel's block of
+  warps at once gives every warp what coalescing it alone gives;
 * the bump allocator — distinct buffers never share a cache line, and
   distinct regions never overlap at all.
 """
@@ -23,6 +24,7 @@ from repro.memory.address import (
     AddressAllocator,
     coalesce,
     coalesce_array,
+    coalesce_rows,
     coalesce_sectors,
     line_of,
     span_lines,
@@ -155,6 +157,42 @@ def test_coalesce_sectors_exact_and_within_lines(lanes):
     # Every sector nests inside a touched line (sectors refine lines).
     touched_lines = {line_of(a) for a in lanes}
     assert all(line_of(s) in touched_lines for s in sectors)
+
+
+@st.composite
+def warp_blocks(draw):
+    """A (warps, lanes[, 4]) address block and each warp's live lanes.
+
+    Lanes that are not live hold arbitrary addresses, as the padded tail
+    of a ragged last warp does; a trailing axis of 4 is a bilinear tap.
+    """
+    rows = draw(st.integers(1, 6))
+    lanes = draw(st.integers(1, 32))
+    shape = (rows, lanes) + draw(st.sampled_from(((), (4,))))
+    # A narrow range makes lanes share lines; a wide one crosses regions.
+    hi = draw(st.sampled_from((4 * LINE_SIZE, 1 << 42)))
+    flat = draw(st.lists(st.integers(0, hi), min_size=int(np.prod(shape)),
+                         max_size=int(np.prod(shape))))
+    active = draw(st.lists(st.integers(1, lanes), min_size=rows,
+                           max_size=rows))
+    return np.array(flat, dtype=np.int64).reshape(shape), active
+
+
+@given(block=warp_blocks(), line_size=st.sampled_from((LINE_SIZE, SECTOR_SIZE)))
+def test_coalesce_rows_equals_per_warp_coalesce_array(block, line_size):
+    addrs, active = block
+    rows = coalesce_rows(addrs, active, line_size)
+    assert rows == [coalesce_array(addrs[r, :n].ravel(), line_size)
+                    for r, n in enumerate(active)]
+
+
+def test_coalesce_rows_rejects_bad_active():
+    with pytest.raises(ValueError):
+        coalesce_rows(np.zeros((2, 4), dtype=np.int64), [1, 0])
+    with pytest.raises(ValueError):
+        coalesce_rows(np.zeros((2, 4), dtype=np.int64), 5)
+    with pytest.raises(ValueError):
+        coalesce_rows(np.zeros(4, dtype=np.int64), 4)
 
 
 @given(base=addresses, num_bytes=st.integers(1, 4 * LINE_SIZE))
