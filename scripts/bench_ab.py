@@ -11,9 +11,10 @@ then runs the command ``BENCHMARK.json`` declares, for its
 ``run_seconds``, alternately in that tree and in the working tree:
 pair ``i`` uses seed ``i`` on both sides, and odd pairs run the working
 tree first.  Prints each end-to-end metric's median and quartiles on
-both sides, how many pairs the working tree won, and whether the gap
-between medians exceeds the base's interquartile range.  Exits nonzero
-if any run failed or reported incorrect output.
+both sides, how many pairs the working tree won, whether the gap
+between medians exceeds the base's interquartile range, and a verdict
+(see :func:`verdict`).  Exits nonzero if any run failed or reported
+incorrect output.
 """
 
 from __future__ import annotations
@@ -52,11 +53,41 @@ def quartiles(values: List[float]):
     return q1, statistics.median(values), q3
 
 
+def verdict(spec: dict, base: List[float], change: List[float]) -> str:
+    """Judge one metric by the same-box A/B rule.
+
+    * ``improved``: the change wins at least 9 of 10 pairs (ties count
+      for neither side) and its median beats the base's by more than the
+      base's interquartile range;
+    * ``unresolved``: the run-to-run spread (either side's interquartile
+      range, relative to its median) is wider than the metric's bound and
+      the change does not win every pair;
+    * ``no worse``: the change's median is within the bound of the base's;
+    * ``worse``: otherwise.
+    """
+    lower = spec["better"] == "lower"
+    wins = sum(1 for x, y in zip(base, change) if (y < x if lower else y > x))
+    bq1, bmed, bq3 = quartiles(base)
+    cq1, cmed, cq3 = quartiles(change)
+    gain = bmed - cmed if lower else cmed - bmed
+    if 10 * wins >= 9 * len(base) and gain > bq3 - bq1:
+        return "improved"
+    bound = spec["bound"]
+    spread = max((bq3 - bq1) / bmed if bmed else 0.0,
+                 (cq3 - cq1) / cmed if cmed else 0.0)
+    if spread > bound and wins < len(base):
+        return "unresolved"
+    if -gain <= bound * abs(bmed):
+        return "no worse"
+    return "worse"
+
+
 def summarize(metrics: Dict[str, dict], base: List[dict],
               change: List[dict]) -> List[str]:
-    out = ["%-14s %-7s %28s %28s %7s %6s %s" % (
+    out = ["%-14s %-7s %28s %28s %7s %6s %-14s %s" % (
         "metric", "better", "base median [q1, q3]",
-        "change median [q1, q3]", "ratio", "wins", "gap > base IQR")]
+        "change median [q1, q3]", "ratio", "wins", "gap > base IQR",
+        "verdict")]
     for name, spec in metrics.items():
         b = [r["metrics"][name]["value"] for r in base]
         c = [r["metrics"][name]["value"] for r in change]
@@ -65,10 +96,11 @@ def summarize(metrics: Dict[str, dict], base: List[dict],
         bq1, bmed, bq3 = quartiles(b)
         cq1, cmed, cq3 = quartiles(c)
         out.append("%-14s %-7s %10.4g [%7.4g, %7.4g] %10.4g [%7.4g, %7.4g] "
-                   "%7.3f %3d/%-2d %s" % (
+                   "%7.3f %3d/%-2d %-14s %s" % (
                        name, spec["better"], bmed, bq1, bq3, cmed, cq1, cq3,
                        cmed / bmed if bmed else float("nan"), wins, len(b),
-                       abs(cmed - bmed) > bq3 - bq1))
+                       abs(cmed - bmed) > bq3 - bq1,
+                       verdict(spec, b, c)))
     return out
 
 

@@ -180,9 +180,6 @@ class SetAssocCache:
         #: physical array with shared memory; the SM shrinks/grows this as
         #: CTAs allocate/free shared memory (the carveout).
         self.usable_ways = self.assoc
-        #: Called as (line_addr, stream) when a dirty line is evicted, so
-        #: the owner can issue the write-back.
-        self.evict_observer = None
 
     # -- partition control -------------------------------------------------
     def partition_sets(self, ratios: Optional[Dict[int, int]]) -> None:
@@ -337,10 +334,12 @@ class SetAssocCache:
         return False, False
 
     def fill(self, line_addr: int, data_class: DataClass, stream: int = 0,
-             sector_mask: int = 0) -> None:
+             sector_mask: int = 0) -> Optional[Tuple[int, int]]:
         """Install a line (or merge sectors into it) after its fill returns.
 
         ``sector_mask`` of 0 fills the whole line (unsectored behaviour).
+        Returns ``(line_addr, stream)`` of the evicted line when it was
+        dirty, so the owner can issue the write-back; otherwise None.
         """
         self._use_clock += 1
         full_mask = (1 << (self.line_size // 32)) - 1
@@ -358,20 +357,21 @@ class SetAssocCache:
             line = cache_set[w]
             if line.valid and line.tag == tag:
                 line.sector_mask |= mask  # sector refill of a resident line
-                return
+                return None
             if not line.valid:
                 victim = line
                 break
             if oldest is None or line.last_use < oldest.last_use:
                 oldest = line
+        written_back = None
         if victim is None:
             victim = oldest
             assert victim is not None
             self._stats(victim.stream).evictions += 1
-            if victim.dirty and self.evict_observer is not None:
+            if victim.dirty:
                 # Tags are full line addresses, so the victim's address is
                 # recoverable for the write-back.
-                self.evict_observer(victim.tag, victim.stream)
+                written_back = (victim.tag, victim.stream)
         victim.tag = tag
         victim.valid = True
         victim.dirty = False
@@ -379,6 +379,7 @@ class SetAssocCache:
         victim.data_class = data_class
         victim.stream = stream
         victim.sector_mask = mask
+        return written_back
 
     def mark_dirty(self, line_addr: int, stream: int = 0) -> None:
         """Set the dirty bit on a resident line (store to a fresh fill)."""

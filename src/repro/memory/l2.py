@@ -45,15 +45,11 @@ class L2Cache:
         self.dram = dram or DRAM(config)
         self._bank_free = [0] * self.num_banks
         self.bank_port_interval = 2
-        # Dirty evictions write back to DRAM at (approximately) the cycle
-        # of the access that caused them.
-        self._now = 0
-        for bank in self.banks:
-            bank.evict_observer = self._write_back
         # MiG routing: stream -> list of bank indices; None means shared.
         self._bank_assignment: Optional[Dict[int, List[int]]] = None
         #: Optional hook called on every access with (line_addr, stream);
-        #: TAP's utility monitors attach here.
+        #: TAP's utility monitors attach here.  ``GPU.run`` clears it on
+        #: exit, so the L2 never outlives a run pointing at its policy.
         self.access_observer = None
 
     # -- partition control ---------------------------------------------------
@@ -143,7 +139,6 @@ class L2Cache:
         """
         if self.access_observer is not None:
             self.access_observer(line_addr, stream)
-        self._now = cycle
         bank_idx = self.bank_of(line_addr, stream)
         bank = self.banks[bank_idx]
         free = self._bank_free[bank_idx]
@@ -175,15 +170,15 @@ class L2Cache:
         # reaches DRAM later as a dirty-eviction write-back.
         dram_ready = self.dram.access(line_addr, access_done, stream,
                                       is_store=False, num_bytes=fetch_bytes)
-        bank.fill(line_addr, data_class, stream, sector_mask)
+        victim = bank.fill(line_addr, data_class, stream, sector_mask)
+        if victim is not None:
+            # The L2 is write-back (unlike the L1): the dirty victim goes
+            # to DRAM at the cycle of the access that evicted it.
+            self.dram.access(victim[0], cycle, victim[1], is_store=True)
         if is_store:
             bank.mark_dirty(line_addr, stream)
         bank.note_pending(line_addr, dram_ready)
         return dram_ready
-
-    def _write_back(self, line_addr: int, stream: int) -> None:
-        """Dirty-eviction write-back (L2 is write-back, unlike the L1)."""
-        self.dram.access(line_addr, self._now, stream, is_store=True)
 
     # -- introspection ---------------------------------------------------------
     def mshr_inflight(self) -> int:

@@ -227,12 +227,13 @@ class CTAScheduler:
     """Issues CTAs onto SMs subject to the partition policy."""
 
     def __init__(self, config: GPUConfig, sms: List[SM],
-                 policy: Optional[PartitionPolicy] = None,
-                 gpu: Optional["GPU"] = None) -> None:
+                 policy: Optional[PartitionPolicy] = None) -> None:
         self.config = config
         self.sms = sms
         self.policy = policy or PartitionPolicy()
-        self.gpu = gpu
+        #: The running GPU, passed to the policy and telemetry hooks.
+        #: ``GPU.run`` sets it for the run and clears it on exit.
+        self.gpu: Optional["GPU"] = None
         self.streams: Dict[int, StreamQueue] = {}
         self._rr_offset = 0
 

@@ -36,7 +36,18 @@ class DeadlockError(RuntimeError):
 
 
 class GPU:
-    """A simulated GPU instance, configured once and run once."""
+    """A simulated GPU instance, configured once and run once.
+
+    The objects a run creates form no reference cycle, so reference
+    counting frees them as soon as the caller drops the GPU.  The hooks
+    that point back at the GPU or its policy -- each SM's
+    ``on_cta_complete`` and ``event_sink``, ``CTAScheduler.gpu`` and the
+    L2's ``access_observer`` that a policy may install -- exist only while
+    :meth:`run` executes: it installs them on entry and clears them on
+    exit, whether the run completes or raises.  Afterwards ``stats``,
+    ``l2``, ``policy``, :meth:`stream_cycles` and
+    :meth:`kernel_completions` stay readable.
+    """
 
     def __init__(
         self,
@@ -55,10 +66,9 @@ class GPU:
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.cycle = 0
         self.sms: List[SM] = [
-            SM(i, config, self.l2, self.stats, on_cta_complete=self._cta_done)
-            for i in range(config.num_sms)
+            SM(i, config, self.l2, self.stats) for i in range(config.num_sms)
         ]
-        self.cta_scheduler = CTAScheduler(config, self.sms, self.policy, gpu=self)
+        self.cta_scheduler = CTAScheduler(config, self.sms, self.policy)
         self._completed_this_step = False
         #: Global event heap of (next_event_cycle, sm_id, sm).  At most one
         #: *valid* entry per SM: ``sm._queued_event`` holds the key of that
@@ -94,12 +104,24 @@ class GPU:
         """Simulate until all streams complete; returns the stats object."""
         if not self.cta_scheduler.streams:
             raise ValueError("no streams registered; call add_stream first")
+        for sm in self.sms:
+            sm.on_cta_complete = self._cta_done
+            sm.event_sink = self._push_event
+        self.cta_scheduler.gpu = self
+        try:
+            return self._loop(max_cycles)
+        finally:
+            self.cta_scheduler.gpu = None
+            self.l2.access_observer = None
+            for sm in self.sms:
+                sm.detach()
+
+    def _loop(self, max_cycles: int) -> GPUStats:
         self.policy.configure_memory(self.l2, sorted(self.cta_scheduler.streams))
         cycle = self.cycle
         heap = self._event_heap
         for sm in self.sms:
             sm._queued_event = BLOCKED
-            sm.event_sink = self._push_event
         tel = self.telemetry
         tel.on_run_start(self)
         self.cta_scheduler.fill(cycle)

@@ -118,13 +118,21 @@ class SlotState:
     def release_handle(self, slot: int) -> None:
         """Drop the slot's object references once its CTA has retired.
 
-        The int arrays stay (stale heap entries still read ``done[slot]``);
-        only the Python-object columns are cleared so long open-loop runs do
-        not pin every retired WarpContext alive.
+        The flat int columns stay (stale heap entries still read
+        ``done[slot]``).  The object columns are cleared, which breaks the
+        slot's cycle with its WarpContext, and the slot's scoreboard slice
+        is zeroed, which drops the completion cycles it held: a done slot
+        never reads either again.  With the CTA's own warp list dropped
+        too (``SM.process_completions``), reference counting frees the
+        retired WarpContext during the run.
         """
         self.warps[slot] = None
         self.sstats[slot] = None
         self.entries[slot] = None
+        base = self.sb_base[slot]
+        end = (self.sb_base[slot + 1] if slot + 1 < self.count
+               else len(self.sb))
+        self.sb[base:end] = [0] * (end - base)
 
     def __len__(self) -> int:
         return self.count

@@ -56,8 +56,7 @@ class SM:
     """One streaming multiprocessor."""
 
     def __init__(self, sm_id: int, config: GPUConfig, l2: L2Cache,
-                 stats: GPUStats,
-                 on_cta_complete: Optional[Callable[["SM", ResidentCTA], None]] = None) -> None:
+                 stats: GPUStats) -> None:
         self.sm_id = sm_id
         self.config = config
         self.stats = stats
@@ -69,7 +68,10 @@ class SM:
                          state=self.slot_state)
             for i in range(config.schedulers_per_sm)
         ]
-        self.on_cta_complete = on_cta_complete
+        #: CTA-retire hook, called as ``(sm, cta)``.  ``GPU.run`` installs
+        #: it for the run and clears it on exit (see :meth:`detach`).
+        self.on_cta_complete: Optional[
+            Callable[["SM", ResidentCTA], None]] = None
         # Free resources (whole SM).
         self.free_threads = config.max_threads_per_sm
         self.free_registers = config.registers_per_sm
@@ -92,9 +94,10 @@ class SM:
         #: Key of this SM's valid entry in the GPU's global event heap
         #: (BLOCKED = not queued).  Owned by the GPU loop.
         self._queued_event = BLOCKED
-        #: Notification hook the GPU's event heap installs: called with
-        #: ``(sm, cycle)`` whenever an action outside the GPU loop's own
-        #: update point (a CTA launch) lowers this SM's next event.
+        #: Notification hook the GPU's event heap installs for the run:
+        #: called with ``(sm, cycle)`` whenever an action outside the GPU
+        #: loop's own update point (a CTA launch) lowers this SM's next
+        #: event.
         self.event_sink: Optional[Callable[["SM", int], None]] = None
         #: Per-stream instructions issued on this SM (Warped-Slicer sampling
         #: reads deltas of these to build its IPC-vs-quota curves).
@@ -173,7 +176,8 @@ class SM:
         self.warps_used[stream] -= res.warps
         # Scheduler heaps drop the (now done) warps lazily: slots are never
         # reused, so ``done[slot]`` stays set and stale heap entries are
-        # recognised forever.  Only the slots' object columns are released.
+        # recognised forever.  process_completions releases the warps
+        # once the retire hook has seen them.
         self.resident.remove(cta)
         self.stats.stream(stream).ctas_completed += 1
         if res.shared_mem:
@@ -183,16 +187,39 @@ class SM:
     def process_completions(self, cycle: int) -> bool:
         """Free CTAs whose last instruction committed by ``cycle``."""
         freed = False
+        release = self.slot_state.release_handle
         while self._completions and self._completions[0][0] <= cycle:
             _, _, cta = heapq.heappop(self._completions)
             self._free_cta(cta)
             freed = True
             if self.on_cta_complete is not None:
                 self.on_cta_complete(self, cta)
-            release = self.slot_state.release_handle
-            for w in cta.warps:
+            # A warp points at its CTA (``warp.cta``) and its slot state
+            # (``warp.state``); dropping ``cta.warps`` and each slot's
+            # handle breaks both cycles, so reference counting frees the
+            # retired warps and the CTA here.  The list goes first: an
+            # exception mid-release leaves the rest in the slot state,
+            # where detach() finds them.
+            warps = cta.warps
+            cta.warps = []
+            for w in warps:
                 release(w.slot)
         return freed
+
+    def detach(self) -> None:
+        """Drop the run's hooks and every warp still held by a slot.
+
+        ``GPU.run`` calls this on exit.  After a complete run every slot
+        is already released; after a run that raised, this frees the CTAs
+        still resident, whose warps are then gone from ``cta.warps``.
+        """
+        self.on_cta_complete = None
+        self.event_sink = None
+        st = self.slot_state
+        for slot, w in enumerate(st.warps):
+            if w is not None:
+                w.cta.warps = []
+                st.release_handle(slot)
 
     def next_completion_cycle(self) -> Optional[int]:
         """Cycle of the earliest queued CTA completion, or None."""
