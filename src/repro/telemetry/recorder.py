@@ -4,7 +4,7 @@ The timing core calls telemetry through whatever object sits on
 ``gpu.telemetry``.  By default that is :data:`NULL_TELEMETRY`, a module
 singleton whose hooks are all no-ops and whose flags are precomputed
 ``False`` attributes — the zero-overhead-when-off contract.  The hot issue
-path (``SM._issue`` / ``GTOScheduler.pick``) carries *no* telemetry calls
+path (``SM.tick``'s select-and-commit step) carries *no* telemetry calls
 at all; the only call sites are event-rate sites (kernel start/complete,
 CTA retire, repartition, the sample tick), so a disabled run adds nothing
 per simulated instruction and a handful of attribute loads per event.

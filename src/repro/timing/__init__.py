@@ -1,7 +1,6 @@
 """Cycle-accounting GPU timing model (Accel-Sim substrate)."""
 
 from .cta import CTAScheduler, PartitionPolicy, StreamQueue
-from .exec_units import SchedulerUnits, UnitPipe
 from .gpu import GPU, DeadlockError, simulate
 from .ldst import LDSTPath
 from .occupancy import OccupancyReport, occupancy_of
@@ -24,11 +23,9 @@ __all__ = [
     "PartitionPolicy",
     "ResidentCTA",
     "SM",
-    "SchedulerUnits",
     "SlotState",
     "StreamQueue",
     "StreamStats",
-    "UnitPipe",
     "WarpContext",
     "occupancy_of",
     "simulate",

@@ -1,10 +1,20 @@
 """Greedy-then-oldest (GTO) warp scheduler.
 
 Each SM has ``schedulers_per_sm`` of these, each owning a slice of the
-resident warps and one pipe of every execution-unit class.  GTO keeps
-issuing from the same warp while it can (greedy), otherwise falls back to
-the oldest ready warp — GPGPU-Sim's default policy, which Accel-Sim (and so
-CRISP) inherits.
+resident warps and one pipe of every execution-unit class (Ampere splits an
+SM into four partitions; Table II: "4 FPs, 4 SFUs, 4 INTs, 4 TENSORs" per
+SM).  GTO keeps issuing from the same warp while it can (greedy), otherwise
+falls back to the oldest ready warp — GPGPU-Sim's default policy, which
+Accel-Sim (and so CRISP) inherits.
+
+This class holds a scheduler's state; the issue step that selects from it
+and commits to it is inline in :meth:`~repro.timing.sm.SM.tick`, and the
+only selection written here is LRR's (:meth:`GTOScheduler._pick_lrr`).
+
+A pipe is pipelined with an initiation interval: issuing occupies it for
+``initiation`` cycles, and the result is available ``latency`` cycles after
+issue.  Pipe state is one flat ``_pnf`` list (pipe next-free cycle) indexed
+by the dense ``UNIT_INDEX`` order, so a unit lookup is a plain list index.
 
 Ready warps are kept in a lazy min-heap keyed by an *estimate* of their
 earliest issue cycle.  Estimates only ever under-shoot (unit contention can
@@ -18,7 +28,7 @@ Everything here is structure-of-arrays, and the re-validation — the single
 hottest computation in the simulator — collapses to two flat-array reads
 per visit: ``next_ready[slot]`` (the register/stall readiness the SM caches
 at each commit, exact because the scoreboard is single-writer) against the
-pipe's ``next_free[unit_idx]``.  No scoreboard walk, no attribute chases,
+pipe's ``_pnf[unit_idx]``.  No scoreboard walk, no attribute chases,
 no nested calls.
 
 The ready queue itself has two representations:
@@ -40,10 +50,10 @@ The ready queue itself has two representations:
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..isa.instructions import IE_UNIT_IDX, IE_USES_LDST
-from .exec_units import SchedulerUnits
+from ..isa.opcodes import UNITS_ORDERED
 from .slots import SlotState
 from .warp import BLOCKED
 
@@ -56,22 +66,18 @@ class GTOScheduler:
     last issued warp, the other classic GPGPU-Sim option).
 
     ``state`` is the flat warp-slot state shared by every scheduler of one
-    SM; warps are referred to by slot index throughout.  A fresh private
-    state is created when none is given (standalone/unit-test use).
+    SM; warps are referred to by slot index throughout.
     """
 
-    def __init__(self, index: int, units: SchedulerUnits,
-                 policy: str = "gto",
-                 state: Optional[SlotState] = None) -> None:
+    def __init__(self, index: int, state: SlotState,
+                 policy: str = "gto") -> None:
         if policy not in ("gto", "lrr"):
             raise ValueError("scheduler policy must be 'gto' or 'lrr'")
         self.index = index
-        self.units = units
-        self._pipes = units.pipe_list
         #: Flat pipe next-free cycles (dense UNIT_INDEX order).
-        self._pnf = units.next_free
+        self._pnf: List[int] = [0] * len(UNITS_ORDERED)
         self.policy = policy
-        self.state = state if state is not None else SlotState()
+        self.state = state
         #: Lazy min-heap of (estimated issue cycle, seq, warp slot) — the
         #: LRR representation (see module docstring).
         self._heap: List[Tuple[int, int, int]] = []
@@ -82,13 +88,10 @@ class GTOScheduler:
         self._bucketed = policy == "gto"
         self._buckets: Dict[int, List[int]] = {}
         self._bkeys: List[int] = []
-        #: Flat per-unit issue counters (dense UNIT_INDEX order).
-        self._icnt = units.issue_counts
         #: Slot of the warp that issued last (-1 = none): the greedy pick.
         self._greedy = -1
+        #: Warp id of LRR's last pick, which ``SM.tick`` always issues.
         self._last_warp_id = -1
-        self._picked_from_heap = False
-        self.issued = 0
         #: Earliest cycle this scheduler may act; maintained by the SM tick
         #: loop so stalled schedulers are skipped without rescanning.
         self.next_event_cache = 0
@@ -109,15 +112,13 @@ class GTOScheduler:
             heapq.heappush(self._heap, (est, seq, slot))
 
     # -- membership ----------------------------------------------------------
-    def add_warp(self, warp) -> None:
-        """Queue a warp (a slot index, or a WarpContext for convenience)."""
-        slot = warp if isinstance(warp, int) else warp.slot
+    def add_warp(self, slot: int) -> None:
+        """Queue a newly launched warp slot."""
         self._qpush(0, slot)
         self.next_event_cache = 0
 
-    def wake(self, warp, time: int) -> None:
-        """Re-queue a warp parked on a barrier."""
-        slot = warp if isinstance(warp, int) else warp.slot
+    def wake(self, slot: int, time: int) -> None:
+        """Re-queue a warp slot parked on a barrier."""
         self._qpush(time, slot)
         if time < self.next_event_cache:
             self.next_event_cache = time
@@ -134,58 +135,6 @@ class GTOScheduler:
         return ready if ready > cycle else cycle
 
     # -- selection -------------------------------------------------------------
-    def pick(self, cycle: int) -> int:
-        """Slot of the warp to issue this cycle; -1 if stalled.
-
-        The selected slot's issue tuple is ``state.cur[slot]``.
-        """
-        self._picked_from_heap = False
-        st = self.state
-        if self.policy != "gto":
-            return self._pick_lrr(cycle)
-        g = self._greedy
-        if g >= 0 and not st.done[g] and not st.barrier[g]:
-            # Greedy fast path: cached readiness vs pipe availability.
-            if st.next_ready[g] <= cycle and \
-                    self._pnf[st.cur[g][IE_UNIT_IDX]] <= cycle:
-                return g
-        # Lazy bucket-queue path: sweep due buckets in ascending-estimate /
-        # FIFO order, re-validate against the flat arrays, re-queue at the
-        # corrected cycle if the estimate under-shot.  Corrected cycles are
-        # always > cycle >= est, so a bucket never grows while swept.
-        keys = self._bkeys
-        buckets = self._buckets
-        pnf = self._pnf
-        done = st.done
-        barrier = st.barrier
-        cur = st.cur
-        nr = st.next_ready
-        while keys and keys[0] <= cycle:
-            b = buckets[keys[0]]
-            i = b[0]
-            n = len(b)
-            while i < n:
-                s = b[i]
-                i += 1
-                if done[s] or barrier[s]:
-                    continue  # done: dropped; parked: re-queued by wake()
-                ready = nr[s]
-                nf = pnf[cur[s][IE_UNIT_IDX]]
-                if nf > ready:
-                    ready = nf
-                if ready <= cycle:
-                    b[0] = i
-                    self._picked_from_heap = True
-                    return s
-                nb = buckets.get(ready)
-                if nb is None:
-                    buckets[ready] = [1, s]
-                    heapq.heappush(keys, ready)
-                else:
-                    nb.append(s)
-            del buckets[heapq.heappop(keys)]
-        return -1
-
     def _pick_lrr(self, cycle: int) -> int:
         """Loose round robin: among warps ready now, pick the one whose id
         follows the last issued warp's (wrapping)."""
@@ -218,8 +167,9 @@ class GTOScheduler:
         for item in ready:
             if item is not chosen:
                 heapq.heappush(heap, item)
-        self._picked_from_heap = True
-        return chosen[2]
+        slot = chosen[2]
+        self._last_warp_id = warp_ids[slot]
+        return slot
 
     # -- telemetry ---------------------------------------------------------
     def stall_reason(self, slot: int, cycle: int) -> str:
@@ -246,17 +196,6 @@ class GTOScheduler:
                 return STALL_LDST_QUEUE
             return STALL_PIPE_BUSY
         return READY
-
-    def note_issued(self, warp, next_estimate: int) -> None:
-        """Record the issue; re-queue the warp for its next instruction."""
-        slot = warp if isinstance(warp, int) else warp.slot
-        st = self.state
-        self.issued += 1
-        self._greedy = slot if not st.done[slot] else -1
-        self._last_warp_id = st.warp_ids[slot]
-        if not st.done[slot] and self._picked_from_heap:
-            self._qpush(next_estimate, slot)
-        self._picked_from_heap = False
 
     # -- event horizon -----------------------------------------------------------
     def next_event(self, cycle: int) -> int:

@@ -8,11 +8,12 @@ one scheduler may act, and reports the next cycle it needs.
 
 All per-warp dynamic state lives in one structure-of-arrays
 :class:`~repro.timing.slots.SlotState` shared by the SM and its schedulers;
-warps are handled by dense slot index throughout the issue path.  ``_issue``
-is fully inlined against those arrays — pipe reservation, scoreboard commit,
-next-issue estimate and stat bumps are plain array/int operations with no
-nested calls, which is where the structure-of-arrays sim-rate win comes
-from (the per-call overhead used to dominate the profile).
+warps are handled by dense slot index throughout the issue path.  The issue
+step — warp selection, pipe reservation, scoreboard commit, next-issue
+estimate and stat bumps — is written once, inline in :meth:`SM.tick`,
+against those arrays with no nested calls, which is where the
+structure-of-arrays sim-rate win comes from (the per-call overhead used to
+dominate the profile).  Only selection differs by scheduler policy.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from ..config import GPUConfig
 from ..isa import CTAResources, CTATrace, KernelTrace
 from ..isa.instructions import IE_REGS, IE_UNIT_IDX
 from ..memory import L2Cache
-from .exec_units import SchedulerUnits
 from .ldst import LDSTPath
 from .scheduler import GTOScheduler
 from .slots import SlotState
@@ -64,8 +64,7 @@ class SM:
         #: Flat warp-slot state shared by this SM and all its schedulers.
         self.slot_state = SlotState()
         self.schedulers = [
-            GTOScheduler(i, SchedulerUnits(), policy=config.scheduler_policy,
-                         state=self.slot_state)
+            GTOScheduler(i, self.slot_state, policy=config.scheduler_policy)
             for i in range(config.schedulers_per_sm)
         ]
         #: CTA-retire hook, called as ``(sm, cta)``.  ``GPU.run`` installs
@@ -142,7 +141,7 @@ class SM:
                 self.config.shared_mem_per_sm - self.free_shared_mem)
         for wt in trace.warps:
             ctx = WarpContext(wt, stream, cta, warp_id=len(cta.warps),
-                              sstat=sstat, state=self.slot_state)
+                              state=self.slot_state, sstat=sstat)
             cta.warps.append(ctx)
             if not ctx.done:
                 cta.live_warps += 1
@@ -231,18 +230,17 @@ class SM:
     def tick(self, cycle: int) -> int:
         """Issue at most one instruction per scheduler at ``cycle``.
 
-        Returns the SM's earliest next-event cycle — the same value
-        :meth:`next_event` would compute — folded into the scheduler sweep
-        so the run loop needs no second scan.
+        Returns the SM's earliest next-event cycle, folded into the
+        scheduler sweep so the run loop needs no second scan.
 
-        For bucket-mode GTO schedulers (the serial default) the whole
-        select-and-issue step is fused inline: greedy probe, bucket-queue
-        sweep, and the commit are one straight-line pass over the flat
-        arrays with zero per-instruction Python calls (barring LDST/CTA
-        boundaries).  The fused body must stay operation-for-operation in
-        sync with :meth:`GTOScheduler.pick` and :meth:`_issue`, which remain
-        the reference path and the only path for LRR (heap-mode
-        schedulers, ``_bucketed`` is False).
+        Selection is the only step that differs between the scheduler
+        policies.  GTO (bucket mode, the default) selects inline: greedy
+        probe, then the bucket-queue sweep.  LRR (heap mode) calls
+        :meth:`GTOScheduler._pick_lrr`.  One inline commit then issues the
+        chosen slot and re-queues it in its scheduler's representation.
+        The whole step is plain flat-array and int operations with no
+        per-instruction Python calls (barring LRR selection and LDST/CTA
+        boundaries).
         """
         best = BLOCKED
         st = self.slot_state
@@ -258,74 +256,72 @@ class SM:
                 if t < best:
                     best = t
                 continue
-            if not sched._bucketed:
-                # LRR: virtual pick + virtual issue.
-                slot = sched.pick(cycle)
-                if slot < 0:
-                    t = sched.next_event(cycle)
-                    sched.next_event_cache = t
-                    if t < best:
-                        best = t
-                    continue
-                self._issue(sched, slot, cycle)
-                sched.next_event_cache = wake_at
-                if wake_at < best:
-                    best = wake_at
-                continue
-            # ---- fused GTOScheduler.pick (bucket mode) ----
-            # _picked_from_heap is always False between virtual pick/issue
-            # pairs, so the fused path tracks it in a local instead.
             pnf = sched._pnf
-            picked = False
-            slot = -1
-            g = sched._greedy
-            if g >= 0 and not done[g] and not barrier[g] \
-                    and nr[g] <= cycle \
-                    and pnf[cur[g][IE_UNIT_IDX]] <= cycle:
-                slot = g
-            else:
-                buckets = sched._buckets
-                keys = sched._bkeys
-                while keys and keys[0] <= cycle:
-                    b = buckets[keys[0]]
-                    i = b[0]
-                    n = len(b)
-                    while i < n:
-                        s = b[i]
-                        i += 1
-                        if done[s] or barrier[s]:
-                            continue
-                        ready = nr[s]
-                        nf = pnf[cur[s][IE_UNIT_IDX]]
-                        if nf > ready:
-                            ready = nf
-                        if ready <= cycle:
-                            b[0] = i
-                            picked = True
-                            slot = s
+            bucketed = sched._bucketed
+            if bucketed:
+                # GTO: the greedy warp if it is ready, else the oldest
+                # ready warp of the bucket queue (see the scheduler
+                # module).  ``picked`` says the slot left the queue and
+                # must be re-queued after it issues.
+                picked = False
+                slot = -1
+                g = sched._greedy
+                if g >= 0 and not done[g] and not barrier[g] \
+                        and nr[g] <= cycle \
+                        and pnf[cur[g][IE_UNIT_IDX]] <= cycle:
+                    slot = g
+                else:
+                    buckets = sched._buckets
+                    keys = sched._bkeys
+                    # Sweep due buckets in ascending-estimate / FIFO
+                    # order; a warp whose estimate under-shot is re-queued
+                    # at its corrected cycle, which is always > cycle, so
+                    # a bucket never grows while swept.
+                    while keys and keys[0] <= cycle:
+                        b = buckets[keys[0]]
+                        i = b[0]
+                        n = len(b)
+                        while i < n:
+                            s = b[i]
+                            i += 1
+                            if done[s] or barrier[s]:
+                                # done: dropped; parked: re-queued by wake()
+                                continue
+                            ready = nr[s]
+                            nf = pnf[cur[s][IE_UNIT_IDX]]
+                            if nf > ready:
+                                ready = nf
+                            if ready <= cycle:
+                                b[0] = i
+                                picked = True
+                                slot = s
+                                break
+                            nb = buckets.get(ready)
+                            if nb is None:
+                                buckets[ready] = [1, s]
+                                heapq.heappush(keys, ready)
+                            else:
+                                nb.append(s)
+                        if picked:
                             break
-                        nb = buckets.get(ready)
-                        if nb is None:
-                            buckets[ready] = [1, s]
-                            heapq.heappush(keys, ready)
-                        else:
-                            nb.append(s)
-                    if picked:
-                        break
-                    del buckets[heapq.heappop(keys)]
+                        del buckets[heapq.heappop(keys)]
+            else:
+                slot = sched._pick_lrr(cycle)
+                picked = True
             if slot < 0:
                 t = sched.next_event(cycle)
                 sched.next_event_cache = t
                 if t < best:
                     best = t
                 continue
-            # ---- fused SM._issue (keep in sync with the method) ----
+            # ---- commit: issue ``slot``'s current instruction ----
+            # One tuple unpack replaces eight indexed entry reads.
             (_, ui, latency, initiation, _, rdst,
              uses_ldst, is_bar, inst) = cur[slot]
+            # Reserve the unit pipe for its initiation interval.
             nf = pnf[ui]
             issue_cycle = cycle if cycle > nf else nf
             pnf[ui] = issue_cycle + initiation
-            sched._icnt[ui] += 1
             stream = st.streams[slot]
             if uses_ldst:
                 complete = self.ldst.issue(inst, issue_cycle, stream)
@@ -333,6 +329,7 @@ class SM:
                 complete = issue_cycle + latency
             if is_bar:
                 self._barrier(st.warps[slot], issue_cycle)
+            # Scoreboard and per-slot cycles.
             base = st.sb_base[slot]
             if rdst >= 0:
                 st.sb[base + rdst] = complete
@@ -346,11 +343,15 @@ class SM:
                 done[slot] = 1
                 cur[slot] = None
                 fin = True
-                estimate = nxt
             else:
                 nxt_entry = st.entries[slot][pc]
                 cur[slot] = nxt_entry
                 fin = False
+                # One dependency walk per commit refreshes the slot's
+                # cached readiness (exact until the next commit: the
+                # scoreboard slice is single-writer and only the barrier
+                # release path raises stall_until, folding itself into
+                # next_ready there).
                 ready = st.stall_until[slot]
                 sb = st.sb
                 for reg in nxt_entry[IE_REGS]:
@@ -358,23 +359,26 @@ class SM:
                     if t > ready:
                         ready = t
                 nr[slot] = ready
-                if barrier[slot]:
-                    estimate = nxt
-                elif ready > nxt:
-                    estimate = ready
-                else:
-                    estimate = nxt
-            sched.issued += 1
+                if picked:
+                    # Re-queue at the estimated next issue cycle.
+                    if barrier[slot] or ready <= nxt:
+                        estimate = nxt
+                    else:
+                        estimate = ready
+                    if bucketed:
+                        buckets = sched._buckets
+                        b = buckets.get(estimate)
+                        if b is None:
+                            buckets[estimate] = [1, slot]
+                            heapq.heappush(sched._bkeys, estimate)
+                        else:
+                            b.append(slot)
+                    else:
+                        seq = sched._seq
+                        sched._seq = seq + 1
+                        heapq.heappush(sched._heap, (estimate, seq, slot))
             sched._greedy = slot if not fin else -1
-            sched._last_warp_id = st.warp_ids[slot]
-            if picked and not fin:
-                buckets = sched._buckets
-                b = buckets.get(estimate)
-                if b is None:
-                    buckets[estimate] = [1, slot]
-                    heapq.heappush(sched._bkeys, estimate)
-                else:
-                    b.append(slot)
+            # Stream stats.
             sstat = st.sstats[slot]
             if sstat is None:
                 sstat = self.stats.stream(stream)
@@ -403,103 +407,6 @@ class SM:
         if self._completions and self._completions[0][0] < best:
             best = self._completions[0][0]
         return best
-
-    def _issue(self, sched: GTOScheduler, slot: int, cycle: int) -> None:
-        """Issue ``slot``'s current instruction (fully inlined hot path)."""
-        st = self.slot_state
-        # One tuple unpack replaces eight indexed entry reads.
-        (_, ui, latency, initiation, _, rdst,
-         uses_ldst, is_bar, inst) = st.cur[slot]
-        # Inlined UnitPipe.issue against the flat pipe arrays.
-        pnf = sched._pnf
-        nf = pnf[ui]
-        issue_cycle = cycle if cycle > nf else nf
-        pnf[ui] = issue_cycle + initiation
-        sched._icnt[ui] += 1
-        stream = st.streams[slot]
-        if uses_ldst:
-            complete = self.ldst.issue(inst, issue_cycle, stream)
-        else:
-            complete = issue_cycle + latency
-        if is_bar:
-            self._barrier(st.warps[slot], issue_cycle)
-        # Inlined WarpContext.commit_issue.
-        base = st.sb_base[slot]
-        if rdst >= 0:
-            st.sb[base + rdst] = complete
-        st.last_issue[slot] = issue_cycle
-        if complete > st.last_commit[slot]:
-            st.last_commit[slot] = complete
-        pc = st.pc[slot] + 1
-        st.pc[slot] = pc
-        nxt = issue_cycle + 1
-        if pc >= st.n_insts[slot]:
-            st.done[slot] = 1
-            st.cur[slot] = None
-            done = True
-            estimate = nxt
-        else:
-            nxt_entry = st.entries[slot][pc]
-            st.cur[slot] = nxt_entry
-            done = False
-            # One dependency walk per commit refreshes the slot's cached
-            # readiness (exact until the next commit: the scoreboard slice
-            # is single-writer and only the barrier release path raises
-            # stall_until, folding itself into next_ready there).
-            ready = st.stall_until[slot]
-            sb = st.sb
-            for reg in nxt_entry[IE_REGS]:
-                t = sb[base + reg]
-                if t > ready:
-                    ready = t
-            st.next_ready[slot] = ready
-            if st.barrier[slot]:
-                estimate = nxt
-            elif ready > nxt:
-                estimate = ready
-            else:
-                estimate = nxt
-        # Inlined GTOScheduler.note_issued (+ _qpush, bucket mode).
-        sched.issued += 1
-        sched._greedy = slot if not done else -1
-        sched._last_warp_id = st.warp_ids[slot]
-        if not done and sched._picked_from_heap:
-            if sched._bucketed:
-                bk = sched._buckets
-                b = bk.get(estimate)
-                if b is None:
-                    bk[estimate] = [1, slot]
-                    heapq.heappush(sched._bkeys, estimate)
-                else:
-                    b.append(slot)
-            else:
-                seq = sched._seq
-                sched._seq = seq + 1
-                heapq.heappush(sched._heap, (estimate, seq, slot))
-        sched._picked_from_heap = False
-        # Inlined StreamStats.note_issue / note_commit.
-        sstat = st.sstats[slot]
-        if sstat is None:
-            sstat = self.stats.stream(stream)
-        sstat.instructions += 1
-        sstat._issue_by_unit[ui] += 1
-        fic = sstat.first_issue_cycle
-        if fic is None or issue_cycle < fic:
-            sstat.first_issue_cycle = issue_cycle
-        if complete > sstat.last_commit_cycle:
-            sstat.last_commit_cycle = complete
-        self.issued_by_stream[stream] += 1
-        if done:
-            cta = st.warps[slot].cta
-            cta.live_warps -= 1
-            if cta.live_warps == 0:
-                lc = st.last_commit
-                last = 0
-                for w in cta.warps:
-                    t = lc[w.slot]
-                    if t > last:
-                        last = t
-                self._retire_cta(cta, last)
 
     def _barrier(self, warp: WarpContext, cycle: int) -> None:
         """CTA-wide barrier: block arriving warps until all have arrived."""
@@ -541,18 +448,6 @@ class SM:
             for w in cta.warps:
                 reason = scheds[w.home_sched].stall_reason(w.slot, cycle)
                 bucket[reason] = bucket.get(reason, 0) + 1
-
-    # -- event horizon ---------------------------------------------------------
-    def next_event(self, cycle: int) -> int:
-        """Earliest future cycle this SM needs to be ticked at."""
-        best = BLOCKED
-        for sched in self.schedulers:
-            t = sched.next_event_cache
-            if t < best:
-                best = t
-        if self._completions and self._completions[0][0] < best:
-            best = self._completions[0][0]
-        return best
 
     @property
     def has_work(self) -> bool:

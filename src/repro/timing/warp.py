@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional, TYPE_CHECKING
 
-from ..isa import WarpInstruction, WarpTrace
-from ..isa.instructions import IE_DST, IE_INST, IE_REGS
+from ..isa import WarpTrace
+from ..isa.instructions import IE_REGS
 from .slots import SlotState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -40,8 +40,8 @@ class WarpContext:
     )
 
     def __init__(self, trace: WarpTrace, stream: int, cta: "ResidentCTA",
-                 warp_id: int, sstat: Optional["StreamStats"] = None,
-                 state: Optional[SlotState] = None) -> None:
+                 warp_id: int, state: SlotState,
+                 sstat: Optional["StreamStats"] = None) -> None:
         self.trace = trace
         self.insts = trace.instructions
         #: Flat per-warp issue tuples, shared with every replay of the trace.
@@ -53,11 +53,8 @@ class WarpContext:
         #: The owning stream's StreamStats, resolved once at launch so the
         #: issue path never goes through ``stats.stream(id)``.
         self.sstat = sstat
-        #: Flat state arrays this warp's slot indexes into.  An SM passes
-        #: its shared per-SM state; standalone contexts (unit tests) get a
-        #: private one.
-        if state is None:
-            state = SlotState()
+        #: The owning SM's flat state arrays, which this warp's slot
+        #: indexes into.
         self.state = state
         self.slot = state.alloc(self, self.stream_entries,
                                 trace.num_renamed_regs(), warp_id,
@@ -122,10 +119,6 @@ class WarpContext:
                else len(st.sb))
         return dict(enumerate(st.sb[base:end]))
 
-    def peek(self) -> Optional[WarpInstruction]:
-        cur = self.state.cur[self.slot]
-        return None if cur is None else cur[IE_INST]
-
     def _dep_walk(self, floor: int) -> int:
         """``max(floor, dep ready cycles of the current instruction)``."""
         st = self.state
@@ -138,39 +131,6 @@ class WarpContext:
             if t > ready:
                 ready = t
         return ready
-
-    def dep_ready_cycle(self) -> int:
-        """Earliest cycle the next instruction's source operands are ready.
-
-        The destination register is also checked (WAW through the
-        scoreboard), mirroring GPGPU-Sim's per-warp in-order issue rules.
-        """
-        st = self.state
-        slot = self.slot
-        if st.done[slot] or st.barrier[slot]:
-            return BLOCKED
-        return self._dep_walk(st.stall_until[slot])
-
-    def commit_issue(self, inst: WarpInstruction, issue_cycle: int,
-                     complete_cycle: int) -> None:
-        """Advance past ``inst`` after it issues."""
-        st = self.state
-        slot = self.slot
-        entry = st.cur[slot]
-        rdst = entry[IE_DST]
-        if rdst >= 0:
-            st.sb[st.sb_base[slot] + rdst] = complete_cycle
-        st.last_issue[slot] = issue_cycle
-        if complete_cycle > st.last_commit[slot]:
-            st.last_commit[slot] = complete_cycle
-        pc = st.pc[slot] + 1
-        st.pc[slot] = pc
-        if pc >= st.n_insts[slot]:
-            st.done[slot] = 1
-            st.cur[slot] = None
-        else:
-            st.cur[slot] = st.entries[slot][pc]
-            st.next_ready[slot] = self._dep_walk(st.stall_until[slot])
 
     def __repr__(self) -> str:
         return "WarpContext(stream=%d, warp=%d, pc=%d/%d%s)" % (

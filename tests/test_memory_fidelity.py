@@ -159,29 +159,13 @@ class TestSchedulerPolicies:
         assert stats.stream(0).kernels_completed > 0
 
     def test_lrr_rotates_across_warps(self):
-        from repro.timing import GTOScheduler, SchedulerUnits
-        from repro.timing.warp import WarpContext
+        from .test_timing_core import launch, one_sched_sm, tick
 
-        class _CTA:
-            pass
-
-        s = GTOScheduler(0, SchedulerUnits(), policy="lrr")
-        warps = []
-        for wid in range(3):
-            # Hazard-free streams: every warp is always ready.
-            wt = WarpTrace([WarpInstruction(Op.FFMA, dst=8 + wid * 8 + i)
-                            for i in range(4)])
-            w = WarpContext(wt, 0, _CTA(), warp_id=wid, state=s.state)
-            warps.append(w)
-            s.add_warp(w)
-        order = []
-        for cycle in range(6):
-            slot = s.pick(cycle)
-            assert slot >= 0
-            w = s.state.warps[slot]
-            w.commit_issue(w.peek(), cycle, cycle + 4)
-            s.note_issued(slot, cycle + 1)
-            order.append(w.warp_id)
+        sm = one_sched_sm("lrr")
+        # Hazard-free streams: every warp is always ready.
+        launch(sm, *([WarpInstruction(Op.FFMA, dst=8 + wid * 8 + i)
+                      for i in range(4)] for wid in range(3)))
+        order = [tick(sm, cycle)[0].warp_id for cycle in range(6)]
         # Round robin: no warp issues twice before the others issue once.
         assert order[:3] in ([0, 1, 2], [1, 2, 0], [2, 0, 1])
         assert order[3:6] == order[:3]
