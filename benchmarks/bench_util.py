@@ -1,10 +1,10 @@
-"""Shared helpers for the per-figure benchmark harness.
+"""Shared helpers for the benchmark suite.
 
-Every benchmark regenerates one table or figure of the paper: it runs the
-experiment once (through pytest-benchmark, so wall time is recorded),
-prints the same rows/series the paper reports, and asserts the *shape*
-claims (who wins, direction of effects) — not absolute numbers, since the
+Benchmarks run their experiment once (through pytest-benchmark, so wall
+time is recorded), print the rows/series they measure and assert *shape*
+claims (who wins, direction of effects), not absolute numbers, since the
 substrate is a simulator, not the authors' testbed (see EXPERIMENTS.md).
+The paper's own table/figure claims are ``test_claims.py``.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import json
 import os
 import time
 
-import pytest
 
 
 def run_once(benchmark, fn, *args, **kwargs):
@@ -39,7 +38,3 @@ def print_header(title: str) -> None:
     print(title)
     print("=" * 72)
 
-
-def print_rows(rows, fmt: str) -> None:
-    for row in rows:
-        print(fmt % row)

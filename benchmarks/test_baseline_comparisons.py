@@ -16,14 +16,9 @@
 import numpy as np
 from bench_util import print_header, run_once
 
-from repro.analysis import concordance
 from repro.config import JETSON_ORIN_MINI
 from repro.core import CRISP, make_policy
-from repro.graphics.vertex_batch import (
-    build_batches,
-    total_shader_invocations,
-    vertex_cache_invocations,
-)
+from repro.graphics.vertex_batch import vertex_cache_invocations
 from repro.harness import hwref
 from repro.harness.analytic import estimate_concurrent, estimate_cycles
 from repro.scenes import build_scene, scene_codes

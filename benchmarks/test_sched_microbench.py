@@ -8,8 +8,8 @@ wall-clock is the pick/issue loop itself: the greedy re-validation, the
 bucket-queue sweep, and the fused issue commit in ``SM.tick``.
 
 The measured record is appended to ``BENCH_timing.json`` (schema-2, its own
-label, so ``repro profile --compare`` and future runs group it separately
-from the reference workload).
+label, so the run repository's trend groups keep it apart from the
+reference workload).
 
 Run with::
 

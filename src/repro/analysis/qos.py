@@ -12,7 +12,7 @@ policies can be compared on QoS, not just throughput.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..config import GPUConfig
 from ..timing.stats import GPUStats

@@ -44,12 +44,9 @@ from .core import CRISP, POLICY_NAMES, COMPUTE_STREAM, GRAPHICS_STREAM
 from .isa import load_traces, save_traces
 from .scenes import RESOLUTIONS, scene_codes, scene_title
 
-#: Figure runners exposed through ``repro figure <id>``.
-FIGURE_IDS = ("table1", "table2", "fig3", "fig6", "fig7", "fig9", "fig10",
-              "fig11", "fig12", "fig13", "fig14", "fig15")
-
 
 def _cmd_list(_args) -> int:
+    from .harness.reproduce import RUNNERS
     print("Scenes:")
     for code in scene_codes():
         print("  %-4s %s" % (code, scene_title(code)))
@@ -59,7 +56,7 @@ def _cmd_list(_args) -> int:
     print("Resolutions: %s" % ", ".join(sorted(RESOLUTIONS)))
     print("Policies: %s" % ", ".join(POLICY_NAMES))
     print("Config presets: %s" % ", ".join(sorted(PRESETS)))
-    print("Figures: %s" % ", ".join(FIGURE_IDS))
+    print("Figures: %s" % ", ".join(RUNNERS))
     return 0
 
 
@@ -271,72 +268,21 @@ def _cmd_qos(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    from .harness import experiments as E
-    fig = args.id
-    #: fig12/13/14 run through the campaign runner and honour --jobs.
-    sweep_kw = {}
-    if fig in ("fig12", "fig13", "fig14"):
-        sweep_kw = {"jobs": args.jobs, "cache_dir": args.cache_dir}
-    if fig == "table1":
-        from .harness import format_table
-        print(format_table())
-    elif fig == "table2":
-        for machine, rows in E.run_table2().items():
-            print(machine)
-            for field, value in rows:
-                print("  %-32s %s" % (field, value))
-    elif fig == "fig3":
-        r = E.run_fig3()
-        for bs, corr in sorted(r.correlation_by_batch.items()):
-            print("batch %4d: %.2f%%" % (bs, corr))
-        print("best batch: %d" % r.best_batch)
-    elif fig == "fig6":
-        r = E.run_fig6()
-        for code, res, sim, ref in r.rows:
-            print("%s@%s sim=%d ref=%.0f" % (code, res, sim, ref))
-        print("correlation: %.1f%%" % r.correlation)
-    elif fig == "fig7":
-        r = E.run_fig7()
-        print("mip0 loads: %d, mip1 loads: %d" % (r.loads_level0, r.loads_level1))
-    elif fig == "fig9":
-        r = E.run_fig9()
-        print("MAPE lod-on %.1f%%, lod-off %.1f%% (%.1fx)"
-              % (r.mape_lod_on, r.mape_lod_off, r.mape_reduction))
-    elif fig == "fig10":
-        r = E.run_fig10()
-        print("draw %s: mode %d, mean %.2f" % (r.draw_name, r.mode, r.mean))
-        for lines, count in r.histogram:
-            print("  %3d lines: %d CTAs" % (lines, count))
-    elif fig == "fig11":
-        r = E.run_fig11()
-        for code in r.texture_share:
-            print("%s: texture share %.1f%%, hit rate %.1f%%"
-                  % (code, r.texture_share[code] * 100,
-                     r.l2_hit_rate[code] * 100))
-    elif fig == "fig12":
-        r = E.run_fig12(**sweep_kw)
-        for pair, d in sorted(r.normalized().items()):
-            print(pair, {k: round(v, 3) for k, v in d.items()})
-    elif fig == "fig13":
-        r = E.run_fig13(**sweep_kw)
-        print("sampling phases: %d" % r.samples_taken)
-        for cycle, frac in r.decisions:
-            print("  cycle %d -> %.3f" % (cycle, frac))
-    elif fig == "fig14":
-        r = E.run_fig14(**sweep_kw)
-        for pair, d in sorted(r.normalized().items()):
-            print(pair, {k: round(v, 3) for k, v in d.items()})
-    elif fig == "fig15":
-        r = E.run_fig15()
-        print("graphics %.1f%%, compute %.1f%%, final ratio %s"
-              % (r.mean_graphics_share * 100, r.mean_compute_share * 100,
-                 r.final_ratio))
-    else:  # pragma: no cover - argparse restricts choices
-        return 2
-    return 0
+    import inspect
+
+    from .harness.reproduce import RUNNERS, run_experiment
+    accepted = inspect.signature(RUNNERS[args.id]).parameters
+    kw = {k: v for k, v in (("jobs", args.jobs), ("cache_dir", args.cache_dir))
+          if k in accepted}
+    rec = run_experiment(args.id, **kw)
+    for line in rec.lines:
+        print(line)
+    print(rec.summary())
+    return 0 if rec.ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .harness.reproduce import RUNNERS
     parser = argparse.ArgumentParser(
         prog="repro", description="CRISP reproduction command-line driver")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -459,8 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
     qp.add_argument("--quiet", action="store_true",
                     help="suppress per-run progress lines")
 
-    p = sub.add_parser("figure", help="run one table/figure experiment")
-    p.add_argument("id", choices=FIGURE_IDS)
+    p = sub.add_parser("figure", help="run one table/figure experiment and "
+                                      "judge its claims (exit 1 on CHECK)")
+    p.add_argument("id", choices=list(RUNNERS))
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for campaign-backed figures "
                         "(fig12/fig13/fig14)")
@@ -591,16 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip the cProfile pass; just measure sim-rate")
     p.add_argument("--out", help="append the sim-rate record to this JSON "
                                  "file (BENCH_timing.json layout)")
-    p.add_argument("--compare", metavar="BENCH.json|RUNS.db",
-                   help="gate the measured sim-rate against the fastest "
-                        "stored run with the same config fingerprint and "
-                        "label; takes a BENCH_*.json document (falls back "
-                        "to its baseline) or a run-repository sqlite "
-                        "database; exits nonzero on regression")
-    p.add_argument("--max-regression", type=float, default=20.0,
-                   metavar="PCT",
-                   help="allowed instr/s drop vs the --compare reference, "
-                        "in percent (default %(default)s)")
 
     p = sub.add_parser("reproduce", help="run every experiment and write "
                                          "RESULTS.md")
@@ -830,19 +767,13 @@ def _cmd_profile(args) -> int:
              record["cycles"], record["wall_seconds"], args.repeats))
     print(json.dumps(record, sort_keys=True))
     if args.out:
-        from .profiling import load_bench_doc
+        from .service.records import load_bench_doc
         doc = load_bench_doc(args.out)
         doc["runs"].append(record)
         with open(args.out, "w", encoding="utf-8") as f:
             json.dump(doc, f, indent=1, sort_keys=True)
             f.write("\n")
         print("record -> %s" % args.out)
-    if args.compare:
-        from .profiling import compare_simrate
-        ok, msg = compare_simrate(record, args.compare, args.max_regression)
-        print(("sim-rate gate OK: " if ok else "sim-rate REGRESSION: ") + msg)
-        if not ok:
-            return 1
     return 0
 
 
@@ -850,9 +781,7 @@ def _cmd_reproduce(args) -> int:
     from .harness.reproduce import reproduce_all
     records = reproduce_all(args.out, only=args.only)
     for rec in records:
-        print("[%s] %-7s %s (%.1fs)"
-              % ("PASS" if rec.ok else "CHECK", rec.exp_id, rec.headline,
-                 rec.seconds))
+        print(rec.summary())
     print("report -> %s/RESULTS.md" % args.out)
     return 0 if all(r.ok for r in records) else 1
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import List
 
 from ..isa import KernelTrace
-from .builder import Buffer, DeviceMemory, KernelBuilder
+from .builder import DeviceMemory, KernelBuilder
 
 #: Camera frame dimensions (scaled-down EuRoC 752x480 -> 94x60).
 FRAME_W, FRAME_H = 96, 64

@@ -16,7 +16,7 @@ are faithfully simulated, so the overhead is organic, not a fudge factor.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .partition import FGDynamicPolicy
 

@@ -18,7 +18,7 @@ comfortably inside the frustum, so this matches what a clipper would output.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 

@@ -35,7 +35,7 @@ from ..core import (
 )
 from ..graphics import Texture2D, checkerboard
 from ..isa import DataClass, KernelTrace
-from ..scenes import build_scene, resolution, scene_codes
+from ..scenes import build_scene, scene_codes
 from ..timing import GPU
 from . import hwref
 

@@ -1,10 +1,16 @@
-"""One-shot reproduction driver: run every experiment, write a report.
+"""The paper's claims as one table: run, print and judge every experiment.
 
-The artifact equivalent of ``run.sh`` + ``collect.sh``: executes each
-table/figure runner, writes per-experiment CSVs into an output directory,
-and produces ``RESULTS.md`` summarising the headline numbers with their
-pass/fail against the paper's shape claims.
+Each :data:`RUNNERS` row runs one table/figure experiment and returns
+``(headline, ok, lines)``: a one-line summary, whether every shape claim
+the paper makes for that experiment holds, and the detail lines
+``repro figure <id>`` prints.  The row is the only place its experiment is
+run, printed or judged; ``repro figure``, ``repro reproduce`` and
+``benchmarks/test_claims.py`` all call it.  Claims are shapes (who wins,
+which way an effect goes), not absolute numbers, since the substrate is a
+simulator, not the authors' testbed (see EXPERIMENTS.md).
 
+:func:`reproduce_all` is the artifact equivalent of ``run.sh`` +
+``collect.sh``: it runs the requested rows and writes ``RESULTS.md``.
 Used by ``python -m repro reproduce --out results/``.
 """
 
@@ -14,8 +20,14 @@ import os
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from . import experiments as E
 from .capabilities import format_table, verify_crisp_row
+from ..core import COMPUTE_STREAM, GRAPHICS_STREAM
+from ..scenes import scene_codes
+
+Row = Tuple[str, bool, List[str]]
 
 
 class ExperimentRecord:
@@ -29,110 +41,268 @@ class ExperimentRecord:
         self.seconds = seconds
         self.lines = lines or []
 
+    @property
+    def outcome(self) -> str:
+        return "PASS" if self.ok else "CHECK"
 
-def _run_table1() -> Tuple[str, bool, List[str]]:
+    def summary(self) -> str:
+        return "[%s] %-7s %s (%.1fs)" % (self.outcome, self.exp_id,
+                                         self.headline, self.seconds)
+
+
+def _run_table1() -> Row:
+    """Table I: simulator capability comparison.
+
+    Reprints the paper's capability matrix and verifies the CRISP row
+    against this codebase: each claimed feature maps to a predicate over
+    the library.
+    """
     checks = verify_crisp_row()
-    ok = all(checks.values())
-    return ("CRISP capability row verified (%d checks)" % len(checks), ok,
-            format_table().splitlines())
+    failed = sorted(name for name, ok in checks.items() if not ok)
+    return ("CRISP capability row verified (%d checks)%s"
+            % (len(checks), " failed: %s" % failed if failed else ""),
+            not failed, format_table().splitlines())
 
 
-def _run_table2() -> Tuple[str, bool, List[str]]:
+def _run_table2() -> Row:
+    """Table II: simulation configurations (RTX 3070 and Jetson Orin)."""
     tables = E.run_table2()
     lines = []
     for machine, rows in tables.items():
         lines.append(machine)
         lines.extend("  %-32s %s" % (f, v) for f, v in rows)
-    ok = dict(tables["RTX3070"])["# SMs"] == 46
+    orin = dict(tables["JetsonOrin"])
+    rtx = dict(tables["RTX3070"])
+    ok = (orin["# SMs"] == 14 and rtx["# SMs"] == 46
+          and orin["# Registers / SM"] == rtx["# Registers / SM"] == 65536
+          and "200GB/s" in str(orin["Memory BW"])
+          and "448GB/s" in str(rtx["Memory BW"])
+          and orin["L2 Cache"] == rtx["L2 Cache"] == "4MB")
     return ("both machine configurations match Table II", ok, lines)
 
 
-def _run_fig3() -> Tuple[str, bool, List[str]]:
-    r = E.run_fig3(batch_sizes=(8, 32, 96, 192))
-    ok = r.correlation_by_batch[96] >= max(
-        r.correlation_by_batch.values()) - 0.5
-    lines = ["batch %4d: %.2f%%" % (bs, c)
-             for bs, c in sorted(r.correlation_by_batch.items())]
-    return ("batch=96 at the correlation peak (%.1f%%)"
-            % r.correlation_by_batch[96], ok, lines)
+def _run_fig3() -> Row:
+    """Fig 3: vertex shader invocation correlation vs batch size.
+
+    Paper claim: batch-based vertex dedup with batch size 96 achieves the
+    highest correlation against hardware invocation counts (small batches
+    are clearly worse); drawcalls with few vertices show a slight error
+    because the profiler reports threads while the simulator launches
+    whole warps, so the simulated count is never below the reference.
+    """
+    r = E.run_fig3(batch_sizes=(8, 16, 32, 64, 96, 128, 192, 256))
+    corr = r.correlation_by_batch
+    ok = (corr[96] >= corr[r.best_batch] - 0.5
+          and corr[96] > corr[8] and corr[96] > corr[16]
+          and all(sim >= ref for _, _, sim, ref in r.rows))
+    lines = ["batch %4d: %.2f%%" % (bs, c) for bs, c in sorted(corr.items())]
+    lines.append("best batch: %d" % r.best_batch)
+    return ("batch=96 at the correlation peak (%.1f%%)" % corr[96], ok, lines)
 
 
-def _run_fig6() -> Tuple[str, bool, List[str]]:
+def _run_fig6() -> Row:
+    """Fig 6: frame-time correlation against the silicon reference.
+
+    Paper claims: ~94.8% correlation across the rendering workloads at 2K
+    and 4K; simulated frame time is always longer than hardware; the
+    framework projects resolution scaling: IT (Planets) is vertex-bound and
+    scales only ~20% from 2K to 4K while fragment-bound scenes scale much
+    more.  (The reference is the analytical silicon stand-in; see
+    DESIGN.md.)
+    """
     r = E.run_fig6()
-    ok = r.correlation > 80 and all(s >= ref for _, _, s, ref in r.rows)
+    scalings = {code: r.scaling(code)
+                for code in ("SPH", "PL", "MT", "SPL", "PT", "IT")}
+    ok = (r.correlation > 80
+          and all(sim >= ref for _, _, sim, ref in r.rows)
+          and scalings["IT"] == min(scalings.values())
+          and scalings["IT"] < 1.8 and max(scalings.values()) > 2.0)
     lines = ["%s@%s sim=%d ref=%.0f" % row for row in r.rows]
-    return ("correlation %.1f%%, sim always the slower" % r.correlation,
-            ok, lines)
+    lines.append("correlation: %.1f%%" % r.correlation)
+    lines.append("2K->4K scaling: %s"
+                 % {k: round(v, 2) for k, v in scalings.items()})
+    return ("correlation %.1f%%, sim always the slower, IT scales least "
+            "(%.2fx)" % (r.correlation, scalings["IT"]), ok, lines)
 
 
-def _run_fig7() -> Tuple[str, bool, List[str]]:
+def _run_fig7() -> Row:
+    """Fig 7: mipmapping merges texture requests.
+
+    Paper example: on a 4x4 texture, four texture loads in one UV quadrant
+    at mip level 0 reduce to a single texel at mip level 1.
+    """
     r = E.run_fig7()
     ok = r.loads_level0 == 4 and r.loads_level1 == 1
-    return ("4 loads at mip 0 merge to %d at mip 1" % r.loads_level1, ok, [])
+    return ("4 loads at mip 0 merge to %d at mip 1" % r.loads_level1, ok,
+            ["mip0 loads: %d, mip1 loads: %d"
+             % (r.loads_level0, r.loads_level1)])
 
 
-def _run_fig9() -> Tuple[str, bool, List[str]]:
+def _run_fig9() -> Row:
+    """Fig 9: L1 texture access correlation, LoD on vs off.
+
+    Paper claims: with LoD enabled the L1 texture-access MAPE drops from
+    219% to 33% (a 6.6x reduction); without LoD the model always references
+    mip 0 and can overestimate texture traffic by up to 6x, exaggerating L1
+    port pressure.
+    """
     r = E.run_fig9()
-    ok = r.mape_reduction > 4
+    overestimates = sum(1 for _, _, on, off, _ in r.rows if off > on)
+    worst = max(off / on for _, _, on, off, _ in r.rows if on)
+    ok = (r.mape_lod_on < 60 and r.mape_lod_off > 100
+          and r.mape_reduction > 4
+          and overestimates > len(r.rows) * 0.8 and worst > 3)
+    lines = ["MAPE lod-on %.1f%%, lod-off %.1f%% (%.1fx)"
+             % (r.mape_lod_on, r.mape_lod_off, r.mape_reduction),
+             "lod-off overestimates %d of %d draws, worst %.1fx"
+             % (overestimates, len(r.rows), worst)]
     return ("LoD cuts L1-TEX MAPE %.0f%% -> %.0f%% (%.1fx)"
-            % (r.mape_lod_off, r.mape_lod_on, r.mape_reduction), ok, [])
+            % (r.mape_lod_off, r.mape_lod_on, r.mape_reduction), ok, lines)
 
 
-def _run_fig10() -> Tuple[str, bool, List[str]]:
-    r = E.run_fig10()
-    ok = 2 <= r.mode <= 8
-    lines = ["%3d lines: %d CTAs" % hv for hv in r.histogram]
-    return ("mode %d lines/CTA, mean %.1f" % (r.mode, r.mean), ok, lines)
+def _run_fig10() -> Row:
+    """Fig 10: histogram of TEX cache lines per CTA in one Sponza drawcall.
+
+    Paper claims: each warp in a drawcall executes the same
+    texture-instruction count but references differing numbers of 128B
+    lines; most CTAs reference 3-5 lines, and across drawcalls the mean
+    ranges from ~2.5 to ~21 (basic single-texture draws stay in single
+    digits, multi-map PBR draws go far higher).
+    """
+    r = E.run_fig10("SPL")
+    means = {}
+    for code in scene_codes():
+        try:
+            means[code] = r.mean if code == "SPL" else E.run_fig10(code).mean
+        except IndexError:  # the scene has no texturing draw
+            continue
+    spread = max(means.values()) / min(means.values())
+    ok = (2 <= r.mode <= 8 and 2.0 <= r.mean <= 25.0
+          and len(r.lines_per_cta) >= 10
+          and min(means.values()) < 8.0 and spread > 3.0)
+    lines = ["draw %s: mode %d, mean %.2f" % (r.draw_name, r.mode, r.mean)]
+    lines.extend("  %3d lines: %d CTAs" % hv for hv in r.histogram)
+    lines.append("mean lines/CTA by scene: %s"
+                 % ", ".join("%s %.2f" % cm for cm in means.items()))
+    return ("mode %d lines/CTA, mean %.1f; %.1fx spread across scenes"
+            % (r.mode, r.mean, spread), ok, lines)
 
 
-def _run_fig11() -> Tuple[str, bool, List[str]]:
+def _run_fig11() -> Row:
+    """Fig 11: L2 composition under different shading techniques.
+
+    Paper claims: in Pistol (PBR, 8 maps) up to ~60% of L2 lines are
+    texture data (44% on average); the basic-shaded Sponza holds far fewer
+    texture lines; and the complexity shows in hit rate: Sponza ~90% vs
+    Pistol ~75%.
+    """
     r = E.run_fig11()
     ok = (r.texture_share["PT"] > 2 * r.texture_share["SPL"]
-          and r.l2_hit_rate["SPL"] > r.l2_hit_rate["PT"])
-    lines = ["%s: texture %.1f%%, hit rate %.1f%%"
+          and r.texture_share["PT"] > 0.30
+          and r.l2_hit_rate["SPL"] > r.l2_hit_rate["PT"]
+          and bool(r.snapshots["PT"]) and bool(r.snapshots["SPL"]))
+    lines = ["%s: texture share %.1f%%, hit rate %.1f%%"
              % (c, r.texture_share[c] * 100, r.l2_hit_rate[c] * 100)
              for c in r.texture_share]
     return ("PBR dominates L2 with texture lines and pays a lower hit rate",
             ok, lines)
 
 
-def _run_fig12() -> Tuple[str, bool, List[str]]:
-    r = E.run_fig12()
-    means = {p: r.mean_speedup(p) for p in ("mps", "fg-even", "warped-slicer")}
-    ok = means["fg-even"] >= means["warped-slicer"] and means["fg-even"] > 1
-    lines = ["%s: %s" % (pair, {k: round(v, 3) for k, v in d.items()})
-             for pair, d in sorted(r.normalized().items())]
-    return ("EVEN %.3f >= Dynamic %.3f > MPS baseline"
-            % (means["fg-even"], means["warped-slicer"]), ok, lines)
+def _pair_lines(r: E.PolicyComparison) -> List[str]:
+    return ["%s %s" % (pair, {k: round(v, 3) for k, v in d.items()})
+            for pair, d in sorted(r.normalized().items())]
 
 
-def _run_fig13() -> Tuple[str, bool, List[str]]:
-    r = E.run_fig13()
-    ok = r.samples_taken >= 5 and bool(r.occupancy)
+def _mean_over(norm: Dict[str, Dict[str, float]], suffix: str,
+               policy: str) -> float:
+    return float(np.mean([norm[p][policy] for p in norm
+                          if p.endswith(suffix)]))
+
+
+def _run_fig12(jobs: int = 1, cache_dir: Optional[str] = None) -> Row:
+    """Fig 12: Warped-Slicer on rendering + compute pairs (Jetson Orin).
+
+    Paper claims: normalised to even MPS, the static intra-SM EVEN split is
+    the fastest overall; the Warped-Slicer Dynamic partition still beats
+    MPS on average but its sampling cannot detect on-chip contention; VIO's
+    many small kernels make the sampling overhead unjustifiable; NN shows
+    the highest intra-SM speedup (shared-memory matmul + rendering's L1
+    texture use are complementary).
+    """
+    r = E.run_fig12(jobs=jobs, cache_dir=cache_dir)
+    norm = r.normalized()
+    even = r.mean_speedup("fg-even")
+    dyn = r.mean_speedup("warped-slicer")
+    ok = (even >= dyn and even > 1
+          and _mean_over(norm, "VIO", "warped-slicer")
+          < _mean_over(norm, "VIO", "fg-even")
+          and _mean_over(norm, "NN", "fg-even") > 1.0)
+    return ("EVEN %.3f >= Dynamic %.3f > MPS baseline" % (even, dyn), ok,
+            _pair_lines(r))
+
+
+def _run_fig13(jobs: int = 1, cache_dir: Optional[str] = None) -> Row:
+    """Fig 13: Warped-Slicer's realtime partition ratio (PT + VIO).
+
+    Paper claims: the dynamic intra-SM ratio is reset at every kernel
+    launch / drawcall; overall it favours the rendering shaders over the
+    compute kernels; low-occupancy regions are caused by insufficient
+    registers, so occupancy never reaches 100%.
+    """
+    r = E.run_fig13(jobs=jobs, cache_dir=cache_dir)
+    mid = r.occupancy[len(r.occupancy) // 4:]
+    ok = (r.samples_taken >= 5 and bool(r.occupancy)
+          and sum(g for _, g, _ in mid) > sum(c for _, _, c in mid)
+          and max(g + c for _, g, c in r.occupancy) <= 1.0)
+    lines = ["sampling phases: %d" % r.samples_taken]
+    lines.extend("  cycle %d -> %.3f" % d for d in r.decisions)
     return ("%d sampling phases, %d completed decisions"
-            % (r.samples_taken, len(r.decisions)), ok, [])
+            % (r.samples_taken, len(r.decisions)), ok, lines)
 
 
-def _run_fig14() -> Tuple[str, bool, List[str]]:
-    r = E.run_fig14()
-    means = {p: r.mean_speedup(p) for p in ("mps", "mig", "tap")}
-    ok = means["tap"] > means["mig"] and abs(means["tap"] - 1.0) < 0.08
-    lines = ["%s: %s" % (pair, {k: round(v, 3) for k, v in d.items()})
-             for pair, d in sorted(r.normalized().items())]
-    return ("TAP %.3f ~= MPS > MiG %.3f" % (means["tap"], means["mig"]),
-            ok, lines)
+def _run_fig14(jobs: int = 1, cache_dir: Optional[str] = None) -> Row:
+    """Fig 14: TAP L2 partitioning vs MiG vs MPS (RTX 3070).
+
+    Paper claims: TAP (set-level partitioning inside every shared bank)
+    outperforms MiG (bank-level partitioning) and matches the MPS
+    baseline; the workload pairs are bandwidth-bound, not capacity-bound,
+    so MiG's slowdown comes from restricting each workload to a subset of
+    L2 banks, and shows on most pairs, not one outlier.
+    """
+    r = E.run_fig14(jobs=jobs, cache_dir=cache_dir)
+    norm = r.normalized()
+    tap, mig = r.mean_speedup("tap"), r.mean_speedup("mig")
+    mig_losses = sum(1 for p in norm if norm[p]["mig"] < 1.0)
+    ok = (tap > mig and abs(tap - 1.0) < 0.08 and mig < 1.0
+          and mig_losses >= len(norm) // 2)
+    return ("TAP %.3f ~= MPS > MiG %.3f (MiG loses on %d/%d pairs)"
+            % (tap, mig, mig_losses, len(norm)), ok, _pair_lines(r))
 
 
-def _run_fig15() -> Tuple[str, bool, List[str]]:
+def _run_fig15() -> Row:
+    """Fig 15: normalised L2 composition under TAP (Sponza PBR + Hologram).
+
+    Paper claims: HOLO is compute-bound with little memory traffic, so TAP
+    allocates most L2 cache lines to the rendering pipeline (HOLO ends up
+    with a single set); there is no partition between pipeline data and
+    texture data, as both belong to the rendering stream.
+    """
     r = E.run_fig15()
-    ok = r.mean_graphics_share > 2 * r.mean_compute_share
-    return ("TAP gives rendering %.0f%% of the L2 (HOLO: %s sets/bank)"
-            % (r.mean_graphics_share * 100,
-               r.final_ratio and min(r.final_ratio.values())), ok, [])
+    ratio = r.final_ratio or {}  # None: TAP never repartitioned
+    gfx, holo = ratio.get(GRAPHICS_STREAM, 0), ratio.get(COMPUTE_STREAM, 0)
+    ok = (r.mean_graphics_share > 0.5
+          and r.mean_graphics_share > 2 * r.mean_compute_share
+          and bool(ratio) and gfx > holo and holo <= max(2, gfx // 4))
+    return ("TAP gives rendering %.0f%% of the L2 (HOLO: %d sets/bank)"
+            % (r.mean_graphics_share * 100, holo), ok,
+            ["graphics %.1f%%, compute %.1f%%, final ratio %s"
+             % (r.mean_graphics_share * 100, r.mean_compute_share * 100,
+                r.final_ratio)])
 
 
-#: Experiment id -> runner.
-RUNNERS: Dict[str, Callable[[], Tuple[str, bool, List[str]]]] = {
+#: Experiment id -> row.  Rows backed by the campaign runner (fig12/13/14)
+#: take ``jobs`` and ``cache_dir``; every row runs with its defaults.
+RUNNERS: Dict[str, Callable[..., Row]] = {
     "table1": _run_table1,
     "table2": _run_table2,
     "fig3": _run_fig3,
@@ -148,6 +318,13 @@ RUNNERS: Dict[str, Callable[[], Tuple[str, bool, List[str]]]] = {
 }
 
 
+def run_experiment(exp_id: str, **kw) -> ExperimentRecord:
+    """Run one row, timed."""
+    start = time.time()
+    headline, ok, lines = RUNNERS[exp_id](**kw)
+    return ExperimentRecord(exp_id, headline, ok, time.time() - start, lines)
+
+
 def reproduce_all(out_dir: str,
                   only: Optional[List[str]] = None) -> List[ExperimentRecord]:
     """Run the requested experiments, write RESULTS.md, return records."""
@@ -157,12 +334,7 @@ def reproduce_all(out_dir: str,
         raise KeyError("unknown experiment ids: %s (known: %s)"
                        % (unknown, sorted(RUNNERS)))
     os.makedirs(out_dir, exist_ok=True)
-    records: List[ExperimentRecord] = []
-    for exp_id in ids:
-        start = time.time()
-        headline, ok, lines = RUNNERS[exp_id]()
-        records.append(ExperimentRecord(
-            exp_id, headline, ok, time.time() - start, lines))
+    records = [run_experiment(exp_id) for exp_id in ids]
     path = os.path.join(out_dir, "RESULTS.md")
     with open(path, "w") as f:
         f.write("# Reproduction results\n\n")
@@ -170,8 +342,7 @@ def reproduce_all(out_dir: str,
         f.write("|---|---|---|---|\n")
         for rec in records:
             f.write("| %s | %s | %s | %.1f |\n"
-                    % (rec.exp_id, "PASS" if rec.ok else "CHECK",
-                       rec.headline, rec.seconds))
+                    % (rec.exp_id, rec.outcome, rec.headline, rec.seconds))
         for rec in records:
             if rec.lines:
                 f.write("\n## %s\n\n```\n%s\n```\n"

@@ -21,15 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .config import GPUConfig
 from .isa import KernelTrace
-
-# The schema-tolerant readers live in repro.service.records (the run
-# repository's single migration point); re-exported here because this was
-# their historical home and callers/tests import them from repro.profiling.
-from .service.records import (  # noqa: F401 - re-exports
-    SIMRATE_SCHEMA,
-    load_bench_doc,
-    normalize_simrate_record,
-)
+from .service.records import SIMRATE_SCHEMA
 
 
 def _run(config: GPUConfig, streams: Dict[int, List[KernelTrace]],
@@ -56,62 +48,6 @@ def simrate_record(stats, wall_seconds: float, label: str = "",
             instructions / wall_seconds if wall_seconds else 0.0),
         "cycles_per_second": cycles / wall_seconds if wall_seconds else 0.0,
     }
-
-
-def _reference_candidates(record: dict, bench_path: str) -> List[dict]:
-    """Reference runs matching ``record``'s fingerprint + label.
-
-    ``bench_path`` may be a BENCH_*.json document or a run-repository
-    database (``.db`` / ``.sqlite``), in which case the stored sim-rate
-    rows are the references — one history for the gate and the dashboard.
-    """
-    fp = record.get("config_fingerprint")
-    label = record.get("label")
-    if bench_path.endswith((".db", ".sqlite", ".sqlite3")):
-        from .service.repository import RunRepository
-        rows = RunRepository(bench_path).list_runs(limit=100000)
-        return [r for r in rows
-                if r.get("config_fingerprint") == fp
-                and r.get("label") == label
-                and r.get("instructions_per_second")]
-    doc = load_bench_doc(bench_path)
-    candidates = [
-        r for r in doc["runs"]
-        if r.get("config_fingerprint") == fp and r.get("label") == label
-        and r.get("instructions_per_second")
-    ]
-    if not candidates and isinstance(doc["baseline"], dict) \
-            and doc["baseline"].get("instructions_per_second"):
-        candidates = [doc["baseline"]]
-    return candidates
-
-
-def compare_simrate(record: dict, bench_path: str,
-                    max_regression_pct: float) -> Tuple[bool, str]:
-    """Gate a fresh sim-rate ``record`` against stored reference runs.
-
-    The reference rate is the fastest ``instructions_per_second`` among the
-    stored runs with the same ``config_fingerprint`` and ``label`` as
-    ``record`` (apples-to-apples: same preset, same workload).
-    ``bench_path`` is either a BENCH_*.json document (where, with no
-    matching run, the document ``baseline`` is used) or a run-repository
-    sqlite database.  When no reference exists the comparison is vacuously
-    OK, so the gate can be enabled before any history has accumulated.
-
-    Returns ``(ok, message)`` where ``ok`` is False when the fresh rate is
-    more than ``max_regression_pct`` percent below the reference.
-    """
-    candidates = _reference_candidates(record, bench_path)
-    if not candidates:
-        return True, ("no matching reference runs in %s; comparison skipped"
-                      % bench_path)
-    ref = max(r["instructions_per_second"] for r in candidates)
-    rate = record["instructions_per_second"]
-    drop_pct = (ref - rate) / ref * 100.0
-    msg = ("sim-rate %.0f instr/s vs reference %.0f instr/s "
-           "(%+.1f%%, regression threshold %.1f%%)"
-           % (rate, ref, -drop_pct, max_regression_pct))
-    return drop_pct <= max_regression_pct, msg
 
 
 def measure_simrate(

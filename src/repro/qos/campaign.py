@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from .runner import qos_policy_names, run_scenario
 from .scenario import scenario_names

@@ -16,7 +16,7 @@ currency); reports convert to milliseconds with the config's core clock.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..config import GPUConfig, get_preset
 from ..isa import KernelTrace

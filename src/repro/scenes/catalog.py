@@ -23,7 +23,6 @@ from typing import Callable, Dict, List, Tuple
 from ..graphics.geometry import DrawCall
 from ..graphics.pipeline import Camera
 from ..graphics.texture import Texture2D
-from . import assets
 from .material import build_material
 from .pistol import build_pistol
 from .planets import build_planets

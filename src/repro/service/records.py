@@ -5,8 +5,8 @@ through here on its way into (or out of) the run repository: schema-1/2
 sim-rate records, ``BENCH_*.json`` documents, QoS reports, golden
 ``GPUStats`` snapshots and campaign manifests.  When a record layout is
 bumped, this module is the one place that learns to read the old shape —
-``repro profile --compare``, ``repro db ingest`` and the dashboard all
-share these readers instead of carrying private copies.
+``repro profile --out``, ``repro db ingest`` and the dashboard all share
+these readers instead of carrying private copies.
 """
 
 from __future__ import annotations

@@ -319,7 +319,7 @@ class RunRepository:
 
         Returns one group per ``(config_fingerprint, label)`` with the
         runs in insertion order — the dashboard's cross-run trend lines
-        and ``repro profile --compare`` both read this.
+        read this.
         """
         clauses = ["instructions_per_second IS NOT NULL"]
         params: List[object] = []

@@ -82,16 +82,6 @@ class StreamStats:
     def l1_hit_rate(self) -> float:
         return self.l1_hits / self.l1_accesses if self.l1_accesses else 0.0
 
-    def note_issue(self, unit: Unit, cycle: int) -> None:
-        self.instructions += 1
-        self._issue_by_unit[UNIT_INDEX[unit]] += 1
-        if self.first_issue_cycle is None or cycle < self.first_issue_cycle:
-            self.first_issue_cycle = cycle
-
-    def note_commit(self, cycle: int) -> None:
-        if cycle > self.last_commit_cycle:
-            self.last_commit_cycle = cycle
-
     def note_l1(self, hit: bool, data_class: DataClass, transactions: int = 1) -> None:
         self.l1_accesses += transactions
         self.mem_transactions += transactions

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..api import simulate
 from ..config import GPUConfig, get_preset

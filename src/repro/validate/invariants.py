@@ -40,7 +40,7 @@ attached and requires the two results to be bit-identical.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..telemetry.recorder import NullTelemetry
 

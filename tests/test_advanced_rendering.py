@@ -6,7 +6,6 @@ import pytest
 
 from repro.graphics import (
     Camera,
-    Framebuffer,
     GraphicsPipeline,
     PipelineConfig,
     Texture2D,

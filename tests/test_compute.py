@@ -1,11 +1,9 @@
 """Tests for the kernel tracer DSL and the XR compute workloads."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.compute import (
-    Buffer,
     DeviceMemory,
     KernelBuilder,
     build_compute_workload,
@@ -16,7 +14,7 @@ from repro.compute import (
     kernel_count_per_frame,
     principal_kernels,
 )
-from repro.isa import DataClass, Op, Space, Unit
+from repro.isa import DataClass, Op
 
 
 @pytest.fixture()

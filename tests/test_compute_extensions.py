@@ -1,6 +1,5 @@
 """Tests for the extension workloads (timewarp, DLSS-style upscaler)."""
 
-import pytest
 
 from repro.compute import (
     build_compute_workload,
@@ -10,7 +9,7 @@ from repro.compute import (
 from repro.api import simulate as api_simulate
 from repro.config import JETSON_ORIN_MINI
 from repro.core import CRISP
-from repro.isa import Op, Unit
+from repro.isa import Op
 from repro.timing import simulate
 
 

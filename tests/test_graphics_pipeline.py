@@ -14,7 +14,7 @@ from repro.graphics import (
     checkerboard,
 )
 from repro.isa import DataClass, Op, ShaderKind
-from repro.scenes.assets import box_mesh, grid_mesh, sphere_mesh
+from repro.scenes.assets import box_mesh, grid_mesh
 
 
 @pytest.fixture()

@@ -11,7 +11,6 @@ from repro.graphics.shaders import (
     ShaderProgram,
     ShaderTranslator,
     TexSample,
-    VaryingLoad,
     VaryingStore,
     WarpBindings,
     fragment_basic,
@@ -21,7 +20,7 @@ from repro.graphics.shaders import (
     vertex_basic,
     vertex_instanced,
 )
-from repro.isa import DataClass, Op, Space, Unit
+from repro.isa import DataClass, Op, Unit
 from repro.memory import coalesce_array
 
 

@@ -1,7 +1,6 @@
 """Tests for the artifact-style CSV reports."""
 
 import csv
-import os
 
 import pytest
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.api import simulate
-from repro.config import JETSON_ORIN_MINI, RTX_3070_MINI
+from repro.config import JETSON_ORIN_MINI
 from repro.core import (
     COMPUTE_STREAM,
     CRISP,

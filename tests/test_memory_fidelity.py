@@ -14,7 +14,7 @@ from repro.isa import (
     WarpTrace,
 )
 from repro.memory import L2Cache, SetAssocCache
-from repro.timing import GPU, GPUStats, LDSTPath, SM, simulate
+from repro.timing import GPUStats, LDSTPath, SM, simulate
 
 
 class TestUsableWays:

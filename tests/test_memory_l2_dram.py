@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import CacheConfig, RTX_3070_MINI
+from repro.config import RTX_3070_MINI
 from repro.isa import DataClass
 from repro.memory import DRAM, L2Cache
 

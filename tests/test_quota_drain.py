@@ -8,7 +8,6 @@ and the stream drains by attrition, never exceeding the new ceiling once
 it has drained below it.
 """
 
-import pytest
 
 from repro.compute import DeviceMemory, KernelBuilder
 from repro.config import RTX_3070_MINI

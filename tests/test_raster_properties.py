@@ -1,8 +1,7 @@
 """Property-based tests of rasterization invariants."""
 
 import numpy as np
-import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.graphics.raster import backface_cull, rasterize_batch
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro.api import simulate
 from repro.config import JETSON_ORIN_MINI
-from repro.core import CRISP, GRAPHICS_STREAM
+from repro.core import GRAPHICS_STREAM
 from repro.graphics import Camera, GraphicsPipeline, Texture2D, checkerboard
 from repro.graphics.geometry import DrawCall
 from repro.scenes.assets import grid_mesh, sphere_mesh

@@ -5,7 +5,6 @@ import pytest
 
 from repro.graphics import GraphicsPipeline
 from repro.scenes import (
-    RESOLUTIONS,
     Scene,
     build_scene,
     resolution,

@@ -9,7 +9,6 @@ from repro.core import CRISP
 from repro.isa import DataClass
 from repro.memory import SetAssocCache, coalesce_sectors, sector_mask_of
 from repro.api import simulate as api_simulate
-from repro.timing import simulate
 
 
 def sectored_l1(config=RTX_3070_MINI):

@@ -4,7 +4,6 @@ import gzip
 import json
 import os
 
-import numpy as np
 import pytest
 
 from repro.api import simulate

@@ -455,29 +455,6 @@ class TestCliDb:
         assert "give --keep" in capsys.readouterr().err
 
 
-class TestCompareSimrateAgainstDb:
-    def test_db_reference_gates_regressions(self, tmp_path):
-        from repro.profiling import compare_simrate
-
-        db = str(tmp_path / "runs.sqlite")
-        repo = RunRepository(db)
-        repo.add_simrate({"schema": 2, "label": "w",
-                          "config_fingerprint": "fp1",
-                          "instructions": 10000, "cycles": 100,
-                          "wall_seconds": 1.0,
-                          "instructions_per_second": 10000.0})
-        fresh = {"schema": 2, "label": "w", "config_fingerprint": "fp1",
-                 "instructions_per_second": 9500.0}
-        ok, msg = compare_simrate(fresh, db, max_regression_pct=20.0)
-        assert ok and "reference" in msg
-        slow = dict(fresh, instructions_per_second=1000.0)
-        ok, _ = compare_simrate(slow, db, max_regression_pct=20.0)
-        assert not ok
-        other = dict(fresh, config_fingerprint="other")
-        ok, msg = compare_simrate(other, db, max_regression_pct=20.0)
-        assert ok and "skipped" in msg
-
-
 class TestCampaignRepositorySink:
     def test_runner_ingests_finished_jobs(self, tmp_path):
         """submit_campaign: results land in the repository and heartbeats

@@ -97,8 +97,9 @@ class TestStreamStatsRoundTrip:
 
     def test_counters(self):
         st = StreamStats(0)
-        st.note_issue(Unit.FP, 10)
-        st.note_commit(50)
+        st.instructions = 1
+        st.issue_by_unit = {Unit.FP: 1}
+        st.first_issue_cycle, st.last_commit_cycle = 10, 50
         restored = StreamStats.from_dict(
             json.loads(json.dumps(st.to_dict())))
         assert restored.instructions == 1

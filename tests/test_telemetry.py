@@ -289,7 +289,8 @@ class TestCLISurface:
 
 class TestSimrateSchema:
     def test_record_has_schema_and_fingerprint(self):
-        from repro.profiling import SIMRATE_SCHEMA, simrate_record
+        from repro.profiling import simrate_record
+        from repro.service.records import SIMRATE_SCHEMA
         from repro.timing import GPUStats
         config = get_preset("JetsonOrin-mini")
         stats = GPUStats()
@@ -299,7 +300,10 @@ class TestSimrateSchema:
         assert record["config_fingerprint"] == config.fingerprint()
 
     def test_old_rows_tolerated(self, tmp_path):
-        from repro.profiling import load_bench_doc, normalize_simrate_record
+        from repro.service.records import (
+            load_bench_doc,
+            normalize_simrate_record,
+        )
         old = {"label": "legacy", "instructions": 1, "cycles": 2,
                "wall_seconds": 0.1, "instructions_per_second": 10.0,
                "cycles_per_second": 20.0}
@@ -314,6 +318,6 @@ class TestSimrateSchema:
         assert doc["runs"][0]["config_fingerprint"] is None
 
     def test_missing_file_gives_empty_doc(self, tmp_path):
-        from repro.profiling import load_bench_doc
+        from repro.service.records import load_bench_doc
         doc = load_bench_doc(str(tmp_path / "absent.json"))
         assert doc == {"baseline": None, "runs": []}

@@ -3,9 +3,18 @@
 import pytest
 
 from repro.config import RTX_3070_MINI
-from repro.isa import DataClass, MemAccess, Op, Unit, WarpInstruction
+from repro.isa import (
+    CTATrace,
+    DataClass,
+    KernelTrace,
+    MemAccess,
+    Op,
+    Unit,
+    WarpInstruction,
+    WarpTrace,
+)
 from repro.memory import L2Cache
-from repro.timing import GPUStats, LDSTPath
+from repro.timing import SM, GPUStats, LDSTPath
 from repro.timing.stats import OccupancySample, StreamStats
 
 
@@ -96,9 +105,8 @@ class TestLDSTPath:
 class TestStreamStats:
     def test_ipc(self):
         s = StreamStats(0)
-        s.note_issue(Unit.FP, 10)
-        s.note_issue(Unit.FP, 11)
-        s.note_commit(20)
+        s.instructions = 2
+        s.first_issue_cycle, s.last_commit_cycle = 10, 20
         assert s.busy_cycles == 10
         assert s.ipc == pytest.approx(0.2)
 
@@ -109,18 +117,32 @@ class TestStreamStats:
         assert s.busy_cycles == 0
 
     def test_first_issue_tracks_minimum(self):
-        s = StreamStats(0)
-        s.note_issue(Unit.FP, 50)
-        s.note_issue(Unit.INT, 30)
-        assert s.first_issue_cycle == 30
+        # SM.tick's commit: the first issue sets first_issue_cycle and a
+        # later one leaves it; last_commit_cycle keeps the latest
+        # completion, though the later FFMA completes before the load.
+        cfg = RTX_3070_MINI.replace(schedulers_per_sm=1)
+        stats = GPUStats()
+        sm = SM(0, cfg, L2Cache(cfg), stats)
+        k = KernelTrace("k", [CTATrace([WarpTrace([
+            load_inst([0]), WarpInstruction(Op.FFMA, dst=8, srcs=(1,)),
+        ])], 0)], threads_per_cta=32)
+        (w,) = sm.launch_cta(k, k.ctas[0], stream=0).warps
+        sm.tick(5)
+        load_done = w.last_commit_cycle
+        sm.tick(6)
+        s = stats.stream(0)
+        assert s.instructions == 2
+        assert s.issue_by_unit[Unit.MEM] == s.issue_by_unit[Unit.FP] == 1
+        assert s.first_issue_cycle == 5
+        assert load_done > 6 + 4  # the load outlives the FFMA
+        assert s.last_commit_cycle == load_done
 
     def test_issue_by_unit(self):
         s = StreamStats(0)
-        s.note_issue(Unit.SFU, 0)
-        s.note_issue(Unit.SFU, 1)
-        s.note_issue(Unit.MEM, 2)
+        s.issue_by_unit = {Unit.SFU: 2, Unit.MEM: 1}
         assert s.issue_by_unit[Unit.SFU] == 2
         assert s.issue_by_unit[Unit.MEM] == 1
+        assert s.issue_by_unit[Unit.FP] == 0
 
     def test_l1_counters(self):
         s = StreamStats(0)
@@ -140,13 +162,13 @@ class TestGPUStats:
 
     def test_total_instructions(self):
         g = GPUStats()
-        g.stream(0).note_issue(Unit.FP, 0)
-        g.stream(1).note_issue(Unit.FP, 0)
+        g.stream(0).instructions = 1
+        g.stream(1).instructions = 1
         assert g.total_instructions == 2
 
     def test_summary_shape(self):
         g = GPUStats()
-        g.stream(0).note_issue(Unit.FP, 0)
+        g.stream(0).instructions = 1
         summary = g.summary()
         assert set(summary[0]) == {"instructions", "busy_cycles", "ipc",
                                    "l1_hit_rate", "l1_tex_accesses", "ctas"}

@@ -5,13 +5,11 @@ respect basic physical invariants regardless of shape — the kind of
 whole-model guarantees unit tests can't give.
 """
 
-import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.compute import DeviceMemory, KernelBuilder
 from repro.config import CacheConfig, RTX_3070_MINI
-from repro.isa import Unit, load_traces, save_traces, traces_equal
+from repro.isa import load_traces, save_traces, traces_equal
 from repro.timing import GPU, simulate
 
 SMALL = RTX_3070_MINI.replace(

@@ -1,7 +1,6 @@
 """Tests for trilinear filtering."""
 
 import numpy as np
-import pytest
 
 from repro.graphics import (
     Camera,

@@ -8,7 +8,6 @@ from repro.api import simulate
 from repro.config import JETSON_ORIN_MINI
 from repro.core import COMPUTE_STREAM, CRISP, GRAPHICS_STREAM
 from repro.harness.visualizer import (
-    VisualizerLog,
     ascii_series,
     dump_log,
     load_log,
