@@ -108,7 +108,6 @@ def test_ablation_depth_prepass(benchmark):
         return layers
 
     def run():
-        cam = Camera = None
         from repro.graphics import Camera, GraphicsPipeline, PipelineConfig
         out = {}
         for prepass in (False, True):

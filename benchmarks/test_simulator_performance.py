@@ -9,10 +9,10 @@ repeated rounds to give stable throughput numbers.
 
 import pytest
 
+from repro.api import simulate
 from repro.compute import build_hologram_kernels, build_vio_kernels
 from repro.config import JETSON_ORIN_MINI
 from repro.core import CRISP
-from repro.timing import simulate
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +24,7 @@ def test_perf_compute_throughput(benchmark):
     kernels = build_hologram_kernels(passes=1)
     instructions = sum(k.num_instructions for k in kernels)
 
-    stats = benchmark(lambda: simulate(JETSON_ORIN_MINI, {0: kernels}))
+    benchmark(lambda: simulate(config=JETSON_ORIN_MINI, streams={0: kernels}))
     rate = instructions / benchmark.stats["mean"]
     print("\nHOLO: %d instructions, %.0f simulated inst/s" % (instructions, rate))
     assert rate > 10_000, "simulation throughput regressed badly"
@@ -33,7 +33,8 @@ def test_perf_compute_throughput(benchmark):
 def test_perf_graphics_frame(benchmark, spl_kernels):
     instructions = sum(k.num_instructions for k in spl_kernels)
 
-    benchmark(lambda: simulate(JETSON_ORIN_MINI, {0: spl_kernels}))
+    benchmark(lambda: simulate(config=JETSON_ORIN_MINI,
+                               streams={0: spl_kernels}))
     rate = instructions / benchmark.stats["mean"]
     print("\nSPL frame: %d instructions, %.0f simulated inst/s"
           % (instructions, rate))
@@ -45,8 +46,8 @@ def test_perf_concurrent_pair(benchmark, spl_kernels):
     instructions = (sum(k.num_instructions for k in spl_kernels)
                     + sum(k.num_instructions for k in vio))
 
-    benchmark(lambda: simulate(JETSON_ORIN_MINI,
-                               {0: spl_kernels, 1: vio}))
+    benchmark(lambda: simulate(config=JETSON_ORIN_MINI,
+                               streams={0: spl_kernels, 1: vio}))
     rate = instructions / benchmark.stats["mean"]
     print("\nSPL+VIO: %d instructions, %.0f simulated inst/s"
           % (instructions, rate))

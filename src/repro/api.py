@@ -121,7 +121,7 @@ class RunResult:
     #: The request that produced this result.
     request: Optional[RunRequest] = None
 
-    # -- PairResult-compatible accessors ------------------------------------
+    # -- cycle accessors ----------------------------------------------------
     @property
     def total_cycles(self) -> int:
         return self.stats.cycles

@@ -9,7 +9,7 @@ from .partition import (
     even_bank_split,
     even_sm_split,
 )
-from .platform import CRISP, POLICY_NAMES, PairResult, make_policy
+from .platform import CRISP, POLICY_NAMES, make_policy
 from .streams import COMPUTE_STREAM, GRAPHICS_STREAM, WorkloadPair
 from .tap import TAPPolicy, UtilityMonitor, lookahead_partition
 from .warped_slicer import WarpedSlicerPolicy, water_filling
@@ -23,7 +23,6 @@ __all__ = [
     "MPSPolicy",
     "MiGPolicy",
     "POLICY_NAMES",
-    "PairResult",
     "TAPPolicy",
     "UtilityMonitor",
     "WarpedSlicerPolicy",

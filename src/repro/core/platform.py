@@ -30,7 +30,7 @@ from ..graphics.pipeline import GraphicsPipeline, PipelineConfig
 from ..graphics.tracegen import FrameResult
 from ..isa import KernelTrace
 from ..scenes import build_scene, resolution
-from ..timing import GPUStats, PartitionPolicy
+from ..timing import PartitionPolicy
 from .partition import FGEvenPolicy, MiGPolicy, MPSPolicy
 from .streams import COMPUTE_STREAM, GRAPHICS_STREAM
 from .tap import TAPPolicy
@@ -57,31 +57,6 @@ def make_policy(name: str, config: GPUConfig,
     if name == "tap":
         return TAPPolicy.even(config.num_sms, streams)
     raise KeyError("unknown policy %r; known: %s" % (name, POLICY_NAMES))
-
-
-class PairResult:
-    """Outcome of one concurrent run."""
-
-    def __init__(self, stats: GPUStats, policy: PartitionPolicy) -> None:
-        self.stats = stats
-        self.policy = policy
-
-    @property
-    def total_cycles(self) -> int:
-        return self.stats.cycles
-
-    @property
-    def graphics_cycles(self) -> int:
-        return self.stats.stream_cycles(GRAPHICS_STREAM)
-
-    @property
-    def compute_cycles(self) -> int:
-        return self.stats.stream_cycles(COMPUTE_STREAM)
-
-    def __repr__(self) -> str:
-        return "PairResult(policy=%s, total=%d, gfx=%d, compute=%d)" % (
-            self.policy.name, self.total_cycles,
-            self.graphics_cycles, self.compute_cycles)
 
 
 class CRISP:

@@ -40,10 +40,6 @@ class Framebuffer:
         self.color[:] = color
         self.depth[:] = np.inf
 
-    @property
-    def num_pixels(self) -> int:
-        return self.width * self.height
-
     def pixel_addresses(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Color-buffer byte addresses of the given pixels."""
         if self.color_base < 0:

@@ -251,7 +251,6 @@ class Texture2D:
         reaching the texture unit.
         """
         u = np.asarray(u, dtype=np.float64)
-        n = len(u)
         if lod is None:
             colors, addrs = self.sample_bilinear(u, v, None, layer)
             return colors, np.concatenate([addrs, addrs], axis=1)

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .framebuffer import Framebuffer
-from .geometry import DrawCall, InstanceSet, Mesh
+from .geometry import DrawCall, Mesh
 from .pipeline import Camera, GraphicsPipeline, PipelineConfig
 from .texture import Texture2D
 from .tracegen import FrameResult
@@ -64,7 +64,6 @@ class CommandBuffer:
         self._bound_textures: List[str] = []
         self._bound_mesh: Optional[Mesh] = None
         self._bound_model: Optional[np.ndarray] = None
-        self._bound_instances: Optional[InstanceSet] = None
         self._draws: List[DrawCall] = []
 
     # -- recording lifecycle ---------------------------------------------------
@@ -114,10 +113,6 @@ class CommandBuffer:
         self._bound_mesh = mesh
         self._bound_model = model
 
-    def bind_instances(self, instances: Optional[InstanceSet]) -> None:
-        self._require_recording()
-        self._bound_instances = instances
-
     # -- draws ------------------------------------------------------------------------
     def draw_indexed(self, name: Optional[str] = None) -> None:
         self._require_recording()
@@ -132,17 +127,12 @@ class CommandBuffer:
             model=self._bound_model,
             texture_slots=self._bound_textures,
             shader=self._bound_shader,
-            instances=self._bound_instances,
             name=name,
         ))
 
     def _require_recording(self) -> None:
         if not self._recording:
             raise VulkanError("command buffer is not recording; call begin()")
-
-    @property
-    def recorded_draws(self) -> List[DrawCall]:
-        return list(self._draws)
 
 
 class Queue:

@@ -436,7 +436,6 @@ def run_fig15(scene: str = "SPH", compute: str = "HOLO",
         gpu.add_stream(sid, ks)
     stats = gpu.run()
     comp = graphics_vs_compute(stats.l2_snapshots)
-    gfx = [g for _, g, _ in comp if g or _]
     cmp_ = [c for _, _, c in comp]
     return Fig15Result(
         composition=comp,

@@ -13,7 +13,7 @@ from .address import (
     span_lines,
     total_unique_lines,
 )
-from .cache import CacheStats, SetAssocCache, SetPartition, WayPartition, sector_mask_of
+from .cache import CacheStats, SetAssocCache, SetPartition, sector_mask_of
 from .dram import DRAM, DRAMStats
 from .l2 import L2Cache
 
@@ -27,7 +27,6 @@ __all__ = [
     "SECTOR_SIZE",
     "SetAssocCache",
     "SetPartition",
-    "WayPartition",
     "coalesce",
     "coalesce_array",
     "coalesce_rows",

@@ -4,18 +4,19 @@ One class models both the per-SM unified L1 (data + texture, Section III)
 and each L2 bank.  Features the paper's studies rely on:
 
 * LRU replacement over 128-byte lines.
-* MSHR-style merging of outstanding misses (a second miss to an in-flight
+* MSHRs: each fill in flight is recorded with the cycle it returns, and
+  :meth:`SetAssocCache.access` is the one place that decides a hit, a
+  miss or a merge into an outstanding fill (a second miss to an in-flight
   line piggybacks on the first fill).
 * Per-line *data-class* and *stream* tags so the L2-composition studies
   (Fig 11 / Fig 15) can snapshot what the cache holds.
 * Set-level partitioning: an optional :class:`SetPartition` restricts each
   stream to a subset of the sets in every bank — the mechanism TAP uses.
-* Way-level partitioning for completeness (classic utility-based schemes).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..config import CacheConfig
 from ..isa import DataClass
@@ -82,28 +83,6 @@ class SetPartition:
         }
 
 
-class WayPartition:
-    """Restricts each stream to a number of ways per set."""
-
-    def __init__(self, assoc: int, ways: Dict[int, int]) -> None:
-        if sum(ways.values()) > assoc:
-            raise ValueError("way partition exceeds associativity")
-        if any(w <= 0 for w in ways.values()):
-            raise ValueError("every stream must receive at least one way")
-        self.assoc = assoc
-        self.ranges: Dict[int, Tuple[int, int]] = {}
-        start = 0
-        for stream, count in sorted(ways.items()):
-            self.ranges[stream] = (start, count)
-            start += count
-
-    def ways_for(self, stream: int) -> range:
-        rng = self.ranges.get(stream)
-        if rng is None:
-            return range(self.assoc)
-        return range(rng[0], rng[0] + rng[1])
-
-
 class _Line:
     __slots__ = ("tag", "valid", "dirty", "last_use", "data_class", "stream",
                  "sector_mask")
@@ -143,6 +122,18 @@ class CacheStats:
     def hit_rate(self) -> float:
         return self.hits / self.accesses if self.accesses else 0.0
 
+    @classmethod
+    def sum(cls, parts: Iterable["CacheStats"]) -> "CacheStats":
+        """Counter-wise total of ``parts``."""
+        total = cls()
+        for st in parts:
+            total.accesses += st.accesses
+            total.hits += st.hits
+            total.misses += st.misses
+            total.mshr_merges += st.mshr_merges
+            total.evictions += st.evictions
+        return total
+
 
 class SetAssocCache:
     """LRU set-associative cache with MSHRs and partitioning."""
@@ -164,7 +155,6 @@ class SetAssocCache:
         #: Resolved per-stream set-mapping tables (see SetPartition.mapping_tables);
         #: empty when the cache is unpartitioned.
         self._set_map: Dict[int, List[int]] = {}
-        self.way_partition: Optional[WayPartition] = None
         # Line/set decomposition fast path: with power-of-two geometry the
         # divide+modulo becomes shift+mask.
         line = self.line_size
@@ -228,9 +218,6 @@ class SetAssocCache:
                         "says %d" % (self.name, stream, raw, mapped,
                                      start + raw % count))
 
-    def partition_ways(self, ways: Optional[Dict[int, int]]) -> None:
-        self.way_partition = WayPartition(self.assoc, ways) if ways else None
-
     def set_usable_ways(self, ways: int) -> None:
         """Restrict (or restore) the usable ways — the L1/SMEM carveout.
 
@@ -241,11 +228,6 @@ class SetAssocCache:
         if not 1 <= ways <= self.assoc:
             raise ValueError("usable ways must be in 1..%d" % self.assoc)
         self.usable_ways = ways
-
-    def _ways(self, stream: int) -> range:
-        if self.way_partition is not None:
-            return self.way_partition.ways_for(stream)
-        return range(self.usable_ways)
 
     # -- lookup ------------------------------------------------------------
     def _index(self, line_addr: int, stream: int) -> Tuple[int, int]:
@@ -274,29 +256,34 @@ class SetAssocCache:
         if cache_set is None:
             return False
         return any(cache_set[w].valid and cache_set[w].tag == tag
-                   for w in self._ways(stream))
+                   for w in range(self.usable_ways))
 
     def access(
         self,
         line_addr: int,
         cycle: int,
-        data_class: DataClass,
         stream: int = 0,
         is_store: bool = False,
         sector_mask: int = 0,
-    ) -> Tuple[bool, bool]:
-        """Access one line.  Returns ``(hit, merged)``.
+    ) -> Tuple[bool, Optional[int]]:
+        """Access one line at ``cycle``.  Returns ``(hit, ready)``.
 
-        ``merged`` is True when the access missed but merged into an
-        outstanding MSHR entry (no new fill needed).  With a sectored
-        configuration, ``sector_mask`` selects the touched sectors: a
-        resident line missing any of them counts as a (sector) miss.
+        ``ready`` is the cycle the line's in-flight fill returns, or None;
+        a fill that has returned by ``cycle`` retires here.  A miss with
+        ``ready`` set is an MSHR merge: it piggybacks on that fill.  With a
+        sectored configuration, ``sector_mask`` selects the touched
+        sectors: a resident line missing any of them is a sector miss,
+        ``(False, None)``, and the caller fetches the missing sectors.
         """
         self._use_clock += 1
         st = self.stats.get(stream)
         if st is None:
             st = self._stats(stream)
         st.accesses += 1
+        ready = self._pending.get(line_addr)
+        if ready is not None and ready <= cycle:
+            del self._pending[line_addr]
+            ready = None
         # Inlined _index (hot path): shift/mask decomposition plus the
         # resolved per-stream set-mapping table.
         if self._line_shift is not None:
@@ -306,41 +293,41 @@ class SetAssocCache:
         table = self._set_map.get(stream)
         if table is not None:
             set_idx = table[set_idx]
-        tag = line_addr
-        if self.way_partition is not None:
-            ways = self.way_partition.ways_for(stream)
-        else:
-            ways = range(self.usable_ways)
         cache_set = self._sets[set_idx]
         if cache_set is None:
             cache_set = self._sets[set_idx] = [
                 _Line() for _ in range(self.assoc)
             ]
-        for w in ways:
+        for w in range(self.usable_ways):
             line = cache_set[w]
-            if line.valid and line.tag == tag:
+            if line.valid and line.tag == line_addr:
                 line.last_use = self._use_clock
                 if sector_mask and (line.sector_mask & sector_mask) != sector_mask:
                     st.misses += 1  # sector miss on a resident line
-                    return False, False
+                    return False, None
                 if is_store:
                     line.dirty = True
                 st.hits += 1
-                return True, False
+                return True, ready
         st.misses += 1
-        if line_addr in self._pending:
+        if ready is not None:
             st.mshr_merges += 1
-            return False, True
-        return False, False
+        return False, ready
 
     def fill(self, line_addr: int, data_class: DataClass, stream: int = 0,
-             sector_mask: int = 0) -> Optional[Tuple[int, int]]:
-        """Install a line (or merge sectors into it) after its fill returns.
+             sector_mask: int = 0, ready: Optional[int] = None,
+             dirty: bool = False) -> Optional[Tuple[int, int]]:
+        """Install a line (or merge sectors into it) for a miss.
 
         ``sector_mask`` of 0 fills the whole line (unsectored behaviour).
-        Returns ``(line_addr, stream)`` of the evicted line when it was
-        dirty, so the owner can issue the write-back; otherwise None.
+        ``ready`` is the cycle the fill returns: until then the line holds
+        an MSHR entry and :meth:`access` reports it in flight.  ``dirty``
+        marks the line written (a write-allocate store).  Returns
+        ``(line_addr, stream)`` of the evicted line when it was dirty, so
+        the owner can issue the write-back; otherwise None.
         """
+        if ready is not None:
+            self._pending[line_addr] = ready
         self._use_clock += 1
         full_mask = (1 << (self.line_size // 32)) - 1
         mask = sector_mask or full_mask
@@ -350,13 +337,14 @@ class SetAssocCache:
             cache_set = self._sets[set_idx] = [
                 _Line() for _ in range(self.assoc)
             ]
-        ways = self._ways(stream)
         victim = None
         oldest = None
-        for w in ways:
+        for w in range(self.usable_ways):
             line = cache_set[w]
             if line.valid and line.tag == tag:
                 line.sector_mask |= mask  # sector refill of a resident line
+                if dirty:
+                    line.dirty = True
                 return None
             if not line.valid:
                 victim = line
@@ -374,49 +362,25 @@ class SetAssocCache:
                 written_back = (victim.tag, victim.stream)
         victim.tag = tag
         victim.valid = True
-        victim.dirty = False
+        victim.dirty = dirty
         victim.last_use = self._use_clock
         victim.data_class = data_class
         victim.stream = stream
         victim.sector_mask = mask
         return written_back
 
-    def mark_dirty(self, line_addr: int, stream: int = 0) -> None:
-        """Set the dirty bit on a resident line (store to a fresh fill)."""
-        set_idx, tag = self._index(line_addr, stream)
-        cache_set = self._sets[set_idx]
-        if cache_set is None:
-            return
-        for w in self._ways(stream):
-            if cache_set[w].valid and cache_set[w].tag == tag:
-                cache_set[w].dirty = True
-                return
+    def mshr_cycle(self, cycle: int) -> int:
+        """First cycle, from ``cycle`` on, at which an MSHR entry is free.
 
-    # -- MSHR bookkeeping ---------------------------------------------------
-    def note_pending(self, line_addr: int, ready_cycle: int) -> None:
-        self._pending[line_addr] = ready_cycle
-
-    def pending_ready(self, line_addr: int) -> Optional[int]:
-        return self._pending.get(line_addr)
-
-    def complete_pending(self, line_addr: int) -> None:
-        self._pending.pop(line_addr, None)
-
-    @property
-    def mshr_free(self) -> bool:
-        return len(self._pending) < self.config.mshr_entries
-
-    def purge_pending(self, cycle: int) -> None:
-        """Retire pending-fill entries whose data has returned."""
-        done = [l for l, ready in self._pending.items() if ready <= cycle]
-        for l in done:
-            del self._pending[l]
-
-    def earliest_pending(self) -> Optional[int]:
-        """Cycle at which the next outstanding fill completes."""
-        if not self._pending:
-            return None
-        return min(self._pending.values())
+        With every entry busy the miss waits for the earliest fill; each
+        fill returned by the cycle this returns retires.
+        """
+        pending = self._pending
+        if len(pending) >= self.config.mshr_entries:
+            cycle = max(cycle, min(pending.values()))
+            for line in [l for l, ready in pending.items() if ready <= cycle]:
+                del pending[line]
+        return cycle
 
     # -- introspection -----------------------------------------------------
     def composition(self) -> Dict[DataClass, int]:
@@ -456,11 +420,4 @@ class SetAssocCache:
         self._pending.clear()
 
     def aggregate_stats(self) -> CacheStats:
-        total = CacheStats()
-        for st in self.stats.values():
-            total.accesses += st.accesses
-            total.hits += st.hits
-            total.misses += st.misses
-            total.mshr_merges += st.mshr_merges
-            total.evictions += st.evictions
-        return total
+        return CacheStats.sum(self.stats.values())

@@ -56,17 +56,23 @@ class L2Cache:
     def partition_banks(self, assignment: Optional[Dict[int, List[int]]]) -> None:
         """Install MiG-style bank routing (or clear it with ``None``)."""
         if assignment is not None:
-            claimed: set = set()
-            for stream, banks in assignment.items():
-                if not banks:
-                    raise ValueError("stream %d assigned zero banks" % stream)
-                if any(b < 0 or b >= self.num_banks for b in banks):
-                    raise ValueError("bank index out of range")
-                overlap = claimed.intersection(banks)
-                if overlap:
-                    raise ValueError("banks %s assigned to multiple streams" % overlap)
-                claimed.update(banks)
+            self._check_assignment(assignment)
         self._bank_assignment = assignment
+
+    def _check_assignment(self, assignment: Dict[int, List[int]]) -> None:
+        """Raise ``ValueError`` unless every stream gets a non-empty set of
+        in-range banks and no bank serves two streams."""
+        claimed: set = set()
+        for stream, banks in assignment.items():
+            if not banks:
+                raise ValueError("stream %d assigned zero banks" % stream)
+            if any(b < 0 or b >= self.num_banks for b in banks):
+                raise ValueError("bank index out of range")
+            overlap = claimed.intersection(banks)
+            if overlap:
+                raise ValueError("banks %s assigned to multiple streams"
+                                 % sorted(overlap))
+            claimed.update(banks)
 
     def partition_sets(self, ratios: Optional[Dict[int, int]]) -> None:
         """Install TAP-style per-bank set partitioning."""
@@ -82,18 +88,7 @@ class L2Cache:
         re-points set ranges at every epoch, so the invariant checker calls
         this after each repartition as well as at sample ticks."""
         if self._bank_assignment is not None:
-            claimed: set = set()
-            for stream, banks in self._bank_assignment.items():
-                if not banks:
-                    raise ValueError("stream %d routed to zero banks" % stream)
-                if any(b < 0 or b >= self.num_banks for b in banks):
-                    raise ValueError("stream %d routed to out-of-range bank"
-                                     % stream)
-                overlap = claimed.intersection(banks)
-                if overlap:
-                    raise ValueError("banks %s routed to multiple streams"
-                                     % sorted(overlap))
-                claimed.update(banks)
+            self._check_assignment(self._bank_assignment)
         ref = self.banks[0].set_partition
         ref_ranges = ref.ranges if ref is not None else None
         for bank in self.banks:
@@ -145,24 +140,15 @@ class L2Cache:
         start = cycle if cycle > free else free
         self._bank_free[bank_idx] = start + self.bank_port_interval
         access_done = start + self.config.l2.hit_latency
-        # A fill still in flight: merge into it (MSHR behaviour).
-        pending = bank.pending_ready(line_addr)
-        if pending is not None:
-            if pending > cycle:
-                hit, merged = bank.access(line_addr, cycle, data_class,
-                                          stream, is_store, sector_mask)
-                if merged or hit:
-                    if not merged:
-                        # Installed but the fill is still in flight: an
-                        # MSHR merge, not a serviceable hit.
-                        bank.stats[stream].mshr_merges += 1
-                    return max(access_done, pending)
-                # Sector miss on the in-flight line: fall through to fetch
-                # the missing sectors alongside the pending fill.
-            else:
-                bank.complete_pending(line_addr)
-        hit, _ = bank.access(line_addr, cycle, data_class, stream, is_store,
-                             sector_mask)
+        hit, ready = bank.access(line_addr, cycle, stream, is_store,
+                                 sector_mask)
+        if ready is not None:
+            # The line's fill is still in flight: merge into it (MSHR
+            # behaviour).  A hit on the installed line counts as a merge
+            # too, since its data has not arrived.
+            if hit:
+                bank.stats[stream].mshr_merges += 1
+            return max(access_done, ready)
         if hit:
             return access_done
         # Miss: fetch the line (or its touched sectors) from DRAM.  Stores
@@ -170,14 +156,12 @@ class L2Cache:
         # reaches DRAM later as a dirty-eviction write-back.
         dram_ready = self.dram.access(line_addr, access_done, stream,
                                       is_store=False, num_bytes=fetch_bytes)
-        victim = bank.fill(line_addr, data_class, stream, sector_mask)
+        victim = bank.fill(line_addr, data_class, stream, sector_mask,
+                           ready=dram_ready, dirty=is_store)
         if victim is not None:
             # The L2 is write-back (unlike the L1): the dirty victim goes
             # to DRAM at the cycle of the access that evicted it.
             self.dram.access(victim[0], cycle, victim[1], is_store=True)
-        if is_store:
-            bank.mark_dirty(line_addr, stream)
-        bank.note_pending(line_addr, dram_ready)
         return dram_ready
 
     # -- introspection ---------------------------------------------------------
@@ -205,27 +189,12 @@ class L2Cache:
         return comp
 
     def stats_for(self, stream: int) -> CacheStats:
-        total = CacheStats()
-        for bank in self.banks:
-            st = bank.stats.get(stream)
-            if st is not None:
-                total.accesses += st.accesses
-                total.hits += st.hits
-                total.misses += st.misses
-                total.mshr_merges += st.mshr_merges
-                total.evictions += st.evictions
-        return total
+        return CacheStats.sum(bank.stats[stream] for bank in self.banks
+                              if stream in bank.stats)
 
     def aggregate_stats(self) -> CacheStats:
-        total = CacheStats()
-        for bank in self.banks:
-            st = bank.aggregate_stats()
-            total.accesses += st.accesses
-            total.hits += st.hits
-            total.misses += st.misses
-            total.mshr_merges += st.mshr_merges
-            total.evictions += st.evictions
-        return total
+        return CacheStats.sum(st for bank in self.banks
+                              for st in bank.stats.values())
 
     def flush(self) -> None:
         for bank in self.banks:

@@ -15,7 +15,7 @@ from typing import Tuple
 import numpy as np
 
 from ..graphics.geometry import InstanceSet, Mesh
-from ..graphics.texture import Texture2D, checkerboard, noise_texture
+from ..graphics.texture import checkerboard, noise_texture
 
 
 def grid_mesh(nx: int, nz: int, extent: float = 10.0, y: float = 0.0,
@@ -198,8 +198,3 @@ def pbr_map_set(size: int = 128, seed: int = 11) -> dict:
             img = noise_texture(size, seed=seed + i)
         maps[name] = img
     return maps
-
-
-def make_texture(name: str, image: np.ndarray, layers=None) -> Texture2D:
-    """Convenience wrapper keeping texture construction in one place."""
-    return Texture2D(name, image, layers=layers)

@@ -139,11 +139,6 @@ class JobQueue:
             self._subscribers.append(sub)
         return sub
 
-    def unsubscribe(self, sub: "_queue.Queue") -> None:
-        with self._lock:
-            if sub in self._subscribers:
-                self._subscribers.remove(sub)
-
     # -- submission -----------------------------------------------------------
     def _enqueue(self, job, fingerprint: str):
         """Dedupe + create one entry (no scheduling).

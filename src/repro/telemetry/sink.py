@@ -25,7 +25,6 @@ from typing import Any, Dict, List, Optional
 # Process ids grouping the timeline rows in the trace viewer.
 PID_STREAMS = 0
 PID_SMS = 1
-PID_CAMPAIGN = 2
 
 
 class TraceSink:
@@ -102,11 +101,6 @@ class TraceSink:
         self._name_pid(PID_SMS, "SMs")
         self._name_thread(PID_SMS, sm_id, "SM %d" % sm_id)
         return sm_id
-
-    def campaign_row(self, slot: int, name: str) -> int:
-        self._name_pid(PID_CAMPAIGN, "campaign")
-        self._name_thread(PID_CAMPAIGN, slot, name)
-        return slot
 
     # -- output ------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:

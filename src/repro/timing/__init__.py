@@ -1,7 +1,7 @@
 """Cycle-accounting GPU timing model (Accel-Sim substrate)."""
 
 from .cta import CTAScheduler, PartitionPolicy, StreamQueue
-from .gpu import GPU, DeadlockError, simulate
+from .gpu import GPU, DeadlockError
 from .ldst import LDSTPath
 from .occupancy import OccupancyReport, occupancy_of
 from .scheduler import GTOScheduler
@@ -28,5 +28,4 @@ __all__ = [
     "StreamStats",
     "WarpContext",
     "occupancy_of",
-    "simulate",
 ]

@@ -179,12 +179,6 @@ class StreamQueue:
     def has_issuable_cta(self) -> bool:
         return self._issuable_state() is not None
 
-    @property
-    def next_kernel_starting(self) -> bool:
-        """True when the next take_cta() starts a new kernel."""
-        st = self._issuable_state()
-        return st is not None and not st.started
-
     def take_cta(self, cycle: int = 0):
         st = self._issuable_state(cycle)
         assert st is not None

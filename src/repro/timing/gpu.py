@@ -294,17 +294,3 @@ class GPU:
 def _sm_id(sm: SM) -> int:
     return sm.sm_id
 
-
-def simulate(
-    config: GPUConfig,
-    streams: Dict[int, Sequence[KernelTrace]],
-    policy: Optional[PartitionPolicy] = None,
-    sample_interval: Optional[int] = None,
-    telemetry=None,
-) -> GPUStats:
-    """One-shot convenience: build a GPU, add ``streams``, run, return stats."""
-    gpu = GPU(config, policy=policy, sample_interval=sample_interval,
-              telemetry=telemetry)
-    for sid, kernels in sorted(streams.items()):
-        gpu.add_stream(sid, kernels)
-    return gpu.run()

@@ -12,11 +12,9 @@ Policy follows GPU convention: L1 is write-through / write-no-allocate
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..config import GPUConfig
-from ..isa import DataClass, Space, WarpInstruction
-from ..memory import L2Cache, SetAssocCache
+from ..config import CacheConfig, GPUConfig
+from ..isa import Space, WarpInstruction
+from ..memory import L2Cache, SetAssocCache, sector_mask_of
 from .stats import GPUStats
 
 
@@ -33,7 +31,6 @@ class LDSTPath:
         # CTAs allocate shared memory (the carveout) — which is how
         # "rendering uses the remaining L1 as texture cache" while a
         # matmul kernel holds shared memory (Fig 12 discussion).
-        from ..config import CacheConfig
         sets = config.l1.num_sets
         line = config.l1.line_size
         total_ways = max(config.l1.assoc,
@@ -56,7 +53,7 @@ class LDSTPath:
         # Per-access invariants, resolved once (GPUConfig is frozen).
         self._l1_hit_latency = config.l1.hit_latency
         self._icnt_latency = config.icnt_latency
-        self._l1_sectored = bool(config.l1.sector_size)
+        self._l1_sector_size = config.l1.sector_size
         # Interconnect injection port: one request per cycle per SM.  A
         # burst of misses queues here before paying the crossbar latency,
         # so memory-divergent kernels feel realistic injection pressure.
@@ -100,22 +97,6 @@ class LDSTPath:
             return cycle + inst.info.latency
         return self._global_access(inst, cycle, stream)
 
-    def _sector_request(self, inst: WarpInstruction, line: int):
-        """(sector_mask, fetch_bytes) for one line, under sectoring.
-
-        Returns (0, None) when the L1 is unsectored or the trace carries
-        no sector refinement.
-        """
-        ssize = self.config.l1.sector_size
-        if not ssize or inst.mem.sectors is None:
-            return 0, None
-        from ..memory.cache import sector_mask_of
-        sectors = inst.mem.sectors_of_line(line, self._l1_line)
-        if not sectors:
-            return 0, None
-        mask = sector_mask_of(line, sectors, ssize, self._l1_line)
-        return mask, len(sectors) * ssize
-
     def _global_access(self, inst: WarpInstruction, cycle: int, stream: int) -> int:
         mem = inst.mem
         assert mem is not None
@@ -125,8 +106,14 @@ class LDSTPath:
         data_class = mem.data_class
         sstat = self.stats.stream(stream)
         icnt = self._icnt_latency
+        hit_latency = self._l1_hit_latency
+        l1 = self.l1
         l2_access = self.l2.access
-        sectored = self._l1_sectored and mem.sectors is not None
+        # Under sectoring a load fetches only the sectors it touches.
+        sector_size = self._l1_sector_size if mem.sectors is not None else 0
+        line_size = self._l1_line
+        mask = 0
+        fetch_bytes = None
         done = cycle
         # Transactions serialise on the L1 port: one line per cycle.
         # Coalescing emits distinct line addresses in first-occurrence
@@ -137,7 +124,7 @@ class LDSTPath:
             if is_store:
                 # Write-through, no-allocate: update L1 if present, forward
                 # the store to L2.  Store acks do not stall the warp long.
-                hit = self.l1.probe(line, stream)
+                hit = l1.probe(line, stream)
                 sstat.note_l1(hit, data_class)
                 launch = self._inject(t_cycle)
                 l2_access(line, launch + icnt, data_class, stream,
@@ -150,60 +137,32 @@ class LDSTPath:
                 completion = l2_access(
                     line, launch + icnt, data_class, stream) + icnt
             else:
-                if sectored:
-                    mask, fetch_bytes = self._sector_request(inst, line)
+                if sector_size:
+                    sectors = mem.sectors_of_line(line, line_size)
+                    if sectors:
+                        mask = sector_mask_of(line, sectors, sector_size,
+                                              line_size)
+                        fetch_bytes = len(sectors) * sector_size
+                    else:
+                        mask, fetch_bytes = 0, None
+                hit, ready = l1.access(line, t_cycle, stream,
+                                       sector_mask=mask)
+                if hit or ready is not None:
+                    # A hit, or a merge into the line's in-flight fill.
+                    sstat.note_l1(True, data_class)
+                    completion = t_cycle + hit_latency
+                    if ready is not None and ready > completion:
+                        completion = ready
                 else:
-                    mask, fetch_bytes = 0, None
-                completion = self._load_line(line, t_cycle, data_class,
-                                             stream, mask, fetch_bytes)
+                    # Miss: take an MSHR (stalling until one frees if the
+                    # file is full), cross the interconnect, access L2,
+                    # come back, fill.
+                    sstat.note_l1(False, data_class)
+                    launch = self._inject(l1.mshr_cycle(t_cycle))
+                    completion = l2_access(
+                        line, launch + icnt, data_class, stream,
+                        sector_mask=mask, fetch_bytes=fetch_bytes) + icnt
+                    l1.fill(line, data_class, stream, mask, ready=completion)
             if completion > done:
                 done = completion
         return done
-
-    def _load_line(self, line: int, cycle: int, data_class: DataClass,
-                   stream: int, sector_mask: int = 0,
-                   fetch_bytes: Optional[int] = None) -> int:
-        sstat = self.stats.stream(stream)
-        l1 = self.l1
-        hit_latency = self._l1_hit_latency
-        pending: Optional[int] = l1._pending.get(line)
-        if pending is not None:
-            if pending > cycle:
-                hit, merged = l1.access(line, cycle, data_class, stream,
-                                        sector_mask=sector_mask)
-                sstat.note_l1(hit or merged, data_class)
-                if hit or merged:
-                    done = cycle + hit_latency
-                    return done if done > pending else pending
-                # Sector miss on the in-flight line: fetch the rest below.
-            else:
-                l1.complete_pending(line)
-                hit, _ = l1.access(line, cycle, data_class, stream,
-                                   sector_mask=sector_mask)
-                sstat.note_l1(hit, data_class)
-                if hit:
-                    return cycle + hit_latency
-        else:
-            hit, _ = l1.access(line, cycle, data_class, stream,
-                               sector_mask=sector_mask)
-            sstat.note_l1(hit, data_class)
-            if hit:
-                return cycle + hit_latency
-        # Miss: allocate an MSHR (stalling until one frees if the file is
-        # full), cross the interconnect, access L2, come back, fill.
-        if not l1.mshr_free:
-            l1.purge_pending(cycle)
-            if not l1.mshr_free:
-                wait = l1.earliest_pending()
-                assert wait is not None
-                cycle = max(cycle, wait)
-                l1.purge_pending(cycle)
-        icnt = self._icnt_latency
-        launch = self._inject(cycle)
-        l2_ready = self.l2.access(line, launch + icnt, data_class, stream,
-                                  sector_mask=sector_mask,
-                                  fetch_bytes=fetch_bytes)
-        ready = l2_ready + icnt
-        l1.fill(line, data_class, stream, sector_mask)
-        l1.note_pending(line, ready)
-        return ready

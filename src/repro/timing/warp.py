@@ -94,10 +94,6 @@ class WarpContext:
             st.next_ready[slot] = self._dep_walk(value)
 
     @property
-    def last_issue_cycle(self) -> int:
-        return self.state.last_issue[self.slot]
-
-    @property
     def last_commit_cycle(self) -> int:
         return self.state.last_commit[self.slot]
 

@@ -167,9 +167,10 @@ class TestShadowMapping:
 
     def test_full_shadow_frame_simulates(self):
         from repro.config import JETSON_ORIN_MINI
-        from repro.timing import simulate
+        from repro.api import simulate
         _, shadow_kernels, _, res = self.render_with_shadow()
-        stats = simulate(JETSON_ORIN_MINI,
-                         {0: list(shadow_kernels) + list(res.kernels)})
+        stats = simulate(
+            config=JETSON_ORIN_MINI,
+            streams={0: list(shadow_kernels) + list(res.kernels)}).stats
         assert stats.stream(0).kernels_completed == \
             len(shadow_kernels) + len(res.kernels)

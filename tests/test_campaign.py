@@ -325,9 +325,3 @@ class TestCampaignCLI:
 
     def test_requires_some_workload(self, capsys):
         assert main(["campaign", "--quiet"]) == 2
-
-    def test_figure_accepts_jobs_flag(self, capsys):
-        # fig13 at nano-scale still goes through the campaign runner.
-        from repro.harness.experiments import run_fig13
-        r = run_fig13("SPL", "VIO", res="nano", jobs=1)
-        assert r.occupancy or r.samples_taken >= 0

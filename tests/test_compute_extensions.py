@@ -6,11 +6,10 @@ from repro.compute import (
     build_timewarp_kernels,
     build_upscaler_kernels,
 )
-from repro.api import simulate as api_simulate
+from repro.api import simulate
 from repro.config import JETSON_ORIN_MINI
 from repro.core import CRISP
 from repro.isa import Op
-from repro.timing import simulate
 
 
 class TestTimewarp:
@@ -39,17 +38,18 @@ class TestTimewarp:
         assert all(base <= l < base + span + 128 for l in lines)
 
     def test_runs_on_timing_model(self):
-        stats = simulate(JETSON_ORIN_MINI, {0: build_timewarp_kernels()})
+        stats = simulate(config=JETSON_ORIN_MINI,
+                         streams={0: build_timewarp_kernels()}).stats
         assert stats.stream(0).kernels_completed == 1
 
     def test_latency_critical_short(self):
         """ATW must be far shorter than a rendering frame (its whole point)."""
         crisp = CRISP(JETSON_ORIN_MINI)
-        frame_cycles = api_simulate(
+        frame_cycles = simulate(
             config=crisp.config,
             streams={0: crisp.trace_scene("SPL", "2k").kernels},
         ).stats.cycles
-        atw_cycles = api_simulate(
+        atw_cycles = simulate(
             config=crisp.config,
             streams={0: build_timewarp_kernels()}).stats.cycles
         assert atw_cycles < frame_cycles / 3
@@ -84,10 +84,10 @@ class TestUpscaler:
         frame = crisp.trace_scene("SPL", "4k")
         dlss = build_upscaler_kernels(frames=2)
         streams = {0: frame.kernels, 1: dlss}
-        pair = api_simulate(config=crisp.config, streams=streams,
-                            policy="fg-even").stats
-        mps = api_simulate(config=crisp.config, streams=streams,
-                           policy="mps").stats
+        pair = simulate(config=crisp.config, streams=streams,
+                        policy="fg-even").stats
+        mps = simulate(config=crisp.config, streams=streams,
+                       policy="mps").stats
         # Intra-SM sharing with complementary units is at worst mildly
         # slower, typically faster, than dedicating SMs.
         assert pair.cycles < mps.cycles * 1.15

@@ -86,14 +86,14 @@ class TestDivergent:
 
     def test_simulates(self, mem):
         from repro.config import JETSON_ORIN_MINI
-        from repro.timing import simulate
+        from repro.api import simulate
         buf = mem.buffer("x", 1 << 16)
         k = (KernelBuilder("k", 4, 128)
              .load(buf)
              .divergent(0.3, lambda b: b.fp(10).load(buf, "random"))
              .store(buf)
              .build())
-        stats = simulate(JETSON_ORIN_MINI, {0: [k]})
+        stats = simulate(config=JETSON_ORIN_MINI, streams={0: [k]}).stats
         assert stats.stream(0).kernels_completed == 1
 
     def test_vio_corner_uses_divergence(self):

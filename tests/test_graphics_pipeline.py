@@ -110,7 +110,6 @@ class TestRenderFrame:
         draw = DrawCall(rock, texture_slots=["arr"], shader="instanced",
                         instances=inst)
         res = pipe.render_frame([draw], cam, 96, 54)
-        single = pipe.tracegen  # invocations scale with instance count
         d = res.draw_stats[0]
         assert d.vs_invocations % 8 == 0
         assert d.batches % 8 == 0

@@ -17,7 +17,6 @@ from repro.core import (
     POLICY_NAMES,
     make_policy,
 )
-from repro.core.platform import PairResult
 from repro.isa import DataClass, ShaderKind
 from repro.timing import GPU
 
@@ -26,8 +25,7 @@ def run_pair(crisp, graphics, compute, policy):
     """The old CRISP.run_pair convenience, expressed via repro.api."""
     streams = {GRAPHICS_STREAM: list(graphics), COMPUTE_STREAM: list(compute)}
     pol = make_policy(policy, crisp.config, sorted(streams))
-    return PairResult(
-        simulate(config=crisp.config, streams=streams, policy=pol).stats, pol)
+    return simulate(config=crisp.config, streams=streams, policy=pol)
 
 
 def run_single(crisp, kernels):

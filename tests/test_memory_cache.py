@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import CacheConfig
 from repro.isa import DataClass
-from repro.memory import SetAssocCache, SetPartition, WayPartition
+from repro.memory import SetAssocCache, SetPartition
 
 
 def small_cache(assoc=4, sets=8):
@@ -14,8 +14,8 @@ def small_cache(assoc=4, sets=8):
 
 
 def load(cache, addr, stream=0):
-    hit, merged = cache.access(addr, 0, DataClass.COMPUTE, stream)
-    if not hit and not merged:
+    hit, ready = cache.access(addr, cycle=0, stream=stream)
+    if not hit and ready is None:
         cache.fill(addr, DataClass.COMPUTE, stream)
     return hit
 
@@ -58,8 +58,9 @@ class TestBasicBehaviour:
     def test_store_marks_dirty_on_hit(self):
         c = small_cache()
         load(c, 0)
-        hit, _ = c.access(0, 0, DataClass.COMPUTE, 0, is_store=True)
+        hit, _ = c.access(0, cycle=0, stream=0, is_store=True)
         assert hit
+        assert c._sets[0][0].dirty
 
     def test_flush_clears_everything(self):
         c = small_cache()
@@ -104,9 +105,9 @@ class TestStats:
 class TestComposition:
     def test_composition_by_class(self):
         c = small_cache()
-        c.access(0, 0, DataClass.TEXTURE, 0)
+        c.access(0, cycle=0, stream=0)
         c.fill(0, DataClass.TEXTURE, 0)
-        c.access(128, 0, DataClass.COMPUTE, 1)
+        c.access(128, cycle=0, stream=1)
         c.fill(128, DataClass.COMPUTE, 1)
         comp = c.composition()
         assert comp[DataClass.TEXTURE] == 1
@@ -121,21 +122,34 @@ class TestComposition:
 class TestMSHR:
     def test_pending_merge(self):
         c = small_cache()
-        c.access(0, 0, DataClass.COMPUTE, 0)
-        c.note_pending(0, ready_cycle=500)
-        hit, merged = c.access(0, 10, DataClass.COMPUTE, 0)
-        assert not hit and merged
-        assert c.pending_ready(0) == 500
-        c.complete_pending(0)
-        assert c.pending_ready(0) is None
+        hit, ready = c.access(0, cycle=0, stream=0)
+        assert not hit and ready is None
+        c.fill(0, DataClass.COMPUTE, 0, ready=500)
+        # The installed line is in flight until cycle 500.
+        assert c.access(0, cycle=10, stream=0) == (True, 500)
+        # Evicted before its fill returns, a second miss merges into it.
+        c.set_usable_ways(1)
+        c.access(4096, cycle=20, stream=0)
+        c.fill(4096, DataClass.COMPUTE, 0, ready=600)
+        assert c.access(0, cycle=30, stream=0) == (False, 500)
+        assert c.stats[0].mshr_merges == 1
+        # At cycle 500 the fill has returned and retires: a plain miss.
+        assert c.access(0, cycle=500, stream=0) == (False, None)
+        assert c.stats[0].mshr_merges == 1
 
     def test_mshr_free_limit(self):
         cfg = CacheConfig(size_bytes=4096, assoc=4, mshr_entries=2)
         c = SetAssocCache(cfg)
-        c.note_pending(0, 10)
-        assert c.mshr_free
-        c.note_pending(128, 10)
-        assert not c.mshr_free
+        c.fill(0, DataClass.COMPUTE, 0, ready=10)
+        assert c.mshr_cycle(5) == 5
+        c.fill(128, DataClass.COMPUTE, 0, ready=20)
+        # Both entries busy: the next miss waits for the earliest fill,
+        # which retires and frees its entry.
+        assert c.mshr_cycle(5) == 10
+        assert c.mshr_cycle(5) == 5
+        # A fill already returned frees its entry without a wait.
+        c.fill(256, DataClass.COMPUTE, 0, ready=30)
+        assert c.mshr_cycle(25) == 25
 
 
 class TestSetPartition:
@@ -175,25 +189,6 @@ class TestSetPartition:
         assert p.sets_for(0) == 5
         assert p.sets_for(1) == 3
         assert p.sets_for(5) == 8
-
-
-class TestWayPartition:
-    def test_rejects_overcommit(self):
-        with pytest.raises(ValueError):
-            WayPartition(4, {0: 3, 1: 2})
-
-    def test_ways_disjoint(self):
-        p = WayPartition(4, {0: 3, 1: 1})
-        assert list(p.ways_for(0)) == [0, 1, 2]
-        assert list(p.ways_for(1)) == [3]
-
-    def test_way_partition_isolates(self):
-        c = small_cache(assoc=2, sets=1)
-        c.partition_ways({0: 1, 1: 1})
-        load(c, 0, stream=0)
-        load(c, 128, stream=1)
-        load(c, 256, stream=1)   # evicts stream 1's line only
-        assert load(c, 0, stream=0)
 
 
 class TestResolvedMappingTables:
@@ -270,36 +265,6 @@ class TestResolvedMappingTables:
         assert comp.get(0, 0) <= 2  # bounded by assoc within a single set
 
 
-class TestWayPartitionEdgeCases:
-    def test_absent_stream_uses_all_ways(self):
-        p = WayPartition(4, {0: 2})
-        assert list(p.ways_for(7)) == [0, 1, 2, 3]
-
-    def test_single_way_range(self):
-        c = small_cache(assoc=4, sets=1)
-        c.partition_ways({0: 1, 1: 3})
-        load(c, 0, stream=0)
-        load(c, 128, stream=0)   # evicts the only stream-0 way
-        assert not load(c, 0, stream=0)  # 128 evicted it; this refills 0
-        assert load(c, 0, stream=0)
-        # Stream 1's three ways were never touched by the churn above.
-        load(c, 256, stream=1)
-        assert load(c, 256, stream=1)
-
-    def test_rejects_zero_ways(self):
-        with pytest.raises(ValueError):
-            WayPartition(4, {0: 0, 1: 4})
-
-    def test_clear_way_partition(self):
-        c = small_cache(assoc=2, sets=1)
-        c.partition_ways({0: 1, 1: 1})
-        c.partition_ways(None)
-        assert c.way_partition is None
-        load(c, 0, stream=0)
-        load(c, 128, stream=0)
-        assert load(c, 0, stream=0)  # both ways usable again
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 63), st.booleans()),
                 min_size=1, max_size=200))
@@ -309,8 +274,8 @@ def test_property_occupancy_bounded_and_rehit(ops):
     c = small_cache(assoc=2, sets=4)
     for line_idx, is_store in ops:
         addr = line_idx * 128
-        hit, merged = c.access(addr, 0, DataClass.COMPUTE, 0, is_store)
-        if not hit and not merged:
+        hit, ready = c.access(addr, cycle=0, stream=0, is_store=is_store)
+        if not hit and ready is None:
             c.fill(addr, DataClass.COMPUTE, 0)
         assert c.probe(addr)
         assert 0.0 <= c.occupancy() <= 1.0

@@ -14,7 +14,8 @@ from repro.isa import (
     WarpTrace,
 )
 from repro.memory import L2Cache, SetAssocCache
-from repro.timing import GPUStats, LDSTPath, SM, simulate
+from repro.api import simulate
+from repro.timing import GPUStats, LDSTPath, SM
 
 
 class TestUsableWays:
@@ -33,10 +34,10 @@ class TestUsableWays:
         c.set_usable_ways(1)
         # Two lines in the same set now evict each other.
         for addr in (0, 8 * 128):
-            hit, _ = c.access(addr, 0, DataClass.COMPUTE, 0)
+            hit, _ = c.access(addr, cycle=0, stream=0)
             if not hit:
                 c.fill(addr, DataClass.COMPUTE, 0)
-        hit, _ = c.access(0, 0, DataClass.COMPUTE, 0)
+        hit, _ = c.access(0, cycle=0, stream=0)
         assert not hit
 
     def test_growing_back_restores(self):
@@ -44,10 +45,10 @@ class TestUsableWays:
         c.set_usable_ways(1)
         c.set_usable_ways(4)
         for addr in (0, 8 * 128):
-            hit, _ = c.access(addr, 0, DataClass.COMPUTE, 0)
+            hit, _ = c.access(addr, cycle=0, stream=0)
             if not hit:
                 c.fill(addr, DataClass.COMPUTE, 0)
-        hit, _ = c.access(0, 0, DataClass.COMPUTE, 0)
+        hit, _ = c.access(0, cycle=0, stream=0)
         assert hit
 
 
@@ -142,8 +143,10 @@ class TestMSHRPressure:
             wt.append(WarpInstruction(Op.EXIT))
             return KernelTrace("burst", [CTATrace([wt])], threads_per_cta=32)
 
-        t_tight = simulate(tight, {0: [burst_kernel()]}).cycles
-        t_loose = simulate(loose, {0: [burst_kernel()]}).cycles
+        t_tight = simulate(config=tight,
+                           streams={0: [burst_kernel()]}).total_cycles
+        t_loose = simulate(config=loose,
+                           streams={0: [burst_kernel()]}).total_cycles
         assert t_tight > t_loose
 
 
@@ -155,7 +158,7 @@ class TestSchedulerPolicies:
     def test_lrr_runs_to_completion(self):
         from repro.compute import build_vio_kernels
         cfg = RTX_3070_MINI.replace(scheduler_policy="lrr")
-        stats = simulate(cfg, {0: build_vio_kernels()})
+        stats = simulate(config=cfg, streams={0: build_vio_kernels()}).stats
         assert stats.stream(0).kernels_completed > 0
 
     def test_lrr_rotates_across_warps(self):
@@ -174,6 +177,8 @@ class TestSchedulerPolicies:
         from repro.compute import build_hologram_kernels
         for pol in ("gto", "lrr"):
             cfg = RTX_3070_MINI.replace(scheduler_policy=pol)
-            a = simulate(cfg, {0: build_hologram_kernels(passes=1)}).cycles
-            b = simulate(cfg, {0: build_hologram_kernels(passes=1)}).cycles
+            a = simulate(config=cfg, streams={
+                0: build_hologram_kernels(passes=1)}).total_cycles
+            b = simulate(config=cfg, streams={
+                0: build_hologram_kernels(passes=1)}).total_cycles
             assert a == b

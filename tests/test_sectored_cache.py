@@ -7,7 +7,7 @@ from repro.compute import DeviceMemory, KernelBuilder
 from repro.config import CacheConfig, RTX_3070_MINI
 from repro.core import CRISP
 from repro.isa import DataClass
-from repro.memory import SetAssocCache, coalesce_sectors, sector_mask_of
+from repro.memory import L2Cache, SetAssocCache, coalesce_sectors, sector_mask_of
 from repro.api import simulate as api_simulate
 
 
@@ -47,26 +47,57 @@ class TestSectoredCacheBehaviour:
 
     def test_sector_miss_on_resident_line(self):
         c = self.cache()
-        c.access(0, 0, DataClass.COMPUTE, 0, sector_mask=0b0001)
+        c.access(0, cycle=0, stream=0, sector_mask=0b0001)
         c.fill(0, DataClass.COMPUTE, 0, sector_mask=0b0001)
         # Same line, different sector: resident but sector-missing.
-        hit, _ = c.access(0, 1, DataClass.COMPUTE, 0, sector_mask=0b0100)
-        assert not hit
+        assert c.access(0, cycle=1, stream=0, sector_mask=0b0100) == (False, None)
         c.fill(0, DataClass.COMPUTE, 0, sector_mask=0b0100)
-        hit, _ = c.access(0, 2, DataClass.COMPUTE, 0, sector_mask=0b0101)
+        hit, _ = c.access(0, cycle=2, stream=0, sector_mask=0b0101)
         assert hit
 
     def test_full_line_fill_serves_all_sectors(self):
         c = self.cache()
         c.fill(0, DataClass.COMPUTE, 0)  # mask 0 = whole line
-        hit, _ = c.access(0, 1, DataClass.COMPUTE, 0, sector_mask=0b1111)
+        hit, _ = c.access(0, cycle=1, stream=0, sector_mask=0b1111)
         assert hit
 
     def test_unsectored_requests_ignore_masks(self):
         c = self.cache()
         c.fill(0, DataClass.COMPUTE, 0, sector_mask=0b0001)
-        hit, _ = c.access(0, 1, DataClass.COMPUTE, 0)  # whole-line request
+        hit, _ = c.access(0, cycle=1, stream=0)  # whole-line request
         assert hit
+
+    def test_sector_miss_on_in_flight_line(self):
+        # The resident line's fill is still in flight, but it lacks the
+        # requested sector: a sector miss, not a merge.
+        c = self.cache()
+        c.fill(0, DataClass.COMPUTE, 0, sector_mask=0b0001, ready=100)
+        assert c.access(0, cycle=1, stream=0, sector_mask=0b0001) == (True, 100)
+        assert c.access(0, cycle=2, stream=0, sector_mask=0b0100) == (False, None)
+        assert c.stats[0].mshr_merges == 0
+
+    def test_sector_refill_keeps_store_dirty(self):
+        c = self.cache()
+        c.fill(0, DataClass.COMPUTE, 0, sector_mask=0b0001, dirty=True)
+        c.fill(0, DataClass.COMPUTE, 0, sector_mask=0b0100)
+        c.set_usable_ways(1)
+        # Same set: evicting line 0 returns it for the write-back.
+        assert c.fill(8 * 128, DataClass.COMPUTE, 0) == (0, 0)
+
+
+class TestSectoredL2:
+    def test_sector_miss_on_in_flight_line_counts_once(self):
+        """A request that sector-misses a line whose fill is in flight is
+        one L2 access and one miss; it fetches only its own sectors."""
+        l2 = L2Cache(RTX_3070_MINI)
+        l2.access(0, 0, DataClass.COMPUTE, 0, sector_mask=0b0001,
+                  fetch_bytes=32)
+        l2.access(0, 1, DataClass.COMPUTE, 0, sector_mask=0b0100,
+                  fetch_bytes=32)
+        st = l2.stats_for(0)
+        assert (st.accesses, st.hits, st.misses, st.mshr_merges) == \
+            (2, 0, 2, 0)
+        assert l2.dram.aggregate_bytes() == 64
 
 
 class TestSectoredTraffic:

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from repro.compute import DeviceMemory, KernelBuilder
 from repro.config import CacheConfig, RTX_3070_MINI
 from repro.isa import load_traces, save_traces, traces_equal
-from repro.timing import GPU, simulate
+from repro.api import simulate
+from repro.timing import GPU
 
 SMALL = RTX_3070_MINI.replace(
     name="prop", num_sms=2,
@@ -60,7 +61,7 @@ def random_kernel(draw, name="rk"):
 @settings(max_examples=25, deadline=None)
 @given(random_kernel())
 def test_property_random_kernel_terminates_and_conserves(kernel):
-    stats = simulate(SMALL, {0: [kernel]})
+    stats = simulate(config=SMALL, streams={0: [kernel]}).stats
     s = stats.stream(0)
     assert s.instructions == kernel.num_instructions
     assert s.ctas_completed == kernel.num_ctas
@@ -71,7 +72,7 @@ def test_property_random_kernel_terminates_and_conserves(kernel):
 @settings(max_examples=15, deadline=None)
 @given(random_kernel(name="a"), random_kernel(name="b"))
 def test_property_two_streams_complete_under_sharing(ka, kb):
-    stats = simulate(SMALL, {0: [ka], 1: [kb]})
+    stats = simulate(config=SMALL, streams={0: [ka], 1: [kb]}).stats
     assert stats.stream(0).instructions == ka.num_instructions
     assert stats.stream(1).instructions == kb.num_instructions
 
@@ -79,15 +80,15 @@ def test_property_two_streams_complete_under_sharing(ka, kb):
 @settings(max_examples=15, deadline=None)
 @given(random_kernel())
 def test_property_simulation_deterministic(kernel):
-    a = simulate(SMALL, {0: [kernel]}).cycles
-    b = simulate(SMALL, {0: [kernel]}).cycles
+    a = simulate(config=SMALL, streams={0: [kernel]}).total_cycles
+    b = simulate(config=SMALL, streams={0: [kernel]}).total_cycles
     assert a == b
 
 
 @settings(max_examples=15, deadline=None)
 @given(random_kernel())
 def test_property_issue_counts_by_unit_sum(kernel):
-    stats = simulate(SMALL, {0: [kernel]})
+    stats = simulate(config=SMALL, streams={0: [kernel]}).stats
     s = stats.stream(0)
     assert sum(s.issue_by_unit.values()) == s.instructions
 
@@ -99,8 +100,8 @@ def test_property_serialization_roundtrip(tmp_path_factory, kernel):
     save_traces(path, [kernel])
     loaded = load_traces(path)
     assert traces_equal([kernel], loaded)
-    assert simulate(SMALL, {0: [kernel]}).cycles == \
-        simulate(SMALL, {0: loaded}).cycles
+    assert simulate(config=SMALL, streams={0: [kernel]}).total_cycles == \
+        simulate(config=SMALL, streams={0: loaded}).total_cycles
 
 
 @settings(max_examples=10, deadline=None)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import simulate
 from repro.config import RTX_3070_MINI
 from repro.isa import (
     CTATrace,
@@ -19,7 +20,6 @@ from repro.timing import (
     PartitionPolicy,
     SM,
     GPUStats,
-    simulate,
 )
 from repro.timing.cta import StreamQueue
 
@@ -112,13 +112,13 @@ class TestSMResidency:
 
 class TestBarrier:
     def test_barrier_synchronises_cta(self):
-        stats = simulate(RTX_3070_MINI, {0: [barrier_kernel(4)]})
+        stats = simulate(config=RTX_3070_MINI, streams={0: [barrier_kernel(4)]}).stats
         s = stats.stream(0)
         # All warps executed all instructions (2 FFMA + BAR + EXIT each).
         assert s.instructions == 4 * 4
 
     def test_barrier_kernel_terminates(self):
-        stats = simulate(RTX_3070_MINI, {0: [barrier_kernel(8)]})
+        stats = simulate(config=RTX_3070_MINI, streams={0: [barrier_kernel(8)]}).stats
         assert stats.cycles > 0
 
 
@@ -182,24 +182,25 @@ class TestStreamQueue:
 
 class TestGPURun:
     def test_single_stream_completes(self):
-        stats = simulate(RTX_3070_MINI, {0: [make_kernel(n_ctas=4)]})
+        stats = simulate(config=RTX_3070_MINI, streams={0: [make_kernel(n_ctas=4)]}).stats
         assert stats.stream(0).ctas_completed == 4
         assert stats.stream(0).kernels_completed == 1
 
     def test_deterministic(self):
         def run():
-            return simulate(RTX_3070_MINI, {0: [make_kernel(n_ctas=4, n=20)]}).cycles
+            return simulate(config=RTX_3070_MINI, streams={
+                0: [make_kernel(n_ctas=4, n=20)]}).total_cycles
         assert run() == run()
 
     def test_two_streams_both_complete(self):
-        stats = simulate(RTX_3070_MINI,
-                         {0: [make_kernel("a")], 1: [make_kernel("b")]})
+        stats = simulate(config=RTX_3070_MINI, streams={
+            0: [make_kernel("a")], 1: [make_kernel("b")]}).stats
         assert stats.stream(0).kernels_completed == 1
         assert stats.stream(1).kernels_completed == 1
 
     def test_per_stream_instruction_counts(self):
         k = make_kernel(n_ctas=2, warps=2, n=4)
-        stats = simulate(RTX_3070_MINI, {0: [k]})
+        stats = simulate(config=RTX_3070_MINI, streams={0: [k]}).stats
         assert stats.stream(0).instructions == k.num_instructions
 
     def test_no_streams_raises(self):
@@ -234,7 +235,7 @@ class TestGPURun:
             WarpInstruction(Op.EXIT),
         ])
         k = KernelTrace("mem", [CTATrace([wt])], threads_per_cta=32)
-        stats = simulate(RTX_3070_MINI, {0: [k]})
+        stats = simulate(config=RTX_3070_MINI, streams={0: [k]}).stats
         assert stats.stream(0).l1_accesses == 2
 
     def test_texture_transactions_tagged(self):
@@ -244,7 +245,7 @@ class TestGPURun:
             WarpInstruction(Op.EXIT),
         ])
         k = KernelTrace("tex", [CTATrace([wt])], threads_per_cta=32)
-        stats = simulate(RTX_3070_MINI, {0: [k]})
+        stats = simulate(config=RTX_3070_MINI, streams={0: [k]}).stats
         assert stats.stream(0).l1_tex_accesses == 3
 
     def test_sampling_records_occupancy(self):
@@ -255,8 +256,10 @@ class TestGPURun:
         assert stats.l2_snapshots
 
     def test_more_work_takes_longer(self):
-        small = simulate(RTX_3070_MINI, {0: [make_kernel(n_ctas=2, n=10)]})
-        big = simulate(RTX_3070_MINI, {0: [make_kernel(n_ctas=64, n=100)]})
+        small = simulate(config=RTX_3070_MINI, streams={
+            0: [make_kernel(n_ctas=2, n=10)]}).stats
+        big = simulate(config=RTX_3070_MINI, streams={
+            0: [make_kernel(n_ctas=64, n=100)]}).stats
         assert big.cycles > small.cycles
 
     def test_streaming_load_bypasses_l1(self):
@@ -267,6 +270,6 @@ class TestGPURun:
             WarpInstruction(Op.EXIT),
         ])
         k = KernelTrace("stream", [CTATrace([wt])], threads_per_cta=32)
-        stats = simulate(RTX_3070_MINI, {0: [k]})
+        stats = simulate(config=RTX_3070_MINI, streams={0: [k]}).stats
         assert stats.stream(0).l1_accesses == 0
         assert stats.stream(0).mem_transactions == 1
