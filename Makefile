@@ -12,11 +12,13 @@ test:
 lint:
 	$(PYTHON) -m ruff check src tests benchmarks
 
-# The two wall-clock gates: timing-core sim-rate and telemetry overhead.
+# The two wall-clock gates, timing-core sim-rate and telemetry overhead,
+# plus the cache replay (stats gate; its ns/access is a trend only).
 bench-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -m bench -s \
 		benchmarks/test_timing_simrate.py \
-		benchmarks/test_telemetry_overhead.py
+		benchmarks/test_telemetry_overhead.py \
+		benchmarks/test_cache_replay.py
 
 # The end-to-end benchmark's own self-test, on tiny inputs: every
 # workload's pinned digests and work counters in perfbench/expected.json

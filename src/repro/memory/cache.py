@@ -59,18 +59,6 @@ class SetPartition:
         if prev_end > self.num_sets:
             raise ValueError("set ranges exceed %d sets" % self.num_sets)
 
-    def map_set(self, stream: int, raw_set: int) -> int:
-        """Map a raw set index into the stream's assigned range."""
-        rng = self.ranges.get(stream)
-        if rng is None:
-            return raw_set
-        start, count = rng
-        return start + raw_set % count
-
-    def sets_for(self, stream: int) -> int:
-        rng = self.ranges.get(stream)
-        return rng[1] if rng else self.num_sets
-
     def mapping_tables(self) -> Dict[int, List[int]]:
         """Resolved per-stream set-mapping tables: ``table[raw_set]`` is the
         mapped index.  The cache installs these once per (re)configuration
@@ -81,20 +69,6 @@ class SetPartition:
             stream: [start + (raw % count) for raw in range(self.num_sets)]
             for stream, (start, count) in self.ranges.items()
         }
-
-
-class _Line:
-    __slots__ = ("tag", "valid", "dirty", "last_use", "data_class", "stream",
-                 "sector_mask")
-
-    def __init__(self) -> None:
-        self.tag = -1
-        self.valid = False
-        self.dirty = False
-        self.last_use = 0
-        self.data_class: Optional[DataClass] = None
-        self.stream = -1
-        self.sector_mask = 0
 
 
 def sector_mask_of(line_addr: int, sectors, sector_size: int = 32,
@@ -135,6 +109,29 @@ class CacheStats:
         return total
 
 
+class _Row:
+    """One set's resident lines as flat per-way lists.
+
+    Ways fill in order and a line is only ever replaced, never
+    invalidated, so the valid ways are exactly ``range(len(tags))``.
+    ``ways`` maps each resident tag to its *lowest* way: a carveout shrink
+    can strand a line above ``usable_ways`` while a later fill installs a
+    second copy below it, and a way-order scan would find the lower one.
+    """
+
+    __slots__ = ("ways", "tags", "lru", "dirty", "masks", "classes",
+                 "streams")
+
+    def __init__(self) -> None:
+        self.ways: Dict[int, int] = {}
+        self.tags: List[int] = []
+        self.lru: List[int] = []
+        self.dirty: List[bool] = []
+        self.masks: List[int] = []
+        self.classes: List[Optional[DataClass]] = []
+        self.streams: List[int] = []
+
+
 class SetAssocCache:
     """LRU set-associative cache with MSHRs and partitioning."""
 
@@ -144,13 +141,14 @@ class SetAssocCache:
         self.num_sets = config.num_sets
         self.assoc = config.assoc
         self.line_size = config.line_size
-        # Sets materialize lazily on first touch: building every _Line up
+        # Rows materialize lazily on first fill: building every set up
         # front costs more than an entire short simulation for large L2s,
-        # and an untouched set is indistinguishable from an all-invalid one.
-        self._sets: List[Optional[List[_Line]]] = [None] * self.num_sets
+        # and an untouched set is indistinguishable from an empty one.
+        self._rows: List[Optional[_Row]] = [None] * self.num_sets
         # line address -> fill-ready cycle, for MSHR merging.
         self._pending: Dict[int, int] = {}
         self._use_clock = 0
+        self._full_mask = (1 << (self.line_size // 32)) - 1
         self.set_partition: Optional[SetPartition] = None
         #: Resolved per-stream set-mapping tables (see SetPartition.mapping_tables);
         #: empty when the cache is unpartitioned.
@@ -207,16 +205,10 @@ class SetAssocCache:
                              "covers %s" % (self.name, sorted(self._set_map),
                                             sorted(part.ranges)))
         for stream, (start, count) in part.ranges.items():
-            table = self._set_map[stream]
-            if len(table) != self.num_sets:
-                raise ValueError("%s: stream %d table has %d entries"
-                                 % (self.name, stream, len(table)))
-            for raw, mapped in enumerate(table):
-                if mapped != start + raw % count:
-                    raise ValueError(
-                        "%s: stream %d maps raw set %d to %d, partition "
-                        "says %d" % (self.name, stream, raw, mapped,
-                                     start + raw % count))
+            if self._set_map[stream] != [start + raw % count
+                                         for raw in range(self.num_sets)]:
+                raise ValueError("%s: stream %d's set table disagrees with "
+                                 "its range %r" % (self.name, stream, (start, count)))
 
     def set_usable_ways(self, ways: int) -> None:
         """Restrict (or restore) the usable ways — the L1/SMEM carveout.
@@ -245,18 +237,15 @@ class SetAssocCache:
     def _stats(self, stream: int) -> CacheStats:
         st = self.stats.get(stream)
         if st is None:
-            st = CacheStats()
-            self.stats[stream] = st
+            st = self.stats[stream] = CacheStats()
         return st
 
     def probe(self, line_addr: int, stream: int = 0) -> bool:
         """Non-mutating hit test (used by utility monitors)."""
         set_idx, tag = self._index(line_addr, stream)
-        cache_set = self._sets[set_idx]
-        if cache_set is None:
-            return False
-        return any(cache_set[w].valid and cache_set[w].tag == tag
-                   for w in range(self.usable_ways))
+        row = self._rows[set_idx]
+        w = row.ways.get(tag) if row is not None else None
+        return w is not None and w < self.usable_ways
 
     def access(
         self,
@@ -275,7 +264,6 @@ class SetAssocCache:
         sectors: a resident line missing any of them is a sector miss,
         ``(False, None)``, and the caller fetches the missing sectors.
         """
-        self._use_clock += 1
         st = self.stats.get(stream)
         if st is None:
             st = self._stats(stream)
@@ -293,20 +281,18 @@ class SetAssocCache:
         table = self._set_map.get(stream)
         if table is not None:
             set_idx = table[set_idx]
-        cache_set = self._sets[set_idx]
-        if cache_set is None:
-            cache_set = self._sets[set_idx] = [
-                _Line() for _ in range(self.assoc)
-            ]
-        for w in range(self.usable_ways):
-            line = cache_set[w]
-            if line.valid and line.tag == line_addr:
-                line.last_use = self._use_clock
-                if sector_mask and (line.sector_mask & sector_mask) != sector_mask:
+        row = self._rows[set_idx]
+        if row is not None:
+            w = row.ways.get(line_addr)
+            if w is not None and w < self.usable_ways:
+                clock = self._use_clock + 1
+                self._use_clock = clock
+                row.lru[w] = clock
+                if sector_mask and (row.masks[w] & sector_mask) != sector_mask:
                     st.misses += 1  # sector miss on a resident line
                     return False, None
                 if is_store:
-                    line.dirty = True
+                    row.dirty[w] = True
                 st.hits += 1
                 return True, ready
         st.misses += 1
@@ -328,45 +314,58 @@ class SetAssocCache:
         """
         if ready is not None:
             self._pending[line_addr] = ready
-        self._use_clock += 1
-        full_mask = (1 << (self.line_size // 32)) - 1
-        mask = sector_mask or full_mask
+        mask = sector_mask or self._full_mask
         set_idx, tag = self._index(line_addr, stream)
-        cache_set = self._sets[set_idx]
-        if cache_set is None:
-            cache_set = self._sets[set_idx] = [
-                _Line() for _ in range(self.assoc)
-            ]
-        victim = None
-        oldest = None
-        for w in range(self.usable_ways):
-            line = cache_set[w]
-            if line.valid and line.tag == tag:
-                line.sector_mask |= mask  # sector refill of a resident line
-                if dirty:
-                    line.dirty = True
-                return None
-            if not line.valid:
-                victim = line
-                break
-            if oldest is None or line.last_use < oldest.last_use:
-                oldest = line
-        written_back = None
-        if victim is None:
-            victim = oldest
-            assert victim is not None
-            self._stats(victim.stream).evictions += 1
-            if victim.dirty:
-                # Tags are full line addresses, so the victim's address is
-                # recoverable for the write-back.
-                written_back = (victim.tag, victim.stream)
-        victim.tag = tag
-        victim.valid = True
-        victim.dirty = dirty
-        victim.last_use = self._use_clock
-        victim.data_class = data_class
-        victim.stream = stream
-        victim.sector_mask = mask
+        row = self._rows[set_idx]
+        if row is None:
+            row = self._rows[set_idx] = _Row()
+        usable = self.usable_ways
+        ways = row.ways
+        w = ways.get(tag)
+        if w is not None and w < usable:
+            row.masks[w] |= mask  # sector refill of a resident line
+            if dirty:
+                row.dirty[w] = True
+            return None
+        clock = self._use_clock + 1
+        self._use_clock = clock
+        tags = row.tags
+        n = len(tags)
+        if n < usable:
+            # A free way: the next one past the valid prefix.
+            ways[tag] = n
+            tags.append(tag)
+            row.lru.append(clock)
+            row.dirty.append(dirty)
+            row.masks.append(mask)
+            row.classes.append(data_class)
+            row.streams.append(stream)
+            return None
+        # Evict the least recently used of the usable ways (first minimum).
+        lru = row.lru
+        stamps = lru if n == usable else lru[:usable]
+        w = stamps.index(min(stamps))
+        old = tags[w]
+        old_stream = row.streams[w]
+        self._stats(old_stream).evictions += 1
+        # Tags are full line addresses, so a dirty victim's address is
+        # recoverable for the write-back.
+        written_back = (old, old_stream) if row.dirty[w] else None
+        if ways[old] == w:
+            # The lowest copy goes: a stranded higher copy (if any) is
+            # the one a way-order scan finds from now on.
+            if tags.count(old) > 1:
+                ways[old] = tags.index(old, w + 1)
+            else:
+                del ways[old]
+        # Any other copy of ``tag`` sits at or above ``usable`` > w.
+        ways[tag] = w
+        tags[w] = tag
+        lru[w] = clock
+        row.dirty[w] = dirty
+        row.masks[w] = mask
+        row.classes[w] = data_class
+        row.streams[w] = stream
         return written_back
 
     def mshr_cycle(self, cycle: int) -> int:
@@ -382,42 +381,37 @@ class SetAssocCache:
                 del pending[line]
         return cycle
 
+    def inflight(self, cycle: int) -> int:
+        """Fills still in flight at ``cycle`` (telemetry)."""
+        return sum(1 for ready in self._pending.values() if ready > cycle)
+
+    def mshr_entries_held(self) -> int:
+        """MSHR entries held: fills in flight plus returned fills that
+        have not retired yet.  :meth:`mshr_cycle` keeps this within
+        ``mshr_entries`` on every miss it admits."""
+        return len(self._pending)
+
     # -- introspection -----------------------------------------------------
     def composition(self) -> Dict[DataClass, int]:
         """Valid-line counts per data class (Fig 11 snapshots)."""
         comp: Dict[DataClass, int] = {}
-        for cache_set in self._sets:
-            if cache_set is None:
+        for row in self._rows:
+            if row is None:
                 continue
-            for line in cache_set:
-                if line.valid and line.data_class is not None:
-                    comp[line.data_class] = comp.get(line.data_class, 0) + 1
+            for cls in row.classes:
+                if cls is not None:
+                    comp[cls] = comp.get(cls, 0) + 1
         return comp
 
     def composition_by_stream(self) -> Dict[int, int]:
         comp: Dict[int, int] = {}
-        for cache_set in self._sets:
-            if cache_set is None:
+        for row in self._rows:
+            if row is None:
                 continue
-            for line in cache_set:
-                if line.valid:
-                    comp[line.stream] = comp.get(line.stream, 0) + 1
+            for stream in row.streams:
+                comp[stream] = comp.get(stream, 0) + 1
         return comp
 
     def occupancy(self) -> float:
-        valid = sum(1 for s in self._sets if s is not None
-                    for l in s if l.valid)
+        valid = sum(len(row.tags) for row in self._rows if row is not None)
         return valid / (self.num_sets * self.assoc)
-
-    def flush(self) -> None:
-        """Invalidate all lines and outstanding fills."""
-        for cache_set in self._sets:
-            if cache_set is None:
-                continue
-            for line in cache_set:
-                line.valid = False
-                line.dirty = False
-        self._pending.clear()
-
-    def aggregate_stats(self) -> CacheStats:
-        return CacheStats.sum(self.stats.values())

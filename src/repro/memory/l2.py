@@ -165,9 +165,9 @@ class L2Cache:
         return dram_ready
 
     # -- introspection ---------------------------------------------------------
-    def mshr_inflight(self) -> int:
-        """In-flight fills across all banks (read-only telemetry hook)."""
-        return sum(len(bank._pending) for bank in self.banks)
+    def mshr_inflight(self, cycle: int) -> int:
+        """Fills in flight at ``cycle`` across all banks (telemetry hook)."""
+        return sum(bank.inflight(cycle) for bank in self.banks)
 
     def bank_queue_depths(self, cycle: int) -> List[int]:
         """Per-bank port backlog in cycles at ``cycle`` (telemetry hook)."""
@@ -195,7 +195,3 @@ class L2Cache:
     def aggregate_stats(self) -> CacheStats:
         return CacheStats.sum(st for bank in self.banks
                               for st in bank.stats.values())
-
-    def flush(self) -> None:
-        for bank in self.banks:
-            bank.flush()

@@ -55,7 +55,7 @@ class MetricsRecorder:
         l1_mshr = 0
         icnt_backlog = 0
         for sm in gpu.sms:
-            l1_mshr += sm.ldst.mshr_inflight()
+            l1_mshr += sm.ldst.mshr_inflight(cycle)
             icnt_backlog += sm.ldst.icnt_queue_depth(cycle)
             for stream, n in sm.warps_used.items():
                 if n:
@@ -120,7 +120,7 @@ class MetricsRecorder:
             "interval": interval,
             "streams": streams,
             "l1_mshr_inflight": l1_mshr,
-            "l2_mshr_inflight": gpu.l2.mshr_inflight(),
+            "l2_mshr_inflight": gpu.l2.mshr_inflight(cycle),
             "icnt_backlog": icnt_backlog,
             "l2_bank_queues": gpu.l2.bank_queue_depths(cycle),
             "dram_backlog": gpu.l2.dram.channel_backlog(cycle),

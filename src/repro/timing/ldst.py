@@ -15,14 +15,13 @@ from __future__ import annotations
 from ..config import CacheConfig, GPUConfig
 from ..isa import Space, WarpInstruction
 from ..memory import L2Cache, SetAssocCache, sector_mask_of
-from .stats import GPUStats
+from .stats import StreamStats
 
 
 class LDSTPath:
     """Per-SM memory pipeline: L1 + interconnect + shared-memory access."""
 
-    def __init__(self, sm_id: int, config: GPUConfig, l2: L2Cache,
-                 stats: GPUStats) -> None:
+    def __init__(self, sm_id: int, config: GPUConfig, l2: L2Cache) -> None:
         self.sm_id = sm_id
         self.config = config
         # Ampere unifies L1 and shared memory in one physical array
@@ -48,7 +47,6 @@ class LDSTPath:
         self._l1_line = line
         self.l1 = SetAssocCache(array_cfg, name="l1.sm%d" % sm_id)
         self.l2 = l2
-        self.stats = stats
         self.shared_latency = 25
         # Per-access invariants, resolved once (GPUConfig is frozen).
         self._l1_hit_latency = config.l1.hit_latency
@@ -67,9 +65,9 @@ class LDSTPath:
         return start
 
     # -- telemetry ---------------------------------------------------------
-    def mshr_inflight(self) -> int:
-        """L1 MSHR entries currently tracking in-flight fills (read-only)."""
-        return len(self.l1._pending)
+    def mshr_inflight(self, cycle: int) -> int:
+        """L1 fills in flight at ``cycle`` (read-only)."""
+        return self.l1.inflight(cycle)
 
     def icnt_queue_depth(self, cycle: int) -> int:
         """Cycles of backlog at this SM's interconnect injection port."""
@@ -85,26 +83,28 @@ class LDSTPath:
         ways = max(1, usable_bytes // (self._l1_sets * self._l1_line))
         self.l1.set_usable_ways(min(ways, self.l1.assoc))
 
-    def issue(self, inst: WarpInstruction, cycle: int, stream: int) -> int:
-        """Execute a memory instruction; returns its completion cycle."""
+    def issue(self, inst: WarpInstruction, cycle: int, stream: int,
+              sstat: StreamStats) -> int:
+        """Execute a memory instruction; returns its completion cycle.
+        ``sstat`` (``stream``'s stats) takes one update per instruction."""
         space = inst.info.space
         if space is Space.SHARED:
-            self.stats.stream(stream).shared_accesses += 1
+            sstat.shared_accesses += 1
             return cycle + self.shared_latency
         if space is Space.CONST:
             return cycle + inst.info.latency
         if inst.mem is None or not inst.mem.lines:
             return cycle + inst.info.latency
-        return self._global_access(inst, cycle, stream)
+        return self._global_access(inst, cycle, stream, sstat)
 
-    def _global_access(self, inst: WarpInstruction, cycle: int, stream: int) -> int:
+    def _global_access(self, inst: WarpInstruction, cycle: int, stream: int,
+                       sstat: StreamStats) -> int:
         mem = inst.mem
         assert mem is not None
         info = inst.info
         is_store = info.is_store
         bypass_l1 = mem.bypass_l1
         data_class = mem.data_class
-        sstat = self.stats.stream(stream)
         icnt = self._icnt_latency
         hit_latency = self._l1_hit_latency
         l1 = self.l1
@@ -115,6 +115,7 @@ class LDSTPath:
         mask = 0
         fetch_bytes = None
         done = cycle
+        hits = 0
         # Transactions serialise on the L1 port: one line per cycle.
         # Coalescing emits distinct line addresses in first-occurrence
         # (lane) order, so each loop iteration touches a fresh line — no
@@ -124,15 +125,14 @@ class LDSTPath:
             if is_store:
                 # Write-through, no-allocate: update L1 if present, forward
                 # the store to L2.  Store acks do not stall the warp long.
-                hit = l1.probe(line, stream)
-                sstat.note_l1(hit, data_class)
+                if l1.probe(line, stream):
+                    hits += 1
                 launch = self._inject(t_cycle)
                 l2_access(line, launch + icnt, data_class, stream,
                           is_store=True)
                 completion = t_cycle + info.latency
             elif bypass_l1:
                 # Streaming load (ld.cg): straight to L2, no L1 fill.
-                sstat.mem_transactions += 1
                 launch = self._inject(t_cycle)
                 completion = l2_access(
                     line, launch + icnt, data_class, stream) + icnt
@@ -145,11 +145,10 @@ class LDSTPath:
                         fetch_bytes = len(sectors) * sector_size
                     else:
                         mask, fetch_bytes = 0, None
-                hit, ready = l1.access(line, t_cycle, stream,
-                                       sector_mask=mask)
+                hit, ready = l1.access(line, t_cycle, stream, False, mask)
                 if hit or ready is not None:
                     # A hit, or a merge into the line's in-flight fill.
-                    sstat.note_l1(True, data_class)
+                    hits += 1
                     completion = t_cycle + hit_latency
                     if ready is not None and ready > completion:
                         completion = ready
@@ -157,7 +156,6 @@ class LDSTPath:
                     # Miss: take an MSHR (stalling until one frees if the
                     # file is full), cross the interconnect, access L2,
                     # come back, fill.
-                    sstat.note_l1(False, data_class)
                     launch = self._inject(l1.mshr_cycle(t_cycle))
                     completion = l2_access(
                         line, launch + icnt, data_class, stream,
@@ -165,4 +163,8 @@ class LDSTPath:
                     l1.fill(line, data_class, stream, mask, ready=completion)
             if completion > done:
                 done = completion
+        if bypass_l1 and not is_store:
+            sstat.mem_transactions += len(mem.lines)
+        else:
+            sstat.note_l1(hits, len(mem.lines), data_class)
         return done

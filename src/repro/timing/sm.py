@@ -60,7 +60,7 @@ class SM:
         self.sm_id = sm_id
         self.config = config
         self.stats = stats
-        self.ldst = LDSTPath(sm_id, config, l2, stats)
+        self.ldst = LDSTPath(sm_id, config, l2)
         #: Flat warp-slot state shared by this SM and all its schedulers.
         self.slot_state = SlotState()
         self.schedulers = [
@@ -323,8 +323,11 @@ class SM:
             issue_cycle = cycle if cycle > nf else nf
             pnf[ui] = issue_cycle + initiation
             stream = st.streams[slot]
+            sstat = st.sstats[slot]
+            if sstat is None:
+                sstat = self.stats.stream(stream)
             if uses_ldst:
-                complete = self.ldst.issue(inst, issue_cycle, stream)
+                complete = self.ldst.issue(inst, issue_cycle, stream, sstat)
             else:
                 complete = issue_cycle + latency
             if is_bar:
@@ -379,9 +382,6 @@ class SM:
                         heapq.heappush(sched._heap, (estimate, seq, slot))
             sched._greedy = slot if not fin else -1
             # Stream stats.
-            sstat = st.sstats[slot]
-            if sstat is None:
-                sstat = self.stats.stream(stream)
             sstat.instructions += 1
             sstat._issue_by_unit[ui] += 1
             fic = sstat.first_issue_cycle

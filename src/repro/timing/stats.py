@@ -82,15 +82,16 @@ class StreamStats:
     def l1_hit_rate(self) -> float:
         return self.l1_hits / self.l1_accesses if self.l1_accesses else 0.0
 
-    def note_l1(self, hit: bool, data_class: DataClass, transactions: int = 1) -> None:
+    def note_l1(self, hits: int, transactions: int,
+                data_class: DataClass) -> None:
+        """Count one instruction's ``transactions`` L1 lines, ``hits`` of
+        which hit."""
         self.l1_accesses += transactions
         self.mem_transactions += transactions
-        if hit:
-            self.l1_hits += transactions
+        self.l1_hits += hits
         if data_class is DataClass.TEXTURE:
             self.l1_tex_accesses += transactions
-            if hit:
-                self.l1_tex_hits += transactions
+            self.l1_tex_hits += hits
 
     def to_dict(self) -> dict:
         """JSON-safe dump of every counter (enum keys become strings)."""

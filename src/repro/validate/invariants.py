@@ -199,9 +199,10 @@ class InvariantChecker(NullTelemetry):
         for sm in gpu.sms:
             l1 = sm.ldst.l1
             self._check_cache_stats(l1, merges_are_misses=True)
-            if len(l1._pending) > l1.config.mshr_entries:
+            held = l1.mshr_entries_held()
+            if held > l1.config.mshr_entries:
                 self._fail("l1_mshr", "%s holds %d pending fills, MSHR "
-                           "capacity is %d" % (l1.name, len(l1._pending),
+                           "capacity is %d" % (l1.name, held,
                                                l1.config.mshr_entries))
         for bank in gpu.l2.banks:
             # L2 merge counting differs: an access that finds the line

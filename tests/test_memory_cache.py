@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import CacheConfig
 from repro.isa import DataClass
-from repro.memory import SetAssocCache, SetPartition
+from repro.memory import CacheStats, SetAssocCache, SetPartition
 
 
 def small_cache(assoc=4, sets=8):
@@ -56,18 +56,15 @@ class TestBasicBehaviour:
         assert c.stats[0].accesses == before
 
     def test_store_marks_dirty_on_hit(self):
-        c = small_cache()
+        c = small_cache(assoc=1, sets=1)
         load(c, 0)
         hit, _ = c.access(0, cycle=0, stream=0, is_store=True)
         assert hit
-        assert c._sets[0][0].dirty
-
-    def test_flush_clears_everything(self):
-        c = small_cache()
-        load(c, 0)
-        c.flush()
-        assert not c.probe(0)
-        assert c.occupancy() == 0.0
+        # The dirty line comes back as the write-back victim.
+        c.access(128, cycle=0, stream=0)
+        assert c.fill(128, DataClass.COMPUTE, 0) == (0, 0)
+        c.access(256, cycle=0, stream=0)
+        assert c.fill(256, DataClass.COMPUTE, 0) is None
 
 
 class TestStats:
@@ -92,13 +89,13 @@ class TestStats:
         c = small_cache()
         load(c, 0, stream=0)
         load(c, 4096, stream=1)
-        assert c.aggregate_stats().accesses == 2
+        assert CacheStats.sum(c.stats.values()).accesses == 2
 
     def test_eviction_counted(self):
         c = small_cache(assoc=1, sets=1)
         load(c, 0)
         load(c, 128)
-        total = c.aggregate_stats()
+        total = CacheStats.sum(c.stats.values())
         assert total.evictions == 1
 
 
@@ -154,15 +151,18 @@ class TestMSHR:
 
 class TestSetPartition:
     def test_ranges_disjoint(self):
-        p = SetPartition(8, {0: 6, 1: 2})
-        sets0 = {p.map_set(0, s) for s in range(100)}
-        sets1 = {p.map_set(1, s) for s in range(100)}
-        assert sets0 == set(range(6))
-        assert sets1 == {6, 7}
+        tables = SetPartition(8, {0: 6, 1: 2}).mapping_tables()
+        assert set(tables[0]) == set(range(6))
+        assert set(tables[1]) == {6, 7}
 
     def test_unknown_stream_uses_full_cache(self):
-        p = SetPartition(8, {0: 4})
-        assert p.map_set(9, 7) == 7
+        c = small_cache(assoc=1, sets=8)
+        c.partition_sets({0: 4})
+        # Eight lines in eight raw sets all stay resident: stream 9 is
+        # not squeezed into stream 0's four sets.
+        for i in range(8):
+            load(c, i * 128, stream=9)
+        assert c.occupancy() == 1.0
 
     def test_rejects_overcommit(self):
         with pytest.raises(ValueError):
@@ -186,22 +186,20 @@ class TestSetPartition:
 
     def test_sets_for(self):
         p = SetPartition(8, {0: 5, 1: 3})
-        assert p.sets_for(0) == 5
-        assert p.sets_for(1) == 3
-        assert p.sets_for(5) == 8
+        assert p.ranges == {0: (0, 5), 1: (5, 3)}
+        assert 5 not in p.ranges  # an absent stream keeps all 8 sets
 
 
 class TestResolvedMappingTables:
-    """The access fast path replaces SetPartition.map_set with per-stream
-    tables installed at partition_sets time; these pin the table semantics
-    against the reference map_set."""
+    """The access path maps a raw set through per-stream tables installed
+    at partition_sets time; these pin the tables against the ranges."""
 
-    def test_tables_match_map_set(self):
+    def test_tables_match_ranges(self):
         p = SetPartition(8, {0: 5, 1: 3})
         tables = p.mapping_tables()
-        for stream in (0, 1):
-            for raw in range(8):
-                assert tables[stream][raw] == p.map_set(stream, raw)
+        for stream, (start, count) in p.ranges.items():
+            assert tables[stream] == [start + raw % count
+                                      for raw in range(8)]
 
     def test_absent_stream_has_no_table(self):
         p = SetPartition(8, {0: 4})

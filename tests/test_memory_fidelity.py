@@ -54,8 +54,7 @@ class TestUsableWays:
 
 class TestCarveout:
     def make_path(self):
-        stats = GPUStats()
-        return LDSTPath(0, RTX_3070_MINI, L2Cache(RTX_3070_MINI), stats)
+        return LDSTPath(0, RTX_3070_MINI, L2Cache(RTX_3070_MINI))
 
     def test_array_covers_l1_plus_smem(self):
         p = self.make_path()

@@ -97,12 +97,6 @@ class TestL2Access:
         assert st.accesses == 2
         assert st.hits >= 1
 
-    def test_flush(self):
-        l2 = make_l2()
-        l2.access(0, 0, DataClass.COMPUTE, 0)
-        l2.flush()
-        assert sum(l2.composition().values()) == 0
-
 
 class TestDRAM:
     def test_fixed_latency_applied(self):

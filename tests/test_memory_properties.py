@@ -82,7 +82,7 @@ def test_partitioned_index_lands_in_stream_range(addr, num_sets, counts):
         start, count = part.ranges[stream]
         set_idx, _ = cache._index(line, stream)
         assert start <= set_idx < start + count
-        assert set_idx == part.map_set(stream, (line // LINE_SIZE) % num_sets)
+        assert set_idx == start + (line // LINE_SIZE) % num_sets % count
     # A stream outside the partition keeps the identity mapping.
     set_idx, _ = cache._index(line, 7)
     assert set_idx == (line // LINE_SIZE) % num_sets
