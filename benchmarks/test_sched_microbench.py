@@ -7,9 +7,9 @@ behind memory time.  This benchmark saturates every SM with ALU-only warps
 wall-clock is the pick/issue loop itself: the greedy re-validation, the
 bucket-queue sweep, and the fused issue commit in ``SM.tick``.
 
-The measured record is appended to ``BENCH_timing.json`` (schema-2, its own
-label, so the run repository's trend groups keep it apart from the
-reference workload).
+The measured record is appended to ``out/BENCH_timing.json`` (schema-2,
+its own label, so the run repository's trend groups keep it apart from
+the reference workload).
 
 Run with::
 
@@ -18,19 +18,14 @@ Run with::
 
 from __future__ import annotations
 
-import json
-import os
-
 import pytest
 
 from repro.config import get_preset
 from repro.isa import CTATrace, KernelTrace, Op, WarpInstruction, WarpTrace
 from repro.profiling import measure_simrate
 
-from bench_util import print_header
+from bench_util import append_run, print_header
 
-BENCH_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                          "BENCH_timing.json")
 LABEL = "sched-microbench: ALU-only warp storm, JetsonOrin-mini"
 
 NUM_CTAS = 64
@@ -79,12 +74,7 @@ def test_sched_microbench():
     print("current:  %10.0f instr/s  (%.2fs wall)"
           % (record["instructions_per_second"], record["wall_seconds"]))
 
-    with open(BENCH_PATH, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    doc.setdefault("runs", []).append(record)
-    with open(BENCH_PATH, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-        f.write("\n")
+    append_run("timing", record)
 
     # Shape assertions only — absolute speed is tracked, not gated, here
     # (the gated workload lives in test_timing_simrate.py).

@@ -5,7 +5,7 @@ free (the golden-stats gate proves bit-identity; the sim-rate benchmark
 proves speed), and *enabled* telemetry — interval sampling at 1000 cycles
 plus span tracing — must cost <= 10% wall clock on the reference workload
 (sponza + hologram at nano, mps, JetsonOrin-mini).  The measured overhead
-is written to ``BENCH_telemetry.json``.
+is written to ``out/BENCH_telemetry.json``.
 
 Run with::
 
@@ -14,8 +14,6 @@ Run with::
 
 from __future__ import annotations
 
-import json
-import os
 import time
 
 import pytest
@@ -25,10 +23,8 @@ from repro.config import get_preset
 from repro.core.platform import collect_streams
 from repro.telemetry import Telemetry
 
-from bench_util import print_header
+from bench_util import print_header, write_record
 
-BENCH_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                          "BENCH_telemetry.json")
 #: Acceptance ceiling for enabled-telemetry overhead on the reference run.
 MAX_OVERHEAD = 0.10
 REPEATS = 3
@@ -81,9 +77,7 @@ def test_telemetry_overhead():
         "gate_max_overhead": MAX_OVERHEAD,
         "cycles": off_cycles,
     }
-    with open(BENCH_PATH, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-        f.write("\n")
+    write_record("telemetry", doc)
 
     # Telemetry observes, never perturbs: same simulated outcome.
     assert on_cycles == off_cycles

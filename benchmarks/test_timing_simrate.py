@@ -2,9 +2,9 @@
 
 Measures simulated instructions per wall-clock second on the reference
 workload (sponza + hologram at nano, mps, JetsonOrin-mini), appends the
-record to ``BENCH_timing.json`` so successive PRs track the trajectory,
-and asserts the cumulative hot-path speedup over the stored
-pre-optimisation baseline has not regressed.
+record to ``out/BENCH_timing.json`` (a copy of the tracked
+``BENCH_timing.json`` plus new runs), and asserts the cumulative hot-path
+speedup over the tracked pre-optimisation baseline has not regressed.
 
 Run with::
 
@@ -13,19 +13,14 @@ Run with::
 
 from __future__ import annotations
 
-import json
-import os
-
 import pytest
 
 from repro.config import get_preset
 from repro.core.platform import collect_streams
 from repro.profiling import measure_simrate
 
-from bench_util import print_header
+from bench_util import append_run, print_header, tracked_bench_json
 
-BENCH_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                          "BENCH_timing.json")
 #: Ongoing regression gate, bumped per optimisation PR: the issue-tuple
 #: overhaul measured 2.1x over the stored baseline, the structure-of-arrays
 #: core 3.3x; the floor keeps headroom for slow/noisy CI runners while
@@ -35,9 +30,7 @@ MIN_SPEEDUP = 2.5
 
 @pytest.mark.bench
 def test_timing_simrate():
-    with open(BENCH_PATH, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    baseline = doc["baseline"]
+    baseline = tracked_bench_json("timing")["baseline"]
 
     config = get_preset("JetsonOrin-mini")
     streams = collect_streams(config, scene="SPL", res="nano",
@@ -55,10 +48,7 @@ def test_timing_simrate():
                / baseline["instructions_per_second"])
     print("speedup:  %10.2fx  (gate: >= %.1fx)" % (speedup, MIN_SPEEDUP))
 
-    doc.setdefault("runs", []).append(dict(record, speedup=round(speedup, 3)))
-    with open(BENCH_PATH, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-        f.write("\n")
+    append_run("timing", dict(record, speedup=round(speedup, 3)))
 
     # The workload must be the baseline's workload or the ratio is
     # meaningless.

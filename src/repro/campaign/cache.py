@@ -6,6 +6,8 @@ one directory)::
     <root>/
       results/<fp[:2]>/<fp>.json    one JSON blob per simulated job
       manifests/<campaign_id>.json  per-campaign status (see manifest.py)
+      manifests/<campaign_id>.log   its journal: one line per finished job,
+                                    deleted when the campaign ends
 
 A blob stores the canonical job spec alongside the result so entries are
 self-describing and auditable.  Writes are atomic (temp file + ``rename``)

@@ -2,10 +2,16 @@
 
 A campaign's identity is a hash of its (sorted, deduplicated) job
 fingerprints, so re-submitting the same sweep — after a crash, a ctrl-C,
-or on another day — maps onto the same manifest.  The runner updates the
-manifest as jobs finish; a resumed campaign reads job *results* from the
-cache (the source of truth) and uses the manifest for bookkeeping: what
-already ran, what failed and why, how long everything took.
+or on another day — maps onto the same manifest.  A resumed campaign
+reads job *results* from the cache (the source of truth) and uses the
+manifest for bookkeeping: what already ran, what failed and why, how long
+everything took.
+
+On disk: a snapshot ``<campaign_id>.json`` and an append-only journal
+``<campaign_id>.log`` with one ``[fingerprint, entry]`` line per finished
+job.  An append costs no disk flush; the snapshot is rewritten, and the
+journal deleted, once at campaign end.  :meth:`CampaignManifest.open`
+replays a killed campaign's journal over its snapshot.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import json
 import os
 import tempfile
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 
 def campaign_id(fingerprints: Sequence[str]) -> str:
@@ -33,6 +39,7 @@ class CampaignManifest:
     def __init__(self, cid: str, path: Optional[str] = None) -> None:
         self.campaign_id = cid
         self.path = path
+        self.journal = path[:-len(".json")] + ".log" if path else None
         self.created_at = time.time()
         #: fingerprint -> {"label", "status", "wall_seconds", "error"}
         self.jobs: Dict[str, dict] = {}
@@ -45,14 +52,9 @@ class CampaignManifest:
         path = (os.path.join(directory, cid + ".json")
                 if directory else None)
         manifest = cls(cid, path)
-        if path and os.path.exists(path):
-            try:
-                with open(path, "r", encoding="utf-8") as f:
-                    doc = json.load(f)
-                manifest.created_at = doc.get("created_at", manifest.created_at)
-                manifest.jobs = doc.get("jobs", {})
-            except (OSError, ValueError):
-                pass  # a torn manifest is rebuilt from scratch
+        if path:
+            os.makedirs(directory, exist_ok=True)
+            manifest._load()
         for fp, label in zip(fingerprints, labels):
             manifest.jobs.setdefault(fp, {
                 "label": label, "status": "pending",
@@ -60,22 +62,33 @@ class CampaignManifest:
             })
         return manifest
 
+    def _load(self) -> None:
+        """Read the snapshot, then replay the journal over it."""
+        try:
+            with open(self.path, "r", encoding="utf-8") as f:
+                doc = json.load(f)
+            self.created_at = doc.get("created_at", self.created_at)
+            self.jobs = doc.get("jobs", {})
+        except (OSError, ValueError):
+            pass  # a missing or torn snapshot is rebuilt from the journal
+        try:
+            with open(self.journal, "r+b") as f:
+                *lines, torn = f.read().split(b"\n")
+                if torn:  # cut off, so the next append starts a new line
+                    f.truncate(f.tell() - len(torn))
+            self.jobs.update(json.loads(line) for line in lines)
+        except (OSError, ValueError):
+            pass  # no journal, or a corrupt line: keep what came before
+
     def update(self, fingerprint: str, status: str,
                wall_seconds: float = 0.0,
                error: Optional[str] = None) -> None:
+        """Record one job's outcome and append it to the journal."""
         entry = self.jobs.setdefault(fingerprint, {"label": fingerprint[:12]})
         entry.update(status=status, wall_seconds=wall_seconds, error=error)
-
-    def statuses(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for entry in self.jobs.values():
-            counts[entry.get("status", "pending")] = \
-                counts.get(entry.get("status", "pending"), 0) + 1
-        return counts
-
-    def pending(self) -> List[str]:
-        return [fp for fp, e in self.jobs.items()
-                if e.get("status") in (None, "pending", "failed", "timeout")]
+        if self.journal:
+            with open(self.journal, "a", encoding="utf-8") as f:
+                f.write(json.dumps([fingerprint, entry]) + "\n")
 
     def to_dict(self) -> dict:
         return {
@@ -86,10 +99,10 @@ class CampaignManifest:
         }
 
     def save(self) -> None:
-        """Persist atomically (no-op when the campaign has no directory)."""
+        """Write the snapshot atomically, then delete the journal it now
+        holds (no-op when the campaign has no directory)."""
         if not self.path:
             return
-        os.makedirs(os.path.dirname(self.path), exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(self.path),
                                    prefix=".tmp-", suffix=".json")
         try:
@@ -100,3 +113,5 @@ class CampaignManifest:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
+        if os.path.exists(self.journal):
+            os.unlink(self.journal)

@@ -156,7 +156,15 @@ class CampaignRunner:
 
     # -- execution ------------------------------------------------------------
     def run(self, jobs: Sequence[Job]) -> CampaignResult:
-        jobs = list(jobs)
+        try:
+            return self._run(list(jobs))
+        finally:
+            if self.repository is not None:
+                # One WAL checkpoint per campaign, and no connection left
+                # open for as long as something holds the repository.
+                self.repository.close()
+
+    def _run(self, jobs: List[Job]) -> CampaignResult:
         started = time.perf_counter()
         fingerprints = [job.fingerprint() for job in jobs]
         labels = [job.display_label for job in jobs]
@@ -250,7 +258,6 @@ class CampaignRunner:
         manifest.update(fingerprint, result.status,
                         wall_seconds=result.wall_seconds,
                         error=result.error)
-        manifest.save()
         if self.repository is not None:
             # No-op for failed/statless results; content-keyed, so cache
             # hits map onto the already-stored row.

@@ -7,10 +7,13 @@ outcomes and telemetry-derived views — keyed by
 JSON columns so the schema survives record-layout bumps: the tolerant
 readers in :mod:`repro.service.records` are the only migration point.
 
-Concurrency: the database runs in WAL mode and every public method opens
-a short-lived connection, so the job queue's worker threads, the
-dashboard's request threads and a CLI ingest can all touch the same file
-safely (single writer at a time, arbitrated by sqlite's busy handler).
+Concurrency: WAL mode, and one connection per thread (and process), kept
+until :meth:`close` or the thread's end; queue workers, dashboard request
+threads and a CLI ingest share the file, and readers never block writers.
+A campaign closes its connection at its end: one WAL checkpoint per
+campaign, not per job.  A committed row is visible to other connections
+at once and survives a process crash; with ``synchronous=NORMAL`` a power
+loss may drop rows committed since the last checkpoint.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import json
 import os
 import sqlite3
+import threading
 import time
 from typing import Dict, List, Optional
 
@@ -70,6 +74,11 @@ _JSON_COLS = ("stats_json", "simrate_json", "qos_json", "views_json",
               "artifacts_json", "extras_json")
 
 
+def _dumps(payload) -> Optional[str]:
+    """A JSON column's text; None for an empty or missing payload."""
+    return json.dumps(payload, sort_keys=True) if payload else None
+
+
 def default_db_path() -> str:
     env = os.environ.get(DB_ENV_VAR)
     if env:
@@ -85,31 +94,40 @@ class RunRepository:
         self.path = path or default_db_path()
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)
+        self._local = threading.local()
         self._init_schema()
 
     # -- connection management ------------------------------------------------
-    def _connect(self) -> sqlite3.Connection:
-        con = sqlite3.connect(self.path, timeout=30.0)
-        con.row_factory = sqlite3.Row
-        con.execute("PRAGMA journal_mode=WAL")
-        con.execute("PRAGMA synchronous=NORMAL")
-        return con
+    def _conn(self) -> sqlite3.Connection:
+        """This thread's connection, opened on first use in this process
+        (writes use it as ``with self._conn() as con:``, which commits)."""
+        local = self._local
+        if getattr(local, "pid", None) != os.getpid():
+            con = sqlite3.connect(self.path, timeout=30.0)
+            con.row_factory = sqlite3.Row
+            con.execute("PRAGMA journal_mode=WAL")
+            con.execute("PRAGMA synchronous=NORMAL")
+            local.con, local.pid = con, os.getpid()
+        return local.con
+
+    def close(self) -> None:
+        """Close the calling thread's connection; the next call reopens."""
+        local = self._local
+        if getattr(local, "pid", None) == os.getpid():
+            local.con.close()
+        local.con = local.pid = None
 
     def _init_schema(self) -> None:
-        con = self._connect()
-        try:
-            with con:
-                con.execute(_TABLE)
-                for idx in _INDEXES:
-                    con.execute(idx)
-                con.execute(
-                    "CREATE TABLE IF NOT EXISTS meta "
-                    "(key TEXT PRIMARY KEY, value TEXT)")
-                con.execute(
-                    "INSERT OR IGNORE INTO meta (key, value) VALUES (?, ?)",
-                    ("db_schema", str(DB_SCHEMA)))
-        finally:
-            con.close()
+        with self._conn() as con:
+            con.execute(_TABLE)
+            for idx in _INDEXES:
+                con.execute(idx)
+            con.execute(
+                "CREATE TABLE IF NOT EXISTS meta "
+                "(key TEXT PRIMARY KEY, value TEXT)")
+            con.execute(
+                "INSERT OR IGNORE INTO meta (key, value) VALUES (?, ?)",
+                ("db_schema", str(DB_SCHEMA)))
 
     # -- writes ---------------------------------------------------------------
     def _insert(self, run_key: str, row: Dict[str, object]) -> int:
@@ -118,17 +136,13 @@ class RunRepository:
         cols = ["run_key"] + list(row)
         sql = ("INSERT OR IGNORE INTO runs (%s) VALUES (%s)"
                % (", ".join(cols), ", ".join("?" * len(cols))))
-        con = self._connect()
-        try:
-            with con:
-                cur = con.execute(sql, [run_key] + list(row.values()))
-                if cur.rowcount:
-                    return int(cur.lastrowid)
+        with self._conn() as con:
+            cur = con.execute(sql, [run_key] + list(row.values()))
+            if cur.rowcount:
+                return int(cur.lastrowid)
             found = con.execute("SELECT id FROM runs WHERE run_key = ?",
                                 (run_key,)).fetchone()
-            return int(found["id"])
-        finally:
-            con.close()
+        return int(found["id"])
 
     def add_record(self, record: Dict[str, object], source: str = "api",
                    created_unix: Optional[float] = None) -> int:
@@ -158,18 +172,11 @@ class RunRepository:
             "instructions": instructions,
             "instructions_per_second": ips,
             "wall_seconds": wall,
-            "stats_json": json.dumps(stats, sort_keys=True) if stats else None,
-            "simrate_json": (json.dumps(simrate, sort_keys=True)
-                             if simrate else None),
-            "qos_json": (json.dumps(record["qos"], sort_keys=True)
-                         if record.get("qos") else None),
-            "views_json": (json.dumps(record["views"], sort_keys=True)
-                           if record.get("views") else None),
-            "artifacts_json": (json.dumps(record["artifacts"], sort_keys=True)
-                               if record.get("artifacts") else None),
-            "extras_json": (json.dumps(record["extras"], sort_keys=True)
-                            if record.get("extras") else None),
+            "stats_json": _dumps(stats),
+            "simrate_json": _dumps(simrate),
         }
+        for name in ("qos", "views", "artifacts", "extras"):
+            row[name + "_json"] = _dumps(record.get(name))
         return self._insert(key, row)
 
     def add_simrate(self, record: Dict[str, object], source: str = "bench",
@@ -263,12 +270,8 @@ class RunRepository:
 
     def get(self, run_id: int) -> Optional[Dict[str, object]]:
         """Full detail of one run: summary + parsed JSON payloads."""
-        con = self._connect()
-        try:
-            row = con.execute("SELECT * FROM runs WHERE id = ?",
-                              (run_id,)).fetchone()
-        finally:
-            con.close()
+        row = self._conn().execute("SELECT * FROM runs WHERE id = ?",
+                                   (run_id,)).fetchone()
         if row is None:
             return None
         detail = self._summary(row)
@@ -293,23 +296,15 @@ class RunRepository:
         sql = ("SELECT %s FROM runs%s ORDER BY id DESC LIMIT ?"
                % (", ".join(_SUMMARY_COLS), where))
         params.append(int(limit))
-        con = self._connect()
-        try:
-            rows = con.execute(sql, params).fetchall()
-        finally:
-            con.close()
+        rows = self._conn().execute(sql, params).fetchall()
         return [self._summary(r) for r in rows]
 
     def find_job(self, job_fingerprint: str) -> Optional[Dict[str, object]]:
         """Newest stored run for one campaign-job fingerprint (queue dedupe)."""
-        con = self._connect()
-        try:
-            row = con.execute(
-                "SELECT %s FROM runs WHERE job_fingerprint = ? AND "
-                "stats_json IS NOT NULL ORDER BY id DESC LIMIT 1"
-                % ", ".join(_SUMMARY_COLS), (job_fingerprint,)).fetchone()
-        finally:
-            con.close()
+        row = self._conn().execute(
+            "SELECT %s FROM runs WHERE job_fingerprint = ? AND "
+            "stats_json IS NOT NULL ORDER BY id DESC LIMIT 1"
+            % ", ".join(_SUMMARY_COLS), (job_fingerprint,)).fetchone()
         return self._summary(row) if row else None
 
     def compare(self, fingerprint: Optional[str] = None,
@@ -332,11 +327,7 @@ class RunRepository:
         sql = ("SELECT %s FROM runs WHERE %s ORDER BY id ASC LIMIT ?"
                % (", ".join(_SUMMARY_COLS), " AND ".join(clauses)))
         params.append(int(limit))
-        con = self._connect()
-        try:
-            rows = con.execute(sql, params).fetchall()
-        finally:
-            con.close()
+        rows = self._conn().execute(sql, params).fetchall()
         groups: Dict[tuple, Dict[str, object]] = {}
         for row in rows:
             gkey = (row["config_fingerprint"], row["label"])
@@ -366,19 +357,15 @@ class RunRepository:
 
     def counts(self) -> Dict[str, object]:
         """Totals per kind/source plus distinct fingerprints (stat tiles)."""
-        con = self._connect()
-        try:
-            total = con.execute("SELECT COUNT(*) AS n FROM runs"
-                                ).fetchone()["n"]
-            by_kind = {r["kind"]: r["n"] for r in con.execute(
-                "SELECT kind, COUNT(*) AS n FROM runs GROUP BY kind")}
-            by_source = {r["source"]: r["n"] for r in con.execute(
-                "SELECT source, COUNT(*) AS n FROM runs GROUP BY source")}
-            fps = con.execute(
-                "SELECT COUNT(DISTINCT config_fingerprint) AS n FROM runs "
-                "WHERE config_fingerprint IS NOT NULL").fetchone()["n"]
-        finally:
-            con.close()
+        con = self._conn()
+        total = con.execute("SELECT COUNT(*) AS n FROM runs").fetchone()["n"]
+        by_kind = {r["kind"]: r["n"] for r in con.execute(
+            "SELECT kind, COUNT(*) AS n FROM runs GROUP BY kind")}
+        by_source = {r["source"]: r["n"] for r in con.execute(
+            "SELECT source, COUNT(*) AS n FROM runs GROUP BY source")}
+        fps = con.execute(
+            "SELECT COUNT(DISTINCT config_fingerprint) AS n FROM runs "
+            "WHERE config_fingerprint IS NOT NULL").fetchone()["n"]
         return {"runs": total, "by_kind": by_kind, "by_source": by_source,
                 "fingerprints": fps, "db_path": self.path}
 
@@ -402,13 +389,9 @@ class RunRepository:
             params.append(source)
         if not clauses:
             return 0
-        con = self._connect()
-        try:
-            with con:
-                cur = con.execute(
-                    "DELETE FROM runs WHERE " + " AND ".join(clauses), params)
-                removed = cur.rowcount
-            con.execute("VACUUM")
-        finally:
-            con.close()
+        with self._conn() as con:
+            removed = con.execute(
+                "DELETE FROM runs WHERE " + " AND ".join(clauses),
+                params).rowcount
+        con.execute("VACUUM")  # outside the transaction, which it needs
         return removed

@@ -19,8 +19,9 @@
                       queue; deduped against repository + in-flight jobs
 ====================  =====================================================
 
-The server is threaded (one request per thread) and the repository opens a
-connection per call, so dashboard reads never block queue writers.
+The server is threaded (one request per thread) and the repository keeps
+one WAL-mode connection per thread, so dashboard reads never block queue
+writers.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ import os
 import pytest
 
 from repro.campaign import (
+    CampaignManifest,
     CampaignRunner,
     Job,
     ResultCache,
@@ -325,3 +326,134 @@ class TestCampaignCLI:
 
     def test_requires_some_workload(self, capsys):
         assert main(["campaign", "--quiet"]) == 2
+
+
+def broken_job():
+    """A job whose trace fails at once (unknown compute workload)."""
+    return Job(scene="SPL", compute="NOPE", res="nano")
+
+
+class TestManifestJournal:
+    FPS = ("a" * 64, "b" * 64, "c" * 64)
+
+    def _open(self, directory):
+        return CampaignManifest.open(self.FPS, ["A", "B", "C"], directory)
+
+    def test_torn_journal_keeps_complete_entries(self, tmp_path):
+        manifest = self._open(str(tmp_path))
+        manifest.update(self.FPS[0], "ok", wall_seconds=1.5)
+        manifest.update(self.FPS[1], "failed", error="boom")
+        with open(manifest.journal, "a") as f:
+            f.write('["%s", {"label": "C", "sta' % self.FPS[2])
+        reopened = self._open(str(tmp_path))
+        assert [reopened.jobs[fp]["status"] for fp in self.FPS] == \
+            ["ok", "failed", "pending"]
+        assert reopened.jobs[self.FPS[0]]["wall_seconds"] == 1.5
+        # The torn tail is cut off, so a later append stays readable.
+        reopened.update(self.FPS[2], "ok")
+        assert self._open(str(tmp_path)).jobs[self.FPS[2]]["status"] == "ok"
+
+    def test_journal_replays_over_the_snapshot(self, tmp_path):
+        manifest = self._open(str(tmp_path))
+        manifest.update(self.FPS[0], "failed", error="first try")
+        manifest.save()
+        assert not os.path.exists(manifest.journal)
+        manifest.update(self.FPS[0], "ok")
+        assert self._open(str(tmp_path)).jobs[self.FPS[0]]["status"] == "ok"
+
+    def test_killed_campaign_leaves_status_in_journal(self, tmp_path,
+                                                      monkeypatch):
+        def killed(self):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(CampaignManifest, "save", killed)
+        jobs = [broken_job()]
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(jobs, cache_dir=str(tmp_path), retries=0)
+        monkeypatch.undo()
+        manifest = CampaignManifest.open(
+            [j.fingerprint() for j in jobs], ["x"],
+            ResultCache(str(tmp_path)).manifests_dir)
+        assert not os.path.exists(manifest.path)
+        (entry,) = manifest.jobs.values()
+        assert entry["status"] == "failed" and "NOPE" in entry["error"]
+
+    def test_finished_campaign_leaves_only_the_snapshot(self, tmp_path):
+        from repro.service import classify_document
+        campaign = run_campaign([broken_job()], cache_dir=str(tmp_path),
+                                retries=0)
+        directory = os.path.dirname(campaign.manifest_path)
+        assert os.listdir(directory) == [
+            os.path.basename(campaign.manifest_path)]
+        with open(campaign.manifest_path) as f:
+            assert classify_document(json.load(f)) == "campaign-manifest"
+
+
+def watch_io(monkeypatch):
+    """Count sqlite connections and renames onto new vs existing names."""
+    import sqlite3
+    seen = {"connections": [], "new": 0, "existing": 0}
+    connect, replace = sqlite3.connect, os.replace
+
+    def counting_connect(*args, **kwargs):
+        seen["connections"].append(connect(*args, **kwargs))
+        return seen["connections"][-1]
+
+    def counting_replace(src, dst):
+        seen["existing" if os.path.exists(dst) else "new"] += 1
+        return replace(src, dst)
+
+    monkeypatch.setattr(sqlite3, "connect", counting_connect)
+    monkeypatch.setattr(os, "replace", counting_replace)
+    return seen
+
+
+def open_connections(connections):
+    import sqlite3
+    alive = []
+    for con in connections:
+        try:
+            con.execute("SELECT 1")
+        except sqlite3.ProgrammingError:
+            continue
+        alive.append(con)
+    return alive
+
+
+class TestBookkeepingIO:
+    """Work counters, not wall clock: the campaign's bookkeeping forces
+    no disk flush per job.  Closing a WAL connection checkpoints and
+    fsyncs; renaming over an existing file flushes it on ext4."""
+
+    def _runner(self, tmp_path):
+        from repro.service import RunRepository
+        return CampaignRunner(
+            cache=ResultCache(str(tmp_path / "cache")),
+            repository=RunRepository(str(tmp_path / "runs.sqlite")))
+
+    def test_cold_campaign(self, tmp_path, monkeypatch):
+        seen = watch_io(monkeypatch)
+        runner = self._runner(tmp_path)
+        before = len(seen["connections"])
+        campaign = runner.run([nano_job(p) for p in ("mps", "tap", "mig")])
+        assert campaign.executed == 3
+        assert len(seen["connections"]) - before <= 1
+        assert seen["existing"] == 0
+        assert not open_connections(seen["connections"])
+        assert runner.repository.counts()["runs"] == 3
+
+    def test_failed_jobs_and_errors_close_the_connection(self, tmp_path,
+                                                         monkeypatch):
+        seen = watch_io(monkeypatch)
+        runner = self._runner(tmp_path)
+        assert not runner.run([broken_job()]).ok
+        assert not open_connections(seen["connections"])
+
+        def broken_get(fingerprint):
+            raise RuntimeError("cache unreadable")
+
+        runner.repository.counts()
+        monkeypatch.setattr(runner.cache, "get", broken_get)
+        with pytest.raises(RuntimeError):
+            runner.run([broken_job()])
+        assert not open_connections(seen["connections"])

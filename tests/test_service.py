@@ -216,6 +216,67 @@ class TestConcurrentWriters:
         assert repo.counts()["runs"] == 40
 
 
+def _count_connects(monkeypatch):
+    """Wrap ``sqlite3.connect``; returns the list of connections opened."""
+    import sqlite3
+    opened = []
+    connect = sqlite3.connect
+
+    def counting(*args, **kwargs):
+        opened.append(connect(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(sqlite3, "connect", counting)
+    return opened
+
+
+class TestPerThreadConnection:
+    def test_rows_visible_to_other_instances_and_threads(self, tmp_path):
+        path = str(tmp_path / "runs.sqlite")
+        writer, reader = RunRepository(path), RunRepository(path)
+        assert reader.counts()["runs"] == 0  # reader's connection is open
+        run_id = writer.add_record(_run_record("seen"))
+        assert reader.get(run_id)["label"] == "seen"
+        assert reader.find_job("nope") is None
+        other = []
+        thread = threading.Thread(
+            target=lambda: other.append(writer.get(run_id)))
+        thread.start()
+        thread.join()
+        assert other[0]["label"] == "seen"
+
+    def test_one_connection_until_close(self, tmp_path, monkeypatch):
+        opened = _count_connects(monkeypatch)
+        repo = RunRepository(str(tmp_path / "runs.sqlite"))
+        repo.add_record(_run_record("a"))
+        repo.list_runs()
+        repo.counts()
+        assert len(opened) == 1
+        repo.close()
+        repo.close()  # closing twice is harmless
+        assert repo.counts()["runs"] == 1
+        assert len(opened) == 2
+
+    def test_forked_child_opens_its_own(self, tmp_path, monkeypatch):
+        opened = _count_connects(monkeypatch)
+        repo = RunRepository(str(tmp_path / "runs.sqlite"))
+        parent_pid = os.getpid()
+        monkeypatch.setattr(os, "getpid", lambda: parent_pid + 1)
+        repo.add_record(_run_record("child"))
+        assert len(opened) == 2
+        assert repo.counts()["runs"] == 1
+        assert len(opened) == 2
+
+    def test_gc_vacuums_on_the_cached_connection(self, tmp_path):
+        repo = RunRepository(str(tmp_path / "runs.sqlite"))
+        for i in range(3):
+            repo.add_record(_run_record("r%d" % i, cycles=1000 + i))
+        assert repo.gc(keep=1) == 2
+        assert [r["label"] for r in repo.list_runs()] == ["r2"]
+        repo.add_record(_run_record("after"))
+        assert repo.counts()["runs"] == 2
+
+
 class TestJobQueueDedupe:
     def test_duplicate_fingerprint_served_from_repository(self, tmp_path):
         repo = RunRepository(str(tmp_path / "runs.sqlite"))
