@@ -70,8 +70,10 @@ qos-campaign:
 		--out benchmarks/QOS_campaign.json --require-win
 
 # Simulation-as-a-service smoke: ingest the checked-in benchmark history
-# into a scratch repository, start the dashboard on an ephemeral port,
-# assert /runs and /compare serve real payloads, then tear down.
+# into a scratch repository, start the dashboard and job queue on an
+# ephemeral port, assert /runs and /compare serve real payloads, POST a
+# nano job and a two-job campaign and wait for them to finish, then tear
+# down.
 serve-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) scripts/serve_smoke.py
 

@@ -1,16 +1,21 @@
-"""End-to-end service smoke: ingest -> serve -> assert -> tear down.
+"""End-to-end service smoke: ingest -> serve -> submit -> assert -> tear down.
 
 CI's tier-1 leg (and ``make serve-smoke``) runs this: backfill the
 checked-in benchmark history into a scratch repository, start the
-dashboard on an ephemeral port, hit ``/runs`` and ``/compare`` (plus the
-rest of the JSON surface) with urllib, and verify the payloads describe
-the ingested data.  Exits nonzero on any mismatch.
+dashboard with a job queue on an ephemeral port, hit ``/runs`` and
+``/compare`` (plus the rest of the JSON surface) with urllib, and verify
+the payloads describe the ingested data.  Then ``POST /submit`` one nano
+job and one two-job campaign, wait until the queue reports them ``done``,
+and check that their runs are stored and ``/events.json`` carries
+``job_done`` and campaign ``heartbeat`` events.  Exits nonzero on any
+mismatch.
 """
 
 import json
 import os
 import sys
 import tempfile
+import time
 import urllib.request
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -18,13 +23,48 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from repro.service import RunRepository  # noqa: E402
 from repro.service.ingest import backfill  # noqa: E402
+from repro.service.queue import JobQueue  # noqa: E402
 from repro.service.server import DashboardServer  # noqa: E402
+
+#: Seconds the submitted nano jobs get to finish.
+SUBMIT_DEADLINE_S = 300.0
 
 
 def get(base, path):
     with urllib.request.urlopen(base + path, timeout=30) as resp:
         assert resp.status == 200, "%s -> %d" % (path, resp.status)
         return resp.read()
+
+
+def post(base, doc):
+    req = urllib.request.Request(
+        base + "/submit", data=json.dumps(doc).encode("utf-8"),
+        headers={"Content-Type": "application/json"}, method="POST")
+    with urllib.request.urlopen(req, timeout=30) as resp:
+        assert resp.status == 202, "/submit -> %d" % resp.status
+        return json.load(resp)
+
+
+def nano_job(policy):
+    return {"scene": "SPL", "compute": "HOLO", "res": "nano",
+            "policy": policy}
+
+
+def wait_done(base, job_ids):
+    """Poll ``/queue`` until every job in ``job_ids`` is done."""
+    deadline = time.monotonic() + SUBMIT_DEADLINE_S
+    while True:
+        jobs = {j["job_id"]: j
+                for j in json.loads(get(base, "/queue"))["jobs"]}
+        states = {jid: jobs[jid]["state"] for jid in job_ids}
+        failed = [jobs[jid] for jid, st in states.items() if st == "failed"]
+        assert not failed, "submitted job failed: %s" % failed[0]["error"]
+        if all(st == "done" for st in states.values()):
+            return
+        assert time.monotonic() < deadline, \
+            "submitted jobs not done after %.0fs: %s" % (
+                SUBMIT_DEADLINE_S, states)
+        time.sleep(0.2)
 
 
 def main() -> int:
@@ -36,7 +76,8 @@ def main() -> int:
         print("ingested %(records)d record(s) from %(files)d file(s)"
               % totals)
 
-        server = DashboardServer(repo, port=0).start()
+        queue = JobQueue(repo, workers=2)
+        server = DashboardServer(repo, queue=queue, port=0).start()
         try:
             base = server.url
             print("serving on %s" % base)
@@ -59,16 +100,33 @@ def main() -> int:
             summary = json.loads(get(base, "/summary"))
             assert summary["runs"] == len(runs)
 
-            queue = json.loads(get(base, "/queue"))
-            assert queue["jobs"] == []  # read-only server: empty queue
+            snapshot = json.loads(get(base, "/queue"))
+            assert snapshot["jobs"] == []  # nothing submitted yet
 
             html = get(base, "/").decode("utf-8")
             assert "Sim-rate trend" in html and "Kernel timeline" in html
 
-            print("serve smoke OK: %d run(s), %d trend group(s)"
-                  % (len(runs), len(groups)))
+            single = post(base, nano_job("mps"))
+            campaign = post(base, {"jobs": [nano_job("mig"),
+                                            nano_job("tap")],
+                                   "workers": 2})["jobs"]
+            job_ids = [single["job_id"]] + [e["job_id"] for e in campaign]
+            wait_done(base, job_ids)
+            stored = json.loads(get(base, "/runs"))["runs"]
+            assert len(stored) == len(runs) + 3, \
+                "expected 3 new stored runs, got %d" % (
+                    len(stored) - len(runs))
+            events = json.loads(get(base, "/events.json"))["events"]
+            kinds = {e["kind"] for e in events}
+            assert {"job_done", "heartbeat"} <= kinds, \
+                "expected job_done and heartbeat events, got %s" % kinds
+
+            print("serve smoke OK: %d run(s), %d trend group(s), "
+                  "%d submitted job(s) done"
+                  % (len(runs), len(groups), len(job_ids)))
         finally:
             server.stop()
+            queue.shutdown()
     return 0
 
 

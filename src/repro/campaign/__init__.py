@@ -28,7 +28,6 @@ from .execute import (
     JobTimeoutError,
     run_group_guarded,
     run_job,
-    run_job_guarded,
 )
 from .job import FINGERPRINT_VERSION, Job
 from .manifest import CampaignManifest, campaign_id
@@ -55,5 +54,4 @@ __all__ = [
     "run_campaign",
     "run_group_guarded",
     "run_job",
-    "run_job_guarded",
 ]

@@ -206,7 +206,3 @@ def run_group_guarded(jobs: Sequence[Job],
             failure = result
         yield result
 
-
-def run_job_guarded(job: Job, timeout: Optional[float] = None) -> JobResult:
-    """Run one job, converting every failure into a failed JobResult."""
-    return next(run_group_guarded([job], timeout))

@@ -7,10 +7,14 @@ Execution model:
   work is already on disk).
 * Misses are grouped by :meth:`Job.trace_key`, so jobs that simulate the
   same streams (a policy or config sweep of one workload) trace once, and
-  run either in-process (``workers=1``) or across a
+  run either in-process (``workers=1`` or a single chunk) or across a
   ``ProcessPoolExecutor``.  Results are indexed by the job's position in
   the submitted list, never by completion order, so a parallel campaign's
   output is identical to the serial one job-for-job.
+* In-process runs happen only on the main thread, the one thread whose
+  ``SIGALRM`` timer can bound a job.  Called from any other thread (the
+  job queue's), the runner uses its process pool even for one chunk, so
+  every job keeps its timeout and a crash stays in its worker.
 * A job that crashes (including a died worker process) is retried once by
   default; per-job timeouts are enforced inside the worker itself.
 """
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
@@ -285,7 +290,8 @@ class CampaignRunner:
                       on_complete) -> List[JobResult]:
         chunks = self._chunks(wave)
         results: List[Optional[JobResult]] = [None] * len(wave)
-        if self.workers <= 1 or len(chunks) <= 1:
+        if (self.workers <= 1 or len(chunks) <= 1) \
+                and threading.current_thread() is threading.main_thread():
             for chunk in chunks:
                 # Rebinding ``outcomes`` drops the previous chunk's
                 # streams before this chunk starts tracing.

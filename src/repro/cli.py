@@ -510,7 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=8035,
                    help="listen port (0 = ephemeral)")
     p.add_argument("--workers", type=int, default=2,
-                   help="job-queue worker threads")
+                   help="job-queue campaigns in flight, and the most "
+                        "worker processes one campaign may use")
     p.add_argument("--no-queue", action="store_true",
                    help="read-only dashboard: no job queue, no POST /submit")
     p.add_argument("--verbose", action="store_true",

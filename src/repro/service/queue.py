@@ -10,12 +10,14 @@ fingerprints.  Dedupe is two-level:
 * a submission whose fingerprint is already queued/running attaches to
   the in-flight job instead of enqueuing a duplicate.
 
-Workers are threads (the simulator releases no GIL, but jobs overlap
-their trace-collection I/O and the queue must never block the dashboard);
-campaign fan-out (:meth:`JobQueue.submit_campaign`) hands whole job lists
-to :class:`~repro.campaign.runner.CampaignRunner`, whose process pool
-does scale, with its heartbeat RunLog records forwarded to queue
-subscribers.
+Every submission is a campaign: :meth:`JobQueue.submit` is a one-job
+:meth:`JobQueue.submit_campaign`.  A queue thread hands the fresh jobs to
+:class:`~repro.campaign.runner.CampaignRunner`, which, called off the
+main thread, runs them in its worker processes.  So every job is bounded
+by :data:`JOB_TIMEOUT_S` (armed inside its worker), a crashed or killed
+worker ends its jobs ``failed`` instead of taking the server down, and
+the dashboard never waits on a simulation.  The runner's heartbeat RunLog
+records are forwarded to queue subscribers.
 
 Every state transition (``queued`` / ``running`` / ``done`` / ``failed``
 / ``cached``) is appended to a monotonic event log that ``/events``
@@ -29,7 +31,7 @@ import time
 import queue as _queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from .repository import RunRepository
 
@@ -41,6 +43,11 @@ STATE_CACHED = "cached"
 
 #: States a new identical submission may attach to.
 _ATTACHABLE = (STATE_QUEUED, STATE_RUNNING)
+
+#: Wall-clock budget of one queue job, enforced inside its worker
+#: process.  The runner retries a timed-out job once, so a hung job ends
+#: ``failed`` after about twice this.
+JOB_TIMEOUT_S = 600.0
 
 
 @dataclass
@@ -79,14 +86,15 @@ class QueueJob:
 
 
 class JobQueue:
-    """Thread-pooled submission service over one :class:`RunRepository`."""
+    """Campaign submission service over one :class:`RunRepository`.
 
-    def __init__(self, repository: RunRepository, workers: int = 2,
-                 runner: Optional[Callable] = None) -> None:
+    ``workers`` bounds both the campaigns in flight and the worker
+    processes one campaign may use.
+    """
+
+    def __init__(self, repository: RunRepository, workers: int = 2) -> None:
         self.repository = repository
         self.workers = max(1, int(workers))
-        #: Injectable for tests: callable(Job) -> JobResult.
-        self._runner = runner
         self._pool = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-queue")
         self._lock = threading.Lock()
@@ -111,10 +119,12 @@ class JobQueue:
         self._event_cond.notify_all()
 
     def heartbeat(self, record: dict) -> None:
-        """Forward one campaign RunLog heartbeat record to subscribers."""
+        """Forward one campaign RunLog heartbeat record to subscribers;
+        the record's own kind travels as ``beat``."""
         with self._lock:
-            self._emit("heartbeat", **{k: v for k, v in record.items()
-                                       if k != "seq"})
+            self._emit("heartbeat", beat=record["kind"],
+                       **{k: v for k, v in record.items()
+                          if k not in ("kind", "seq")})
 
     def events(self, since: int = 0, limit: int = 500) -> List[dict]:
         """Events with ``seq > since`` (the SSE poll and JSON feed)."""
@@ -180,23 +190,20 @@ class JobQueue:
 
     def submit(self, job: Union[dict, object]) -> QueueJob:
         """Submit one job spec; returns its (possibly pre-existing) entry."""
-        from ..campaign.job import Job
-        if isinstance(job, dict):
-            job = Job.from_dict(job)
-        entry, created = self._enqueue(job, job.fingerprint())
-        if created and entry.state == STATE_QUEUED:
-            self._pool.submit(self._run, entry, job)
-        return entry
+        return self.submit_campaign([job])[0]
 
     def submit_campaign(self, jobs: Sequence[Union[dict, object]],
                         workers: int = 1) -> List[QueueJob]:
         """Fan a job list out to the campaign runner (one queue slot).
 
-        Already-stored and in-flight fingerprints are deduped exactly like
-        :meth:`submit`; the remainder run as one campaign whose heartbeats
-        stream to subscribers and whose results land in the repository.
+        Already-stored and in-flight fingerprints are deduped by
+        :meth:`_enqueue`; the remainder run as one campaign on up to
+        ``workers`` processes (clamped to ``[1, self.workers]``), whose
+        heartbeats stream to subscribers and whose results land in the
+        repository.
         """
         from ..campaign.job import Job
+        workers = min(max(1, int(workers)), self.workers)
         specs = [Job.from_dict(j) if isinstance(j, dict) else j
                  for j in jobs]
         entries: List[QueueJob] = []
@@ -235,36 +242,12 @@ class JobQueue:
                        job_id=entry.job_id, fingerprint=entry.fingerprint,
                        label=entry.label, run_id=run_id, error=error)
 
-    def _execute(self, job):
-        if self._runner is not None:
-            return self._runner(job)
-        from ..campaign.execute import run_job_guarded
-        return run_job_guarded(job, None)
-
-    def _run(self, entry: QueueJob, job) -> None:
-        self._mark_running(entry)
-        try:
-            result = self._execute(job)
-        except Exception as exc:  # runner injected by tests may raise
-            self._mark_finished(entry, None, str(exc))
-            return
-        if not result.ok:
-            self._mark_finished(entry, None,
-                                result.error or result.status)
-            return
-        run_id = self.repository.ingest_job_result(job, result)
-        with self._lock:
-            self._simulated += 1
-        self._mark_finished(entry, run_id, None)
-
     def _run_campaign(self, fresh, workers: int) -> None:
         from ..campaign.runner import CampaignRunner
-        by_fp = {fingerprint: entry
-                 for entry, job in fresh
-                 for fingerprint in (entry.fingerprint,)}
+        by_fp = {entry.fingerprint: entry for entry, _ in fresh}
         for entry, _ in fresh:
             self._mark_running(entry)
-        runner = CampaignRunner(workers=workers,
+        runner = CampaignRunner(workers=workers, timeout=JOB_TIMEOUT_S,
                                 repository=self.repository,
                                 heartbeat_sink=self.heartbeat)
         try:

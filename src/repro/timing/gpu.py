@@ -166,34 +166,14 @@ class GPU:
                 ):
                     break
                 # fill() may have launched onto SMs not yet due this cycle;
-                # their launch events land at cycle 0 — collect them so they
-                # tick this cycle, exactly as the full rescan used to.
-                added = False
-                while heap and heap[0][0] <= cycle:
-                    t, _, sm = heapq.heappop(heap)
-                    if t != sm._queued_event:
-                        continue
-                    sm._queued_event = BLOCKED
-                    due.append(sm)
-                    added = True
-                if added:
-                    due.sort(key=_sm_id)
+                # collect them so they tick this cycle too.
+                _collect_launched(heap, cycle, due)
             if next_arrival is not None and cycle >= next_arrival:
                 # Newly-arrived kernels become issuable this cycle; launch
-                # them and collect any SMs whose launch events landed now so
-                # they tick this cycle like any other due SM.
+                # them so the SMs they land on tick this cycle like any
+                # other due SM.
                 if self.cta_scheduler.fill(cycle):
-                    added = False
-                    while heap and heap[0][0] <= cycle:
-                        t, _, sm = heapq.heappop(heap)
-                        if t != sm._queued_event:
-                            continue
-                        sm._queued_event = BLOCKED
-                        if sm not in due:
-                            due.append(sm)
-                            added = True
-                    if added:
-                        due.sort(key=_sm_id)
+                    _collect_launched(heap, cycle, due)
                 next_arrival = self.cta_scheduler.next_arrival_after(cycle)
             for sm in due:
                 if sm.has_work:
@@ -294,3 +274,20 @@ class GPU:
 def _sm_id(sm: SM) -> int:
     return sm.sm_id
 
+
+def _collect_launched(heap: list, cycle: int, due: List[SM]) -> None:
+    """Move SMs whose events are due by ``cycle`` -- the launches a
+    ``fill()`` just made -- from the event heap into ``due``, keeping SM-id
+    order.  An SM already in ``due`` is not added again, so it ticks once
+    this cycle."""
+    added = False
+    while heap and heap[0][0] <= cycle:
+        t, _, sm = heapq.heappop(heap)
+        if t != sm._queued_event:
+            continue
+        sm._queued_event = BLOCKED
+        if sm not in due:
+            due.append(sm)
+            added = True
+    if added:
+        due.sort(key=_sm_id)

@@ -3,6 +3,7 @@ parallel-equals-serial determinism."""
 
 import json
 import os
+import threading
 
 import pytest
 
@@ -164,6 +165,18 @@ class TestCampaignRunner:
         assert not timed_out.ok
         recovered = run_campaign(jobs, cache_dir=str(tmp_path))
         assert recovered.ok and recovered.executed == 1
+
+    def test_timeout_off_the_main_thread(self):
+        """SIGALRM timers work only on the main thread, so a runner
+        called from another thread runs its jobs in a worker process."""
+        outcome = []
+        thread = threading.Thread(target=lambda: outcome.append(
+            CampaignRunner(timeout=60).run([nano_job()])))
+        thread.start()
+        thread.join(120)
+        (campaign,) = outcome
+        assert campaign.ok and campaign.executed == 1
+        assert campaign.results[0].stats["cycles"] > 0
 
     def test_duplicate_jobs_simulate_once(self):
         campaign = run_campaign([nano_job(), nano_job()])

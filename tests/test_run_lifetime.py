@@ -98,7 +98,8 @@ def test_timed_out_job_leaves_no_cycles(spl_vio, monkeypatch):
     statuses = []
 
     def call():
-        statuses.append(execute.run_job_guarded(job, timeout=0.05).status)
+        statuses.append(
+            next(execute.run_group_guarded([job], 0.05)).status)
     assert cyclic_garbage(call) == []
     assert statuses == [execute.STATUS_TIMEOUT]
 

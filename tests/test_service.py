@@ -3,12 +3,17 @@ concurrent writers, job-queue dedupe, and the dashboard HTTP surface."""
 
 import json
 import os
+import signal
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
+import repro.campaign.execute as execute_mod
+import repro.campaign.runner as runner_mod
+import repro.service.queue as queue_mod
 from repro.campaign.execute import STATUS_FAILED, STATUS_OK, JobResult
 from repro.campaign.job import Job
 from repro.cli import main
@@ -18,6 +23,8 @@ from repro.service.queue import (
     STATE_CACHED,
     STATE_DONE,
     STATE_FAILED,
+    STATE_QUEUED,
+    STATE_RUNNING,
     JobQueue,
 )
 from repro.service.records import classify_document, content_key
@@ -56,16 +63,22 @@ def _job(policy="mps"):
     return Job(scene="SPL", res="nano", compute="HOLO", policy=policy)
 
 
-def _fake_runner(calls):
-    """Queue runner double: records invocations, returns plausible stats."""
+def _fake_group(jobs, timeout=None):
+    """``run_group_guarded`` double: plausible stats, no simulation.
 
-    def run(job):
-        calls.append(job.fingerprint())
-        return JobResult(fingerprint=job.fingerprint(),
-                         label=job.display_label, status=STATUS_OK,
-                         wall_seconds=0.01, stats=_stats_doc())
+    Queue jobs run in forked worker processes, which inherit the patch;
+    a list appended there never reaches the test, so tests count
+    simulations with ``JobQueue.simulated``.
+    """
+    for job in jobs:
+        yield JobResult(fingerprint=job.fingerprint(),
+                        label=job.display_label, status=STATUS_OK,
+                        wall_seconds=0.01, stats=_stats_doc())
 
-    return run
+
+@pytest.fixture
+def fake_group(monkeypatch):
+    monkeypatch.setattr(runner_mod, "run_group_guarded", _fake_group)
 
 
 class TestRepositoryRoundTrip:
@@ -278,10 +291,10 @@ class TestPerThreadConnection:
 
 
 class TestJobQueueDedupe:
-    def test_duplicate_fingerprint_served_from_repository(self, tmp_path):
+    def test_duplicate_fingerprint_served_from_repository(self, tmp_path,
+                                                          fake_group):
         repo = RunRepository(str(tmp_path / "runs.sqlite"))
-        calls = []
-        queue = JobQueue(repo, workers=2, runner=_fake_runner(calls))
+        queue = JobQueue(repo, workers=2)
         try:
             first = queue.submit(_job())
             assert queue.join(30)
@@ -291,33 +304,34 @@ class TestJobQueueDedupe:
             assert second.state == STATE_CACHED
             assert second.cached
             assert second.run_id == first.run_id
-            assert queue.simulated == 1
-            assert len(calls) == 1  # the second submission never simulated
+            assert queue.simulated == 1  # the second never simulated
         finally:
             queue.shutdown()
 
-    def test_distinct_fingerprints_both_simulate(self, tmp_path):
+    def test_distinct_fingerprints_both_simulate(self, tmp_path,
+                                                 fake_group):
         repo = RunRepository(str(tmp_path / "runs.sqlite"))
-        calls = []
-        queue = JobQueue(repo, workers=2, runner=_fake_runner(calls))
+        queue = JobQueue(repo, workers=2)
         try:
-            queue.submit(_job("mps"))
-            queue.submit(_job("mig"))
+            entries = [queue.submit(_job("mps")), queue.submit(_job("mig"))]
             assert queue.join(30)
             assert queue.simulated == 2
-            assert len(set(calls)) == 2
+            assert len({e.fingerprint for e in entries}) == 2
+            assert len({e.run_id for e in entries}) == 2
         finally:
             queue.shutdown()
 
-    def test_failed_job_reports_error(self, tmp_path):
+    def test_failed_job_reports_error(self, tmp_path, monkeypatch):
         repo = RunRepository(str(tmp_path / "runs.sqlite"))
 
-        def failing(job):
-            return JobResult(fingerprint=job.fingerprint(),
-                             label=job.display_label, status=STATUS_FAILED,
-                             error="boom")
+        def failing(jobs, timeout=None):
+            for job in jobs:
+                yield JobResult(fingerprint=job.fingerprint(),
+                                label=job.display_label,
+                                status=STATUS_FAILED, error="boom")
 
-        queue = JobQueue(repo, workers=1, runner=failing)
+        monkeypatch.setattr(runner_mod, "run_group_guarded", failing)
+        queue = JobQueue(repo, workers=1)
         try:
             entry = queue.submit(_job())
             assert queue.join(30)
@@ -327,9 +341,9 @@ class TestJobQueueDedupe:
         finally:
             queue.shutdown()
 
-    def test_events_are_monotonic_and_complete(self, tmp_path):
+    def test_events_are_monotonic_and_complete(self, tmp_path, fake_group):
         repo = RunRepository(str(tmp_path / "runs.sqlite"))
-        queue = JobQueue(repo, workers=1, runner=_fake_runner([]))
+        queue = JobQueue(repo, workers=1)
         try:
             queue.submit(_job())
             assert queue.join(30)
@@ -343,6 +357,122 @@ class TestJobQueueDedupe:
             queue.shutdown()
 
 
+@pytest.fixture
+def live_queue(tmp_path):
+    """A two-worker queue behind a live server, torn down per test."""
+    from repro.service.server import DashboardServer
+
+    repo = RunRepository(str(tmp_path / "runs.sqlite"))
+    queue = JobQueue(repo, workers=2)
+    server = DashboardServer(repo, queue=queue, port=0).start()
+    yield server, repo, queue
+    server.stop()
+    queue.shutdown()
+
+
+def _post(server, doc):
+    req = urllib.request.Request(
+        server.url + "/submit", data=json.dumps(doc).encode("utf-8"),
+        headers={"Content-Type": "application/json"}, method="POST")
+    with urllib.request.urlopen(req, timeout=15) as resp:
+        assert resp.status == 202
+        return json.load(resp)
+
+
+class TestBoundedQueueJobs:
+    """Every submission runs as a campaign in a worker process."""
+
+    def test_campaign_submission_is_stored_with_heartbeats(self, tmp_path,
+                                                           fake_group):
+        repo = RunRepository(str(tmp_path / "runs.sqlite"))
+        queue = JobQueue(repo, workers=2)
+        try:
+            entries = queue.submit_campaign([_job("mps"), _job("mig")],
+                                            workers=2)
+            assert queue.join(30)
+            assert [e.state for e in entries] == [STATE_DONE, STATE_DONE]
+            for entry in entries:
+                stored = repo.find_job(entry.fingerprint)
+                assert stored is not None
+                assert stored["id"] == entry.run_id
+            assert queue.simulated == 2
+            beats = [e["beat"] for e in queue.events()
+                     if e["kind"] == "heartbeat"]
+            assert beats[0] == "campaign_start"
+            assert beats[-1] == "campaign_end"
+            assert beats.count("job_done") == 2
+        finally:
+            queue.shutdown()
+
+    def test_hung_job_times_out_while_runs_serve(self, live_queue,
+                                                 monkeypatch):
+        server, _, queue = live_queue
+        monkeypatch.setattr(queue_mod, "JOB_TIMEOUT_S", 0.5)
+        monkeypatch.setattr(execute_mod, "_collect",
+                            lambda job: time.sleep(60))
+        started = time.monotonic()
+        entry = queue.submit(_job())
+        status, _, _ = _get(server, "/runs")
+        assert status == 200
+        assert entry.state in (STATE_QUEUED, STATE_RUNNING)
+        assert queue.join(30)
+        assert entry.state == STATE_FAILED
+        assert "timed out" in entry.error
+        assert time.monotonic() - started < 30
+        assert queue.simulated == 0
+
+    def test_killed_worker_fails_and_queue_recovers(self, live_queue,
+                                                    monkeypatch):
+        server, _, queue = live_queue
+        test_pid = os.getpid()
+
+        def killing(jobs, timeout=None):
+            if jobs[0].policy == "mig" and os.getpid() != test_pid:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return _fake_group(jobs, timeout)
+
+        monkeypatch.setattr(runner_mod, "run_group_guarded", killing)
+        killed = queue.submit(_job("mig"))
+        assert queue.join(30)
+        assert killed.state == STATE_FAILED
+        assert "worker process died" in killed.error
+        doc = _post(server, _job("mps").to_dict())
+        assert queue.join(30)
+        assert queue.get(doc["job_id"]).state == STATE_DONE
+        assert queue.simulated == 1
+
+    def test_submit_workers_clamped_to_queue(self, live_queue,
+                                             monkeypatch):
+        """A client's ``workers`` cannot size the pool past the queue's;
+        the stub runner starts no pool."""
+        from repro.campaign.runner import CampaignResult
+
+        server, _, queue = live_queue
+        built = []
+
+        class StubRunner:
+            def __init__(self, workers=1, **kwargs):
+                built.append(workers)
+
+            def run(self, jobs):
+                return CampaignResult(campaign_id="stub", jobs=list(jobs),
+                                      results=[JobResult(
+                                          fingerprint=j.fingerprint(),
+                                          label=j.display_label,
+                                          status=STATUS_FAILED,
+                                          error="stub") for j in jobs])
+
+        monkeypatch.setattr(runner_mod, "CampaignRunner", StubRunner)
+        doc = _post(server, {"jobs": [_job(p).to_dict()
+                                      for p in ("mps", "mig", "tap")],
+                             "workers": 1000000})
+        assert len(doc["jobs"]) == 3
+        assert queue.join(30)
+        queue.submit_campaign([_job("fg-even")], workers=-5)
+        assert queue.join(30)
+        assert built == [queue.workers, 1]
+
+
 @pytest.fixture(scope="module")
 def serve_stack(tmp_path_factory):
     """One repository + queue + live server shared by the HTTP tests."""
@@ -351,10 +481,9 @@ def serve_stack(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("serve")
     repo = RunRepository(str(tmp / "runs.sqlite"))
     backfill(repo, [BENCH_DIR])
-    calls = []
-    queue = JobQueue(repo, workers=1, runner=_fake_runner(calls))
+    queue = JobQueue(repo, workers=1)
     server = DashboardServer(repo, queue=queue, port=0).start()
-    yield server, repo, queue, calls
+    yield server, repo, queue
     server.stop()
     queue.shutdown()
 
@@ -366,7 +495,7 @@ def _get(server, path):
 
 class TestServeSmoke:
     def test_dashboard_html(self, serve_stack):
-        server, _, _, _ = serve_stack
+        server, _, _ = serve_stack
         status, ctype, body = _get(server, "/")
         assert status == 200 and ctype == "text/html"
         text = body.decode("utf-8")
@@ -375,14 +504,14 @@ class TestServeSmoke:
             assert needle in text
 
     def test_summary(self, serve_stack):
-        server, repo, _, _ = serve_stack
+        server, repo, _ = serve_stack
         _, _, body = _get(server, "/summary")
         doc = json.loads(body)
         assert doc["runs"] == repo.counts()["runs"] > 0
         assert doc["queue"]["workers"] == 1
 
     def test_runs_and_detail(self, serve_stack):
-        server, _, _, _ = serve_stack
+        server, _, _ = serve_stack
         _, _, body = _get(server, "/runs?limit=5")
         runs = json.loads(body)["runs"]
         assert 0 < len(runs) <= 5
@@ -392,34 +521,30 @@ class TestServeSmoke:
         assert "stats" in detail and "qos" in detail  # payload keys present
 
     def test_compare_groups(self, serve_stack):
-        server, _, _, _ = serve_stack
+        server, _, _ = serve_stack
         _, _, body = _get(server, "/compare")
         groups = json.loads(body)["groups"]
         assert groups, "BENCH backfill should produce trend groups"
         assert all("best_instructions_per_second" in g for g in groups)
 
-    def test_queue_and_submit_dedupe_over_http(self, serve_stack):
-        server, _, queue, calls = serve_stack
+    def test_queue_and_submit_dedupe_over_http(self, serve_stack,
+                                               fake_group):
+        server, _, queue = serve_stack
         spec = {"scene": "SPL", "res": "nano", "compute": "HOLO",
                 "policy": "tap"}
-        req = urllib.request.Request(
-            server.url + "/submit", data=json.dumps(spec).encode("utf-8"),
-            headers={"Content-Type": "application/json"}, method="POST")
-        with urllib.request.urlopen(req, timeout=15) as resp:
-            assert resp.status == 202
+        _post(server, spec)
         assert queue.join(30)
-        before = len(calls)
-        with urllib.request.urlopen(req, timeout=15) as resp:
-            second = json.load(resp)
+        before = queue.simulated
+        second = _post(server, spec)
         assert second["cached"] is True
-        assert len(calls) == before  # duplicate returned without simulating
+        assert queue.simulated == before  # duplicate returned unsimulated
         _, _, body = _get(server, "/queue")
         snapshot = json.loads(body)
         states = {j["state"] for j in snapshot["jobs"]}
         assert STATE_DONE in states and STATE_CACHED in states
 
     def test_events_json_and_sse(self, serve_stack):
-        server, _, _, _ = serve_stack
+        server, _, _ = serve_stack
         _, _, body = _get(server, "/events.json")
         events = json.loads(body)["events"]
         assert events and events[0]["seq"] == 1
@@ -429,7 +554,7 @@ class TestServeSmoke:
         assert "data: " in frames and "event: " in frames
 
     def test_bad_run_id_is_404(self, serve_stack):
-        server, _, _, _ = serve_stack
+        server, _, _ = serve_stack
         with pytest.raises(urllib.error.HTTPError) as err:
             _get(server, "/runs/999999")
         assert err.value.code == 404

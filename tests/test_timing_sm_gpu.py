@@ -3,7 +3,8 @@
 import pytest
 
 from repro.api import simulate
-from repro.config import RTX_3070_MINI
+from repro.config import JETSON_ORIN_MINI, RTX_3070_MINI
+from repro.core.platform import collect_streams
 from repro.isa import (
     CTATrace,
     DataClass,
@@ -273,3 +274,20 @@ class TestGPURun:
         stats = simulate(config=RTX_3070_MINI, streams={0: [k]}).stats
         assert stats.stream(0).l1_accesses == 0
         assert stats.stream(0).mem_transactions == 1
+
+    def test_each_sm_ticks_at_most_once_per_cycle(self, monkeypatch):
+        """A fill() after completions may launch onto an SM that is
+        already due; it still ticks once that cycle."""
+        streams = collect_streams(JETSON_ORIN_MINI, scene="SPL", res="nano",
+                                  compute="VIO")
+        ticks = []
+        real_tick = SM.tick
+
+        def tick(sm, cycle):
+            ticks.append((sm.sm_id, cycle))
+            return real_tick(sm, cycle)
+
+        monkeypatch.setattr(SM, "tick", tick)
+        simulate(config=JETSON_ORIN_MINI, streams=streams, policy="tap")
+        assert ticks
+        assert len(set(ticks)) == len(ticks)
