@@ -52,7 +52,8 @@ check-goldens:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro validate check-goldens
 
 # The paper's claims: every RUNNERS row of repro.harness.reproduce runs its
-# experiment and judges its shape claims; exits nonzero on any CHECK.
+# experiment and prints one PASS/CHECK/DEVIATION line per named claim;
+# exits nonzero on any CHECK.
 # RESULTS.md lands in a fresh temp dir (its path is printed last).
 reproduce:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro reproduce --out "$$(mktemp -d)"
@@ -77,6 +78,7 @@ qos-campaign:
 serve-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) scripts/serve_smoke.py
 
-# The full benchmark suite, the paper's claims (test_claims.py) included.
+# The full benchmark suite: ablations, extensions and sim-rate (the paper's
+# claims are `make reproduce`).
 bench:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks -q

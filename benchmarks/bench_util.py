@@ -4,7 +4,8 @@ Benchmarks run their experiment once (through pytest-benchmark, so wall
 time is recorded), print the rows/series they measure and assert *shape*
 claims (who wins, direction of effects), not absolute numbers, since the
 substrate is a simulator, not the authors' testbed (see EXPERIMENTS.md).
-The paper's own table/figure claims are ``test_claims.py``.
+The paper's own table/figure claims are the ``RUNNERS`` rows of
+``repro.harness.reproduce``, run by ``make reproduce``.
 """
 
 from __future__ import annotations

@@ -156,6 +156,13 @@ def _cmd_validate(args) -> int:
         return 0 if not problems else 1
 
     if args.action == "regen-goldens":
+        # Re-pinning must not flip a paper claim: judge them all first.
+        from .harness.reproduce import RUNNERS, run_experiment
+        failing = [rec for rec in map(run_experiment, RUNNERS) if not rec.ok]
+        if failing:
+            print("\n".join(rec.report("CHECK") for rec in failing))
+            print("goldens not written: a gated paper claim fails", file=sys.stderr)
+            return 1
         for path in goldens.regen(golden_dir=args.golden_dir):
             print("wrote %s" % path)
         return 0
@@ -272,12 +279,9 @@ def _cmd_figure(args) -> int:
 
     from .harness.reproduce import RUNNERS, run_experiment
     accepted = inspect.signature(RUNNERS[args.id]).parameters
-    kw = {k: v for k, v in (("jobs", args.jobs), ("cache_dir", args.cache_dir))
-          if k in accepted}
+    kw = {k: getattr(args, k) for k in ("jobs", "cache_dir") if k in accepted}
     rec = run_experiment(args.id, **kw)
-    for line in rec.lines:
-        print(line)
-    print(rec.summary())
+    print("\n".join(rec.lines + [rec.report()]))
     return 0 if rec.ok else 1
 
 
@@ -330,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
             help=("diff the golden snapshots against the current engine"
                   if action == "check-goldens"
                   else "rewrite the golden snapshots (intentional timing "
-                       "changes only)"))
+                       "changes only; refused while a paper claim fails)"))
         vp.add_argument("--golden-dir", default=None,
                         help="snapshot directory (default tests/golden)")
     vp = vsub.add_parser(
@@ -782,7 +786,7 @@ def _cmd_reproduce(args) -> int:
     from .harness.reproduce import reproduce_all
     records = reproduce_all(args.out, only=args.only)
     for rec in records:
-        print(rec.summary())
+        print(rec.report())
     print("report -> %s/RESULTS.md" % args.out)
     return 0 if all(r.ok for r in records) else 1
 

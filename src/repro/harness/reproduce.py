@@ -1,13 +1,18 @@
 """The paper's claims as one table: run, print and judge every experiment.
 
 Each :data:`RUNNERS` row runs one table/figure experiment and returns
-``(headline, ok, lines)``: a one-line summary, whether every shape claim
-the paper makes for that experiment holds, and the detail lines
-``repro figure <id>`` prints.  The row is the only place its experiment is
+``(claims, lines)``: its shape claims and the detail lines
+``repro figure <id>`` prints.  A claim is a plain tuple
+``(name, measured, op, bound)`` with ``op`` a key of :data:`OPS`; it holds
+when ``OPS[op](measured, bound)``.  :class:`ExperimentRecord` judges every
+claim, prints one ``PASS``/``CHECK``/``DEVIATION`` line per claim from
+those four fields and derives the row's outcome and headline from them,
+so nothing printed is unchecked.  A failing claim fails its row unless
+:data:`DEVIATIONS` names it.  The row is the only place its experiment is
 run, printed or judged; ``repro figure``, ``repro reproduce`` and
-``benchmarks/test_claims.py`` all call it.  Claims are shapes (who wins,
-which way an effect goes), not absolute numbers, since the substrate is a
-simulator, not the authors' testbed (see EXPERIMENTS.md).
+``repro validate regen-goldens`` all call it.  Claims are shapes (who
+wins, which way an effect goes), not absolute numbers, since the
+substrate is a simulator, not the authors' testbed (see EXPERIMENTS.md).
 
 :func:`reproduce_all` is the artifact equivalent of ``run.sh`` +
 ``collect.sh``: it runs the requested rows and writes ``RESULTS.md``.
@@ -16,9 +21,10 @@ Used by ``python -m repro reproduce --out results/``.
 
 from __future__ import annotations
 
+import operator
 import os
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -27,147 +33,142 @@ from .capabilities import format_table, verify_crisp_row
 from ..core import COMPUTE_STREAM, GRAPHICS_STREAM
 from ..scenes import scene_codes
 
-Row = Tuple[str, bool, List[str]]
+Claim = Tuple[str, Any, str, Any]
+Row = Tuple[List[Claim], List[str]]
+
+OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt,
+       "<=": operator.le, "==": operator.eq}
+
+#: ``(exp_id, claim name)`` of claims the reproduction does not meet.
+#: They print DEVIATION instead of CHECK and do not fail their row; each
+#: is listed, with its reason, under EXPERIMENTS.md "Known deviations".
+DEVIATIONS = {
+    ("fig12", "Dynamic mean speedup > MPS"),
+    ("fig14", "MiG loses on most pairs"),
+}
+
+
+def _fmt(value: Any) -> str:
+    return "%.4g" % value if isinstance(value, float) else str(value)
 
 
 class ExperimentRecord:
-    """One experiment's outcome for the report."""
+    """One experiment's judged claims for the report."""
 
-    def __init__(self, exp_id: str, headline: str, ok: bool,
-                 seconds: float, lines: Optional[List[str]] = None) -> None:
+    def __init__(self, exp_id: str, claims: List[Claim], seconds: float,
+                 lines: Optional[List[str]] = None) -> None:
         self.exp_id = exp_id
-        self.headline = headline
-        self.ok = ok
         self.seconds = seconds
         self.lines = lines or []
+        #: ``(verdict, name, measured, op, bound)`` per claim.
+        self.claims = [("PASS" if OPS[op](m, b) else
+                        "DEVIATION" if (exp_id, name) in DEVIATIONS else "CHECK",
+                        name, m, op, b) for name, m, op, b in claims]
+        verdicts = [c[0] for c in self.claims]
+        self.ok = "CHECK" not in verdicts
+        self.outcome = "PASS" if self.ok else "CHECK"
+        self.headline = ", ".join("%d %s" % (verdicts.count(v), v) for v in
+                                  ("PASS", "CHECK", "DEVIATION") if v in verdicts)
 
-    @property
-    def outcome(self) -> str:
-        return "PASS" if self.ok else "CHECK"
-
-    def summary(self) -> str:
-        return "[%s] %-7s %s (%.1fs)" % (self.outcome, self.exp_id,
-                                         self.headline, self.seconds)
+    def report(self, verdict: Optional[str] = None) -> str:
+        """The summary line, then a line per claim (only ``verdict``'s, if given)."""
+        lines = ["[%s] %-7s %s (%.1fs)"
+                 % (self.outcome, self.exp_id, self.headline, self.seconds)]
+        lines += ["  %-9s %s: %s %s %s" % (v, name, _fmt(m), op, _fmt(b))
+                  for v, name, m, op, b in self.claims if verdict in (None, v)]
+        return "\n".join(lines)
 
 
 def _run_table1() -> Row:
     """Table I: simulator capability comparison.
 
-    Reprints the paper's capability matrix and verifies the CRISP row
-    against this codebase: each claimed feature maps to a predicate over
-    the library.
+    Each capability the CRISP row claims maps to a predicate over this
+    codebase.
     """
-    checks = verify_crisp_row()
-    failed = sorted(name for name, ok in checks.items() if not ok)
-    return ("CRISP capability row verified (%d checks)%s"
-            % (len(checks), " failed: %s" % failed if failed else ""),
-            not failed, format_table().splitlines())
+    return ([("CRISP capability: %s" % name, int(ok), "==", 1)
+             for name, ok in verify_crisp_row().items()],
+            format_table().splitlines())
 
 
 def _run_table2() -> Row:
     """Table II: simulation configurations (RTX 3070 and Jetson Orin)."""
     tables = E.run_table2()
-    lines = []
-    for machine, rows in tables.items():
-        lines.append(machine)
-        lines.extend("  %-32s %s" % (f, v) for f, v in rows)
-    orin = dict(tables["JetsonOrin"])
-    rtx = dict(tables["RTX3070"])
-    ok = (orin["# SMs"] == 14 and rtx["# SMs"] == 46
-          and orin["# Registers / SM"] == rtx["# Registers / SM"] == 65536
-          and "200GB/s" in str(orin["Memory BW"])
-          and "448GB/s" in str(rtx["Memory BW"])
-          and orin["L2 Cache"] == rtx["L2 Cache"] == "4MB")
-    return ("both machine configurations match Table II", ok, lines)
+    lines = [line for machine, rows in tables.items()
+             for line in [machine] + ["  %-32s %s" % fv for fv in rows]]
+    return [("%s %s" % (machine, field), dict(tables[machine])[field], "==", want)
+            for machine, sms, bw in (("JetsonOrin", 14, "200GB/s"),
+                                     ("RTX3070", 46, "448GB/s"))
+            for field, want in (("# SMs", sms), ("# Registers / SM", 65536),
+                                ("Memory BW", bw), ("L2 Cache", "4MB"))], lines
 
 
 def _run_fig3() -> Row:
-    """Fig 3: vertex shader invocation correlation vs batch size.
+    """Fig 3: vertex shader invocation correlation (%) vs batch size.
 
-    Paper claim: batch-based vertex dedup with batch size 96 achieves the
-    highest correlation against hardware invocation counts (small batches
-    are clearly worse); drawcalls with few vertices show a slight error
-    because the profiler reports threads while the simulator launches
-    whole warps, so the simulated count is never below the reference.
+    The simulator launches whole warps where the profiler counts threads,
+    so the simulated count is never below the reference.
     """
     r = E.run_fig3(batch_sizes=(8, 16, 32, 64, 96, 128, 192, 256))
     corr = r.correlation_by_batch
-    ok = (corr[96] >= corr[r.best_batch] - 0.5
-          and corr[96] > corr[8] and corr[96] > corr[16]
-          and all(sim >= ref for _, _, sim, ref in r.rows))
+    claims = [("batch-96 correlation >= best batch's - 0.5", corr[96], ">=",
+               corr[r.best_batch] - 0.5),
+              ("batch-96 correlation > batch 8's", corr[96], ">", corr[8]),
+              ("batch-96 correlation > batch 16's", corr[96], ">", corr[16]),
+              ("draws with sim >= reference",
+               sum(sim >= ref for *_, sim, ref in r.rows), "==", len(r.rows))]
     lines = ["batch %4d: %.2f%%" % (bs, c) for bs, c in sorted(corr.items())]
     lines.append("best batch: %d" % r.best_batch)
-    return ("batch=96 at the correlation peak (%.1f%%)" % corr[96], ok, lines)
+    return claims, lines
 
 
 def _run_fig6() -> Row:
-    """Fig 6: frame-time correlation against the silicon reference.
+    """Fig 6: frame-time correlation (%) against the silicon reference.
 
-    Paper claims: ~94.8% correlation across the rendering workloads at 2K
-    and 4K; simulated frame time is always longer than hardware; the
-    framework projects resolution scaling: IT (Planets) is vertex-bound and
-    scales only ~20% from 2K to 4K while fragment-bound scenes scale much
-    more.  (The reference is the analytical silicon stand-in; see
-    DESIGN.md.)
+    The reference is the analytical silicon stand-in (see DESIGN.md); IT
+    (Planets) is vertex-bound, so it scales least from 2K to 4K.
     """
     r = E.run_fig6()
-    scalings = {code: r.scaling(code)
-                for code in ("SPH", "PL", "MT", "SPL", "PT", "IT")}
-    ok = (r.correlation > 80
-          and all(sim >= ref for _, _, sim, ref in r.rows)
-          and scalings["IT"] == min(scalings.values())
-          and scalings["IT"] < 1.8 and max(scalings.values()) > 2.0)
+    scalings = {c: r.scaling(c) for c in ("SPH", "PL", "MT", "SPL", "PT", "IT")}
+    claims = [("correlation", r.correlation, ">", 80),
+              ("points with sim >= reference",
+               sum(sim >= ref for *_, sim, ref in r.rows), "==", len(r.rows)),
+              ("IT 2K->4K scaling <= every other scene's", scalings["IT"], "<=",
+               min(v for k, v in scalings.items() if k != "IT")),
+              ("IT 2K->4K scaling", scalings["IT"], "<", 1.8),
+              ("largest 2K->4K scaling", max(scalings.values()), ">", 2.0)]
     lines = ["%s@%s sim=%d ref=%.0f" % row for row in r.rows]
-    lines.append("correlation: %.1f%%" % r.correlation)
-    lines.append("2K->4K scaling: %s"
-                 % {k: round(v, 2) for k, v in scalings.items()})
-    return ("correlation %.1f%%, sim always the slower, IT scales least "
-            "(%.2fx)" % (r.correlation, scalings["IT"]), ok, lines)
+    lines.append("2K->4K scaling: %s" % {k: round(v, 2) for k, v in scalings.items()})
+    return claims, lines
 
 
 def _run_fig7() -> Row:
-    """Fig 7: mipmapping merges texture requests.
-
-    Paper example: on a 4x4 texture, four texture loads in one UV quadrant
-    at mip level 0 reduce to a single texel at mip level 1.
-    """
+    """Fig 7: mipmapping merges four texture loads in one UV quadrant of
+    a 4x4 texture."""
     r = E.run_fig7()
-    ok = r.loads_level0 == 4 and r.loads_level1 == 1
-    return ("4 loads at mip 0 merge to %d at mip 1" % r.loads_level1, ok,
-            ["mip0 loads: %d, mip1 loads: %d"
-             % (r.loads_level0, r.loads_level1)])
+    return [("texel loads at mip 0", r.loads_level0, "==", 4),
+            ("texel loads at mip 1", r.loads_level1, "==", 1)], []
 
 
 def _run_fig9() -> Row:
-    """Fig 9: L1 texture access correlation, LoD on vs off.
+    """Fig 9: L1 texture access MAPE (%), LoD on vs off.
 
-    Paper claims: with LoD enabled the L1 texture-access MAPE drops from
-    219% to 33% (a 6.6x reduction); without LoD the model always references
-    mip 0 and can overestimate texture traffic by up to 6x, exaggerating L1
-    port pressure.
+    Without LoD the model always references mip 0.
     """
     r = E.run_fig9()
     overestimates = sum(1 for _, _, on, off, _ in r.rows if off > on)
     worst = max(off / on for _, _, on, off, _ in r.rows if on)
-    ok = (r.mape_lod_on < 60 and r.mape_lod_off > 100
-          and r.mape_reduction > 4
-          and overestimates > len(r.rows) * 0.8 and worst > 3)
-    lines = ["MAPE lod-on %.1f%%, lod-off %.1f%% (%.1fx)"
-             % (r.mape_lod_on, r.mape_lod_off, r.mape_reduction),
-             "lod-off overestimates %d of %d draws, worst %.1fx"
-             % (overestimates, len(r.rows), worst)]
-    return ("LoD cuts L1-TEX MAPE %.0f%% -> %.0f%% (%.1fx)"
-            % (r.mape_lod_off, r.mape_lod_on, r.mape_reduction), ok, lines)
+    return [("MAPE with LoD", r.mape_lod_on, "<", 60),
+            ("MAPE without LoD", r.mape_lod_off, ">", 100),
+            ("MAPE reduction (x)", r.mape_reduction, ">", 4),
+            ("draws LoD-off overestimates", overestimates, ">", len(r.rows) * 0.8),
+            ("worst LoD-off overestimate (x)", worst, ">", 3)], []
 
 
 def _run_fig10() -> Row:
     """Fig 10: histogram of TEX cache lines per CTA in one Sponza drawcall.
 
-    Paper claims: each warp in a drawcall executes the same
-    texture-instruction count but references differing numbers of 128B
-    lines; most CTAs reference 3-5 lines, and across drawcalls the mean
-    ranges from ~2.5 to ~21 (basic single-texture draws stay in single
-    digits, multi-map PBR draws go far higher).
+    Single-texture draws stay in single digits; multi-map PBR draws go
+    far higher.
     """
     r = E.run_fig10("SPL")
     means = {}
@@ -176,36 +177,32 @@ def _run_fig10() -> Row:
             means[code] = r.mean if code == "SPL" else E.run_fig10(code).mean
         except IndexError:  # the scene has no texturing draw
             continue
-    spread = max(means.values()) / min(means.values())
-    ok = (2 <= r.mode <= 8 and 2.0 <= r.mean <= 25.0
-          and len(r.lines_per_cta) >= 10
-          and min(means.values()) < 8.0 and spread > 3.0)
-    lines = ["draw %s: mode %d, mean %.2f" % (r.draw_name, r.mode, r.mean)]
+    claims = [("mode lines/CTA", r.mode, ">=", 2),
+              ("mode lines/CTA", r.mode, "<=", 8),
+              ("mean lines/CTA", r.mean, ">=", 2.0),
+              ("mean lines/CTA", r.mean, "<=", 25.0),
+              ("CTAs in the histogram", len(r.lines_per_cta), ">=", 10),
+              ("smallest scene mean lines/CTA", min(means.values()), "<", 8.0),
+              ("spread of scene means (x)",
+               max(means.values()) / min(means.values()), ">", 3.0)]
+    lines = ["draw %s:" % r.draw_name]
     lines.extend("  %3d lines: %d CTAs" % hv for hv in r.histogram)
     lines.append("mean lines/CTA by scene: %s"
                  % ", ".join("%s %.2f" % cm for cm in means.items()))
-    return ("mode %d lines/CTA, mean %.1f; %.1fx spread across scenes"
-            % (r.mode, r.mean, spread), ok, lines)
+    return claims, lines
 
 
 def _run_fig11() -> Row:
-    """Fig 11: L2 composition under different shading techniques.
-
-    Paper claims: in Pistol (PBR, 8 maps) up to ~60% of L2 lines are
-    texture data (44% on average); the basic-shaded Sponza holds far fewer
-    texture lines; and the complexity shows in hit rate: Sponza ~90% vs
-    Pistol ~75%.
-    """
+    """Fig 11: L2 composition under PBR (PT, 8 maps) vs basic (SPL) shading."""
     r = E.run_fig11()
-    ok = (r.texture_share["PT"] > 2 * r.texture_share["SPL"]
-          and r.texture_share["PT"] > 0.30
-          and r.l2_hit_rate["SPL"] > r.l2_hit_rate["PT"]
-          and bool(r.snapshots["PT"]) and bool(r.snapshots["SPL"]))
-    lines = ["%s: texture share %.1f%%, hit rate %.1f%%"
-             % (c, r.texture_share[c] * 100, r.l2_hit_rate[c] * 100)
-             for c in r.texture_share]
-    return ("PBR dominates L2 with texture lines and pays a lower hit rate",
-            ok, lines)
+    share, hit = r.texture_share, r.l2_hit_rate
+    claims = [("PT texture share > 2x SPL's", share["PT"], ">", 2 * share["SPL"]),
+              ("PT texture share", share["PT"], ">", 0.30),
+              ("SPL L2 hit rate > PT's", hit["SPL"], ">", hit["PT"]),
+              ("PT L2 snapshots", len(r.snapshots["PT"]), ">", 0),
+              ("SPL L2 snapshots", len(r.snapshots["SPL"]), ">", 0)]
+    return claims, ["%s: texture share %.1f%%, hit rate %.1f%%"
+                    % (c, share[c] * 100, hit[c] * 100) for c in share]
 
 
 def _pair_lines(r: E.PolicyComparison) -> List[str]:
@@ -213,91 +210,82 @@ def _pair_lines(r: E.PolicyComparison) -> List[str]:
             for pair, d in sorted(r.normalized().items())]
 
 
-def _mean_over(norm: Dict[str, Dict[str, float]], suffix: str,
-               policy: str) -> float:
-    return float(np.mean([norm[p][policy] for p in norm
-                          if p.endswith(suffix)]))
+def _mean_over(r: E.PolicyComparison, suffix: str, policy: str) -> float:
+    """Mean normalised speedup of ``policy`` over the pairs ending in ``suffix``."""
+    norm = r.normalized()
+    return float(np.mean([norm[p][policy] for p in norm if p.endswith(suffix)]))
 
 
 def _run_fig12(jobs: int = 1, cache_dir: Optional[str] = None) -> Row:
-    """Fig 12: Warped-Slicer on rendering + compute pairs (Jetson Orin).
+    """Fig 12: Warped-Slicer (Dynamic) on rendering + compute pairs
+    (Jetson Orin), speedups normalised to even MPS.
 
-    Paper claims: normalised to even MPS, the static intra-SM EVEN split is
-    the fastest overall; the Warped-Slicer Dynamic partition still beats
-    MPS on average but its sampling cannot detect on-chip contention; VIO's
-    many small kernels make the sampling overhead unjustifiable; NN shows
-    the highest intra-SM speedup (shared-memory matmul + rendering's L1
-    texture use are complementary).
+    Dynamic's sampling cannot see on-chip contention, and VIO's many
+    small kernels make its overhead unjustifiable.
     """
     r = E.run_fig12(jobs=jobs, cache_dir=cache_dir)
-    norm = r.normalized()
-    even = r.mean_speedup("fg-even")
-    dyn = r.mean_speedup("warped-slicer")
-    ok = (even >= dyn and even > 1
-          and _mean_over(norm, "VIO", "warped-slicer")
-          < _mean_over(norm, "VIO", "fg-even")
-          and _mean_over(norm, "NN", "fg-even") > 1.0)
-    return ("EVEN %.3f >= Dynamic %.3f > MPS baseline" % (even, dyn), ok,
+    even, dyn = r.mean_speedup("fg-even"), r.mean_speedup("warped-slicer")
+    return ([("EVEN mean speedup >= Dynamic's", even, ">=", dyn),
+             ("EVEN mean speedup > MPS", even, ">", 1.0),
+             ("Dynamic mean speedup > MPS", dyn, ">", 1.0),
+             ("Dynamic VIO-pair speedup < EVEN's", _mean_over(r, "VIO", "warped-slicer"),
+              "<", _mean_over(r, "VIO", "fg-even")),
+             ("EVEN NN-pair speedup > MPS", _mean_over(r, "NN", "fg-even"), ">", 1.0)],
             _pair_lines(r))
 
 
 def _run_fig13(jobs: int = 1, cache_dir: Optional[str] = None) -> Row:
     """Fig 13: Warped-Slicer's realtime partition ratio (PT + VIO).
 
-    Paper claims: the dynamic intra-SM ratio is reset at every kernel
-    launch / drawcall; overall it favours the rendering shaders over the
-    compute kernels; low-occupancy regions are caused by insufficient
-    registers, so occupancy never reaches 100%.
+    The ratio resets at every kernel launch / drawcall; register limits
+    keep occupancy below 100%.  Graphics vs compute occupancy is summed
+    over the last three quarters of the run.
     """
     r = E.run_fig13(jobs=jobs, cache_dir=cache_dir)
     mid = r.occupancy[len(r.occupancy) // 4:]
-    ok = (r.samples_taken >= 5 and bool(r.occupancy)
-          and sum(g for _, g, _ in mid) > sum(c for _, _, c in mid)
-          and max(g + c for _, g, c in r.occupancy) <= 1.0)
-    lines = ["sampling phases: %d" % r.samples_taken]
-    lines.extend("  cycle %d -> %.3f" % d for d in r.decisions)
-    return ("%d sampling phases, %d completed decisions"
-            % (r.samples_taken, len(r.decisions)), ok, lines)
+    return ([("sampling phases", r.samples_taken, ">=", 5),
+             ("occupancy samples", len(r.occupancy), ">", 0),
+             ("graphics occupancy > compute's",
+              sum(g for _, g, _ in mid), ">", sum(c for _, _, c in mid)),
+             ("peak total occupancy",
+              max((g + c for _, g, c in r.occupancy), default=0.0), "<=", 1.0)],
+            ["  cycle %d -> %.3f" % d for d in r.decisions])
 
 
 def _run_fig14(jobs: int = 1, cache_dir: Optional[str] = None) -> Row:
     """Fig 14: TAP L2 partitioning vs MiG vs MPS (RTX 3070).
 
-    Paper claims: TAP (set-level partitioning inside every shared bank)
-    outperforms MiG (bank-level partitioning) and matches the MPS
-    baseline; the workload pairs are bandwidth-bound, not capacity-bound,
-    so MiG's slowdown comes from restricting each workload to a subset of
-    L2 banks, and shows on most pairs, not one outlier.
+    TAP partitions sets inside every shared bank, MiG whole banks; the
+    pairs are bandwidth-bound, so MiG loses L2 bandwidth.
     """
     r = E.run_fig14(jobs=jobs, cache_dir=cache_dir)
-    norm = r.normalized()
     tap, mig = r.mean_speedup("tap"), r.mean_speedup("mig")
-    mig_losses = sum(1 for p in norm if norm[p]["mig"] < 1.0)
-    ok = (tap > mig and abs(tap - 1.0) < 0.08 and mig < 1.0
-          and mig_losses >= len(norm) // 2)
-    return ("TAP %.3f ~= MPS > MiG %.3f (MiG loses on %d/%d pairs)"
-            % (tap, mig, mig_losses, len(norm)), ok, _pair_lines(r))
+    losses, pairs = sum(d["mig"] < 1.0 for d in r.normalized().values()), len(r.cycles)
+    return ([("TAP mean speedup > MiG's", tap, ">", mig),
+             ("|TAP mean speedup - MPS|", abs(tap - 1.0), "<", 0.08),
+             ("MiG mean speedup < MPS", mig, "<", 1.0),
+             ("MiG loses on at least half the pairs, rounded down",
+              losses, ">=", pairs // 2),
+             ("MiG loses on most pairs", losses, ">", pairs / 2)],
+            _pair_lines(r))
 
 
 def _run_fig15() -> Row:
     """Fig 15: normalised L2 composition under TAP (Sponza PBR + Hologram).
 
-    Paper claims: HOLO is compute-bound with little memory traffic, so TAP
-    allocates most L2 cache lines to the rendering pipeline (HOLO ends up
-    with a single set); there is no partition between pipeline data and
-    texture data, as both belong to the rendering stream.
+    HOLO is compute-bound; pipeline and texture data share the rendering
+    stream's allocation.
     """
     r = E.run_fig15()
     ratio = r.final_ratio or {}  # None: TAP never repartitioned
     gfx, holo = ratio.get(GRAPHICS_STREAM, 0), ratio.get(COMPUTE_STREAM, 0)
-    ok = (r.mean_graphics_share > 0.5
-          and r.mean_graphics_share > 2 * r.mean_compute_share
-          and bool(ratio) and gfx > holo and holo <= max(2, gfx // 4))
-    return ("TAP gives rendering %.0f%% of the L2 (HOLO: %d sets/bank)"
-            % (r.mean_graphics_share * 100, holo), ok,
-            ["graphics %.1f%%, compute %.1f%%, final ratio %s"
-             % (r.mean_graphics_share * 100, r.mean_compute_share * 100,
-                r.final_ratio)])
+    share, compute_share = r.mean_graphics_share, r.mean_compute_share
+    return ([("graphics L2 share", share, ">", 0.5),
+             ("graphics L2 share > 2x compute's", share, ">", 2 * compute_share),
+             ("TAP repartitions", len(ratio), ">", 0),
+             ("graphics sets/bank > HOLO's", gfx, ">", holo),
+             ("HOLO sets/bank <= max(2, graphics/4)", holo, "<=", max(2, gfx // 4))],
+            ["final ratio %s" % r.final_ratio])
 
 
 #: Experiment id -> row.  Rows backed by the campaign runner (fig12/13/14)
@@ -321,8 +309,8 @@ RUNNERS: Dict[str, Callable[..., Row]] = {
 def run_experiment(exp_id: str, **kw) -> ExperimentRecord:
     """Run one row, timed."""
     start = time.time()
-    headline, ok, lines = RUNNERS[exp_id](**kw)
-    return ExperimentRecord(exp_id, headline, ok, time.time() - start, lines)
+    claims, lines = RUNNERS[exp_id](**kw)
+    return ExperimentRecord(exp_id, claims, time.time() - start, lines)
 
 
 def reproduce_all(out_dir: str,
@@ -335,16 +323,14 @@ def reproduce_all(out_dir: str,
                        % (unknown, sorted(RUNNERS)))
     os.makedirs(out_dir, exist_ok=True)
     records = [run_experiment(exp_id) for exp_id in ids]
-    path = os.path.join(out_dir, "RESULTS.md")
-    with open(path, "w") as f:
+    with open(os.path.join(out_dir, "RESULTS.md"), "w") as f:
         f.write("# Reproduction results\n\n")
-        f.write("| experiment | outcome | headline | seconds |\n")
+        f.write("| experiment | outcome | claims | seconds |\n")
         f.write("|---|---|---|---|\n")
         for rec in records:
             f.write("| %s | %s | %s | %.1f |\n"
                     % (rec.exp_id, rec.outcome, rec.headline, rec.seconds))
         for rec in records:
-            if rec.lines:
-                f.write("\n## %s\n\n```\n%s\n```\n"
-                        % (rec.exp_id, "\n".join(rec.lines)))
+            f.write("\n## %s\n\n```\n%s\n```\n"
+                    % (rec.exp_id, "\n".join(rec.lines + [rec.report()])))
     return records

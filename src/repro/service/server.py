@@ -37,6 +37,10 @@ from .repository import RunRepository
 #: SSE keep-alive comment interval / bounded-poll default, seconds.
 DEFAULT_POLL_SECONDS = 15.0
 
+#: How often ``serve_forever`` checks for ``stop()``, seconds; ``stop``
+#: waits up to this long (http.server's default is 0.5 s).
+SHUTDOWN_POLL_SECONDS = 0.05
+
 
 def _first(query: dict, key: str, default: Optional[str] = None):
     values = query.get(key)
@@ -255,14 +259,13 @@ class DashboardServer:
     def start(self) -> "DashboardServer":
         """Serve on a background thread (tests / embedding)."""
         self._thread = threading.Thread(
-            target=self._httpd.serve_forever, name="repro-dashboard",
-            daemon=True)
+            target=self.serve_forever, name="repro-dashboard", daemon=True)
         self._thread.start()
         return self
 
     def serve_forever(self) -> None:
         """Serve on the calling thread (``repro serve``)."""
-        self._httpd.serve_forever()
+        self._httpd.serve_forever(poll_interval=SHUTDOWN_POLL_SECONDS)
 
     def stop(self) -> None:
         self._httpd.shutdown()

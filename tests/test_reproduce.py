@@ -5,7 +5,11 @@ import os
 import pytest
 
 from repro.cli import main
-from repro.harness.reproduce import RUNNERS, reproduce_all
+from repro.harness import experiments as E
+from repro.harness import reproduce
+from repro.harness.reproduce import RUNNERS, reproduce_all, run_experiment
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 class TestReproduceAll:
@@ -48,22 +52,38 @@ class TestClaimsTable:
         assert set(id_arg.choices) == set(RUNNERS)
 
     def test_failing_row_reports_check(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setitem(RUNNERS, "fig7",
-                            lambda: ("doctored", False, ["detail"]))
+        monkeypatch.setitem(RUNNERS, "fig7", lambda: (
+            [("doctored claim", 3, ">", 4)], ["detail"]))
         assert main(["reproduce", "--out", str(tmp_path),
                      "--only", "fig7"]) == 1
-        assert "[CHECK] fig7" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "[CHECK] fig7" in out
+        assert "CHECK     doctored claim: 3 > 4" in out
         assert "| fig7 | CHECK |" in (tmp_path / "RESULTS.md").read_text()
         assert main(["figure", "fig7"]) == 1
         out = capsys.readouterr().out
         assert "detail" in out and "[CHECK] fig7" in out
+        assert "doctored claim: 3 > 4" in out
+
+    def test_claim_verdicts(self, monkeypatch):
+        monkeypatch.setattr(reproduce, "DEVIATIONS", {("fig7", "known")})
+        rec = reproduce.ExperimentRecord("fig7", [
+            ("holds", 0.5, "<=", 0.5), ("known", 1, "==", 2)], 0.0)
+        assert rec.ok and rec.headline == "1 PASS, 1 DEVIATION"
+        assert rec.report().splitlines() == [
+            "[PASS] fig7    1 PASS, 1 DEVIATION (0.0s)",
+            "  PASS      holds: 0.5 <= 0.5",
+            "  DEVIATION known: 1 == 2"]
+        # A deviation listed for another row does not excuse this one.
+        rec = reproduce.ExperimentRecord("fig9", [("known", 1, "==", 2)], 0)
+        assert not rec.ok and rec.outcome == "CHECK"
 
     def test_figure_passes_sweep_options(self, monkeypatch, capsys):
         seen = {}
 
         def row(jobs=1, cache_dir=None):
             seen.update(jobs=jobs, cache_dir=cache_dir)
-            return ("ok", True, [])
+            return [("holds", 1, "==", 1)], []
 
         monkeypatch.setitem(RUNNERS, "fig13", row)
         assert main(["figure", "fig13", "--jobs", "3",
@@ -74,7 +94,6 @@ class TestClaimsTable:
     def test_fig14_rejects_mig_that_does_not_lose(self, monkeypatch):
         # TAP ~= MPS and TAP > MiG hold, but MiG is no slower than MPS:
         # the row must fail on "MiG loses L2 bandwidth by splitting banks".
-        from repro.harness import experiments as E
         doctored = E.PolicyComparison(cycles={
             "SPH+VIO": {"mps": 100, "mig": 99, "tap": 95},
             "PT+HOLO": {"mps": 100, "mig": 99, "tap": 95},
@@ -82,14 +101,61 @@ class TestClaimsTable:
         tap, mig = doctored.mean_speedup("tap"), doctored.mean_speedup("mig")
         assert tap > mig >= 1.0 and abs(tap - 1.0) < 0.08
         monkeypatch.setattr(E, "run_fig14", lambda **kw: doctored)
-        headline, ok, _ = RUNNERS["fig14"]()
-        assert not ok, headline
+        rec = run_experiment("fig14")
+        assert not rec.ok, rec.report()
+        assert _verdicts(rec)["MiG mean speedup < MPS"] == "CHECK"
 
     def test_fig14_accepts_the_paper_shape(self, monkeypatch):
-        from repro.harness import experiments as E
         shaped = E.PolicyComparison(cycles={
             "SPH+VIO": {"mps": 100, "mig": 110, "tap": 101},
             "PT+HOLO": {"mps": 100, "mig": 104, "tap": 99},
         })
         monkeypatch.setattr(E, "run_fig14", lambda **kw: shaped)
-        assert RUNNERS["fig14"]()[1]
+        rec = run_experiment("fig14")
+        assert rec.ok and rec.headline == "5 PASS", rec.report()
+
+    def test_fig12_dynamic_above_even_is_a_check(self, monkeypatch, capsys):
+        doctored = E.PolicyComparison(cycles={
+            "SPH+VIO": {"mps": 100, "fg-even": 95, "warped-slicer": 90},
+            "PT+NN": {"mps": 100, "fg-even": 95, "warped-slicer": 90},
+        })
+        monkeypatch.setattr(E, "run_fig12", lambda **kw: doctored)
+        assert main(["figure", "fig12"]) == 1
+        out = capsys.readouterr().out
+        assert "[CHECK] fig12" in out
+        assert "CHECK     EVEN mean speedup >= Dynamic's" in out
+
+
+def _verdicts(rec):
+    return {name: verdict for verdict, name, *_ in rec.claims}
+
+
+class TestDeviations:
+    def test_each_deviation_is_documented(self):
+        with open(os.path.join(ROOT, "EXPERIMENTS.md")) as f:
+            section = f.read().split("## Known deviations", 1)[1]
+        for exp_id, name in reproduce.DEVIATIONS:
+            assert name in section, (exp_id, name)
+
+    def test_each_deviation_names_a_claim_its_row_returns(self, monkeypatch):
+        # Doctored sweeps in the paper's shape: no simulation runs.
+        monkeypatch.setattr(E, "run_fig12", lambda **kw: E.PolicyComparison(
+            cycles={"SPH+VIO": {"mps": 100, "fg-even": 95,
+                                "warped-slicer": 99},
+                    "PT+NN": {"mps": 100, "fg-even": 90,
+                              "warped-slicer": 95}}))
+        monkeypatch.setattr(E, "run_fig14", lambda **kw: E.PolicyComparison(
+            cycles={"SPH+VIO": {"mps": 100, "mig": 110, "tap": 101},
+                    "PT+HOLO": {"mps": 100, "mig": 104, "tap": 99}}))
+        for exp_id, name in reproduce.DEVIATIONS:
+            assert name in _verdicts(run_experiment(exp_id)), (exp_id, name)
+
+
+class TestRegenGoldensGuard:
+    def test_failing_claim_blocks_regen(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(reproduce, "RUNNERS", {"fig7": lambda: (
+            [("doctored claim", 3, ">", 4)], [])})
+        assert main(["validate", "regen-goldens",
+                     "--golden-dir", str(tmp_path)]) == 1
+        assert list(tmp_path.iterdir()) == []
+        assert "CHECK     doctored claim: 3 > 4" in capsys.readouterr().out

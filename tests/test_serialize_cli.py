@@ -142,7 +142,7 @@ class TestCLI:
 
     def test_figure_fig7(self, capsys):
         assert main(["figure", "fig7"]) == 0
-        assert "mip0 loads: 4" in capsys.readouterr().out
+        assert "texel loads at mip 0: 4 == 4" in capsys.readouterr().out
 
     def test_figure_table1(self, capsys):
         assert main(["figure", "table1"]) == 0

@@ -543,8 +543,11 @@ class TestServeSmoke:
         states = {j["state"] for j in snapshot["jobs"]}
         assert STATE_DONE in states and STATE_CACHED in states
 
-    def test_events_json_and_sse(self, serve_stack):
-        server, _, _ = serve_stack
+    def test_events_json_and_sse(self, serve_stack, fake_group):
+        server, _, queue = serve_stack
+        _post(server, {"scene": "SPL", "res": "nano", "compute": "HOLO",
+                       "policy": "mig"})
+        assert queue.join(30)
         _, _, body = _get(server, "/events.json")
         events = json.loads(body)["events"]
         assert events and events[0]["seq"] == 1
@@ -552,6 +555,16 @@ class TestServeSmoke:
         assert status == 200 and ctype == "text/event-stream"
         frames = body.decode("utf-8")
         assert "data: " in frames and "event: " in frames
+
+    def test_stop_returns_promptly(self, tmp_path):
+        from repro.service.server import DashboardServer
+
+        server = DashboardServer(RunRepository(str(tmp_path / "r.sqlite")))
+        server.start()
+        _get(server, "/summary")  # serve_forever restarts its poll wait
+        start = time.perf_counter()
+        server.stop()
+        assert time.perf_counter() - start < 0.25
 
     def test_bad_run_id_is_404(self, serve_stack):
         server, _, _ = serve_stack
