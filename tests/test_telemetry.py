@@ -35,6 +35,20 @@ def telemetry_run(reference_workload):
     return config, stats, tel
 
 
+TELEMETRY_GOLDEN = "telemetry_spl_vio_nano_tap.json"
+
+
+def sampled_series():
+    """MetricsRecorder samples of SPL+VIO nano, tap, JetsonOrin-mini,
+    every 1000 cycles, as the JSON shapes the golden file holds."""
+    config = get_preset("JetsonOrin-mini")
+    streams = collect_streams(config, scene="SPL", res="nano",
+                              compute="VIO")
+    tel = Telemetry(sample_interval=1000)
+    simulate(config=config, streams=streams, policy="tap", telemetry=tel)
+    return json.loads(json.dumps(tel.metrics.samples, sort_keys=True))
+
+
 def _golden(policy):
     path = os.path.join(GOLDEN_DIR,
                         "sponza_hologram_nano_%s.json" % policy)
@@ -127,6 +141,21 @@ class TestSampleSeries:
             # Instructions issued after the last sample tick are not in the
             # series; the sampled sum can only under-count.
             assert 0 < sampled <= sstat.instructions
+
+    def test_series_matches_golden(self):
+        """The whole sampled series of SPL+VIO nano under tap is pinned.
+
+        Samples read counters mid-run (per-stream instructions, L1/L2
+        traffic, stall classes, MSHR and queue backlogs), so this pins
+        what an end-of-run stats golden cannot: when each counter moves.
+        Regenerate deliberately with ``json.dump(sampled_series(),
+        f, indent=1, sort_keys=True)``; ``regen-goldens`` does not touch
+        it.
+        """
+        with open(os.path.join(GOLDEN_DIR, TELEMETRY_GOLDEN), "r",
+                  encoding="utf-8") as f:
+            golden = json.load(f)
+        assert sampled_series() == golden
 
     def test_pull_hook_fields_present(self, telemetry_run):
         _, _, tel = telemetry_run

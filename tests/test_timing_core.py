@@ -297,3 +297,36 @@ class TestBarrierWakeOrdering:
         w.barrier_wait = False
         sm.schedulers[0].wake(w.slot, 4)
         assert tick(sm, 4)[0] is w
+
+
+def issue_log(sm, cycles):
+    """Tick ``sm`` at each cycle; returns ``[(cycle, slot), ...]`` issues."""
+    st = sm.slot_state
+    log = []
+    for cycle in cycles:
+        before = list(st.pc)
+        sm.tick(cycle)
+        log += [(cycle, s) for s, pc in enumerate(before) if st.pc[s] != pc]
+    return log
+
+
+class TestBarrierReleasesGreedyWarp:
+    def test_released_greedy_warp_keeps_priority(self):
+        # Two schedulers; slots 0 and 2 share scheduler 0, slot 1 runs on
+        # scheduler 1.  Slot 0 parks first, then slot 2, which so becomes
+        # scheduler 0's greedy warp while parked.  Slot 1's barrier at
+        # cycle 5 releases both at cycle 6, woken in slot order (0, 2):
+        # scheduler 0 must issue its greedy warp, slot 2, first, though
+        # slot 0 sits ahead of it in the ready queue.
+        cfg = RTX_3070_MINI.replace(schedulers_per_sm=2)
+        sm = SM(0, cfg, L2Cache(cfg), GPUStats())
+        bar = WarpInstruction(Op.BAR)
+        launch(sm,
+               [bar, ffma(dst=4), ffma(dst=8)],
+               [ffma(dst=4), ffma(dst=8, srcs=(4,)), bar, ffma(dst=12)],
+               [bar, ffma(dst=4), ffma(dst=8)])
+        assert issue_log(sm, range(2)) == [(0, 0), (0, 1), (1, 2)]
+        assert sm.schedulers[0]._greedy == 2
+        assert sm.slot_state.barrier[2]
+        assert issue_log(sm, range(2, 12)) == [
+            (4, 1), (5, 1), (6, 1), (6, 2), (7, 2), (8, 0), (9, 0)]

@@ -291,3 +291,39 @@ class TestGPURun:
         simulate(config=JETSON_ORIN_MINI, streams=streams, policy="tap")
         assert ticks
         assert len(set(ticks)) == len(ticks)
+
+    @pytest.mark.parametrize("scheduler", ["gto", "lrr"])
+    def test_every_issue_happens_at_the_visited_cycle(self, monkeypatch,
+                                                      scheduler):
+        """Selection picks only a warp whose unit pipe is free, so every
+        instruction issues at the cycle its SM ticks: the pipe it
+        reserved frees exactly one initiation interval after that cycle.
+        """
+        from repro.isa.instructions import IE_INITIATION, IE_UNIT_IDX
+        config = JETSON_ORIN_MINI.replace(scheduler_policy=scheduler)
+        streams = collect_streams(config, scene="SPL", res="nano",
+                                  compute="VIO")
+        real_tick = SM.tick
+        issues = []
+
+        def tick(sm, cycle):
+            st = sm.slot_state
+            before = [(w.slot, st.pc[w.slot], st.cur[w.slot])
+                      for cta in sm.resident for w in cta.warps]
+            nxt = real_tick(sm, cycle)
+            scheds = set()
+            for slot, pc, entry in before:
+                if st.pc[slot] == pc:
+                    continue
+                assert st.pc[slot] == pc + 1
+                home = st.warps[slot].home_sched
+                assert home not in scheds  # one issue per scheduler
+                scheds.add(home)
+                pipe_free = sm.schedulers[home]._pnf[entry[IE_UNIT_IDX]]
+                assert pipe_free == cycle + entry[IE_INITIATION]
+                issues.append(cycle)
+            return nxt
+
+        monkeypatch.setattr(SM, "tick", tick)
+        stats = simulate(config=config, streams=streams, policy="tap").stats
+        assert len(issues) == stats.total_instructions
