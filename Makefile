@@ -3,8 +3,8 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test lint bench bench-smoke bench-selftest bench-ab fuzz fuzz-smoke \
-	check-goldens reproduce qos-smoke qos-campaign serve-smoke
+.PHONY: test lint bench bench-smoke bench-selftest bench-ab opcount fuzz \
+	fuzz-smoke check-goldens reproduce qos-smoke qos-campaign serve-smoke
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -36,6 +36,13 @@ BASE ?= HEAD
 bench-ab:
 	$(PYTHON) scripts/bench_ab.py --workload $(WORKLOAD) --pairs $(PAIRS) \
 		--base $(BASE)
+
+# Deterministic host work of one perfbench operation: bytecodes per
+# simulated instruction, in total and for the top functions (SIZE=tiny
+# for a quick count).  Repeats exactly for one CPython version.
+SIZE ?= full
+opcount:
+	$(PYTHON) scripts/opcount.py --workload $(WORKLOAD) --size $(SIZE)
 
 # Differential fuzzing: on random configs/workloads/policies the
 # invariant-checked run must hold every invariant and match the plain run

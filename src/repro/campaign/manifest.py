@@ -10,8 +10,10 @@ everything took.
 On disk: a snapshot ``<campaign_id>.json`` and an append-only journal
 ``<campaign_id>.log`` with one ``[fingerprint, entry]`` line per finished
 job.  An append costs no disk flush; the snapshot is rewritten, and the
-journal deleted, once at campaign end.  :meth:`CampaignManifest.open`
-replays a killed campaign's journal over its snapshot.
+journal deleted, once at campaign end, and only when an entry changed:
+a warm re-run whose every job is a cache hit of a result the manifest
+already records writes nothing.  :meth:`CampaignManifest.open` replays a
+killed campaign's journal over its snapshot.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ import os
 import tempfile
 import time
 from typing import Dict, Optional, Sequence
+
+from .execute import STATUS_CACHED, STATUS_OK
 
 
 def campaign_id(fingerprints: Sequence[str]) -> str:
@@ -43,6 +47,8 @@ class CampaignManifest:
         self.created_at = time.time()
         #: fingerprint -> {"label", "status", "wall_seconds", "error"}
         self.jobs: Dict[str, dict] = {}
+        #: True once the snapshot on disk no longer holds ``jobs``.
+        self._dirty = True
 
     @classmethod
     def open(cls, fingerprints: Sequence[str], labels: Sequence[str],
@@ -69,6 +75,7 @@ class CampaignManifest:
                 doc = json.load(f)
             self.created_at = doc.get("created_at", self.created_at)
             self.jobs = doc.get("jobs", {})
+            self._dirty = False
         except (OSError, ValueError):
             pass  # a missing or torn snapshot is rebuilt from the journal
         try:
@@ -76,6 +83,7 @@ class CampaignManifest:
                 *lines, torn = f.read().split(b"\n")
                 if torn:  # cut off, so the next append starts a new line
                     f.truncate(f.tell() - len(torn))
+            self._dirty = True  # save() folds the journal in
             self.jobs.update(json.loads(line) for line in lines)
         except (OSError, ValueError):
             pass  # no journal, or a corrupt line: keep what came before
@@ -83,9 +91,22 @@ class CampaignManifest:
     def update(self, fingerprint: str, status: str,
                wall_seconds: float = 0.0,
                error: Optional[str] = None) -> None:
-        """Record one job's outcome and append it to the journal."""
+        """Record one job's outcome and append it to the journal.
+
+        An outcome the entry already holds changes nothing, and neither
+        does a cache hit on a job the entry holds as done: the cached
+        result is the one the entry describes.
+        """
         entry = self.jobs.setdefault(fingerprint, {"label": fingerprint[:12]})
-        entry.update(status=status, wall_seconds=wall_seconds, error=error)
+        if status == STATUS_CACHED and entry.get("status") in (
+                STATUS_OK, STATUS_CACHED):
+            return
+        outcome = {"status": status, "wall_seconds": wall_seconds,
+                   "error": error}
+        if all(entry.get(k) == v for k, v in outcome.items()):
+            return
+        entry.update(outcome)
+        self._dirty = True
         if self.journal:
             with open(self.journal, "a", encoding="utf-8") as f:
                 f.write(json.dumps([fingerprint, entry]) + "\n")
@@ -100,8 +121,9 @@ class CampaignManifest:
 
     def save(self) -> None:
         """Write the snapshot atomically, then delete the journal it now
-        holds (no-op when the campaign has no directory)."""
-        if not self.path:
+        holds (no-op when the campaign has no directory or nothing changed
+        since the snapshot was loaded)."""
+        if not self.path or not self._dirty:
             return
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(self.path),
                                    prefix=".tmp-", suffix=".json")
@@ -115,3 +137,4 @@ class CampaignManifest:
             raise
         if os.path.exists(self.journal):
             os.unlink(self.journal)
+        self._dirty = False

@@ -154,6 +154,19 @@ class CampaignRunner:
         #: (the job queue forwards these to ``/events`` subscribers).
         self.heartbeat_sink = heartbeat_sink
         self._hb: Optional[RunLog] = None
+        #: Set by :meth:`cancel`; the process pool of the wave in flight.
+        self._cancelled = False
+        self._pool: Optional[ProcessPoolExecutor] = None
+
+    def cancel(self) -> None:
+        """End a campaign running off the main thread: terminate the
+        worker processes of the wave in flight and retry nothing, so
+        every job not finished yet ends ``failed`` ("shut down").  Safe
+        to call from any thread, before or during :meth:`run`."""
+        self._cancelled = True
+        pool = self._pool
+        if pool is not None:
+            _terminate_workers(pool)
 
     def _heartbeat(self, kind: str, **fields) -> None:
         if self._hb is not None:
@@ -220,13 +233,14 @@ class CampaignRunner:
                 result.attempts = attempt
                 if result.ok and self.cache is not None:
                     self.cache.put(job, result)
-                if result.ok or attempt > self.retries:
+                if result.ok or attempt > self.retries or self._cancelled:
                     self._finish(manifest, reporter, job, fp, result)
 
             outcomes = self._execute_wave(wave, on_complete)
             retry: List[Tuple[int, Job, str]] = []
             for (i, job, fp), result in zip(wave, outcomes):
-                if not result.ok and attempt <= self.retries:
+                if not result.ok and attempt <= self.retries \
+                        and not self._cancelled:
                     retry.append((i, job, fp))
                     continue
                 results[i] = result
@@ -306,6 +320,7 @@ class CampaignRunner:
             return [r for r in results if r is not None]
         with ProcessPoolExecutor(
                 max_workers=min(self.workers, len(chunks))) as pool:
+            self._pool = pool
             futures = {}
             for chunk in chunks:
                 for pos in chunk:
@@ -315,6 +330,9 @@ class CampaignRunner:
                 futures[pool.submit(_run_chunk,
                                     [wave[pos][1] for pos in chunk],
                                     self.timeout)] = chunk
+            if self._cancelled:
+                # cancel() may have run before the workers existed.
+                _terminate_workers(pool)
             for future in as_completed(futures):
                 chunk = futures[future]
                 try:
@@ -328,13 +346,23 @@ class CampaignRunner:
                         fingerprint=wave[pos][2],
                         label=wave[pos][1].display_label,
                         status=STATUS_FAILED,
-                        error="worker process died before returning")
+                        error=("shut down" if self._cancelled else
+                               "worker process died before returning"))
                         for pos in chunk]
                 for pos, result in zip(chunk, outcomes):
                     _, job, fp = wave[pos]
                     results[pos] = result
                     on_complete(job, fp, result)
+        self._pool = None
         return [r for r in results if r is not None]
+
+
+def _terminate_workers(pool: ProcessPoolExecutor) -> None:
+    """Kill ``pool``'s worker processes; its futures then fail with
+    ``BrokenProcessPool`` and leaving the pool's ``with`` reaps them.
+    ``ProcessPoolExecutor`` has no public way to stop a running task."""
+    for proc in list((pool._processes or {}).values()):
+        proc.terminate()
 
 
 def _run_chunk(jobs: Sequence[Job],

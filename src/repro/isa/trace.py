@@ -17,7 +17,8 @@ from .instructions import IE_INST, MemAccess, WarpInstruction
 from .opcodes import DataClass, Op, Space, UNIT_INDEX, Unit
 
 
-def lower(instructions: Sequence[WarpInstruction]) -> Tuple[List[tuple], int]:
+def lower(instructions: Sequence[WarpInstruction]
+          ) -> Tuple[List[tuple], int, Tuple[Tuple[int, int], ...]]:
     """Lower an instruction list to flat issue tuples (see ``IE_*``).
 
     The timing model's issue loop indexes these tuples instead of
@@ -29,15 +30,21 @@ def lower(instructions: Sequence[WarpInstruction]) -> Tuple[List[tuple], int]:
     on the issue path.  Renaming is a bijection per trace, so dependency
     timing (and hence simulated behaviour) is bit-identical to raw ids.
 
-    Returns the issue tuples and ``n``, the number of renamed registers.
+    Returns the issue tuples, ``n``, the number of renamed registers, and
+    the unit histogram: ``(UNIT_INDEX, issues)`` pairs of the units the
+    list uses, in index order, which the timing model adds to its
+    per-unit issue counters once per finished warp.
     This is the only lowering: :meth:`WarpTrace.issue_stream` calls it
     per trace and :class:`WarpTemplate` once per shader program or kernel.
     """
     remap: Dict[int, int] = {}
     stream: List[tuple] = []
+    units: Dict[int, int] = {}
     app = stream.append
     for inst in instructions:
         info = inst.info
+        ui = UNIT_INDEX[info.unit]
+        units[ui] = units.get(ui, 0) + 1
         dst = inst.dst
         regs = inst.srcs + (dst,) if dst >= 0 else inst.srcs
         renamed = []
@@ -48,7 +55,7 @@ def lower(instructions: Sequence[WarpInstruction]) -> Tuple[List[tuple], int]:
             renamed.append(i)
         app((
             info.unit,
-            UNIT_INDEX[info.unit],
+            ui,
             info.latency,
             info.initiation,
             tuple(renamed),
@@ -57,18 +64,20 @@ def lower(instructions: Sequence[WarpInstruction]) -> Tuple[List[tuple], int]:
             inst.op is Op.BAR,
             inst,
         ))
-    return stream, len(remap)
+    return stream, len(remap), tuple(sorted(units.items()))
 
 
 class WarpTrace:
     """The dynamic instruction stream of one warp."""
 
-    __slots__ = ("instructions", "_issue_stream", "_num_regs")
+    __slots__ = ("instructions", "_issue_stream", "_num_regs",
+                 "_unit_counts")
 
     def __init__(self, instructions: Optional[List[WarpInstruction]] = None) -> None:
         self.instructions: List[WarpInstruction] = list(instructions or [])
         self._issue_stream: Optional[List[tuple]] = None
         self._num_regs = 0
+        self._unit_counts: Tuple[Tuple[int, int], ...] = ()
 
     def append(self, inst: WarpInstruction) -> None:
         self.instructions.append(inst)
@@ -79,7 +88,8 @@ class WarpTrace:
         built on first call and cached until the next :meth:`append`.
         Warps built from a :class:`WarpTemplate` arrive with it set."""
         if self._issue_stream is None:
-            self._issue_stream, self._num_regs = lower(self.instructions)
+            (self._issue_stream, self._num_regs,
+             self._unit_counts) = lower(self.instructions)
         return self._issue_stream
 
     def num_renamed_regs(self) -> int:
@@ -88,6 +98,13 @@ class WarpTrace:
         if self._issue_stream is None:
             self.issue_stream()
         return self._num_regs
+
+    def unit_counts(self) -> Tuple[Tuple[int, int], ...]:
+        """``(UNIT_INDEX, issues)`` histogram of the trace (see
+        :func:`lower`); forces the issue-stream build on first call."""
+        if self._issue_stream is None:
+            self.issue_stream()
+        return self._unit_counts
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -106,19 +123,21 @@ class WarpTemplate:
     with the same renaming; only its memory operands differ.  A template
     holds the skeleton ``instructions`` (memory slots hold placeholders
     without a :class:`MemAccess`), their lowered ``stream``, the
-    ``mem_slots`` positions of the memory instructions and ``num_regs``.
+    ``mem_slots`` positions of the memory instructions, ``num_regs`` and
+    the ``unit_counts`` histogram.
     :meth:`instantiate` builds a warp by swapping a fresh memory
     instruction into each slot.  The other instructions are immutable and
     shared by every warp built from the template.
     """
 
-    __slots__ = ("instructions", "stream", "mem_slots", "num_regs")
+    __slots__ = ("instructions", "stream", "mem_slots", "num_regs",
+                 "unit_counts")
 
     def __init__(self, instructions: List[WarpInstruction],
                  mem_slots: Sequence[int]) -> None:
         self.instructions = instructions
         self.mem_slots = tuple(mem_slots)
-        self.stream, self.num_regs = lower(instructions)
+        self.stream, self.num_regs, self.unit_counts = lower(instructions)
 
     def instantiate(self, mems: Sequence[MemAccess]) -> WarpTrace:
         """A warp whose memory slots carry ``mems``, in slot order."""
@@ -135,6 +154,7 @@ class WarpTemplate:
         warp.instructions = insts
         warp._issue_stream = stream
         warp._num_regs = self.num_regs
+        warp._unit_counts = self.unit_counts
         return warp
 
 

@@ -35,8 +35,9 @@ class DRAM:
         if per_channel <= 0:
             raise ValueError("DRAM bandwidth must be positive")
         self._bytes_per_cycle_per_channel = per_channel
+        self._line_size = config.l2.line_size
         # Cycles one full-line transfer occupies a channel.
-        self.cycles_per_line = max(1.0, config.l2.line_size / per_channel)
+        self.cycles_per_line = max(1.0, self._line_size / per_channel)
         self._channel_free = [0.0] * self.num_channels
         self.stats: Dict[int, DRAMStats] = {}
 
@@ -48,7 +49,7 @@ class DRAM:
         return st
 
     def channel_of(self, line_addr: int) -> int:
-        return (line_addr // self.config.l2.line_size) % self.num_channels
+        return (line_addr // self._line_size) % self.num_channels
 
     def access(self, line_addr: int, cycle: int, stream: int = 0,
                is_store: bool = False, num_bytes: Optional[int] = None) -> int:
@@ -58,8 +59,12 @@ class DRAM:
         pass the touched sectors' total so bandwidth is charged for what
         actually moves.
         """
-        nbytes = num_bytes if num_bytes else self.config.l2.line_size
-        occupancy = max(1.0, nbytes / self._bytes_per_cycle_per_channel)
+        if num_bytes:
+            nbytes = num_bytes
+            occupancy = max(1.0, nbytes / self._bytes_per_cycle_per_channel)
+        else:
+            nbytes = self._line_size
+            occupancy = self.cycles_per_line
         ch = self.channel_of(line_addr)
         start = max(float(cycle), self._channel_free[ch])
         self._channel_free[ch] = start + occupancy

@@ -43,6 +43,9 @@ class L2Cache:
             SetAssocCache(bank_cfg, name="l2b%d" % i) for i in range(self.num_banks)
         ]
         self.dram = dram or DRAM(config)
+        # Per-access constants, resolved once (GPUConfig is frozen).
+        self._line_size = config.l2.line_size
+        self._hit_latency = config.l2.hit_latency
         self._bank_free = [0] * self.num_banks
         self.bank_port_interval = 2
         # MiG routing: stream -> list of bank indices; None means shared.
@@ -107,7 +110,7 @@ class L2Cache:
 
     # -- access ---------------------------------------------------------------
     def bank_of(self, line_addr: int, stream: int = 0) -> int:
-        raw = (line_addr // self.config.l2.line_size) % self.num_banks
+        raw = (line_addr // self._line_size) % self.num_banks
         if self._bank_assignment is not None:
             banks = self._bank_assignment.get(stream)
             if banks:
@@ -139,7 +142,7 @@ class L2Cache:
         free = self._bank_free[bank_idx]
         start = cycle if cycle > free else free
         self._bank_free[bank_idx] = start + self.bank_port_interval
-        access_done = start + self.config.l2.hit_latency
+        access_done = start + self._hit_latency
         hit, ready = bank.access(line_addr, cycle, stream, is_store,
                                  sector_mask)
         if ready is not None:

@@ -328,6 +328,10 @@ class AdaptiveQoSPolicy(PartitionPolicy):
         self.epoch_interval = epoch_interval
         self._l2 = None
         self.l2_shares: Dict[int, int] = {}
+        #: quota() results per stream for ``_quota_config``; _apply
+        #: clears them when it moves compute slots.
+        self._quotas: Dict[int, Optional[CTAResources]] = {}
+        self._quota_config: Optional[GPUConfig] = None
         #: (cycle, decision dict) per applied move — the audit trail the
         #: QoS report and campaign artifact carry.
         self.decision_history: List = []
@@ -363,6 +367,17 @@ class AdaptiveQoSPolicy(PartitionPolicy):
     # -- partition mechanics ----------------------------------------------
     def quota(self, sm: SM, stream: int, config: GPUConfig
               ) -> Optional[CTAResources]:
+        if config is not self._quota_config:
+            self._quotas = {}
+            self._quota_config = config
+        try:
+            return self._quotas[stream]
+        except KeyError:
+            q = self._quotas[stream] = self._compute_quota(stream, config)
+            return q
+
+    def _compute_quota(self, stream: int, config: GPUConfig
+                       ) -> Optional[CTAResources]:
         slots = self.compute_slots.get(stream)
         if slots is None:
             return None
@@ -419,6 +434,7 @@ class AdaptiveQoSPolicy(PartitionPolicy):
                                  % src)
             self.compute_slots[src] -= 1
             self.compute_slots[dst] += 1
+            self._quotas = {}
         elif decision["kind"] == "l2":
             step = min(self.controller.l2_step
                        if hasattr(self.controller, "l2_step") else 2,

@@ -106,6 +106,8 @@ class JobQueue:
         self._next_id = 1
         self._simulated = 0
         self._closed = False
+        #: Runners of the campaigns in flight, for shutdown(wait=False).
+        self._runners: List = []
 
     # -- events ---------------------------------------------------------------
     def _emit(self, kind: str, **fields) -> None:
@@ -234,28 +236,43 @@ class JobQueue:
     def _mark_finished(self, entry: QueueJob, run_id: Optional[int],
                        error: Optional[str]) -> None:
         with self._lock:
-            entry.finished_unix = time.time()
-            entry.run_id = run_id
-            entry.error = error
-            entry.state = STATE_DONE if error is None else STATE_FAILED
-            self._emit("job_done" if error is None else "job_failed",
-                       job_id=entry.job_id, fingerprint=entry.fingerprint,
-                       label=entry.label, run_id=run_id, error=error)
+            self._finish_locked(entry, run_id, error)
+
+    def _finish_locked(self, entry: QueueJob, run_id: Optional[int],
+                       error: Optional[str]) -> None:
+        """Move a queued or running ``entry`` to done/failed (caller must
+        hold the lock); an entry already finished is left as it is."""
+        if entry.state not in _ATTACHABLE:
+            return
+        entry.finished_unix = time.time()
+        entry.run_id = run_id
+        entry.error = error
+        entry.state = STATE_DONE if error is None else STATE_FAILED
+        self._emit("job_done" if error is None else "job_failed",
+                   job_id=entry.job_id, fingerprint=entry.fingerprint,
+                   label=entry.label, run_id=run_id, error=error)
 
     def _run_campaign(self, fresh, workers: int) -> None:
         from ..campaign.runner import CampaignRunner
         by_fp = {entry.fingerprint: entry for entry, _ in fresh}
-        for entry, _ in fresh:
-            self._mark_running(entry)
         runner = CampaignRunner(workers=workers, timeout=JOB_TIMEOUT_S,
                                 repository=self.repository,
                                 heartbeat_sink=self.heartbeat)
+        with self._lock:
+            if self._closed:
+                return  # shutdown() already failed these entries
+            self._runners.append(runner)
+        for entry, _ in fresh:
+            self._mark_running(entry)
         try:
             campaign = runner.run([job for _, job in fresh])
         except Exception as exc:  # pragma: no cover - runner guards jobs
             for entry, _ in fresh:
                 self._mark_finished(entry, None, str(exc))
             return
+        finally:
+            with self._lock:
+                self._runners.remove(runner)
         for result in campaign.results:
             entry = by_fp.get(result.fingerprint)
             if entry is None or entry.state != STATE_RUNNING:
@@ -308,7 +325,20 @@ class JobQueue:
         return False
 
     def shutdown(self, wait: bool = True) -> None:
+        """Stop taking submissions.  ``wait=True`` lets every queued and
+        running job finish first.  ``wait=False`` (what ``repro serve``
+        does on Ctrl-C) ends them now: each unfinished job fails with
+        "shut down", running campaigns' worker processes are terminated,
+        and queued campaigns never start, so the process can exit at
+        once instead of waiting out a hung job."""
         with self._lock:
             self._closed = True
             self._event_cond.notify_all()
-        self._pool.shutdown(wait=wait)
+            runners = list(self._runners)
+            if not wait:
+                for entry in self._jobs.values():
+                    self._finish_locked(entry, None, "shut down")
+        if not wait:
+            for runner in runners:
+                runner.cancel()
+        self._pool.shutdown(wait=wait, cancel_futures=not wait)

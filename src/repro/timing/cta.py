@@ -60,11 +60,15 @@ class PartitionPolicy:
 class _KernelState:
     """Issue/completion bookkeeping for one kernel in a stream."""
 
-    __slots__ = ("kernel", "next_cta", "outstanding", "started", "complete",
-                 "start_cycle", "complete_cycle", "arrival_cycle")
+    __slots__ = ("kernel", "num_ctas", "resources", "next_cta",
+                 "outstanding", "started", "complete", "start_cycle",
+                 "complete_cycle", "arrival_cycle")
 
     def __init__(self, kernel: KernelTrace) -> None:
         self.kernel = kernel
+        self.num_ctas = kernel.num_ctas
+        #: What one CTA of the kernel occupies on an SM.
+        self.resources = kernel.cta_resources()
         self.next_cta = 0
         self.outstanding = 0
         self.started = False
@@ -76,7 +80,7 @@ class _KernelState:
 
     @property
     def fully_issued(self) -> bool:
-        return self.next_cta >= self.kernel.num_ctas
+        return self.next_cta >= self.num_ctas
 
 
 class StreamQueue:
@@ -120,6 +124,10 @@ class StreamQueue:
                 prev = at
         self.max_inflight = max_inflight
         self._issue_idx = 0
+        #: Kernels started and not complete, and kernels complete: kept
+        #: by take_cta and note_cta_complete so neither property scans.
+        self._inflight = 0
+        self._completed = 0
         #: (kernel name, completion cycle) pairs, in completion order.
         self.kernel_completions: List = []
 
@@ -129,29 +137,31 @@ class StreamQueue:
 
     @property
     def all_complete(self) -> bool:
-        return all(st.complete for st in self.states)
+        return self._completed == len(self.states)
 
     @property
     def inflight(self) -> int:
-        return sum(1 for st in self.states if st.started and not st.complete)
+        return self._inflight
 
     def _issuable_state(self, cycle: Optional[int] = None
                         ) -> Optional[_KernelState]:
+        states = self.states
+        idx = self._issue_idx
         # Skip past fully-issued kernels.
-        while (self._issue_idx < len(self.states)
-               and self.states[self._issue_idx].fully_issued):
-            self._issue_idx += 1
-        if self._issue_idx >= len(self.states):
+        while idx < len(states) and states[idx].next_cta >= \
+                states[idx].num_ctas:
+            idx += 1
+        self._issue_idx = idx
+        if idx >= len(states):
             return None
-        st = self.states[self._issue_idx]
+        st = states[idx]
         if st.started:
             return st
         # Start conditions for a new kernel.
-        if self._issue_idx > 0:
-            prev = self.states[self._issue_idx - 1]
-            if st.kernel.depends_on_prev and not prev.complete:
-                return None
-        if self.inflight >= self.max_inflight:
+        if idx > 0 and st.kernel.depends_on_prev \
+                and not states[idx - 1].complete:
+            return None
+        if self._inflight >= self.max_inflight:
             return None
         # Open-loop gate: an unstarted kernel may not issue before its
         # arrival cycle.  Cycle-less callers see the over-approximation
@@ -185,6 +195,7 @@ class StreamQueue:
         if not st.started:
             st.started = True
             st.start_cycle = cycle
+            self._inflight += 1
         cta = st.kernel.ctas[st.next_cta]
         st.next_cta += 1
         st.outstanding += 1
@@ -201,6 +212,8 @@ class StreamQueue:
         if st.outstanding == 0 and st.fully_issued and not st.complete:
             st.complete = True
             st.complete_cycle = cycle
+            self._inflight -= 1
+            self._completed += 1
             self.kernel_completions.append((st.kernel.name, cycle))
             return True
         return False
@@ -269,12 +282,13 @@ class CTAScheduler:
         q = self.policy.quota(sm, stream, self.config)
         if q is None:
             return True
-        u = sm.stream_usage(stream)
         return (
-            u.threads + res.threads <= q.threads
-            and u.registers + res.registers <= q.registers
-            and u.shared_mem + res.shared_mem <= q.shared_mem
-            and u.warps + res.warps <= q.warps
+            sm.threads_used.get(stream, 0) + res.threads <= q.threads
+            and sm.registers_used.get(stream, 0) + res.registers
+            <= q.registers
+            and sm.shared_used.get(stream, 0) + res.shared_mem
+            <= q.shared_mem
+            and sm.warps_used.get(stream, 0) + res.warps <= q.warps
         )
 
     def _try_issue_one(self, sq: StreamQueue, cycle: int) -> bool:
@@ -282,7 +296,7 @@ class CTAScheduler:
         if st is None:
             return False
         kernel = st.kernel
-        res = kernel.cta_resources(self.config.warp_size)
+        res = st.resources
         best_sm: Optional[SM] = None
         best_free = -1
         for sm_id in self.policy.allowed_sms(sq.stream_id, len(self.sms)):

@@ -1,24 +1,26 @@
 """Top-level GPU model: SMs + shared L2/DRAM + CTA scheduler + event loop.
 
-The clock is a single global cycle counter.  SMs are tracked in a global
-min-heap keyed by each SM's next-event cycle, so one iteration touches only
-the SMs that can act at the current cycle instead of scanning all of them.
-Each visited cycle the loop (1) retires CTAs whose last instruction has
-committed and refills freed resources, (2) ticks every due SM (each
-scheduler issues at most one instruction per cycle), then (3) jumps the
-clock to the heap's earliest future event.  Dense phases advance
+The clock is a single global cycle counter.  Each SM keeps its own wake
+cycle (``SM.next_event_cache``: the earliest cycle it may act, BLOCKED
+when it has no work), and each visited cycle the loop (1) collects the due
+SMs by scanning those wake cycles in SM-id order, (2) retires CTAs whose
+last instruction has committed and refills freed resources, (3) ticks
+every due SM (each scheduler issues at most one instruction per cycle),
+then (4) jumps the clock to the smallest wake cycle.  Dense phases advance
 cycle-by-cycle exactly like a classic cycle loop; idle memory-bound gaps
 are skipped without losing cycle accounting.
 
-Within one visited cycle, due SMs are always processed in ascending SM id —
-the same order the previous full-scan loop used — so shared-state
-interleaving at the L2/DRAM (bank ports, MSHRs) is unchanged and results
-stay bit-identical.
+Due SMs are always processed in ascending SM id, so shared-state
+interleaving at the L2/DRAM (bank ports, MSHRs) is fixed and results are
+deterministic.  The scan replaced a lazy min-heap of ``(cycle, sm_id)``
+entries; docs/ARCHITECTURE.md ("Event loop and performance") compares the
+two at 4, 8 and 46 SMs.
 """
 
 from __future__ import annotations
 
-import heapq
+from itertools import compress
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence
 
 from ..config import GPUConfig
@@ -41,7 +43,7 @@ class GPU:
     The objects a run creates form no reference cycle, so reference
     counting frees them as soon as the caller drops the GPU.  The hooks
     that point back at the GPU or its policy -- each SM's
-    ``on_cta_complete`` and ``event_sink``, ``CTAScheduler.gpu`` and the
+    ``on_cta_complete``, ``CTAScheduler.gpu`` and the
     L2's ``access_observer`` that a policy may install -- exist only while
     :meth:`run` executes: it installs them on entry and clears them on
     exit, whether the run completes or raises.  Afterwards ``stats``,
@@ -69,11 +71,6 @@ class GPU:
             SM(i, config, self.l2, self.stats) for i in range(config.num_sms)
         ]
         self.cta_scheduler = CTAScheduler(config, self.sms, self.policy)
-        self._completed_this_step = False
-        #: Global event heap of (next_event_cycle, sm_id, sm).  At most one
-        #: *valid* entry per SM: ``sm._queued_event`` holds the key of that
-        #: entry, and stale entries (key mismatch) are dropped on pop.
-        self._event_heap: List = []
 
     # -- workload setup ---------------------------------------------------------
     def add_stream(self, stream_id: int, kernels: Sequence[KernelTrace],
@@ -89,15 +86,8 @@ class GPU:
 
     # -- callbacks ---------------------------------------------------------------
     def _cta_done(self, sm: SM, cta: ResidentCTA) -> None:
-        self._completed_this_step = True
         self.telemetry.on_cta_retire(sm, cta, self.cycle)
         self.cta_scheduler.on_cta_complete(sm, cta, self.cycle)
-
-    def _push_event(self, sm: SM, t: int) -> None:
-        """Queue (or re-key) ``sm`` in the event heap at cycle ``t``."""
-        if t < sm._queued_event:
-            sm._queued_event = t
-            heapq.heappush(self._event_heap, (t, sm.sm_id, sm))
 
     # -- main loop -----------------------------------------------------------------
     def run(self, max_cycles: int = 200_000_000) -> GPUStats:
@@ -106,7 +96,6 @@ class GPU:
             raise ValueError("no streams registered; call add_stream first")
         for sm in self.sms:
             sm.on_cta_complete = self._cta_done
-            sm.event_sink = self._push_event
         self.cta_scheduler.gpu = self
         try:
             return self._loop(max_cycles)
@@ -119,12 +108,11 @@ class GPU:
     def _loop(self, max_cycles: int) -> GPUStats:
         self.policy.configure_memory(self.l2, sorted(self.cta_scheduler.streams))
         cycle = self.cycle
-        heap = self._event_heap
-        for sm in self.sms:
-            sm._queued_event = BLOCKED
+        sms = self.sms
+        sched = self.cta_scheduler
         tel = self.telemetry
         tel.on_run_start(self)
-        self.cta_scheduler.fill(cycle)
+        sched.fill(cycle)
         interval = self.sample_interval
         # The sample tick serves two consumers on one schedule: the user's
         # occupancy/L2 snapshots (``sample_interval``) and telemetry's
@@ -132,78 +120,66 @@ class GPU:
         # fires on its interval but skips the (expensive) L2 composition
         # walk in _sample.
         eff_interval = interval if interval else tel.sample_interval
-        next_sample = eff_interval if eff_interval else None
+        next_sample = eff_interval if eff_interval else BLOCKED
         epoch = self.policy.epoch_interval
-        next_epoch = epoch if epoch else None
+        next_epoch = epoch if epoch else BLOCKED
         # Open-loop arrivals: None when every stream is closed-loop, in
         # which case every arrival branch below is dead and the loop is
         # bit-identical to the closed-loop engine.
-        next_arrival = (self.cta_scheduler.next_arrival_after(cycle)
-                        if self.cta_scheduler.has_arrivals else None)
+        next_arrival = (sched.next_arrival_after(cycle)
+                        if sched.has_arrivals else None)
+        arrival_at = BLOCKED if next_arrival is None else next_arrival
+        # Every SM's wake cycle, read once per visited cycle: the minimum
+        # picks the next cycle to visit, and the same list picks its due
+        # SMs (nothing moves a wake cycle in between).
+        wakes = list(map(_wake_cycle, sms))
         while True:
             self.cycle = cycle
-            self._completed_this_step = False
-            # Pop every SM due at this cycle.  Entries whose key no longer
-            # matches the SM's queued key are stale duplicates.
-            due: List[SM] = []
-            while heap and heap[0][0] <= cycle:
-                t, _, sm = heapq.heappop(heap)
-                if t != sm._queued_event:
-                    continue
-                sm._queued_event = BLOCKED
-                due.append(sm)
-            # Heap pops arrive ordered by (cycle, sm_id); restore pure SM-id
-            # order so L2/DRAM interleaving matches the old full-scan loop.
-            due.sort(key=_sm_id)
+            due = list(compress(sms, map(cycle.__ge__, wakes)))
+            completed = False
             for sm in due:
-                if sm._completions:
-                    sm.process_completions(cycle)
-            if self._completed_this_step:
-                if self.cta_scheduler.has_issuable_work:
-                    self.cta_scheduler.fill(cycle)
-                if self.cta_scheduler.all_complete and not any(
-                    sm.has_work for sm in self.sms
+                if sm._completions and sm.process_completions(cycle):
+                    completed = True
+            if completed:
+                if sched.has_issuable_work:
+                    sched.fill(cycle)
+                if sched.all_complete and not any(
+                    sm.has_work for sm in sms
                 ):
                     break
-                # fill() may have launched onto SMs not yet due this cycle;
-                # collect them so they tick this cycle too.
-                _collect_launched(heap, cycle, due)
-            if next_arrival is not None and cycle >= next_arrival:
+                # fill() may have launched onto SMs not yet due this
+                # cycle (a launch sets an SM's wake cycle to 0); rescan
+                # so they tick this cycle too.
+                due = _due(sms, cycle)
+            if cycle >= arrival_at:
                 # Newly-arrived kernels become issuable this cycle; launch
                 # them so the SMs they land on tick this cycle like any
                 # other due SM.
-                if self.cta_scheduler.fill(cycle):
-                    _collect_launched(heap, cycle, due)
-                next_arrival = self.cta_scheduler.next_arrival_after(cycle)
+                if sched.fill(cycle):
+                    due = _due(sms, cycle)
+                next_arrival = sched.next_arrival_after(cycle)
+                arrival_at = BLOCKED if next_arrival is None else next_arrival
             for sm in due:
-                if sm.has_work:
-                    t = sm.tick(cycle)
-                    sm.next_event_cache = t
-                    if t < BLOCKED:
-                        self._push_event(sm, t)
-            if next_epoch is not None and cycle >= next_epoch:
+                if sm.resident or sm._completions:
+                    sm.next_event_cache = sm.tick(cycle)
+                else:
+                    sm.next_event_cache = BLOCKED
+            if cycle >= next_epoch:
                 self.policy.on_epoch(self, cycle)
-                next_epoch = cycle + (epoch or 1)
-            if next_sample is not None and cycle >= next_sample:
+                next_epoch = cycle + epoch
+            if cycle >= next_sample:
                 if interval:
                     self._sample(cycle)
                 tel.on_sample(self, cycle)
-                next_sample = cycle + (eff_interval or 1)
-            # Earliest future event = validated heap top.
-            nxt = BLOCKED
-            while heap:
-                t, _, sm = heap[0]
-                if t != sm._queued_event:
-                    heapq.heappop(heap)
-                    continue
-                nxt = t
-                break
+                next_sample = cycle + eff_interval
+            wakes = list(map(_wake_cycle, sms))
+            nxt = min(wakes)
             if nxt == BLOCKED:
                 # No SM can ever act again.  Either CTAs are waiting for
                 # space that will never free (policy deadlock), the machine
                 # is idle until the next open-loop arrival, or we are done.
-                if self.cta_scheduler.has_issuable_work:
-                    if self.cta_scheduler.fill(cycle) == 0:
+                if sched.has_issuable_work:
+                    if sched.fill(cycle) == 0:
                         if next_arrival is not None:
                             # Idle open-loop gap: jump to the next arrival.
                             cycle = max(cycle + 1, next_arrival)
@@ -213,10 +189,11 @@ class GPU:
                             "(policy %r quota too small?)" % (cycle, self.policy.name)
                         )
                     cycle += 1
+                    wakes = list(map(_wake_cycle, sms))
                     continue
                 # Completions may still be queued in the future.
                 pending = [
-                    t for t in (sm.next_completion_cycle() for sm in self.sms)
+                    t for t in (sm.next_completion_cycle() for sm in sms)
                     if t is not None
                 ]
                 if next_arrival is not None:
@@ -224,31 +201,20 @@ class GPU:
                 if pending:
                     cycle = max(cycle + 1, min(pending))
                     continue
-                if not self.cta_scheduler.all_complete:
+                if not sched.all_complete:
                     raise DeadlockError(
                         "streams incomplete at cycle %d but no work anywhere" % cycle
                     )
                 break
-            if next_arrival is not None and next_arrival < nxt:
-                nxt = next_arrival
-            cycle = max(cycle + 1, nxt)
+            if arrival_at < nxt:
+                nxt = arrival_at
+            cycle = nxt if nxt > cycle else cycle + 1
             if cycle > max_cycles:
                 raise RuntimeError("simulation exceeded %d cycles" % max_cycles)
         self.cycle = cycle
         self.stats.cycles = cycle
         tel.on_run_end(self)
         return self.stats
-
-    # -- introspection -------------------------------------------------------------
-    def event_heap_entries(self) -> List:
-        """Validated (cycle, sm_id, sm) entries of the global event heap.
-
-        Stale entries — keys that no longer match the SM's ``_queued_event``
-        — are filtered out; they are dropped lazily on pop by the run loop.
-        Read-only debug/validation hook, never called from the hot loop.
-        """
-        return [(t, sm_id, sm) for t, sm_id, sm in self._event_heap
-                if t == sm._queued_event]
 
     # -- sampling -----------------------------------------------------------------
     def _sample(self, cycle: int) -> None:
@@ -271,23 +237,11 @@ class GPU:
         return self.cta_scheduler.streams[stream_id].kernel_completions
 
 
-def _sm_id(sm: SM) -> int:
-    return sm.sm_id
+#: An SM's wake cycle (``SM.next_event_cache``), for the loop's scan.
+_wake_cycle = attrgetter("next_event_cache")
 
 
-def _collect_launched(heap: list, cycle: int, due: List[SM]) -> None:
-    """Move SMs whose events are due by ``cycle`` -- the launches a
-    ``fill()`` just made -- from the event heap into ``due``, keeping SM-id
-    order.  An SM already in ``due`` is not added again, so it ticks once
-    this cycle."""
-    added = False
-    while heap and heap[0][0] <= cycle:
-        t, _, sm = heapq.heappop(heap)
-        if t != sm._queued_event:
-            continue
-        sm._queued_event = BLOCKED
-        if sm not in due:
-            due.append(sm)
-            added = True
-    if added:
-        due.sort(key=_sm_id)
+def _due(sms: List[SM], cycle: int) -> List[SM]:
+    """The SMs whose wake cycle has come by ``cycle``, in SM-id order (a
+    rescan after ``fill()`` launched CTAs this cycle)."""
+    return list(compress(sms, map(cycle.__ge__, map(_wake_cycle, sms))))

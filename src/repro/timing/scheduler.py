@@ -90,6 +90,13 @@ class GTOScheduler:
         self._bkeys: List[int] = []
         #: Slot of the warp that issued last (-1 = none): the greedy pick.
         self._greedy = -1
+        #: Exact earliest issue cycle of the greedy warp's next instruction
+        #: (``max(next_ready, pipe free)``; BLOCKED when there is none, it
+        #: is done or parked, or the policy is LRR): GTO's greedy probe is
+        #: one compare.  Each commit in ``SM.tick`` re-picks the greedy
+        #: warp and sets it (only commits move this scheduler's pipes);
+        #: ``SM._barrier`` refreshes it when it releases the warp.
+        self._greedy_at = BLOCKED
         #: Warp id of LRR's last pick, which ``SM.tick`` always issues.
         self._last_warp_id = -1
         #: Earliest cycle this scheduler may act; maintained by the SM tick
@@ -205,14 +212,12 @@ class GTOScheduler:
         and re-validates, so under-estimates cost a visit, never accuracy.
         """
         st = self.state
-        best = BLOCKED
-        g = self._greedy
-        if self.policy == "gto" and g >= 0 and not st.done[g] \
-                and not st.barrier[g]:
-            best = self._issue_time(g, cycle)
         done = st.done
         barrier = st.barrier
         if self._bucketed:
+            # Called only when the greedy probe failed, so the cached
+            # greedy readiness is already past ``cycle``.
+            best = self._greedy_at
             keys = self._bkeys
             buckets = self._buckets
             while keys:
@@ -230,6 +235,7 @@ class GTOScheduler:
                     best = est
                 break
             return best
+        best = BLOCKED
         heap = self._heap
         while heap:
             est, _, s = heap[0]

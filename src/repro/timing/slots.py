@@ -13,17 +13,14 @@ warps linger until popped.  Because a slot is never recycled, ``done[slot]``
 stays set forever and a stale ``(est, seq, slot)`` heap entry is always
 recognised — no generation counters on the hot path.
 
-The register scoreboard is one flat int64-valued array: warp ``slot`` owns
-the slice ``sb[sb_base[slot] : sb_base[slot] + nregs]``, indexed by the
-dense renamed register ids that
+The register scoreboard is one plain list per slot, ``sb[slot]``, indexed
+by the dense renamed register ids that
 :meth:`~repro.isa.trace.WarpTrace.issue_stream` precomputes at trace load
-(``IE_REGS`` / ``IE_DST``).  ``slot * max_regs + reg`` is the special case
-of this base-offset layout when every trace renames to the same register
-count; per-slot bases waste no space when register demand varies across
-kernels.
+(``IE_REGS`` / ``IE_DST``), so a dependency read is one list index with
+no offset arithmetic.
 
 The scoreboard is *single-writer*: only the owning warp's commits write its
-slice, so the earliest cycle a slot's next instruction clears its
+list, so the earliest cycle a slot's next instruction clears its
 dependencies is fully determined at the previous commit.  ``next_ready``
 caches exactly that — ``max(stall_until, dep ready cycles)`` — letting the
 scheduler's issue re-validation compare two ints per visit instead of
@@ -47,8 +44,8 @@ class SlotState:
     """Flat dynamic state of every warp slot on one SM."""
 
     __slots__ = (
-        "pc", "stall_until", "next_ready", "last_issue", "last_commit",
-        "done", "barrier", "warp_ids", "streams", "n_insts", "sb", "sb_base",
+        "pc", "stall_until", "next_ready", "last_commit",
+        "done", "barrier", "warp_ids", "streams", "n_insts", "sb",
         "entries", "cur", "warps", "sstats", "count",
     )
 
@@ -61,8 +58,6 @@ class SlotState:
         #: current instruction — exact by the single-writer argument above;
         #: the scheduler hot path reads only this (plus the pipe state).
         self.next_ready: List[int] = []
-        #: Cycle of the slot's most recent issue (-1 = never issued).
-        self.last_issue: List[int] = []
         #: Latest completion cycle any of the slot's instructions reached.
         self.last_commit: List[int] = []
         #: 1 once the slot's trace is fully issued (sticky — never reset,
@@ -76,9 +71,8 @@ class SlotState:
         self.streams: List[int] = []
         #: Trace length per slot.
         self.n_insts: List[int] = []
-        #: Flat register scoreboard; slot's slice starts at ``sb_base[slot]``.
-        self.sb: List[int] = []
-        self.sb_base: List[int] = []
+        #: Per-slot register scoreboard: renamed register -> ready cycle.
+        self.sb: List[Optional[List[int]]] = []
         #: Per-slot issue-tuple stream (shared with the trace's cache).
         self.entries: List[Optional[list]] = []
         #: ``entries[slot][pc[slot]]``, kept current so the pick loop does a
@@ -91,7 +85,7 @@ class SlotState:
         self.count = 0
 
     def alloc(self, warp, stream_entries: list, num_regs: int,
-              warp_id: int, sstat=None, stream: int = 0) -> int:
+              warp_id: int, sstat, stream: int) -> int:
         """Claim the next dense slot for ``warp``; returns the slot index."""
         slot = self.count
         self.count = slot + 1
@@ -99,16 +93,13 @@ class SlotState:
         self.pc.append(0)
         self.stall_until.append(0)
         self.next_ready.append(0)
-        self.last_issue.append(-1)
         self.last_commit.append(0)
         self.done.append(0 if n else 1)
         self.barrier.append(0)
         self.warp_ids.append(warp_id)
         self.streams.append(stream)
         self.n_insts.append(n)
-        self.sb_base.append(len(self.sb))
-        if num_regs:
-            self.sb.extend([0] * num_regs)
+        self.sb.append([0] * num_regs)
         self.entries.append(stream_entries)
         self.cur.append(stream_entries[0] if n else None)
         self.warps.append(warp)
@@ -120,19 +111,15 @@ class SlotState:
 
         The flat int columns stay (stale heap entries still read
         ``done[slot]``).  The object columns are cleared, which breaks the
-        slot's cycle with its WarpContext, and the slot's scoreboard slice
-        is zeroed, which drops the completion cycles it held: a done slot
-        never reads either again.  With the CTA's own warp list dropped
+        slot's cycle with its WarpContext, and so is the slot's scoreboard:
+        a done slot never reads either again.  With the CTA's own warp list dropped
         too (``SM.process_completions``), reference counting frees the
         retired WarpContext during the run.
         """
         self.warps[slot] = None
         self.sstats[slot] = None
         self.entries[slot] = None
-        base = self.sb_base[slot]
-        end = (self.sb_base[slot + 1] if slot + 1 < self.count
-               else len(self.sb))
-        self.sb[base:end] = [0] * (end - base)
+        self.sb[slot] = None
 
     def __len__(self) -> int:
         return self.count

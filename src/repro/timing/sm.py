@@ -10,10 +10,10 @@ All per-warp dynamic state lives in one structure-of-arrays
 :class:`~repro.timing.slots.SlotState` shared by the SM and its schedulers;
 warps are handled by dense slot index throughout the issue path.  The issue
 step — warp selection, pipe reservation, scoreboard commit, next-issue
-estimate and stat bumps — is written once, inline in :meth:`SM.tick`,
-against those arrays with no nested calls, which is where the
-structure-of-arrays sim-rate win comes from (the per-call overhead used to
-dominate the profile).  Only selection differs by scheduler policy.
+estimate — is written once, inline in :meth:`SM.tick`, against those
+arrays with no nested calls (per-call overhead used to dominate the
+profile); what can wait for a warp's end is folded once per warp, in
+:meth:`SM._finish_warp`.  Only selection differs by scheduler policy.
 """
 
 from __future__ import annotations
@@ -86,21 +86,15 @@ class SM:
         self._completions: List = []  # heap of (complete_cycle, seq, cta)
         self._completion_seq = 0
         self._next_sched = 0
-        #: Earliest cycle this SM may need attention; the GPU loop skips the
-        #: SM entirely until then.  Only this SM's own actions can move it
-        #: earlier, so launch/tick refresh it.
-        self.next_event_cache = 0
-        #: Key of this SM's valid entry in the GPU's global event heap
-        #: (BLOCKED = not queued).  Owned by the GPU loop.
-        self._queued_event = BLOCKED
-        #: Notification hook the GPU's event heap installs for the run:
-        #: called with ``(sm, cycle)`` whenever an action outside the GPU
-        #: loop's own update point (a CTA launch) lowers this SM's next
-        #: event.
-        self.event_sink: Optional[Callable[["SM", int], None]] = None
-        #: Per-stream instructions issued on this SM (Warped-Slicer sampling
-        #: reads deltas of these to build its IPC-vs-quota curves).
-        self.issued_by_stream: Dict[int, int] = {}
+        #: Earliest cycle this SM may need attention (BLOCKED = none); the
+        #: GPU loop skips the SM until then.  Only this SM's own actions
+        #: move it: a CTA launch sets it to 0, the loop stores each tick's
+        #: result and sets BLOCKED once the SM has no work.
+        self.next_event_cache = BLOCKED
+        #: Per-stream instructions of this SM's finished warps (a stream's
+        #: key exists from its first CTA launch here); see
+        #: :attr:`issued_by_stream`.
+        self._finished_by_stream: Dict[int, int] = {}
 
     # -- residency ---------------------------------------------------------
     def fits(self, res: CTAResources) -> bool:
@@ -108,6 +102,28 @@ class SM:
         return self.free_cta_slots > 0 and res.fits_in(
             self.free_threads, self.free_registers,
             self.free_shared_mem, self.free_warp_slots)
+
+    @property
+    def issued_by_stream(self) -> Dict[int, int]:
+        """Per-stream instructions issued on this SM so far, keyed by every
+        stream that launched a CTA here (Warped-Slicer sampling reads
+        deltas of these to build its IPC-vs-quota curves).
+
+        Exact at any point of the run without a per-issue update: a warp
+        that has not finished has issued exactly ``pc`` instructions, and
+        a finished one is folded in when it finishes.
+        """
+        counts = dict(self._finished_by_stream)
+        st = self.slot_state
+        done = st.done
+        pcs = st.pc
+        for cta in self.resident:
+            n = 0
+            for w in cta.warps:
+                if not done[w.slot]:
+                    n += pcs[w.slot]
+            counts[cta.stream] += n
+        return counts
 
     def stream_usage(self, stream: int) -> CTAResources:
         return CTAResources(
@@ -134,8 +150,8 @@ class SM:
         sstat = self.stats.stream(stream)
         sstat.ctas_launched += 1
         sstat.warps_launched += len(trace.warps)
-        if stream not in self.issued_by_stream:
-            self.issued_by_stream[stream] = 0
+        if stream not in self._finished_by_stream:
+            self._finished_by_stream[stream] = 0
         if res.shared_mem:
             self.ldst.update_carveout(
                 self.config.shared_mem_per_sm - self.free_shared_mem)
@@ -153,8 +169,6 @@ class SM:
             self._retire_cta(cta, complete_cycle=0)
         self.resident.append(cta)
         self.next_event_cache = 0
-        if self.event_sink is not None:
-            self.event_sink(self, 0)
         return cta
 
     def _retire_cta(self, cta: ResidentCTA, complete_cycle: int) -> None:
@@ -206,14 +220,13 @@ class SM:
         return freed
 
     def detach(self) -> None:
-        """Drop the run's hooks and every warp still held by a slot.
+        """Drop the run's hook and every warp still held by a slot.
 
         ``GPU.run`` calls this on exit.  After a complete run every slot
         is already released; after a run that raised, this frees the CTAs
         still resident, whose warps are then gone from ``cta.warps``.
         """
         self.on_cta_complete = None
-        self.event_sink = None
         st = self.slot_state
         for slot, w in enumerate(st.warps):
             if w is not None:
@@ -234,13 +247,16 @@ class SM:
         scheduler sweep so the run loop needs no second scan.
 
         Selection is the only step that differs between the scheduler
-        policies.  GTO (bucket mode, the default) selects inline: greedy
-        probe, then the bucket-queue sweep.  LRR (heap mode) calls
-        :meth:`GTOScheduler._pick_lrr`.  One inline commit then issues the
-        chosen slot and re-queues it in its scheduler's representation.
-        The whole step is plain flat-array and int operations with no
-        per-instruction Python calls (barring LRR selection and LDST/CTA
-        boundaries).
+        policies.  GTO (bucket mode, the default) selects inline: the
+        greedy warp if its cached readiness has come (one compare), else
+        the bucket-queue sweep.  LRR (heap mode) calls
+        :meth:`GTOScheduler._pick_lrr`.  Selection only picks a slot whose
+        pipe is free, so the chosen instruction issues at ``cycle``.  One
+        inline commit then issues it and re-queues the slot in its
+        scheduler's representation.  Counters read only at run end (the
+        unit histogram, the stream's last commit) and this SM's per-stream
+        issue count are folded once per warp, when it finishes
+        (:meth:`_finish_warp`).
         """
         best = BLOCKED
         st = self.slot_state
@@ -249,62 +265,65 @@ class SM:
         nr = st.next_ready
         cur = st.cur
         wake_at = cycle + 1
-        ibs = self.issued_by_stream
         for sched in self.schedulers:
             t = sched.next_event_cache
             if t > cycle:
                 if t < best:
                     best = t
                 continue
-            pnf = sched._pnf
-            bucketed = sched._bucketed
-            if bucketed:
-                # GTO: the greedy warp if it is ready, else the oldest
-                # ready warp of the bucket queue (see the scheduler
-                # module).  ``picked`` says the slot left the queue and
-                # must be re-queued after it issues.
+            if sched._greedy_at <= cycle:
+                # GTO: the greedy warp is ready (LRR never sets the cache
+                # below BLOCKED).
+                slot = sched._greedy
                 picked = False
+            elif sched._bucketed:
+                # GTO: the oldest ready warp of the bucket queue (see the
+                # scheduler module).  ``picked`` says the slot left the
+                # queue and must be re-queued after it issues.
+                picked = True
                 slot = -1
-                g = sched._greedy
-                if g >= 0 and not done[g] and not barrier[g] \
-                        and nr[g] <= cycle \
-                        and pnf[cur[g][IE_UNIT_IDX]] <= cycle:
-                    slot = g
-                else:
-                    buckets = sched._buckets
-                    keys = sched._bkeys
-                    # Sweep due buckets in ascending-estimate / FIFO
-                    # order; a warp whose estimate under-shot is re-queued
-                    # at its corrected cycle, which is always > cycle, so
-                    # a bucket never grows while swept.
-                    while keys and keys[0] <= cycle:
-                        b = buckets[keys[0]]
-                        i = b[0]
-                        n = len(b)
-                        while i < n:
-                            s = b[i]
-                            i += 1
-                            if done[s] or barrier[s]:
-                                # done: dropped; parked: re-queued by wake()
-                                continue
-                            ready = nr[s]
-                            nf = pnf[cur[s][IE_UNIT_IDX]]
-                            if nf > ready:
-                                ready = nf
-                            if ready <= cycle:
-                                b[0] = i
-                                picked = True
-                                slot = s
-                                break
-                            nb = buckets.get(ready)
-                            if nb is None:
-                                buckets[ready] = [1, s]
-                                heapq.heappush(keys, ready)
-                            else:
-                                nb.append(s)
-                        if picked:
+                pnf = sched._pnf
+                buckets = sched._buckets
+                keys = sched._bkeys
+                # Sweep due buckets in ascending-estimate / FIFO order; a
+                # warp whose estimate under-shot is re-queued at its
+                # corrected cycle, which is always > cycle, so a bucket
+                # never grows while swept.
+                while keys and keys[0] <= cycle:
+                    b = buckets[keys[0]]
+                    i = b[0]
+                    n = len(b)
+                    while i < n:
+                        s = b[i]
+                        i += 1
+                        if done[s] or barrier[s]:
+                            # done: dropped; parked: re-queued by wake()
+                            continue
+                        ready = nr[s]
+                        nf = pnf[cur[s][IE_UNIT_IDX]]
+                        if nf > ready:
+                            ready = nf
+                        if ready <= cycle:
+                            slot = s
                             break
+                        nb = buckets.get(ready)
+                        if nb is None:
+                            buckets[ready] = [1, s]
+                            heapq.heappush(keys, ready)
+                        else:
+                            nb.append(s)
+                    else:
+                        # Swept to the end: drop the bucket.
                         del buckets[heapq.heappop(keys)]
+                        continue
+                    # Picked: advance the cursor, or drop the bucket now
+                    # if that was its last entry (a later push at this
+                    # key starts a fresh bucket, in the same FIFO order).
+                    if i < n:
+                        b[0] = i
+                    else:
+                        del buckets[heapq.heappop(keys)]
+                    break
             else:
                 slot = sched._pick_lrr(cycle)
                 picked = True
@@ -319,56 +338,63 @@ class SM:
             (_, ui, latency, initiation, _, rdst,
              uses_ldst, is_bar, inst) = cur[slot]
             # Reserve the unit pipe for its initiation interval.
-            nf = pnf[ui]
-            issue_cycle = cycle if cycle > nf else nf
-            pnf[ui] = issue_cycle + initiation
-            stream = st.streams[slot]
+            pnf = sched._pnf
+            pnf[ui] = cycle + initiation
             sstat = st.sstats[slot]
-            if sstat is None:
-                sstat = self.stats.stream(stream)
             if uses_ldst:
-                complete = self.ldst.issue(inst, issue_cycle, stream, sstat)
+                complete = self.ldst.issue(inst, cycle, st.streams[slot],
+                                           sstat)
             else:
-                complete = issue_cycle + latency
+                complete = cycle + latency
             if is_bar:
-                self._barrier(st.warps[slot], issue_cycle)
+                self._barrier(st.warps[slot], cycle)
             # Scoreboard and per-slot cycles.
-            base = st.sb_base[slot]
+            sb = st.sb[slot]
             if rdst >= 0:
-                st.sb[base + rdst] = complete
-            st.last_issue[slot] = issue_cycle
+                sb[rdst] = complete
             if complete > st.last_commit[slot]:
                 st.last_commit[slot] = complete
+            # Read mid-run (samples, the invariant checker), so exact on
+            # every issue; cycles only grow, so a stream's first issue is
+            # the one that finds its count at zero.
+            n = sstat.instructions
+            sstat.instructions = n + 1
+            if not n:
+                sstat.first_issue_cycle = cycle
             pc = st.pc[slot] + 1
             st.pc[slot] = pc
-            nxt = issue_cycle + 1
             if pc >= st.n_insts[slot]:
                 done[slot] = 1
                 cur[slot] = None
-                fin = True
+                sched._greedy = -1
+                sched._greedy_at = BLOCKED
+                self._finish_warp(slot, sstat)
             else:
                 nxt_entry = st.entries[slot][pc]
                 cur[slot] = nxt_entry
-                fin = False
                 # One dependency walk per commit refreshes the slot's
                 # cached readiness (exact until the next commit: the
-                # scoreboard slice is single-writer and only the barrier
+                # scoreboard is single-writer and only the barrier
                 # release path raises stall_until, folding itself into
                 # next_ready there).
                 ready = st.stall_until[slot]
-                sb = st.sb
                 for reg in nxt_entry[IE_REGS]:
-                    t = sb[base + reg]
+                    t = sb[reg]
                     if t > ready:
                         ready = t
                 nr[slot] = ready
+                parked = barrier[slot]
+                sched._greedy = slot
+                if parked:
+                    sched._greedy_at = BLOCKED
+                else:
+                    nf = pnf[nxt_entry[IE_UNIT_IDX]]
+                    sched._greedy_at = ready if ready > nf else nf
                 if picked:
                     # Re-queue at the estimated next issue cycle.
-                    if barrier[slot] or ready <= nxt:
-                        estimate = nxt
-                    else:
-                        estimate = ready
-                    if bucketed:
+                    estimate = wake_at if parked or ready <= wake_at \
+                        else ready
+                    if sched._bucketed:
                         buckets = sched._buckets
                         b = buckets.get(estimate)
                         if b is None:
@@ -380,33 +406,34 @@ class SM:
                         seq = sched._seq
                         sched._seq = seq + 1
                         heapq.heappush(sched._heap, (estimate, seq, slot))
-            sched._greedy = slot if not fin else -1
-            # Stream stats.
-            sstat.instructions += 1
-            sstat._issue_by_unit[ui] += 1
-            fic = sstat.first_issue_cycle
-            if fic is None or issue_cycle < fic:
-                sstat.first_issue_cycle = issue_cycle
-            if complete > sstat.last_commit_cycle:
-                sstat.last_commit_cycle = complete
-            ibs[stream] += 1
-            if fin:
-                cta = st.warps[slot].cta
-                cta.live_warps -= 1
-                if cta.live_warps == 0:
-                    lc = st.last_commit
-                    last = 0
-                    for w in cta.warps:
-                        t = lc[w.slot]
-                        if t > last:
-                            last = t
-                    self._retire_cta(cta, last)
+                        # LRR has no greedy probe.
+                        sched._greedy_at = BLOCKED
             sched.next_event_cache = wake_at
-            if wake_at < best:
-                best = wake_at
+            # Every other wake cycle is past ``cycle``, so none is earlier.
+            best = wake_at
         if self._completions and self._completions[0][0] < best:
             best = self._completions[0][0]
         return best
+
+    def _finish_warp(self, slot: int, sstat) -> None:
+        """Fold a finished warp into its stream's run-end counters and
+        this SM's per-stream issue count, and retire its CTA once no warp
+        of it is left."""
+        st = self.slot_state
+        warp = st.warps[slot]
+        sstat.fold_warp(warp.unit_counts, st.last_commit[slot])
+        fbs = self._finished_by_stream
+        fbs[warp.stream] = fbs.get(warp.stream, 0) + st.n_insts[slot]
+        cta = warp.cta
+        cta.live_warps -= 1
+        if cta.live_warps == 0:
+            lc = st.last_commit
+            last = 0
+            for w in cta.warps:
+                t = lc[w.slot]
+                if t > last:
+                    last = t
+            self._retire_cta(cta, last)
 
     def _barrier(self, warp: WarpContext, cycle: int) -> None:
         """CTA-wide barrier: block arriving warps until all have arrived."""
@@ -425,7 +452,13 @@ class SM:
                         st.stall_until[slot] = release
                     if release > st.next_ready[slot]:
                         st.next_ready[slot] = release
-                    self.schedulers[w.home_sched].wake(slot, release)
+                    sched = self.schedulers[w.home_sched]
+                    sched.wake(slot, release)
+                    if sched._greedy == slot and sched._bucketed:
+                        # Its cached readiness was BLOCKED while parked.
+                        ready = st.next_ready[slot]
+                        nf = sched._pnf[st.cur[slot][IE_UNIT_IDX]]
+                        sched._greedy_at = ready if ready > nf else nf
             cta.barrier_arrived = 0
         else:
             self.slot_state.barrier[warp.slot] = 1

@@ -31,9 +31,8 @@ class StreamStats:
     def __init__(self, stream: int) -> None:
         self.stream = stream
         self.instructions = 0
-        #: Per-unit issue counts as a dense list in ``UNIT_INDEX`` order;
-        #: the SM issue path bumps ``_issue_by_unit[entry[IE_UNIT_IDX]]``
-        #: with a plain list index (no enum hashing).  The public
+        #: Per-unit issue counts as a dense list in ``UNIT_INDEX`` order,
+        #: folded in per finished warp (:meth:`fold_warp`).  The public
         #: ``issue_by_unit`` property presents the familiar dict view.
         self._issue_by_unit: List[int] = [0] * len(UNITS_ORDERED)
         self.mem_transactions = 0
@@ -81,6 +80,16 @@ class StreamStats:
     @property
     def l1_hit_rate(self) -> float:
         return self.l1_hits / self.l1_accesses if self.l1_accesses else 0.0
+
+    def fold_warp(self, unit_counts, last_commit: int) -> None:
+        """Add one finished warp's ``(unit index, issues)`` histogram
+        and its last completion cycle: the counters read only at run
+        end, folded once per warp instead of once per instruction."""
+        counts = self._issue_by_unit
+        for ui, n in unit_counts:
+            counts[ui] += n
+        if last_commit > self.last_commit_cycle:
+            self.last_commit_cycle = last_commit
 
     def note_l1(self, hits: int, transactions: int,
                 data_class: DataClass) -> None:

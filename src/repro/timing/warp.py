@@ -2,13 +2,13 @@
 
 A :class:`WarpContext` replays one :class:`~repro.isa.trace.WarpTrace`.
 Since the structure-of-arrays refactor, the context is an *identity handle*:
-its dynamic state (pc, scoreboard, stall/done/barrier flags, issue/commit
-cycles) lives in the owning SM's flat :class:`~repro.timing.slots.SlotState`
+its dynamic state (pc, scoreboard, stall/done/barrier flags, commit
+cycle) lives in the owning SM's flat :class:`~repro.timing.slots.SlotState`
 arrays under the context's ``slot`` index.  The hot issue path reads those
 arrays directly; the attribute-style accessors here are properties kept for
 cold readers (telemetry sampling, the invariant checker, tests).
 
-Dependencies are tracked with a flat per-warp scoreboard slice mapping
+Dependencies are tracked with a per-warp scoreboard list mapping
 *renamed* register ids (dense indices precomputed at trace load) to the
 cycle their value becomes available.
 """
@@ -36,12 +36,12 @@ class WarpContext:
 
     __slots__ = (
         "trace", "insts", "stream_entries", "stream", "cta", "warp_id",
-        "home_sched", "sstat", "state", "slot",
+        "home_sched", "unit_counts", "state", "slot",
     )
 
     def __init__(self, trace: WarpTrace, stream: int, cta: "ResidentCTA",
                  warp_id: int, state: SlotState,
-                 sstat: Optional["StreamStats"] = None) -> None:
+                 sstat: "StreamStats") -> None:
         self.trace = trace
         self.insts = trace.instructions
         #: Flat per-warp issue tuples, shared with every replay of the trace.
@@ -50,15 +50,16 @@ class WarpContext:
         self.cta = cta
         self.warp_id = warp_id
         self.home_sched = 0
-        #: The owning stream's StreamStats, resolved once at launch so the
-        #: issue path never goes through ``stats.stream(id)``.
-        self.sstat = sstat
+        #: The trace's ``(unit index, issues)`` histogram, which the SM
+        #: folds into the stream's stats when the warp finishes.
+        self.unit_counts = trace.unit_counts()
         #: The owning SM's flat state arrays, which this warp's slot
-        #: indexes into.
+        #: indexes into; the slot holds ``sstat``, the owning stream's
+        #: StreamStats, so the issue path never calls ``stats.stream(id)``.
         self.state = state
         self.slot = state.alloc(self, self.stream_entries,
                                 trace.num_renamed_regs(), warp_id,
-                                sstat=sstat, stream=stream)
+                                sstat, stream)
 
     # -- flat-state accessors (cold paths; the hot loops index the arrays) --
     @property
@@ -104,26 +105,21 @@ class WarpContext:
 
     @property
     def scoreboard(self) -> Dict[int, int]:
-        """Dict view of the flat scoreboard slice (renamed reg -> cycle).
+        """Dict view of the slot's scoreboard (renamed reg -> cycle).
 
         Built on demand for inspection/validation; the timing core itself
-        only touches the underlying array.
+        only touches the underlying list.
         """
-        st = self.state
-        base = st.sb_base[self.slot]
-        end = (st.sb_base[self.slot + 1] if self.slot + 1 < st.count
-               else len(st.sb))
-        return dict(enumerate(st.sb[base:end]))
+        return dict(enumerate(self.state.sb[self.slot]))
 
     def _dep_walk(self, floor: int) -> int:
         """``max(floor, dep ready cycles of the current instruction)``."""
         st = self.state
         slot = self.slot
-        sb = st.sb
-        base = st.sb_base[slot]
+        sb = st.sb[slot]
         ready = floor
         for reg in st.cur[slot][IE_REGS]:
-            t = sb[base + reg]
+            t = sb[reg]
             if t > ready:
                 ready = t
         return ready

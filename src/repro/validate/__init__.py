@@ -5,7 +5,7 @@ or deliberately snapshotted.
 
 * :mod:`~repro.validate.invariants` — an :class:`InvariantChecker`
   telemetry recorder asserting conservation laws during a run (instruction
-  conservation, cache accounting, stall sums, event-heap monotonicity,
+  conservation, cache accounting, stall sums, no lost wakeups,
   partition disjointness, scoreboard drain).
 * :mod:`~repro.validate.fuzz` — seeded random RunRequests over policy ×
   partition fractions × cache geometry × workload mix.

@@ -24,9 +24,10 @@ Checked invariants:
 * **Stall-breakdown sums** — the sampling stall classifier accounts for
   exactly the resident warps, per stream (telemetry histograms can never
   over- or under-count).
-* **Monotonic event heap** — sample ticks observe strictly increasing
-  cycles, every valid heap entry lies strictly in the future, and no
-  queued SM lacks its heap entry (a lost wakeup would deadlock the run).
+* **No lost wakeups** — sample ticks observe strictly increasing
+  cycles, and every SM that holds work wakes at a finite cycle strictly
+  in the future (an SM that never wakes would deadlock the run; one that
+  wakes in the past would never be visited).
 * **Partition soundness** — MiG bank routing stays disjoint and every
   bank's resolved set-mapping tables match its installed partition, after
   construction and after every runtime repartition (TAP re-pointing).
@@ -148,13 +149,13 @@ class InvariantChecker(NullTelemetry):
         if gpu.cycle != cycle:
             self._fail("clock", "gpu.cycle %d != sampled cycle %d"
                        % (gpu.cycle, cycle))
-        self.check_event_heap(gpu, cycle)
+        self.check_wakeups(gpu, cycle)
         self.check_caches(gpu)
         self.check_stall_breakdown(gpu, cycle)
         self.check_partitions()
 
     def on_run_end(self, gpu) -> None:
-        self.check_event_heap(gpu, gpu.cycle, at_end=True)
+        self.check_wakeups(gpu, gpu.cycle, at_end=True)
         self.check_caches(gpu)
         self.check_partitions()
         self.check_final(gpu)
@@ -170,28 +171,27 @@ class InvariantChecker(NullTelemetry):
                        % (source, cycle, self._last_event_cycle))
         self._last_event_cycle = cycle
 
-    def check_event_heap(self, gpu, cycle: int, at_end: bool = False) -> None:
-        """Future-only valid entries, and no lost wakeups.
+    def check_wakeups(self, gpu, cycle: int, at_end: bool = False) -> None:
+        """Every SM with work has a finite wake cycle after ``cycle``.
 
-        Validity is key-equality with the SM's ``_queued_event``, so an SM
-        may own several *duplicate* valid entries (a re-key after a pop can
-        reuse the stale twin's cycle) — what must never happen is a queued
-        SM with no matching heap entry (it would sleep forever) or a valid
-        entry at or before the cycle the loop just finished visiting.
+        The run loop visits an SM only when the smallest wake cycle
+        (``SM.next_event_cache``) reaches it, so an SM holding CTAs or
+        queued completions whose wake cycle is BLOCKED sleeps forever (a
+        lost wakeup), and one whose wake cycle is at or before the cycle
+        the loop just finished visiting is never ticked on time.
         """
-        self._tick("event_heap")
-        present: Dict[int, int] = {}
-        for t, sm_id, sm in gpu.event_heap_entries():
-            present[sm_id] = t
-            if not at_end and t <= cycle:
-                self._fail("event_heap", "SM%d queued at cycle %d, not past "
-                           "the current cycle %d" % (sm_id, t, cycle))
+        self._tick("wakeups")
         from ..timing.warp import BLOCKED
         for sm in gpu.sms:
-            if sm._queued_event < BLOCKED and sm.sm_id not in present:
-                self._fail("event_heap", "SM%d expects a wakeup at cycle %d "
-                           "but owns no heap entry (lost wakeup)"
-                           % (sm.sm_id, sm._queued_event))
+            if not sm.has_work:
+                continue
+            t = sm.next_event_cache
+            if t >= BLOCKED:
+                self._fail("wakeups", "SM%d holds work but never wakes "
+                           "(lost wakeup)" % sm.sm_id)
+            if not at_end and t <= cycle:
+                self._fail("wakeups", "SM%d wakes at cycle %d, not past "
+                           "the current cycle %d" % (sm.sm_id, t, cycle))
 
     def check_caches(self, gpu) -> None:
         """Per-stream accounting identities at every L1 and L2 bank."""

@@ -455,6 +455,23 @@ class TestBookkeepingIO:
         assert not open_connections(seen["connections"])
         assert runner.repository.counts()["runs"] == 3
 
+    def test_warm_rerun_renames_nothing(self, tmp_path, monkeypatch):
+        """A re-run served wholly from the cache leaves the manifest
+        snapshot as it is: no rename onto an existing file, no journal."""
+        runner = self._runner(tmp_path)
+        cold = runner.run([nano_job()])
+        assert cold.executed == 1
+        seen = watch_io(monkeypatch)
+        warm = runner.run([nano_job()])
+        assert warm.cached == 1
+        assert seen["existing"] == 0
+        manifest = CampaignManifest.open(
+            [nano_job().fingerprint()], ["x"],
+            runner.cache.manifests_dir)
+        assert not os.path.exists(manifest.journal)
+        (entry,) = manifest.jobs.values()
+        assert entry["status"] == "ok"
+
     def test_failed_jobs_and_errors_close_the_connection(self, tmp_path,
                                                          monkeypatch):
         seen = watch_io(monkeypatch)

@@ -4,6 +4,9 @@ concurrent writers, job-queue dedupe, and the dashboard HTTP surface."""
 import json
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 import urllib.error
@@ -32,6 +35,10 @@ from repro.service.records import classify_document, content_key
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN_DIR = os.path.join(REPO_ROOT, "tests", "golden")
 BENCH_DIR = os.path.join(REPO_ROOT, "benchmarks")
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
 
 
 def _stats_doc(cycles=1200, instructions=900):
@@ -420,6 +427,53 @@ class TestBoundedQueueJobs:
         assert "timed out" in entry.error
         assert time.monotonic() - started < 30
         assert queue.simulated == 0
+
+    def test_shutdown_without_wait_ends_a_hung_job(self, tmp_path):
+        """``shutdown(wait=False)`` (Ctrl-C on ``repro serve``) lets the
+        process exit at once although a job hangs: the job fails with
+        "shut down" and its worker process is gone."""
+        script = textwrap.dedent("""
+            import multiprocessing, sys, time
+            import repro.campaign.execute as execute_mod
+            from repro.campaign.job import Job
+            from repro.service import RunRepository
+            from repro.service.queue import JobQueue
+
+            execute_mod._collect = lambda job: time.sleep(60)
+            queue = JobQueue(RunRepository(sys.argv[1]), workers=1)
+            entry = queue.submit(Job(scene="SPL", res="nano",
+                                     compute="HOLO", policy="mps"))
+            deadline = time.monotonic() + 20
+            while not multiprocessing.active_children():
+                assert time.monotonic() < deadline, "no worker started"
+                time.sleep(0.02)
+            print(" ".join(str(p.pid)
+                           for p in multiprocessing.active_children()))
+            queue.shutdown(wait=False)
+            print(entry.state, entry.error, flush=True)
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [SRC] + [p for p in [env.get("PYTHONPATH")] if p])
+        started = time.monotonic()
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, str(tmp_path / "runs.sqlite")],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        elapsed = time.monotonic() - started
+        assert proc.returncode == 0, err
+        pids, outcome = out.strip().splitlines()
+        assert outcome == "failed shut down"
+        assert elapsed < 10
+        for pid in map(int, pids.split()):
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
     def test_killed_worker_fails_and_queue_recovers(self, live_queue,
                                                     monkeypatch):

@@ -40,7 +40,6 @@ def place(sm, warp_ids, n_instrs):
     cannot.  ``tick`` reads only the CTA's warps and live count.
     """
     cta = ResidentCTA(None, None, None, stream=0)
-    sm.issued_by_stream[0] = 0
     for wid in warp_ids:
         trace = WarpTrace([WarpInstruction(Op.FFMA, dst=8 + i)
                            for i in range(n_instrs)])

@@ -18,6 +18,7 @@ import pytest
 from repro.api import simulate
 from repro.config import get_preset
 from repro.core.platform import collect_streams
+from repro.timing import BLOCKED
 from repro.validate import InvariantChecker, InvariantViolation, check_run
 from repro.validate.differential import canonical, first_difference
 
@@ -46,7 +47,7 @@ class TestBitIdentity:
         config, streams = reference_workload
         _, checker = check_run(config, streams, policy="tap")
         report = checker.report()
-        for group in ("caches", "cta_retire", "event_heap", "final",
+        for group in ("caches", "cta_retire", "wakeups", "final",
                       "partitions", "sample", "stall_sums"):
             assert report.get(group, 0) > 0, (
                 "check group %r never ran: %r" % (group, report))
@@ -99,11 +100,10 @@ class TestSensitivity:
 
     def test_detects_lost_wakeup(self, reference_workload):
         def corrupt(gpu):
-            # Re-key an SM's expected wakeup without pushing the matching
-            # heap entry: its old entries all go stale, so the SM would
-            # sleep forever.
-            sm = gpu.sms[0]
-            sm._queued_event = gpu.cycle + 7
+            # Drop the wake cycle of an SM that holds work: the run loop
+            # would never visit it again.
+            sm = next(sm for sm in gpu.sms if sm.has_work)
+            sm.next_event_cache = BLOCKED
 
         msg = _run_corrupted(reference_workload, corrupt)
         assert "lost wakeup" in msg
