@@ -109,10 +109,10 @@ class GPU:
         self.policy.configure_memory(self.l2, sorted(self.cta_scheduler.streams))
         cycle = self.cycle
         sms = self.sms
-        sched = self.cta_scheduler
+        cta_sched = self.cta_scheduler
         tel = self.telemetry
         tel.on_run_start(self)
-        sched.fill(cycle)
+        cta_sched.fill(cycle)
         interval = self.sample_interval
         # The sample tick serves two consumers on one schedule: the user's
         # occupancy/L2 snapshots (``sample_interval``) and telemetry's
@@ -126,8 +126,8 @@ class GPU:
         # Open-loop arrivals: None when every stream is closed-loop, in
         # which case every arrival branch below is dead and the loop is
         # bit-identical to the closed-loop engine.
-        next_arrival = (sched.next_arrival_after(cycle)
-                        if sched.has_arrivals else None)
+        next_arrival = (cta_sched.next_arrival_after(cycle)
+                        if cta_sched.has_arrivals else None)
         arrival_at = BLOCKED if next_arrival is None else next_arrival
         # Every SM's wake cycle, read once per visited cycle: the minimum
         # picks the next cycle to visit, and the same list picks its due
@@ -141,9 +141,9 @@ class GPU:
                 if sm._completions and sm.process_completions(cycle):
                     completed = True
             if completed:
-                if sched.has_issuable_work:
-                    sched.fill(cycle)
-                if sched.all_complete and not any(
+                if cta_sched.has_issuable_work:
+                    cta_sched.fill(cycle)
+                if cta_sched.all_complete and not any(
                     sm.has_work for sm in sms
                 ):
                     break
@@ -155,9 +155,9 @@ class GPU:
                 # Newly-arrived kernels become issuable this cycle; launch
                 # them so the SMs they land on tick this cycle like any
                 # other due SM.
-                if sched.fill(cycle):
+                if cta_sched.fill(cycle):
                     due = _due(sms, cycle)
-                next_arrival = sched.next_arrival_after(cycle)
+                next_arrival = cta_sched.next_arrival_after(cycle)
                 arrival_at = BLOCKED if next_arrival is None else next_arrival
             for sm in due:
                 if sm.resident or sm._completions:
@@ -178,8 +178,8 @@ class GPU:
                 # No SM can ever act again.  Either CTAs are waiting for
                 # space that will never free (policy deadlock), the machine
                 # is idle until the next open-loop arrival, or we are done.
-                if sched.has_issuable_work:
-                    if sched.fill(cycle) == 0:
+                if cta_sched.has_issuable_work:
+                    if cta_sched.fill(cycle) == 0:
                         if next_arrival is not None:
                             # Idle open-loop gap: jump to the next arrival.
                             cycle = max(cycle + 1, next_arrival)
@@ -201,7 +201,7 @@ class GPU:
                 if pending:
                     cycle = max(cycle + 1, min(pending))
                     continue
-                if not sched.all_complete:
+                if not cta_sched.all_complete:
                     raise DeadlockError(
                         "streams incomplete at cycle %d but no work anywhere" % cycle
                     )
