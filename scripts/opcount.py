@@ -15,7 +15,7 @@ most bytecodes.
 Wall clock on a shared box swings by a quarter between runs of the same
 code; this count repeats exactly for one CPython version and one
 workload, seed and size, so it shows a change in host work that a
-timing cannot resolve.  Counting slows the operation about fortyfold.
+timing cannot resolve.  Counting slows the operation about two-hundredfold.
 The script reads ``perfbench/`` and writes nothing.
 """
 
