@@ -93,19 +93,14 @@ class CampaignManifest:
                error: Optional[str] = None) -> None:
         """Record one job's outcome and append it to the journal.
 
-        An outcome the entry already holds changes nothing, and neither
-        does a cache hit on a job the entry holds as done: the cached
-        result is the one the entry describes.
+        A cache hit on a job the entry already holds as done changes
+        nothing: the cached result is the one the entry describes.
         """
         entry = self.jobs.setdefault(fingerprint, {"label": fingerprint[:12]})
         if status == STATUS_CACHED and entry.get("status") in (
                 STATUS_OK, STATUS_CACHED):
             return
-        outcome = {"status": status, "wall_seconds": wall_seconds,
-                   "error": error}
-        if all(entry.get(k) == v for k, v in outcome.items()):
-            return
-        entry.update(outcome)
+        entry.update(status=status, wall_seconds=wall_seconds, error=error)
         self._dirty = True
         if self.journal:
             with open(self.journal, "a", encoding="utf-8") as f:
