@@ -6,7 +6,7 @@ Usage, from the root of a checkout::
 
 (or ``make opcount WORKLOAD=qos-bursty``).  Builds one workload of
 ``perfbench/`` the way ``perfbench/run.py`` does, runs one warm
-operation (op index 0), then counts every bytecode the interpreter
+operation (op index 0, seed ``SEED``), then counts every bytecode the interpreter
 executes during op index 1 with ``sys.settrace`` and
 ``f_trace_opcodes``.  Prints the total, the simulated warp instructions
 the operation reports, their ratio, and the functions that executed the
@@ -14,8 +14,8 @@ most bytecodes.
 
 Wall clock on a shared box swings by a quarter between runs of the same
 code; this count repeats exactly for one CPython version and one
-workload, seed and size, so it shows a change in host work that a
-timing cannot resolve.  Counting slows the operation about two-hundredfold.
+workload and size (the seed is fixed at ``SEED``), so it shows a change
+in host work that a timing cannot resolve.  Counting slows the operation about two-hundredfold.
 The script reads ``perfbench/`` and writes nothing.
 """
 
@@ -29,6 +29,10 @@ from collections import defaultdict
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
+#: The perfbench seed the counted operations run with.
+SEED = 3
+#: Functions listed in the per-function table.
+TOP = 15
 
 
 def count_opcodes(fn):
@@ -67,9 +71,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--size", choices=("full", "tiny"), default="full")
-    parser.add_argument("--seed", type=int, default=3)
-    parser.add_argument("--top", type=int, default=15,
-                        help="functions to list (default 15)")
     args = parser.parse_args(argv)
 
     sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -84,10 +85,10 @@ def main(argv=None) -> int:
         workload = WORKLOADS[args.workload](args.size, scratch)
         tracer = Tracer()
         try:
-            workload.op(args.seed, 0, tracer)
+            workload.op(SEED, 0, tracer)
             workload.cleanup()
             out, counts = count_opcodes(
-                lambda: workload.op(args.seed, 1, tracer))
+                lambda: workload.op(SEED, 1, tracer))
         finally:
             workload.cleanup()
 
@@ -95,14 +96,14 @@ def main(argv=None) -> int:
     instructions = out["instructions"]
     per = total / instructions if instructions else 0.0
     print("%s %s seed=%d op=1: %d bytecodes, %d instructions, "
-          "%.1f per instruction" % (args.workload, args.size, args.seed,
+          "%.1f per instruction" % (args.workload, args.size, SEED,
                                     total, instructions, per))
     by_label = defaultdict(int)
     for code, n in counts.items():
         by_label[_label(code)] += n
     ranked = sorted(by_label.items(), key=lambda kv: (-kv[1], kv[0]))
     print("%12s %8s %7s  %s" % ("bytecodes", "/instr", "share", "function"))
-    for label, n in ranked[:args.top]:
+    for label, n in ranked[:TOP]:
         print("%12d %8.1f %6.1f%%  %s" % (
             n, n / instructions if instructions else 0.0,
             100.0 * n / total if total else 0.0, label))

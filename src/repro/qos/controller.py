@@ -328,10 +328,9 @@ class AdaptiveQoSPolicy(PartitionPolicy):
         self.epoch_interval = epoch_interval
         self._l2 = None
         self.l2_shares: Dict[int, int] = {}
-        #: quota() results per stream for ``_quota_config``; _apply
-        #: clears them when it moves compute slots.
+        #: quota() results per stream; cleared when a run starts
+        #: (configure_memory) and when _apply moves compute slots.
         self._quotas: Dict[int, Optional[CTAResources]] = {}
-        self._quota_config: Optional[GPUConfig] = None
         #: (cycle, decision dict) per applied move — the audit trail the
         #: QoS report and campaign artifact carry.
         self.decision_history: List = []
@@ -356,6 +355,7 @@ class AdaptiveQoSPolicy(PartitionPolicy):
     # -- partition plumbing ------------------------------------------------
     def configure_memory(self, l2, stream_ids: Sequence[int]) -> None:
         self._l2 = l2
+        self._quotas = {}
         streams = sorted(stream_ids)
         per_bank = l2.sets_per_bank
         base = per_bank // len(streams)
@@ -367,9 +367,6 @@ class AdaptiveQoSPolicy(PartitionPolicy):
     # -- partition mechanics ----------------------------------------------
     def quota(self, sm: SM, stream: int, config: GPUConfig
               ) -> Optional[CTAResources]:
-        if config is not self._quota_config:
-            self._quotas = {}
-            self._quota_config = config
         try:
             return self._quotas[stream]
         except KeyError:

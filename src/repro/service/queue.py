@@ -226,13 +226,6 @@ class JobQueue:
         return entries
 
     # -- execution ------------------------------------------------------------
-    def _mark_running(self, entry: QueueJob) -> None:
-        with self._lock:
-            entry.state = STATE_RUNNING
-            entry.started_unix = time.time()
-            self._emit("job_running", job_id=entry.job_id,
-                       fingerprint=entry.fingerprint, label=entry.label)
-
     def _mark_finished(self, entry: QueueJob, run_id: Optional[int],
                        error: Optional[str]) -> None:
         with self._lock:
@@ -259,11 +252,18 @@ class JobQueue:
                                 repository=self.repository,
                                 heartbeat_sink=self.heartbeat)
         with self._lock:
-            if self._closed:
-                return  # shutdown() already failed these entries
+            # shutdown(wait=False) fails every unfinished entry; only the
+            # entries still queued run (a graceful shutdown runs them all).
+            fresh = [(entry, job) for entry, job in fresh
+                     if entry.state == STATE_QUEUED]
+            if not fresh:
+                return
             self._runners.append(runner)
-        for entry, _ in fresh:
-            self._mark_running(entry)
+            for entry, _ in fresh:
+                entry.state = STATE_RUNNING
+                entry.started_unix = time.time()
+                self._emit("job_running", job_id=entry.job_id,
+                           fingerprint=entry.fingerprint, label=entry.label)
         try:
             campaign = runner.run([job for _, job in fresh])
         except Exception as exc:  # pragma: no cover - runner guards jobs

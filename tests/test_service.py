@@ -475,6 +475,24 @@ class TestBoundedQueueJobs:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
 
+    def test_graceful_shutdown_runs_backlogged_campaigns(self, tmp_path,
+                                                         monkeypatch):
+        """``shutdown()`` (wait=True) still runs a campaign that was
+        waiting behind another for the queue's one slot."""
+
+        def slow(jobs, timeout=None):
+            time.sleep(0.5)
+            return _fake_group(jobs, timeout)
+
+        monkeypatch.setattr(runner_mod, "run_group_guarded", slow)
+        queue = JobQueue(RunRepository(str(tmp_path / "runs.sqlite")),
+                         workers=1)
+        entries = [queue.submit(_job("mps")), queue.submit(_job("mig"))]
+        assert entries[1].state == STATE_QUEUED
+        queue.shutdown()
+        assert [e.state for e in entries] == [STATE_DONE, STATE_DONE]
+        assert queue.simulated == 2
+
     def test_killed_worker_fails_and_queue_recovers(self, live_queue,
                                                     monkeypatch):
         server, _, queue = live_queue
