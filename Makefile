@@ -58,7 +58,8 @@ fuzz-smoke:
 check-goldens:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro validate check-goldens
 
-# The paper's claims: every RUNNERS row of repro.harness.reproduce runs its
+# The paper's claims: every RUNNERS row of repro.harness.reproduce (the
+# tables and figures, ablations, counter-baselines and extensions) runs its
 # experiment and prints one PASS/CHECK/DEVIATION line per named claim;
 # exits nonzero on any CHECK.
 # RESULTS.md lands in a fresh temp dir (its path is printed last).
@@ -68,14 +69,15 @@ reproduce:
 # Open-loop QoS: a short adaptive bursty run (prints the SLO report and
 # must rerun bit-identically — the same contract the QoS goldens pin);
 # qos-campaign scores adaptive vs every static policy on all scenarios
-# and fails unless adaptive wins an SLO no static policy meets.
+# and rewrites benchmarks/QOS_campaign.json (the flood claim it reports
+# is judged by the ext-qos row of `make reproduce`).
 qos-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro qos run \
 		--scenario bursty --clients 3 --seed 7 --requests 4 \
 		--out /tmp/qos-smoke
 qos-campaign:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro qos campaign \
-		--out benchmarks/QOS_campaign.json --require-win
+		--out benchmarks/QOS_campaign.json
 
 # Simulation-as-a-service smoke: ingest the checked-in benchmark history
 # into a scratch repository, start the dashboard and job queue on an
@@ -85,7 +87,7 @@ qos-campaign:
 serve-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) scripts/serve_smoke.py
 
-# The full benchmark suite: ablations, extensions and sim-rate (the paper's
-# claims are `make reproduce`).
+# The speed harnesses: sim-rate, telemetry overhead, cache replay, campaign
+# and scheduler throughput (the paper's claims are `make reproduce`).
 bench:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks -q

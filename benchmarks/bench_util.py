@@ -1,11 +1,11 @@
 """Shared helpers for the benchmark suite.
 
-Benchmarks run their experiment once (through pytest-benchmark, so wall
-time is recorded), print the rows/series they measure and assert *shape*
-claims (who wins, direction of effects), not absolute numbers, since the
-substrate is a simulator, not the authors' testbed (see EXPERIMENTS.md).
-The paper's own table/figure claims are the ``RUNNERS`` rows of
-``repro.harness.reproduce``, run by ``make reproduce``.
+The files here are speed harnesses: they time the simulator (sim-rate,
+telemetry overhead, cache replay, campaign and scheduler throughput),
+print what they measure and write their records.  They make no claim
+about the paper; every claim, the ablations, counter-baselines and
+extensions included, is a ``RUNNERS`` row of ``repro.harness.reproduce``,
+run by ``make reproduce``.
 """
 
 from __future__ import annotations
@@ -13,12 +13,6 @@ from __future__ import annotations
 import json
 import os
 import time
-
-
-def run_once(benchmark, fn, *args, **kwargs):
-    """Run an experiment exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs,
-                              rounds=1, iterations=1)
 
 
 HERE = os.path.dirname(os.path.abspath(__file__))

@@ -2,9 +2,8 @@
 
 Not a paper figure — a regression guard on the event-loop engineering that
 makes whole-frame Python simulation feasible (see
-docs/ARCHITECTURE.md, "Performance engineering notes").  Unlike the
-experiment benchmarks (one timed round), these use pytest-benchmark's
-repeated rounds to give stable throughput numbers.
+docs/ARCHITECTURE.md, "Performance engineering notes").  These use
+pytest-benchmark's repeated rounds to give stable throughput numbers.
 """
 
 import pytest

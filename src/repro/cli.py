@@ -265,10 +265,6 @@ def _cmd_qos(args) -> int:
         print(render_qos_campaign(doc), end="")
         if args.out:
             print("campaign -> %s" % write_campaign(doc, args.out))
-        if args.require_win and not doc["headline"]["adaptive_wins"]:
-            print("error: campaign produced no adaptive-only SLO win",
-                  file=sys.stderr)
-            return 1
         return 0
 
     return 2  # pragma: no cover - argparse restricts choices
@@ -403,13 +399,11 @@ def build_parser() -> argparse.ArgumentParser:
     qp.add_argument("--requests", type=int, default=None,
                     help="override request counts (smoke runs)")
     qp.add_argument("--out", help="write the campaign JSON here")
-    qp.add_argument("--require-win", action="store_true",
-                    help="exit 1 unless the adaptive controller meets an "
-                         "SLO every static policy misses")
     qp.add_argument("--quiet", action="store_true",
                     help="suppress per-run progress lines")
 
-    p = sub.add_parser("figure", help="run one table/figure experiment and "
+    p = sub.add_parser("figure", help="run one claims-table row (table, figure, "
+                                      "ablation, baseline or extension) and "
                                       "judge its claims (exit 1 on CHECK)")
     p.add_argument("id", choices=list(RUNNERS))
     p.add_argument("--jobs", type=int, default=1,

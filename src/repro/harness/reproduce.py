@@ -1,6 +1,7 @@
 """The paper's claims as one table: run, print and judge every experiment.
 
-Each :data:`RUNNERS` row runs one table/figure experiment and returns
+Each :data:`RUNNERS` row runs one experiment, a table or figure of the
+paper or one of its ablations, counter-baselines or extensions, and returns
 ``(claims, lines)``: its shape claims and the detail lines
 ``repro figure <id>`` prints.  A claim is a plain tuple
 ``(name, measured, op, bound)`` with ``op`` a key of :data:`OPS`; it holds
@@ -29,9 +30,23 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from . import experiments as E
+from . import hwref
+from .analytic import estimate_concurrent, estimate_cycles
 from .capabilities import format_table, verify_crisp_row
-from ..core import COMPUTE_STREAM, GRAPHICS_STREAM
-from ..scenes import scene_codes
+from .report import render_qos_campaign
+from ..compute import (DeviceMemory, KernelBuilder, build_timewarp_kernels,
+                       build_vio_kernels)
+from ..config import CacheConfig, JETSON_ORIN_MINI, RTX_3070_MINI, RTX_3070_NANO
+from ..core import (COMPUTE_STREAM, CRISP, GRAPHICS_STREAM, FGEvenPolicy,
+                    MPSPolicy, make_policy)
+from ..graphics import (Camera, DrawCall, GraphicsPipeline, PipelineConfig,
+                        Texture2D, build_batches, checkerboard,
+                        total_shader_invocations)
+from ..graphics.vertex_batch import vertex_cache_invocations
+from ..qos import campaign as qos_campaign
+from ..scenes import build_scene, resolution, scene_codes
+from ..scenes.assets import box_mesh
+from ..timing import GPU
 
 Claim = Tuple[str, Any, str, Any]
 Row = Tuple[List[Claim], List[str]]
@@ -288,6 +303,235 @@ def _run_fig15() -> Row:
             ["final ratio %s" % r.final_ratio])
 
 
+def _run_ablation_pipeline() -> Row:
+    """Ablations of the pipeline's design choices (Section III).
+
+    Each flips one modelling decision: early-Z, the ITR in-flight kernel
+    window, the ITR tile size, a depth pre-pass on 4-layer back-to-front
+    overdraw, BC1/BC7 texture compression and the vertex-batch size.
+    """
+    def render(code, **cfg):
+        scene = build_scene(code)
+        pipe = GraphicsPipeline(scene.textures, config=PipelineConfig(**cfg))
+        return pipe.render_frame(scene.draws, scene.camera, *resolution("2k"))
+
+    def fragments(frame):
+        return sum(d.fragments for d in frame.draw_stats)
+
+    frags = {z: fragments(render("SPL", early_z=z)) for z in (True, False)}
+
+    kernels = CRISP(RTX_3070_NANO).trace_scene("SPH", "2k").kernels
+    window = {}
+    for inflight in (1, 2, 4, 8):
+        gpu = GPU(RTX_3070_NANO)
+        gpu.add_stream(GRAPHICS_STREAM, kernels).max_inflight = inflight
+        window[inflight] = gpu.run().cycles
+
+    tiles = {t: float(np.mean([n for d in render("SPL", tile_size=t).draw_stats
+                               for n in d.tex_lines_per_cta]))
+             for t in (4, 16, 64)}
+
+    layers = [DrawCall(box_mesh((8, 8, 0.1), center=(0, 0, 3.0 - i * 1.2),
+                                name="q%d" % i),
+                       texture_slots=["tex"], name="layer%d" % i)
+              for i in range(4)]
+    prepass = {on: GraphicsPipeline(
+        {"tex": Texture2D("tex", checkerboard(64))},
+        config=PipelineConfig(depth_prepass=on)).render_frame(
+            layers, Camera(eye=(0, 0, -6), target=(0, 0, 0)), 96, 54)
+        for on in (False, True)}
+
+    mesh = build_scene("SPL").draws[0].mesh
+    comp = {}  # format -> (footprint KB, TEX transactions)
+    for fmt in ("none", "bc7", "bc1"):
+        tex = Texture2D("tex", checkerboard(128), compression=fmt)
+        frame = GraphicsPipeline({"tex": tex}).render_frame(
+            [DrawCall(mesh, texture_slots=["tex"])], Camera(eye=(0, 2, -6)),
+            192, 108)
+        comp[fmt] = (tex.total_bytes // 1024, frame.tex_transactions)
+
+    rock = next(d for d in build_scene("IT").draws if d.instances is not None)
+    inv = {bs: total_shader_invocations(build_batches(rock.mesh.indices, bs))
+           for bs in (8, 32, 96, 384)}
+
+    no_pre, pre = (fragments(prepass[on]) for on in (False, True))
+    claims = [("SPL fragments without early-Z > with", frags[False], ">", frags[True]),
+              ("SPH cycles, serial kernels > 4 in flight", window[1], ">", window[4]),
+              ("SPH cycles, 8 in flight <= 2 in flight", window[8], "<=", window[2]),
+              ("tile-size spread of mean TEX lines/CTA (x)",
+               max(tiles.values()) / min(tiles.values()), ">", 1.2),
+              ("mean TEX lines/CTA, 4-px tiles < 16-px", tiles[4], "<", tiles[16]),
+              ("fragments with depth pre-pass < half without", pre, "<", no_pre * 0.5),
+              ("BC1 footprint KB < BC7's", comp["bc1"][0], "<", comp["bc7"][0]),
+              ("BC7 footprint KB < uncompressed", comp["bc7"][0], "<", comp["none"][0]),
+              ("BC1 TEX transactions <= uncompressed", comp["bc1"][1], "<=",
+               comp["none"][1]),
+              ("IT rock VS invocations, batch 8 > batch 96", inv[8], ">", inv[96]),
+              ("IT rock VS invocations, batch 96 >= batch 384", inv[96], ">=", inv[384])]
+    lines = ["SPL fragments: early-Z on %d, off %d (%+.1f%%)"
+             % (frags[True], frags[False], (frags[False] / frags[True] - 1) * 100)]
+    lines += ["SPH max_inflight=%d: %7d cycles (%.2fx vs serial)"
+              % (n, c, window[1] / c) for n, c in window.items()]
+    lines += ["SPL tile %3dpx: mean %.2f TEX lines/CTA" % tm for tm in tiles.items()]
+    lines += ["4-layer overdraw, prepass=%-5s: fragments %6d, instructions %7d"
+              % (on, fragments(f), f.total_instructions) for on, f in prepass.items()]
+    lines += ["texture %-4s: footprint %5d KB, TEX transactions %6d" % ((fmt,) + v)
+              for fmt, v in comp.items()]
+    lines += ["IT rock batch %3d: %6d VS invocations" % bn for bn in inv.items()]
+    return claims, lines
+
+
+def _run_ablation_scaling() -> Row:
+    """Machine scaling: SM count, DRAM bandwidth and L2 bank count on one
+    SPH @ 4k frame (traced once), and sectored vs line-granular L1 on a
+    strided kernel.
+
+    Fig 14's bandwidth-bound claim only means something if the model
+    exposes these limits; fewer L2 banks is the MiG mechanism.
+    """
+    def run(kernels, **changes):
+        """(cycles, GPU) of ``kernels`` on RTX_3070_MINI with ``changes``."""
+        gpu = GPU(RTX_3070_MINI.replace(**changes))
+        gpu.add_stream(GRAPHICS_STREAM, kernels)
+        return gpu.run().cycles, gpu
+
+    frame = CRISP(RTX_3070_MINI).trace_scene("SPH", "4k").kernels
+    sms = {n: run(frame, name="s%d" % n, num_sms=n)[0] for n in (1, 2, 4, 8)}
+    bw = {b: run(frame, name="bw%d" % b, dram_bandwidth_gbps=b)[0]
+          for b in (28.0, 112.0, 448.0)}
+    l2 = CacheConfig(size_bytes=512 * 1024, assoc=16, hit_latency=120)
+    banks = {n: run(frame, name="b%d" % n, l2=l2, l2_banks=n)[0]
+             for n in (1, 4, 8)}
+    dram = {}
+    for label, sector in (("line-granular", 0), ("sectored-32B", 32)):
+        buf = DeviceMemory(region=14).buffer("x", 1 << 22)
+        sparse = KernelBuilder("sparse", 16, 128).load(buf, "strided").fp(4).build()
+        _, gpu = run([sparse], name=label, l1=CacheConfig(
+            size_bytes=128 * 1024, assoc=8, hit_latency=30, sector_size=sector))
+        dram[label] = gpu.l2.dram.aggregate_bytes()
+
+    claims = [("SPH cycles, 2 SMs < 1 SM", sms[2], "<", sms[1]),
+              ("SPH cycles, 4 SMs < 2 SMs", sms[4], "<", sms[2]),
+              ("4->8 SM speedup", sms[4] / sms[8], ">=", 1.0),
+              ("4->8 SM speedup <= 1->2 SM speedup", sms[4] / sms[8], "<=",
+               sms[1] / sms[2]),
+              ("SPH cycles, 28 GB/s DRAM > 448 GB/s", bw[28.0], ">", bw[448.0]),
+              ("strided-kernel DRAM bytes, sectored L1 < half line-granular",
+               dram["sectored-32B"], "<", dram["line-granular"] / 2),
+              ("SPH cycles, 1 L2 bank > 8 banks", banks[1], ">", banks[8])]
+    lines = ["%2d SMs: %8d cycles (%.2fx vs 1 SM)" % (n, c, sms[1] / c)
+             for n, c in sms.items()]
+    lines += ["%5.0f GB/s DRAM: %8d cycles" % bc for bc in bw.items()]
+    lines += ["%2d L2 banks: %8d cycles" % bc for bc in banks.items()]
+    lines += ["strided kernel, %-13s L1: %9d DRAM bytes" % ld for ld in dram.items()]
+    return claims, lines
+
+
+def _run_baselines() -> Row:
+    """The counter-baselines the paper argues against.
+
+    Section I: a Teapot-era post-transform vertex cache (32-entry FIFO)
+    mispredicts the VS invocations of batch-based hardware on every
+    multi-batch draw, in both directions: strips undercount (cross-batch
+    reuse hardware no longer does), wide rings overcount (FIFO thrashing
+    batch dedup does not suffer).  Section VII: a Hong-Kim-style analytic
+    model gives one policy-blind estimate where the cycle model separates
+    the partition policies (PT + HOLO on Jetson Orin).
+    """
+    errors, lines = [], []
+    for code in scene_codes():
+        for d in build_scene(code).draws:
+            batch = hwref.reference_vs_invocations(d.mesh.indices)
+            if batch <= 96:
+                continue  # fits one batch: the models agree trivially
+            vcache = vertex_cache_invocations(d.mesh.indices, 32)
+            errors.append(vcache / batch - 1)
+            lines.append("%-4s %-12s batch-based %6d, vertex cache %6d (%+.1f%%)"
+                         % (code, d.name, batch, vcache, errors[-1] * 100))
+    mean_error = float(np.mean(np.abs(errors))) if errors else 0.0
+
+    cfg = JETSON_ORIN_MINI
+    crisp = CRISP(cfg)
+    streams = {GRAPHICS_STREAM: crisp.trace_scene("PT", "4k").kernels,
+               COMPUTE_STREAM: crisp.trace_compute("HOLO")}
+    analytic = estimate_concurrent(streams, cfg)
+    sim = {}
+    for policy in ("mps", "mig", "fg-even"):
+        gpu = GPU(cfg, policy=make_policy(policy, cfg, sorted(streams)))
+        for sid, ks in sorted(streams.items()):
+            gpu.add_stream(sid, ks)
+        sim[policy] = gpu.run().cycles
+    ratios = [c / analytic for c in sim.values()]
+    single = estimate_cycles(streams[GRAPHICS_STREAM], cfg)
+
+    claims = [("multi-batch draws compared", len(errors), ">", 0),
+              ("draws the vertex cache mispredicts by > 3%",
+               sum(abs(e) > 0.03 for e in errors), "==", len(errors)),
+              ("draws the vertex cache undercounts", sum(e < 0 for e in errors), ">", 0),
+              ("draws the vertex cache overcounts", sum(e > 0 for e in errors), ">", 0),
+              ("vertex-cache mean |error|", mean_error, ">", 0.05),
+              ("cycle-model spread over policies (cycles)",
+               max(sim.values()) - min(sim.values()), ">", 0),
+              ("policies with cycle/analytic ratio > 0.1",
+               sum(r > 0.1 for r in ratios), "==", len(ratios)),
+              ("policies with cycle/analytic ratio < 30",
+               sum(r < 30 for r in ratios), "==", len(ratios))]
+    lines.append("PT+HOLO analytic estimate (any policy): %.0f cycles" % analytic)
+    lines += ["PT+HOLO cycle model under %-8s: %8d cycles (%.2fx analytic)"
+              % (p, c, c / analytic) for p, c in sim.items()]
+    lines.append("PT analytic terms: compute=%.0f memory=%.0f MWP=%.1f CWP=%.1f"
+                 % (single.compute_cycles, single.memory_cycles, single.mwp,
+                    single.cwp))
+    return claims, lines
+
+
+def _run_ext_3way() -> Row:
+    """More than two workloads (Section IV: "easily extended"): a full XR
+    frame, SPH rendering + VIO tracking + asynchronous timewarp, shares a
+    Jetson Orin three ways under inter-SM (MPS) and intra-SM (FG)
+    partitioning; every stream completes with separable stats."""
+    cfg = JETSON_ORIN_MINI
+    streams = {0: CRISP(cfg).trace_scene("SPH", "2k").kernels,
+               1: build_vio_kernels(frames=2), 2: build_timewarp_kernels(frames=2)}
+    ids = sorted(streams)
+    completed = timed = 0
+    lines = []
+    for name, policy in (("mps-3way", MPSPolicy.even(cfg.num_sms, ids)),
+                         ("fg-3way", FGEvenPolicy.even(ids))):
+        gpu = GPU(cfg, policy=policy)
+        for sid in ids:
+            gpu.add_stream(sid, streams[sid])
+        stats = gpu.run()
+        per = [stats.stream_cycles(sid) for sid in ids]
+        completed += sum(stats.stream(sid).kernels_completed == len(streams[sid])
+                         for sid in ids)
+        timed += sum(c > 0 for c in per)
+        lines.append("%-9s total=%7d  render=%7d  vio=%6d  atw=%6d"
+                     % ((name, stats.cycles) + tuple(per)))
+    runs = 2 * len(ids)
+    return ([("streams that ran every kernel, over both policies", completed, "==", runs),
+             ("streams with per-stream cycles > 0, over both policies", timed, "==", runs)],
+            lines)
+
+
+def _run_ext_qos() -> Row:
+    """Open-loop QoS (Section VIII's future work) on the flood scenario,
+    seed 7: an NN tenant floods the GPU while the VIO tenant's sensor rate
+    steps up mid-run.  The adaptive quota controller meets the VIO SLO
+    that every static policy (MPS, MiG, TAP, Warped-Slicer) misses, and
+    intervenes without thrashing."""
+    doc = qos_campaign.run_campaign(scenarios=["flood"], seed=7)
+    rows = {r["policy"]: r for r in doc["rows"]}
+    adaptive = rows.pop("adaptive")
+    return ([("adaptive meets the vio SLO", int(adaptive["clients"]["vio"]["met"]),
+              "==", 1),
+             ("static policies that meet the vio SLO",
+              sum(r["clients"]["vio"]["met"] for r in rows.values()), "==", 0),
+             ("adaptive interventions", adaptive["interventions"], ">", 0),
+             ("adaptive interventions", adaptive["interventions"], "<=", 32)],
+            render_qos_campaign(doc).splitlines())
+
+
 #: Experiment id -> row.  Rows backed by the campaign runner (fig12/13/14)
 #: take ``jobs`` and ``cache_dir``; every row runs with its defaults.
 RUNNERS: Dict[str, Callable[..., Row]] = {
@@ -303,6 +547,11 @@ RUNNERS: Dict[str, Callable[..., Row]] = {
     "fig13": _run_fig13,
     "fig14": _run_fig14,
     "fig15": _run_fig15,
+    "ablation-pipeline": _run_ablation_pipeline,
+    "ablation-scaling": _run_ablation_scaling,
+    "baselines": _run_baselines,
+    "ext-3way": _run_ext_3way,
+    "ext-qos": _run_ext_qos,
 }
 
 

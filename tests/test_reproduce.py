@@ -8,6 +8,7 @@ from repro.cli import main
 from repro.harness import experiments as E
 from repro.harness import reproduce
 from repro.harness.reproduce import RUNNERS, reproduce_all, run_experiment
+from repro.qos import campaign as qos_campaign
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -33,7 +34,9 @@ class TestReproduceAll:
 
     def test_all_paper_experiments_registered(self):
         expected = {"table1", "table2", "fig3", "fig6", "fig7", "fig9",
-                    "fig10", "fig11", "fig12", "fig13", "fig14", "fig15"}
+                    "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
+                    "ablation-pipeline", "ablation-scaling", "baselines",
+                    "ext-3way", "ext-qos"}
         assert set(RUNNERS) == expected
 
     def test_cli_reproduce(self, tmp_path, capsys):
@@ -114,6 +117,25 @@ class TestClaimsTable:
         rec = run_experiment("fig14")
         assert rec.ok and rec.headline == "5 PASS", rec.report()
 
+    def test_ext_qos_rejects_a_static_policy_that_meets_the_slo(
+            self, monkeypatch):
+        # The row passes while only adaptive meets the flood vio SLO; once
+        # MiG meets it too, it must fail on "every static policy misses it".
+        met = {"adaptive": True, "mps": False, "mig": False, "tap": False,
+               "warped-slicer": False}
+        monkeypatch.setattr(qos_campaign, "run_campaign",
+                            lambda **kw: _qos_campaign_doc(met))
+        rec = run_experiment("ext-qos")
+        assert rec.ok and rec.headline == "4 PASS", rec.report()
+        met["mig"] = True
+        rec = run_experiment("ext-qos")
+        assert not rec.ok, rec.report()
+        assert _verdicts(rec) == {
+            "adaptive meets the vio SLO": "PASS",
+            "static policies that meet the vio SLO": "CHECK",
+            "adaptive interventions": "PASS"}
+        assert "flood    mig            met" in "\n".join(rec.lines)
+
     def test_fig12_dynamic_above_even_is_a_check(self, monkeypatch, capsys):
         doctored = E.PolicyComparison(cycles={
             "SPH+VIO": {"mps": 100, "fg-even": 95, "warped-slicer": 90},
@@ -128,6 +150,19 @@ class TestClaimsTable:
 
 def _verdicts(rec):
     return {name: verdict for verdict, name, *_ in rec.claims}
+
+
+def _qos_campaign_doc(vio_met):
+    """A flood campaign document whose vio verdicts are ``vio_met``."""
+    rows = [{"scenario": "flood", "policy": policy, "status": "ok",
+             "clients": {"vio": {"met": met, "budget_ms": 1.0,
+                                 "p99_frame_cycles": 2000}},
+             "slo_met_all": met, "worst_violation_rate": 0.0,
+             "total_cycles": 10_000,
+             "interventions": 5 if policy == "adaptive" else 0}
+            for policy, met in vio_met.items()]
+    return {"seed": 7, "scenarios": ["flood"], "rows": rows,
+            "headline": {"adaptive_wins": []}}
 
 
 class TestDeviations:
