@@ -37,8 +37,8 @@ from .report import render_qos_campaign
 from ..compute import (DeviceMemory, KernelBuilder, build_timewarp_kernels,
                        build_vio_kernels)
 from ..config import CacheConfig, JETSON_ORIN_MINI, RTX_3070_MINI, RTX_3070_NANO
-from ..core import (COMPUTE_STREAM, CRISP, GRAPHICS_STREAM, FGEvenPolicy,
-                    MPSPolicy, make_policy)
+from ..api import simulate
+from ..core import COMPUTE_STREAM, CRISP, GRAPHICS_STREAM, FGEvenPolicy, MPSPolicy
 from ..graphics import (Camera, DrawCall, GraphicsPipeline, PipelineConfig,
                         Texture2D, build_batches, checkerboard,
                         total_shader_invocations)
@@ -455,12 +455,8 @@ def _run_baselines() -> Row:
     streams = {GRAPHICS_STREAM: crisp.trace_scene("PT", "4k").kernels,
                COMPUTE_STREAM: crisp.trace_compute("HOLO")}
     analytic = estimate_concurrent(streams, cfg)
-    sim = {}
-    for policy in ("mps", "mig", "fg-even"):
-        gpu = GPU(cfg, policy=make_policy(policy, cfg, sorted(streams)))
-        for sid, ks in sorted(streams.items()):
-            gpu.add_stream(sid, ks)
-        sim[policy] = gpu.run().cycles
+    sim = {p: simulate(config=cfg, streams=streams, policy=p).total_cycles
+           for p in ("mps", "mig", "fg-even")}
     ratios = [c / analytic for c in sim.values()]
     single = estimate_cycles(streams[GRAPHICS_STREAM], cfg)
 
@@ -498,10 +494,7 @@ def _run_ext_3way() -> Row:
     lines = []
     for name, policy in (("mps-3way", MPSPolicy.even(cfg.num_sms, ids)),
                          ("fg-3way", FGEvenPolicy.even(ids))):
-        gpu = GPU(cfg, policy=policy)
-        for sid in ids:
-            gpu.add_stream(sid, streams[sid])
-        stats = gpu.run()
+        stats = simulate(config=cfg, streams=streams, policy=policy).stats
         per = [stats.stream_cycles(sid) for sid in ids]
         completed += sum(stats.stream(sid).kernels_completed == len(streams[sid])
                          for sid in ids)
