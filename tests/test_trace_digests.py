@@ -3,8 +3,9 @@
 The stats goldens (``test_golden_stats.py``) pin what the timing model
 makes of one workload.  This file pins the traces the front-ends emit,
 before any timing: the sha256 of the ``kernel_to_dict`` JSON of every
-kernel, for both graphics scenes under every texture filter, a depth
-pre-pass frame, and all five compute workloads.  Any change to shader
+kernel, for SPL and PL under every texture filter, a depth pre-pass
+frame, SPH (the 8-map PBR shader) and IT (instanced draws), and all
+five compute workloads.  Any change to shader
 lowering, coalescing, register allocation or address layout shows up
 here as a digest mismatch, even when it happens not to move a cycle.
 
@@ -39,6 +40,11 @@ GRAPHICS_DIGESTS = {
         "08e697169debe32bc1cea4a27c048b99fd453ee48977931c4eb05ad09bfc9afe",
     ("SPL", "nearest", True):
         "a59cb6164f5a5f70a1769837b1d61f2c36f6e85b1a3537e8114b1260ee066d34",
+    # The 8-map PBR shader and the instanced vertex stage.
+    ("SPH", "nearest", False):
+        "27bfe27c4af18f1ef8fc0d78c72502c8d97b4d15dee99c49e67ed735a28dd20b",
+    ("IT", "nearest", False):
+        "f5d287a260ed83ea1661579e92f10817097e9b295e5baf13d72b821aa411f77f",
 }
 
 COMPUTE_DIGESTS = {
