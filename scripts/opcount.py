@@ -15,7 +15,11 @@ most bytecodes.
 Wall clock on a shared box swings by a quarter between runs of the same
 code; this count repeats exactly for one CPython version and one
 workload and size (the seed is fixed at ``SEED``), so it shows a change
-in host work that a timing cannot resolve.  Counting slows the operation about two-hundredfold.
+in host work that a timing cannot resolve.  Counting slows the operation
+about two-hundredfold, so the workload's per-job timeout (``policy-sweep``
+arms one) is lifted on the counted instance: a job that timed out inside
+the tracer would drop the tracer and be retried uncounted.  The script
+exits 1 if its tracer is no longer installed when the operation ends.
 The script reads ``perfbench/`` and writes nothing.
 """
 
@@ -36,8 +40,11 @@ TOP = 15
 
 
 def count_opcodes(fn):
-    """Run ``fn()`` under an opcode tracer; returns (result, counts) where
-    ``counts`` maps each code object to the bytecodes it executed."""
+    """Run ``fn()`` under an opcode tracer; returns (result, counts,
+    intact) where ``counts`` maps each code object to the bytecodes it
+    executed and ``intact`` says the tracer was still installed at the
+    end (CPython drops a tracer an exception escapes from, as a timer's
+    does when it fires inside it)."""
     counts = defaultdict(int)
 
     def local(frame, event, arg):
@@ -52,9 +59,10 @@ def count_opcodes(fn):
     sys.settrace(start)
     try:
         result = fn()
+        intact = sys.gettrace() is start
     finally:
         sys.settrace(None)
-    return result, counts
+    return result, counts, intact
 
 
 def _label(code) -> str:
@@ -83,14 +91,20 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="opcount-") as scratch:
         workload = WORKLOADS[args.workload](args.size, scratch)
+        if hasattr(workload, "JOB_TIMEOUT_S"):
+            workload.JOB_TIMEOUT_S = None
         tracer = Tracer()
         try:
             workload.op(SEED, 0, tracer)
             workload.cleanup()
-            out, counts = count_opcodes(
+            out, counts, intact = count_opcodes(
                 lambda: workload.op(SEED, 1, tracer))
         finally:
             workload.cleanup()
+    if not intact:
+        print("%s: the opcode tracer was dropped during the operation; "
+              "its count is incomplete" % args.workload, file=sys.stderr)
+        return 1
 
     total = sum(counts.values())
     instructions = out["instructions"]

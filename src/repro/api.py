@@ -21,6 +21,7 @@ or a declarative :class:`WorkloadSpec`) and under which policy;
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -182,13 +183,24 @@ def simulate(request: Optional[RunRequest] = None, **kwargs) -> RunResult:
         request = RunRequest(**kwargs)
     elif kwargs:
         request = replace(request, **kwargs)
-    config = request.resolved_config()
-    streams = request.resolved_streams(config)
-    policy = request.resolved_policy(config, streams)
-    gpu = GPU(config, policy=policy, sample_interval=request.sample_interval,
-              telemetry=request.telemetry)
-    arrivals = request.arrivals or {}
-    for sid, kernels in sorted(streams.items()):
-        gpu.add_stream(sid, kernels, arrivals=arrivals.get(sid))
-    stats = gpu.run(max_cycles=request.max_cycles)
+    # A run's object graph is acyclic (tests/test_run_lifetime.py), so
+    # reference counting frees it and the cyclic collector, which the
+    # trace and the run would otherwise trigger hundreds of times, has
+    # nothing to find.  The caller's collector state comes back on exit.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        config = request.resolved_config()
+        streams = request.resolved_streams(config)
+        policy = request.resolved_policy(config, streams)
+        gpu = GPU(config, policy=policy,
+                  sample_interval=request.sample_interval,
+                  telemetry=request.telemetry)
+        arrivals = request.arrivals or {}
+        for sid, kernels in sorted(streams.items()):
+            gpu.add_stream(sid, kernels, arrivals=arrivals.get(sid))
+        stats = gpu.run(max_cycles=request.max_cycles)
+    finally:
+        if collecting:
+            gc.enable()
     return RunResult(stats=stats, policy=policy, request=request)

@@ -28,7 +28,7 @@ from ..isa import (
     WarpTemplate,
     WarpTrace,
 )
-from ..memory.address import SECTOR_SIZE, AddressAllocator, coalesce_rows
+from ..memory.address import AddressAllocator, coalesce_rows
 
 #: Address-space region reserved for compute workloads.
 COMPUTE_REGION = 2
@@ -242,8 +242,7 @@ class KernelBuilder:
         """
         def mem_op(op: Op, dst: int, src: int, addrs: np.ndarray,
                    element_bytes: int, streaming: bool = False) -> None:
-            operands.append((len(insts), coalesce_rows(addrs, active),
-                             coalesce_rows(addrs, active, SECTOR_SIZE),
+            operands.append((len(insts), *coalesce_rows(addrs, active),
                              element_bytes, active, streaming))
             insts.append(WarpInstruction(op, dst=dst, srcs=(src,),
                                          active=active))

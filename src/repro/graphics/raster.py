@@ -88,23 +88,14 @@ def frustum_cull(clip: np.ndarray, tris: np.ndarray) -> np.ndarray:
     """Drop triangles fully outside a clip plane, or touching the near plane."""
     if not len(tris):
         return tris
-    w = clip[:, 3]
-    keep = []
-    for tri in tris:
-        cw = w[tri]
-        if np.any(cw <= 1e-9):
-            continue  # near-plane crossers are dropped, not clipped
-        c = clip[tri]
-        outside = False
-        for axis in range(3):
-            if np.all(c[:, axis] > cw) or np.all(c[:, axis] < -cw):
-                outside = True
-                break
-        if not outside:
-            keep.append(tri)
-    if not keep:
-        return np.empty((0, 3), dtype=np.int64)
-    return np.asarray(keep, dtype=np.int64)
+    corners = clip[tris]                     # (T, 3 vertices, xyzw)
+    cw = corners[:, :, 3]
+    # Near-plane crossers are dropped, not clipped.
+    keep = ~np.any(cw <= 1e-9, axis=1)
+    for axis in range(3):
+        c = corners[:, :, axis]
+        keep &= ~(np.all(c > cw, axis=1) | np.all(c < -cw, axis=1))
+    return np.asarray(tris[keep], dtype=np.int64).reshape(-1, 3)
 
 
 def rasterize_batch(
@@ -131,11 +122,21 @@ def rasterize_batch(
     height, width = depth_buffer.shape
     frags: List[FragmentBuffer] = []
     attr_names = tuple(attrs)
+    # Every attribute is interpolated in one call per triangle: pack them
+    # as the columns of one (V, k) array (``spans`` locates each).
+    spans: Dict[str, slice] = {}
+    col = 0
+    for name in attr_names:
+        k = attrs[name].shape[1]
+        spans[name] = slice(col, col + k)
+        col += k
+    packed = np.concatenate([attrs[name] for name in attr_names], axis=1)
+    uv_cols = spans["uv"]
     for tri in tris:
-        v0, v1, v2 = (int(tri[0]), int(tri[1]), int(tri[2]))
-        xs = screen[[v0, v1, v2], 0]
-        ys = screen[[v0, v1, v2], 1]
-        zs = screen[[v0, v1, v2], 2]
+        corners = screen[tri]
+        xs = corners[:, 0]
+        ys = corners[:, 1]
+        zs = corners[:, 2]
         x_min = max(int(np.floor(xs.min())), 0)
         x_max = min(int(np.ceil(xs.max())), width - 1)
         y_min = max(int(np.floor(ys.min())), 0)
@@ -145,10 +146,9 @@ def rasterize_batch(
         area2 = (xs[1] - xs[0]) * (ys[2] - ys[0]) - (ys[1] - ys[0]) * (xs[2] - xs[0])
         if area2 <= 1e-12:
             continue
-        px, py = np.meshgrid(
-            np.arange(x_min, x_max + 1) + 0.5,
-            np.arange(y_min, y_max + 1) + 0.5,
-        )
+        # Pixel centres: a row of x and a column of y, broadcast.
+        px = np.arange(x_min, x_max + 1)[None, :] + 0.5
+        py = np.arange(y_min, y_max + 1)[:, None] + 0.5
         # Affine barycentric weights in screen space (standard formula:
         # lambda_0 = [(y1-y2)(px-x2) + (x2-x1)(py-y2)] / det).
         det = (ys[1] - ys[2]) * (xs[0] - xs[2]) + (xs[2] - xs[1]) * (ys[0] - ys[2])
@@ -159,8 +159,9 @@ def rasterize_batch(
         if not inside.any():
             continue
         l0, l1, l2 = w0[inside], w1[inside], w2[inside]
-        fx = (px[inside] - 0.5).astype(np.int64)
-        fy = (py[inside] - 0.5).astype(np.int64)
+        rows, cols = np.nonzero(inside)
+        fx = cols + x_min
+        fy = rows + y_min
         z = l0 * zs[0] + l1 * zs[1] + l2 * zs[2]
         if early_z:
             if depth_func == "less":
@@ -173,7 +174,7 @@ def rasterize_batch(
             l0, l1, l2 = l0[passed], l1[passed], l2[passed]
             # In-order update; later triangles in this batch see it.
             depth_buffer[fy, fx] = z
-        iw = inv_w[[v0, v1, v2]]
+        iw = inv_w[tri]
         # Affine barycentric gradients (constant per triangle).
         dl0dx = (ys[1] - ys[2]) / det
         dl1dx = (ys[2] - ys[0]) / det
@@ -181,22 +182,18 @@ def rasterize_batch(
         dl1dy = (xs[0] - xs[2]) / det
         dl2dx = -dl0dx - dl1dx
         dl2dy = -dl0dy - dl1dy
-
-        def persp(values: np.ndarray, a0, a1, a2) -> np.ndarray:
-            """Perspective-correct interpolation at given barycentrics."""
-            over_w = values * iw[:, None]
-            num = a0[:, None] * over_w[0] + a1[:, None] * over_w[1] + a2[:, None] * over_w[2]
-            den = a0 * iw[0] + a1 * iw[1] + a2 * iw[2]
-            return num / den[:, None]
-
-        out_attrs: Dict[str, np.ndarray] = {}
-        for name in attr_names:
-            vals = attrs[name][[v0, v1, v2]]
-            out_attrs[name] = persp(vals, l0, l1, l2)
-        uv_vals = attrs["uv"][[v0, v1, v2]]
+        vals = packed[tri]
+        interp = _persp(vals, iw, l0, l1, l2)
+        out_attrs = {name: interp[:, span] for name, span in spans.items()}
         uv_c = out_attrs["uv"]
-        uv_xp = persp(uv_vals, l0 + dl0dx, l1 + dl1dx, l2 + dl2dx)
-        uv_yp = persp(uv_vals, l0 + dl0dy, l1 + dl1dy, l2 + dl2dy)
+        # UV one pixel right and one pixel down, stacked: one call.
+        count = len(l0)
+        uv_step = _persp(vals[:, uv_cols], iw,
+                         np.concatenate([l0 + dl0dx, l0 + dl0dy]),
+                         np.concatenate([l1 + dl1dx, l1 + dl1dy]),
+                         np.concatenate([l2 + dl2dx, l2 + dl2dy]))
+        uv_xp = uv_step[:count]
+        uv_yp = uv_step[count:]
         frags.append(FragmentBuffer(
             fx, fy, z, out_attrs,
             dudx=uv_xp[:, 0] - uv_c[:, 0],
@@ -207,6 +204,18 @@ def rasterize_batch(
     if not frags:
         return FragmentBuffer.empty(attr_names)
     return FragmentBuffer.concatenate(frags)
+
+
+def _persp(values: np.ndarray, iw: np.ndarray, a0: np.ndarray,
+           a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
+    """Perspective-correct interpolation of a triangle's (3, k) vertex
+    ``values`` at barycentrics ``a0``, ``a1``, ``a2``; ``iw`` holds the
+    vertices' reciprocal clip w."""
+    over_w = values * iw[:, None]
+    num = (a0[:, None] * over_w[0] + a1[:, None] * over_w[1]
+           + a2[:, None] * over_w[2])
+    den = a0 * iw[0] + a1 * iw[1] + a2 * iw[2]
+    return num / den[:, None]
 
 
 def resolve_fragment_order(frag: FragmentBuffer, width: int,

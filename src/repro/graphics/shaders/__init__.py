@@ -21,7 +21,7 @@ from .library import (
     vertex_basic,
     vertex_instanced,
 )
-from .translator import ShaderTranslator, WarpBindings
+from .translator import ShaderTranslator
 
 __all__ = [
     "Alu",
@@ -36,7 +36,6 @@ __all__ = [
     "VARYING_WORDS",
     "VaryingLoad",
     "VaryingStore",
-    "WarpBindings",
     "fragment_basic",
     "fragment_pbr",
     "fragment_textured_lit",

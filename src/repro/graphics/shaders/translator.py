@@ -50,54 +50,17 @@ def _vec4_accesses(words: int) -> int:
     return max(1, (words + 3) // 4)
 
 
-class WarpBindings:
-    """Coalesced per-warp memory operands for one shader invocation.
+#: Operand key of the batch's index fetch (see :meth:`ShaderTranslator.emit`).
+_INDEX = ("index", None)
 
-    The functional pipeline coalesces every operand of a whole kernel at
-    once (:func:`~repro.memory.address.coalesce_rows`), so a binding holds
-    distinct cache-line (and 32B sector) addresses, never lane addresses.
-
-    ``attr_lines``          attr name -> vertex-fetch lines (vertex stage)
-    ``attr_sectors``        attr name -> vertex-fetch sectors
-    ``varying_store_lines`` lines of each 16B VS-output store, in order
-    ``index_lines``         the batch's index fetch; first vertex warp only
-    ``varying_lines``       lines of each 16B interpolant load, in order
-    ``tex_lines``           slot -> texture-unit-merged lines
-    ``tex_sectors``         slot -> merged 32B sectors (refines tex_lines)
-    ``color_lines``         framebuffer-store lines
-    ``color_sectors``       framebuffer-store sectors
-    ``active``              live lanes in this warp
-    """
-
-    def __init__(
-        self,
-        active: int,
-        attr_lines: Optional[Dict[str, Sequence[int]]] = None,
-        attr_sectors: Optional[Dict[str, Sequence[int]]] = None,
-        varying_store_lines: Optional[Sequence[Sequence[int]]] = None,
-        index_lines: Optional[Sequence[int]] = None,
-        varying_lines: Optional[Sequence[Sequence[int]]] = None,
-        tex_lines: Optional[Dict[int, Sequence[int]]] = None,
-        tex_sectors: Optional[Dict[int, Sequence[int]]] = None,
-        color_lines: Optional[Sequence[int]] = None,
-        color_sectors: Optional[Sequence[int]] = None,
-    ) -> None:
-        if not 0 < active <= 32:
-            raise ValueError("active lanes must be in 1..32")
-        self.active = active
-        self.attr_lines = attr_lines or {}
-        self.attr_sectors = attr_sectors or {}
-        self.varying_store_lines = varying_store_lines or ()
-        self.index_lines = index_lines
-        self.varying_lines = varying_lines or ()
-        self.tex_lines = tex_lines or {}
-        self.tex_sectors = tex_sectors or {}
-        self.color_lines = color_lines
-        self.color_sectors = color_sectors
+#: Coalesced per-warp rows of one operand: ``(lines, sectors)``, as
+#: :func:`~repro.memory.address.coalesce_rows` returns them; ``sectors``
+#: may be None (whole-line traffic).
+Rows = Tuple[Sequence[Sequence[int]], Optional[Sequence[Sequence[int]]]]
 
 
 class ShaderTranslator:
-    """Expands a :class:`ShaderProgram` into per-warp traces.
+    """Expands a :class:`ShaderProgram` into the warps of a kernel.
 
     The program is lowered once per (active lanes, index fetch present)
     into a :class:`~repro.isa.WarpTemplate`; every warp is built from it
@@ -119,25 +82,77 @@ class ShaderTranslator:
              if isinstance(op, VaryingStore)), default=0)
         self._templates: Dict[Tuple[int, bool], Tuple[WarpTemplate, list]] = {}
 
-    def emit_warp(self, bindings: WarpBindings) -> WarpTrace:
-        active = bindings.active
-        key = (active, bindings.index_lines is not None)
+    def emit(self, active: Sequence[int], operands: Dict[tuple, Rows],
+             index_lines: Optional[Sequence[int]] = None
+             ) -> List[WarpTrace]:
+        """One warp per entry of ``active`` (its live lanes, 1..32).
+
+        The functional pipeline coalesces every operand of a whole kernel
+        (or vertex batch) at once, so ``operands`` maps each operand the
+        program reads to its :data:`Rows`, one row per warp:
+
+        ``("attr", name)``   vertex fetch of attribute ``name``
+        ``("store", i)``     the i-th 16B VS-output store
+        ``("varying", i)``   the i-th 16B interpolant load
+        ``("tex", slot)``    texture-unit-merged texel fetch of ``slot``
+        ``("color", None)``  framebuffer store
+
+        ``index_lines`` is the batch's index fetch, which heads the first
+        warp only.  Each template's operand rows are resolved once per
+        call; a warp then takes its :class:`MemAccess` by index.
+        """
+        if active and (min(active) < 1 or max(active) > 32):
+            raise ValueError("active lanes must be in 1..32")
+        resolved: Dict[Tuple[int, bool], tuple] = {}
+        warps: List[WarpTrace] = []
+        for w, lanes in enumerate(active):
+            key = (lanes, w == 0 and bool(index_lines))
+            entry = resolved.get(key)
+            if entry is None:
+                entry = resolved[key] = self._resolve(key, operands,
+                                                      index_lines)
+            template, cols = entry
+            warps.append(template.instantiate([
+                MemAccess(lines[w], data_class, bytes_per_lane, lanes,
+                          False, sectors[w] if sectors is not None else None)
+                for lines, sectors, data_class, bytes_per_lane in cols]))
+        return warps
+
+    def _resolve(self, key: Tuple[int, bool], operands: Dict[tuple, Rows],
+                 index_lines: Optional[Sequence[int]]
+                 ) -> Tuple[WarpTemplate, list]:
+        """The template for ``key`` and, per memory slot, the rows it
+        binds: (lines, sectors, data class, bytes per lane)."""
         entry = self._templates.get(key)
         if entry is None:
             entry = self._templates[key] = self._lower(*key)
-        template, operands = entry
-        mems = []
-        for kind, name, data_class, bytes_per_lane in operands:
-            lines, sectors = self._operand(bindings, kind, name)
-            mems.append(MemAccess(lines, data_class,
-                                  bytes_per_lane=bytes_per_lane,
-                                  num_lanes=active, sectors=sectors))
-        return template.instantiate(mems)
+        template, specs = entry
+        cols = []
+        for okey, data_class, bytes_per_lane in specs:
+            if okey == _INDEX:
+                rows: Rows = ([index_lines], None)
+            else:
+                rows = operands.get(okey)
+                if rows is None:
+                    raise KeyError(self._missing(okey))
+            cols.append((rows[0], rows[1], data_class, bytes_per_lane))
+        return template, cols
+
+    def _missing(self, okey: tuple) -> str:
+        kind, name = okey
+        if kind == "tex":
+            return ("shader %r samples texture slot %d but the kernel "
+                    "operands do not provide it" % (self.program.name, name))
+        if kind == "attr":
+            return ("shader %r needs attribute %r but the kernel operands "
+                    "do not provide it" % (self.program.name, name))
+        return ("shader %r needs %s operand %r but the kernel operands do "
+                "not provide it" % (self.program.name, kind, name))
 
     def _lower(self, active: int, index_fetch: bool
                ) -> Tuple[WarpTemplate, list]:
         """The program's template for ``active`` lanes, and what each of
-        its memory slots binds: (kind, name, data class, bytes per lane)."""
+        its memory slots binds: (operand key, data class, bytes per lane)."""
         insts: List[WarpInstruction] = []
         slots: List[int] = []
         operands: list = []
@@ -162,18 +177,18 @@ class ShaderTranslator:
             # fixed-function; its memory traffic is recreated as a load at
             # the head of the batch's first warp (Section IV: "the memory
             # traffic is recreated with Load/Stores").
-            mem_op(Op.LDG, 2, 1, ("index", None, DataClass.VERTEX, 4))
+            mem_op(Op.LDG, 2, 1, (_INDEX, DataClass.VERTEX, 4))
         for op in self.program.ops:
             if isinstance(op, AttrLoad):
                 mem_op(Op.LDG, next_load_reg, 1,
-                       ("attr", op.attr, DataClass.VERTEX, 4))
+                       (("attr", op.attr), DataClass.VERTEX, 4))
                 last_value_reg = next_load_reg
                 next_load_reg += 1
             elif isinstance(op, VaryingLoad):
                 # 128-bit loads: one LDG per 4 words.
                 for i in range(_vec4_accesses(op.words)):
                     mem_op(Op.LDG, next_load_reg, 1,
-                           ("varying", i, DataClass.PIPELINE, 16))
+                           (("varying", i), DataClass.PIPELINE, 16))
                     last_value_reg = next_load_reg
                     next_load_reg += 1
             elif isinstance(op, Alu):
@@ -187,50 +202,19 @@ class ShaderTranslator:
             elif isinstance(op, TexSample):
                 dst = chain_reg()
                 mem_op(Op.TEX, dst, last_value_reg,
-                       ("tex", op.slot, DataClass.TEXTURE, 4))
+                       (("tex", op.slot), DataClass.TEXTURE, 4))
                 last_value_reg = dst
             elif isinstance(op, VaryingStore):
                 for i in range(_vec4_accesses(op.words)):
                     mem_op(Op.STG, -1, last_value_reg,
-                           ("store", i, DataClass.PIPELINE, 16))
+                           (("store", i), DataClass.PIPELINE, 16))
             elif isinstance(op, ColorStore):
                 mem_op(Op.STG, -1, last_value_reg,
-                       ("color", None, DataClass.FRAMEBUFFER, 4))
+                       (("color", None), DataClass.FRAMEBUFFER, 4))
             else:  # pragma: no cover - exhaustive over IR
                 raise TypeError("unknown IR op %r" % (op,))
         insts.append(WarpInstruction(Op.EXIT, active=active))
         return WarpTemplate(insts, slots), operands
-
-    def _operand(self, b: WarpBindings, kind: str, name
-                 ) -> Tuple[Sequence[int], Optional[Sequence[int]]]:
-        """(lines, sectors) one memory slot binds; sectors may be None."""
-        if kind == "tex":
-            lines = b.tex_lines.get(name)
-            if lines is None:
-                raise KeyError(
-                    "shader %r samples texture slot %d but the warp "
-                    "bindings do not provide it" % (self.program.name, name))
-            return lines, b.tex_sectors.get(name)
-        if kind == "varying":
-            if name >= len(b.varying_lines):
-                raise KeyError("fragment warp bindings lack varying lines")
-            return b.varying_lines[name], None
-        if kind == "color":
-            if b.color_lines is None:
-                raise KeyError("fragment warp bindings lack color lines")
-            return b.color_lines, b.color_sectors
-        if kind == "attr":
-            lines = b.attr_lines.get(name)
-            if lines is None:
-                raise KeyError(
-                    "shader %r needs attribute %r but the warp bindings "
-                    "do not provide it" % (self.program.name, name))
-            return lines, b.attr_sectors.get(name)
-        if kind == "store":
-            if name >= len(b.varying_store_lines):
-                raise KeyError("vertex warp bindings lack output lines")
-            return b.varying_store_lines[name], None
-        return b.index_lines, None
 
     def register_demand(self) -> int:
         """Architectural registers per thread this shader needs."""

@@ -14,7 +14,7 @@ Planets workload's "3D texture with multiple layers of 2D texture".
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -88,17 +88,34 @@ class Texture2D:
         self.bytes_per_texel = bytes_per_texel
         self.compression = compression
         # levels[lvl] has shape (layers, H>>lvl, W>>lvl, 4).
-        self.levels: List[np.ndarray] = [np.stack(base_layers)]
+        levels = [np.stack(base_layers)]
         if generate_mips:
             current = base_layers
             while current[0].shape[0] > 1 or current[0].shape[1] > 1:
                 current = [downsample(l) for l in current]
-                self.levels.append(np.stack(current))
+                levels.append(np.stack(current))
+        #: Every texel of every level, level-major, one RGBA row each;
+        #: ``levels`` are views into it, and a :class:`Footprint` indexes
+        #: it directly (``texel_starts[lvl]`` is level ``lvl``'s first row).
+        self.texels = np.concatenate([l.reshape(-1, 4) for l in levels])
+        self.texel_starts = np.cumsum(
+            [0] + [l.shape[0] * l.shape[1] * l.shape[2] for l in levels[:-1]])
+        self.levels: List[np.ndarray] = [
+            self.texels[start:start + l.shape[0] * l.shape[1] * l.shape[2]]
+            .reshape(l.shape) for start, l in zip(self.texel_starts, levels)]
+        #: (height, width) of each level, indexable by a per-lane level.
+        self._dims = np.array([l.shape[1:3] for l in levels], dtype=np.int64)
         self.level_bases: Optional[List[int]] = None
 
     @property
     def num_levels(self) -> int:
         return len(self.levels)
+
+    @property
+    def geometry(self) -> Tuple[int, int, int, int]:
+        """``(width, height, levels, layers)``: all a :class:`Footprint`
+        depends on, so textures of one geometry share footprints."""
+        return self.width, self.height, self.num_levels, self.num_layers
 
     def level_dims(self, level: int) -> Tuple[int, int]:
         lvl = self.levels[level]
@@ -128,34 +145,135 @@ class Texture2D:
         return self.level_bases
 
     # -- sampling -------------------------------------------------------------
-    def texel_coords(self, u: np.ndarray, v: np.ndarray, level: int
-                     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Nearest-texel integer coordinates at ``level`` (repeat wrap)."""
-        h, w = self.level_dims(level)
-        x = np.floor(np.mod(u, 1.0) * w).astype(np.int64)
-        y = np.floor(np.mod(v, 1.0) * h).astype(np.int64)
-        return np.clip(x, 0, w - 1), np.clip(y, 0, h - 1)
-
-    def texel_addresses(self, x: np.ndarray, y: np.ndarray, level: int,
+    def texel_addresses(self, x: np.ndarray, y: np.ndarray, level,
                         layer: np.ndarray) -> np.ndarray:
         """Byte addresses of texels; row-major within each layer.
 
+        ``level`` is one mip level or an array of them, one per texel.
         For block-compressed formats the address is that of the 4x4 block
         containing the texel — neighbouring texels share a block, which is
         where compression's traffic reduction comes from.
         """
-        bases = self._require_placed()
-        h, w = self.level_dims(level)
+        bases = np.asarray(self._require_placed(), dtype=np.int64)[level]
+        dims = self._dims[level]
+        h, w = dims[..., 0], dims[..., 1]
         layer = np.mod(np.asarray(layer, dtype=np.int64), self.num_layers)
         edge, block_bytes = COMPRESSION_FORMATS[self.compression]
         if edge > 1:
-            blocks_w = max(1, (w + edge - 1) // edge)
-            blocks_h = max(1, (h + edge - 1) // edge)
+            blocks_w = np.maximum(1, (w + edge - 1) // edge)
+            blocks_h = np.maximum(1, (h + edge - 1) // edge)
             block = (y // edge) * blocks_w + (x // edge)
             offset = (layer * blocks_w * blocks_h + block) * block_bytes
-            return bases[level] + offset
+            return bases + offset
         offset = ((layer * h + y) * w + x) * self.bytes_per_texel
-        return bases[level] + offset
+        return bases + offset
+
+    def footprint(
+        self,
+        u: np.ndarray,
+        v: np.ndarray,
+        lod: Optional[np.ndarray] = None,
+        layer: Optional[np.ndarray] = None,
+        tex_filter: str = "nearest",
+    ) -> "Footprint":
+        """Which texels each lane of a ``tex_filter`` sample reads.
+
+        LoD -> mip level, the texel coordinates and the filter weights
+        depend only on :attr:`geometry`, so one footprint serves every
+        texture of that geometry (:meth:`gather`).  ``lod`` is the
+        per-lane level-of-detail from rasterization; ``None`` (LoD
+        disabled) always references mip 0, which is exactly the "LoD off"
+        configuration of Fig 9.
+        """
+        if tex_filter not in ("nearest", "bilinear", "trilinear"):
+            raise ValueError(
+                "tex_filter must be 'nearest', 'bilinear' or 'trilinear'")
+        u = np.asarray(u, dtype=np.float64)
+        v = np.asarray(v, dtype=np.float64)
+        n = len(u)
+        if layer is None:
+            layer = np.zeros(n, dtype=np.int64)
+        lay = np.mod(np.asarray(layer, dtype=np.int64), self.num_layers)
+        if tex_filter == "nearest":
+            return Footprint(self.geometry, tex_filter,
+                             [self._nearest_pass(u, v, lod, lay)])
+        if tex_filter == "bilinear" or lod is None:
+            return Footprint(self.geometry, tex_filter,
+                             [self._bilinear_pass(u, v, lod, lay)])
+        # Trilinear: bilinear taps in the two bracketing mip levels,
+        # blended by the fractional LoD.
+        lod = np.clip(np.asarray(lod, dtype=np.float64), 0.0,
+                      self.num_levels - 1)
+        lo = np.floor(lod)
+        frac = (lod - lo).astype(np.float32)[:, None]
+        hi = np.minimum(lo + 1, self.num_levels - 1)
+        return Footprint(self.geometry, tex_filter,
+                         [self._bilinear_pass(u, v, lo, lay),
+                          self._bilinear_pass(u, v, hi, lay)], frac)
+
+    def _pass_levels(self, lod: Optional[np.ndarray], n: int
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-lane mip level and that level's height and width."""
+        if lod is None:
+            levels = np.zeros(n, dtype=np.int64)
+        else:
+            levels = np.clip(np.rint(lod), 0,
+                             self.num_levels - 1).astype(np.int64)
+        return levels, self._dims[levels, 0], self._dims[levels, 1]
+
+    def _nearest_pass(self, u, v, lod, lay) -> "_Pass":
+        levels, h, w = self._pass_levels(lod, len(u))
+        x = np.clip(np.floor(np.mod(u, 1.0) * w).astype(np.int64), 0, w - 1)
+        y = np.clip(np.floor(np.mod(v, 1.0) * h).astype(np.int64), 0, h - 1)
+        return _Pass(self, levels, lay, x, y, h, w, None)
+
+    def _bilinear_pass(self, u, v, lod, lay) -> "_Pass":
+        """Each lane's 2x2 texel footprint around its UV ("linear"
+        filtering): taps (0,0), (1,0), (0,1), (1,1) on the trailing axis."""
+        levels, h, w = self._pass_levels(lod, len(u))
+        # Texel centers sit at (i + 0.5) / w.
+        fx = np.mod(u, 1.0) * w - 0.5
+        fy = np.mod(v, 1.0) * h - 0.5
+        x0 = np.floor(fx).astype(np.int64)
+        y0 = np.floor(fy).astype(np.int64)
+        wx = (fx - x0).astype(np.float32)[:, None]
+        wy = (fy - y0).astype(np.float32)[:, None]
+        taps = ((0, 0), (1, 0), (0, 1), (1, 1))
+        x = np.stack([np.mod(x0 + dx, w) for dx, _ in taps], axis=1)
+        y = np.stack([np.mod(y0 + dy, h) for _, dy in taps], axis=1)
+        weights = [(wx if dx else 1 - wx) * (wy if dy else 1 - wy)
+                   for dx, dy in taps]
+        return _Pass(self, levels[:, None], lay[:, None], x, y,
+                     h[:, None], w[:, None], weights)
+
+    def gather(self, footprint: "Footprint") -> Tuple[np.ndarray, np.ndarray]:
+        """Sample this texture at ``footprint``; returns ``(colors (N, 4),
+        addresses)``: (N,) texel addresses for nearest, (N, 4) for
+        bilinear, (N, 8) for trilinear (the full 8-texel footprint
+        reaching the texture unit)."""
+        if footprint.geometry != self.geometry:
+            raise ValueError("footprint of a %r texture cannot sample %r"
+                             % (footprint.geometry, self))
+        passes = [self._gather_pass(p) for p in footprint.passes]
+        colors, addresses = passes[0]
+        if footprint.filter != "trilinear":
+            return colors, addresses
+        if footprint.frac is None:
+            return colors, np.concatenate([addresses, addresses], axis=1)
+        (c_lo, a_lo), (c_hi, a_hi) = passes
+        frac = footprint.frac
+        colors = c_lo * (1.0 - frac) + c_hi * frac
+        return colors.astype(np.float32), np.concatenate([a_lo, a_hi], axis=1)
+
+    def _gather_pass(self, p: "_Pass") -> Tuple[np.ndarray, np.ndarray]:
+        texels = self.texels[p.rows]
+        if p.weights is None:
+            colors = texels
+        else:
+            colors = np.zeros((len(texels), 4), dtype=np.float32)
+            for tap, weight in enumerate(p.weights):
+                colors += texels[:, tap] * weight
+        return colors, self.texel_addresses(p.x, p.y, p.levels, p.lay)
 
     def sample_nearest(
         self,
@@ -164,30 +282,8 @@ class Texture2D:
         lod: Optional[np.ndarray] = None,
         layer: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Sample; returns ``(colors (N, 4), addresses (N,))``.
-
-        ``lod`` is the per-lane level-of-detail from rasterization; ``None``
-        (or LoD disabled) always references mip 0, which is exactly the
-        "LoD off" configuration of Fig 9.
-        """
-        u = np.asarray(u, dtype=np.float64)
-        v = np.asarray(v, dtype=np.float64)
-        n = len(u)
-        if layer is None:
-            layer = np.zeros(n, dtype=np.int64)
-        if lod is None:
-            levels = np.zeros(n, dtype=np.int64)
-        else:
-            levels = np.clip(np.rint(lod), 0, self.num_levels - 1).astype(np.int64)
-        colors = np.empty((n, 4), dtype=np.float32)
-        addresses = np.empty(n, dtype=np.int64)
-        for lvl in np.unique(levels):
-            mask = levels == lvl
-            x, y = self.texel_coords(u[mask], v[mask], int(lvl))
-            lay = np.mod(np.asarray(layer)[mask], self.num_layers)
-            colors[mask] = self.levels[int(lvl)][lay, y, x]
-            addresses[mask] = self.texel_addresses(x, y, int(lvl), lay)
-        return colors, addresses
+        """Sample; returns ``(colors (N, 4), addresses (N,))``."""
+        return self.gather(self.footprint(u, v, lod, layer, "nearest"))
 
     def sample_bilinear(
         self,
@@ -204,39 +300,7 @@ class Texture2D:
         heavily, so after merging the traffic increase over nearest is far
         below 4x.
         """
-        u = np.asarray(u, dtype=np.float64)
-        v = np.asarray(v, dtype=np.float64)
-        n = len(u)
-        if layer is None:
-            layer = np.zeros(n, dtype=np.int64)
-        if lod is None:
-            levels = np.zeros(n, dtype=np.int64)
-        else:
-            levels = np.clip(np.rint(lod), 0, self.num_levels - 1).astype(np.int64)
-        colors = np.empty((n, 4), dtype=np.float32)
-        addresses = np.empty((n, 4), dtype=np.int64)
-        for lvl in np.unique(levels):
-            mask = levels == lvl
-            h, w = self.level_dims(int(lvl))
-            lay = np.mod(np.asarray(layer)[mask], self.num_layers)
-            # Texel centers sit at (i + 0.5) / w.
-            fx = np.mod(u[mask], 1.0) * w - 0.5
-            fy = np.mod(v[mask], 1.0) * h - 0.5
-            x0 = np.floor(fx).astype(np.int64)
-            y0 = np.floor(fy).astype(np.int64)
-            wx = (fx - x0).astype(np.float32)[:, None]
-            wy = (fy - y0).astype(np.float32)[:, None]
-            img = self.levels[int(lvl)]
-            acc = np.zeros((mask.sum(), 4), dtype=np.float32)
-            for tap, (dx, dy) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
-                xt = np.mod(x0 + dx, w)
-                yt = np.mod(y0 + dy, h)
-                weight = (wx if dx else 1 - wx) * (wy if dy else 1 - wy)
-                acc += img[lay, yt, xt] * weight
-                addresses[mask, tap] = self.texel_addresses(
-                    xt, yt, int(lvl), lay)
-            colors[mask] = acc
-        return colors, addresses
+        return self.gather(self.footprint(u, v, lod, layer, "bilinear"))
 
     def sample_trilinear(
         self,
@@ -250,23 +314,45 @@ class Texture2D:
         ``(colors (N, 4), addresses (N, 8))`` — the full 8-texel footprint
         reaching the texture unit.
         """
-        u = np.asarray(u, dtype=np.float64)
-        if lod is None:
-            colors, addrs = self.sample_bilinear(u, v, None, layer)
-            return colors, np.concatenate([addrs, addrs], axis=1)
-        lod = np.clip(np.asarray(lod, dtype=np.float64), 0.0,
-                      self.num_levels - 1)
-        lo = np.floor(lod)
-        frac = (lod - lo).astype(np.float32)[:, None]
-        c_lo, a_lo = self.sample_bilinear(u, v, lo, layer)
-        c_hi, a_hi = self.sample_bilinear(
-            u, v, np.minimum(lo + 1, self.num_levels - 1), layer)
-        colors = c_lo * (1.0 - frac) + c_hi * frac
-        return colors.astype(np.float32), np.concatenate([a_lo, a_hi], axis=1)
+        return self.gather(self.footprint(u, v, lod, layer, "trilinear"))
 
     def __repr__(self) -> str:
         return "Texture2D(%r, %dx%d, %d layers, %d levels)" % (
             self.name, self.width, self.height, self.num_layers, self.num_levels)
+
+
+class _Pass:
+    """One nearest or bilinear evaluation: per lane (and tap, on a
+    trailing axis) its mip level, layer, texel coordinates and the
+    texel's row in :attr:`Texture2D.texels` (``rows``); ``weights`` are
+    the four bilinear tap weights, None for nearest."""
+
+    __slots__ = ("levels", "lay", "x", "y", "rows", "weights")
+
+    def __init__(self, tex: Texture2D, levels: np.ndarray, lay: np.ndarray,
+                 x: np.ndarray, y: np.ndarray, h: np.ndarray, w: np.ndarray,
+                 weights: Optional[List[np.ndarray]]) -> None:
+        self.levels = levels
+        self.lay = lay
+        self.x = x
+        self.y = y
+        self.rows = tex.texel_starts[levels] + (lay * h + y) * w + x
+        self.weights = weights
+
+
+class Footprint(NamedTuple):
+    """The texels one sampling call reads, for any texture of one
+    :attr:`~Texture2D.geometry` (see :meth:`Texture2D.footprint`).
+
+    ``passes`` holds one :class:`_Pass`, or two for trilinear (the lower
+    and upper bracketing levels, blended by ``frac``; with LoD off the one
+    bilinear pass counts twice).
+    """
+
+    geometry: Tuple[int, int, int, int]
+    filter: str
+    passes: List[_Pass]
+    frac: Optional[np.ndarray] = None
 
 
 def checkerboard(size: int, squares: int = 8,

@@ -22,13 +22,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..isa import CTATrace, KernelTrace, ShaderKind, WarpTrace
-from ..memory.address import (
-    SECTOR_SIZE,
-    AddressAllocator,
-    coalesce_rows,
-    span_lines,
-)
+from ..isa import CTATrace, KernelTrace, ShaderKind
+from ..memory.address import AddressAllocator, coalesce_rows, span_lines
 from .framebuffer import Framebuffer
 from .geometry import INSTANCE_STRIDE, VERTEX_STRIDE, DrawCall
 from .lod import lod_from_gradients
@@ -40,8 +35,8 @@ from .raster import (
     resolve_fragment_order,
     warp_rows,
 )
-from .shaders import ShaderTranslator, WarpBindings, shader_pair
-from .texture import Texture2D
+from .shaders import ShaderTranslator, shader_pair
+from .texture import Footprint, Texture2D
 from .transform import clip_to_screen, transform_points
 from .vertex_batch import VertexBatch, build_batches, total_shader_invocations
 
@@ -116,6 +111,11 @@ class TraceGenerator:
         self.warp_size = warp_size
         self.tex_filter = tex_filter
         self._mesh_bases: Dict[object, int] = {}
+        #: Shader name (None: the depth-only pass) -> its vertex and
+        #: fragment translators, each lowering its program once per
+        #: (active lanes, index fetch) for every draw that uses it.
+        self._translators: Dict[Optional[str], Tuple[
+            ShaderTranslator, Optional[ShaderTranslator]]] = {}
         self._instance_bases: Dict[int, int] = {}
         for tex in textures.values():
             if tex.level_bases is None:
@@ -173,14 +173,8 @@ class TraceGenerator:
         stats.vs_invocations = (
             total_shader_invocations(batches, self.warp_size) * draw.instance_count
         )
-        if depth_only:
-            from .shaders.library import vertex_depth_only
-            vs_prog = vertex_depth_only()
-            fs_prog = None
-        else:
-            vs_prog, fs_prog = shader_pair(draw.shader)
-        vs_tr = ShaderTranslator(vs_prog)
-        fs_tr = ShaderTranslator(fs_prog) if fs_prog is not None else None
+        vs_tr, fs_tr = self._translators_for(
+            None if depth_only else draw.shader)
         vb_base = self._vertex_buffer_base(draw)
         ib_base = self._index_buffer_base(draw)
         inst_base = (
@@ -221,6 +215,20 @@ class TraceGenerator:
                 kernels.append(fs_kernel)
         return kernels, stats
 
+    def _translators_for(self, shader: Optional[str]
+                         ) -> Tuple[ShaderTranslator,
+                                    Optional[ShaderTranslator]]:
+        pair = self._translators.get(shader)
+        if pair is None:
+            if shader is None:
+                from .shaders.library import vertex_depth_only
+                pair = (ShaderTranslator(vertex_depth_only()), None)
+            else:
+                vs_prog, fs_prog = shader_pair(shader)
+                pair = (ShaderTranslator(vs_prog), ShaderTranslator(fs_prog))
+            self._translators[shader] = pair
+        return pair
+
     # -- vertex stage -----------------------------------------------------------
     def _vertex_cta(
         self,
@@ -234,37 +242,26 @@ class TraceGenerator:
         draw: DrawCall,
     ) -> CTATrace:
         verts, active = warp_rows(batch.unique_vertices, self.warp_size)
-        attr_addrs = {
-            name: vb_base + verts * VERTEX_STRIDE + off
-            for name, off in _ATTR_OFFSETS.items()
-        }
-        if draw.instances is not None:
-            attr_addrs["instance"] = np.full(
-                verts.shape, inst_base + instance * INSTANCE_STRIDE,
-                dtype=np.int64)
-        fetched = [name for name in translator.attributes
-                   if name in attr_addrs]
-        attr_lines = {name: coalesce_rows(attr_addrs[name], active)
-                      for name in fetched}
-        attr_sectors = {name: coalesce_rows(attr_addrs[name], active,
-                                            SECTOR_SIZE)
-                        for name in fetched}
+        operands = {}
+        for name in translator.attributes:
+            if name in _ATTR_OFFSETS:
+                addrs = vb_base + verts * VERTEX_STRIDE + _ATTR_OFFSETS[name]
+            elif name == "instance" and draw.instances is not None:
+                addrs = np.full(verts.shape,
+                                inst_base + instance * INSTANCE_STRIDE,
+                                dtype=np.int64)
+            else:
+                continue  # the translator names what is missing
+            operands[("attr", name)] = coalesce_rows(addrs, active)
         slots = np.arange(verts.size, dtype=np.int64).reshape(verts.shape)
         out = out_base + slots * _VARYING_BYTES
-        store_lines = [coalesce_rows(out + i * 16, active)
-                       for i in range(translator.varying_stores)]
+        for i in range(translator.varying_stores):
+            operands[("store", i)] = (
+                coalesce_rows(out + i * 16, active)[0], None)
         # The batch's index fetch rides on its first warp.
         index_lines = span_lines(ib_base + batch.first_index_offset * 4,
-                                 batch.num_triangles * 12) or None
-        warps: List[WarpTrace] = []
-        for w, lanes in enumerate(active.tolist()):
-            warps.append(translator.emit_warp(WarpBindings(
-                active=lanes,
-                attr_lines={n: r[w] for n, r in attr_lines.items()},
-                attr_sectors={n: r[w] for n, r in attr_sectors.items()},
-                varying_store_lines=[r[w] for r in store_lines],
-                index_lines=index_lines if w == 0 else None,
-            )))
+                                 batch.num_triangles * 12)
+        warps = translator.emit(active.tolist(), operands, index_lines)
         return CTATrace(warps, cta_id=batch.batch_id)
 
     # -- raster -------------------------------------------------------------------
@@ -347,26 +344,21 @@ class TraceGenerator:
 
         # Functional shading inputs per texture slot.  ``addrs`` is (N,)
         # for nearest filtering or (N, 4) for bilinear; coalescing counts
-        # trailing axes as part of their lane either way.
+        # trailing axes as part of their lane either way.  LoD, mip level
+        # and texel coordinates depend only on a texture's geometry, so
+        # slots of one geometry (SPH's eight PBR maps) share a footprint.
+        footprints: Dict[Tuple[int, int, int, int], Footprint] = {}
         colors_by_slot: Dict[int, np.ndarray] = {}
         addrs_by_slot: Dict[int, np.ndarray] = {}
         for slot, tex in slot_textures.items():
-            if self.lod_enabled:
-                lod = lod_from_gradients(dudx, dvdx, dudy, dvdy,
-                                         tex.width, tex.height)
-            else:
-                lod = None
-            if self.tex_filter == "bilinear":
-                colors, addrs = tex.sample_bilinear(uv[:, 0], uv[:, 1],
-                                                    lod, layer)
-            elif self.tex_filter == "trilinear":
-                colors, addrs = tex.sample_trilinear(uv[:, 0], uv[:, 1],
-                                                     lod, layer)
-            else:
-                colors, addrs = tex.sample_nearest(uv[:, 0], uv[:, 1],
-                                                   lod, layer)
-            colors_by_slot[slot] = colors
-            addrs_by_slot[slot] = addrs
+            footprint = footprints.get(tex.geometry)
+            if footprint is None:
+                lod = (lod_from_gradients(dudx, dvdx, dudy, dvdy,
+                                          tex.width, tex.height)
+                       if self.lod_enabled else None)
+                footprint = footprints[tex.geometry] = tex.footprint(
+                    uv[:, 0], uv[:, 1], lod, layer, self.tex_filter)
+            colors_by_slot[slot], addrs_by_slot[slot] = tex.gather(footprint)
 
         shaded = _shade(draw.shader, colors_by_slot, normal)
         framebuffer.write_color(x, y, shaded)
@@ -374,44 +366,30 @@ class TraceGenerator:
         fb_addr = framebuffer.pixel_addresses(x, y)
         # Coalesce each operand of the whole kernel at once: one call per
         # texture slot, interpolant load and colour store, not per warp.
-        tex_lines: Dict[int, List[List[int]]] = {}
-        tex_sectors: Dict[int, List[List[int]]] = {}
         vary_block, active = warp_rows(vary, self.warp_size)
+        operands = {}
         for slot in slot_textures:
             block, _ = warp_rows(addrs_by_slot[slot], self.warp_size)
-            tex_lines[slot] = coalesce_rows(block, active)
-            tex_sectors[slot] = coalesce_rows(block, active, SECTOR_SIZE)
-        varying_lines = [coalesce_rows(vary_block + i * 16, active)
-                         for i in range(translator.varying_loads)]
+            operands[("tex", slot)] = coalesce_rows(block, active)
+        for i in range(translator.varying_loads):
+            operands[("varying", i)] = (
+                coalesce_rows(vary_block + i * 16, active)[0], None)
         fb_block, _ = warp_rows(fb_addr, self.warp_size)
-        color_lines = coalesce_rows(fb_block, active)
-        color_sectors = coalesce_rows(fb_block, active, SECTOR_SIZE)
+        operands[("color", None)] = coalesce_rows(fb_block, active)
+        warps = translator.emit(active.tolist(), operands)
 
+        tex_rows = [operands[("tex", slot)][0] for slot in slot_textures]
+        stats.tex_transactions += sum(len(lines) for rows in tex_rows
+                                      for lines in rows)
         ctas: List[CTATrace] = []
-        warps: List[WarpTrace] = []
-        cta_tex_lines: set = set()
-        for w, lanes in enumerate(active.tolist()):
-            warp_tex = {slot: rows[w] for slot, rows in tex_lines.items()}
-            for lines in warp_tex.values():
-                stats.tex_transactions += len(lines)
-                cta_tex_lines.update(lines)
-            warps.append(translator.emit_warp(WarpBindings(
-                active=lanes,
-                varying_lines=[rows[w] for rows in varying_lines],
-                tex_lines=warp_tex,
-                tex_sectors={slot: rows[w]
-                             for slot, rows in tex_sectors.items()},
-                color_lines=color_lines[w],
-                color_sectors=color_sectors[w],
-            )))
-            if len(warps) == _FS_WARPS_PER_CTA:
-                ctas.append(CTATrace(warps, cta_id=len(ctas)))
-                stats.tex_lines_per_cta.append(len(cta_tex_lines))
-                warps = []
-                cta_tex_lines = set()
-        if warps:
-            ctas.append(CTATrace(warps, cta_id=len(ctas)))
+        for start in range(0, len(warps), _FS_WARPS_PER_CTA):
+            end = start + _FS_WARPS_PER_CTA
+            cta_tex_lines: set = set()
+            for rows in tex_rows:
+                for lines in rows[start:end]:
+                    cta_tex_lines.update(lines)
             stats.tex_lines_per_cta.append(len(cta_tex_lines))
+            ctas.append(CTATrace(warps[start:end], cta_id=len(ctas)))
         return KernelTrace(
             "fs:%s" % draw.name, ctas,
             threads_per_cta=_FS_WARPS_PER_CTA * self.warp_size,

@@ -451,12 +451,12 @@ def render_qos_campaign(doc: dict) -> str:
         lines.append("adaptive-only SLO wins (adaptive meets, every "
                      "static misses):")
         for w in wins:
-            lines.append("  %s/%s: adaptive p99 %.3fms within %.3fms; "
-                         "statics %s"
-                         % (w["scenario"], w["client"], w["adaptive_p99_ms"],
-                            w["budget_ms"],
-                            ", ".join("%s=%.3fms" % kv for kv in
-                                      sorted(w["static_p99_ms"].items()))))
+            lines.append("  %s/%s: adaptive p95 %d cycles within budget "
+                         "%d cycles; statics p95 %s"
+                         % (w["scenario"], w["client"],
+                            w["adaptive_p95_cycles"], w["budget_cycles"],
+                            ", ".join("%s=%d" % kv for kv in
+                                      sorted(w["static_p95_cycles"].items()))))
     else:
         lines.append("no adaptive-only SLO wins in this campaign")
     return "\n".join(lines) + "\n"

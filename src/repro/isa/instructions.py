@@ -20,16 +20,18 @@ from .opcodes import DataClass, Op, Space, op_info
 # every visit.  The streams are built by :func:`~repro.isa.trace.lower`,
 # where IE_REGS / IE_DST hold *renamed* dense register indices
 # (0..num_renamed_regs-1, first-use order) that index the flat per-warp
-# scoreboard slice directly.
+# scoreboard slice directly.  A stream holds no memory operand: IE_MEM
+# indexes the warp's own ``mems``, so every warp of one program can share
+# one stream.
 IE_UNIT = 0        # Unit enum (for per-unit stat counters)
 IE_UNIT_IDX = 1    # dense unit index (execution-pipe list index)
 IE_LATENCY = 2     # issue-to-writeback latency
 IE_INITIATION = 3  # pipe initiation interval
 IE_REGS = 4        # scoreboard registers: srcs plus dst when present
 IE_DST = 5         # destination register (-1 = none)
-IE_USES_LDST = 6   # True when the instruction goes down the LDST path
+IE_MEM = 6         # index into the warp's mems (-1 = not an LDST op)
 IE_IS_BAR = 7      # True for CTA barriers
-IE_INST = 8        # the WarpInstruction itself (LDST path, external callers)
+IE_INFO = 8        # the opcode's OpInfo (the LDST path reads its space)
 
 
 class MemAccess:
@@ -105,20 +107,6 @@ class WarpInstruction:
         # Issue properties are immutable per opcode; cached here so the hot
         # scheduling loop never touches the enum-keyed lookup table.
         self.info = info
-
-    def with_mem(self, mem: MemAccess) -> "WarpInstruction":
-        """A copy of this memory instruction carrying ``mem``."""
-        if self.info.space is Space.NONE:
-            raise ValueError("non-memory opcode %s cannot carry a MemAccess"
-                             % self.op)
-        inst = WarpInstruction.__new__(WarpInstruction)
-        inst.op = self.op
-        inst.dst = self.dst
-        inst.srcs = self.srcs
-        inst.mem = mem
-        inst.active = self.active
-        inst.info = self.info
-        return inst
 
     @property
     def is_mem(self) -> bool:

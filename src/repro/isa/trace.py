@@ -13,12 +13,13 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .instructions import IE_INST, MemAccess, WarpInstruction
+from .instructions import IE_MEM, MemAccess, WarpInstruction
 from .opcodes import DataClass, Op, Space, UNIT_INDEX, Unit
 
 
 def lower(instructions: Sequence[WarpInstruction]
-          ) -> Tuple[List[tuple], int, Tuple[Tuple[int, int], ...]]:
+          ) -> Tuple[List[tuple], int, Tuple[Tuple[int, int], ...],
+                     Tuple[Optional[MemAccess], ...]]:
     """Lower an instruction list to flat issue tuples (see ``IE_*``).
 
     The timing model's issue loop indexes these tuples instead of
@@ -30,16 +31,20 @@ def lower(instructions: Sequence[WarpInstruction]
     on the issue path.  Renaming is a bijection per trace, so dependency
     timing (and hence simulated behaviour) is bit-identical to raw ids.
 
-    Returns the issue tuples, ``n``, the number of renamed registers, and
-    the unit histogram: ``(UNIT_INDEX, issues)`` pairs of the units the
-    list uses, in index order, which the timing model adds to its
-    per-unit issue counters once per finished warp.
+    Returns the issue tuples, ``n``, the number of renamed registers, the
+    unit histogram: ``(UNIT_INDEX, issues)`` pairs of the units the list
+    uses, in index order, which the timing model adds to its per-unit
+    issue counters once per finished warp, and ``mems``: the
+    :class:`MemAccess` (or None) of each LDST instruction in order, which
+    the tuples' ``IE_MEM`` indexes.  The tuples themselves hold no memory
+    operand, so every warp of one program shares them.
     This is the only lowering: :meth:`WarpTrace.issue_stream` calls it
     per trace and :class:`WarpTemplate` once per shader program or kernel.
     """
     remap: Dict[int, int] = {}
     stream: List[tuple] = []
     units: Dict[int, int] = {}
+    mems: List[Optional[MemAccess]] = []
     app = stream.append
     for inst in instructions:
         info = inst.info
@@ -53,6 +58,11 @@ def lower(instructions: Sequence[WarpInstruction]
             if i is None:
                 i = remap[r] = len(remap)
             renamed.append(i)
+        if info.unit is Unit.MEM and info.space is not Space.NONE:
+            mem_index = len(mems)
+            mems.append(inst.mem)
+        else:
+            mem_index = -1
         app((
             info.unit,
             ui,
@@ -60,24 +70,41 @@ def lower(instructions: Sequence[WarpInstruction]
             info.initiation,
             tuple(renamed),
             remap[dst] if dst >= 0 else -1,
-            info.unit is Unit.MEM and info.space is not Space.NONE,
+            mem_index,
             inst.op is Op.BAR,
-            inst,
+            info,
         ))
-    return stream, len(remap), tuple(sorted(units.items()))
+    return stream, len(remap), tuple(sorted(units.items())), tuple(mems)
 
 
 class WarpTrace:
-    """The dynamic instruction stream of one warp."""
+    """The dynamic instruction stream of one warp.
 
-    __slots__ = ("instructions", "_issue_stream", "_num_regs",
-                 "_unit_counts")
+    A warp built by :meth:`WarpTemplate.instantiate` holds only its
+    template and its memory operands: it shares the template's issue
+    stream, and builds its ``instructions`` list on first read, for cold
+    readers (serialization, analysis, the invariant checker), never on
+    the trace or timing path.
+    """
+
+    __slots__ = ("_instructions", "_template", "_mems", "_issue_stream",
+                 "_num_regs", "_unit_counts")
 
     def __init__(self, instructions: Optional[List[WarpInstruction]] = None) -> None:
-        self.instructions: List[WarpInstruction] = list(instructions or [])
+        self._instructions: Optional[List[WarpInstruction]] = list(
+            instructions or [])
+        self._template: Optional[WarpTemplate] = None
+        self._mems: Tuple[Optional[MemAccess], ...] = ()
         self._issue_stream: Optional[List[tuple]] = None
         self._num_regs = 0
         self._unit_counts: Tuple[Tuple[int, int], ...] = ()
+
+    @property
+    def instructions(self) -> List[WarpInstruction]:
+        insts = self._instructions
+        if insts is None:
+            insts = self._instructions = self._template.bind(self._mems)
+        return insts
 
     def append(self, inst: WarpInstruction) -> None:
         self.instructions.append(inst)
@@ -88,9 +115,17 @@ class WarpTrace:
         built on first call and cached until the next :meth:`append`.
         Warps built from a :class:`WarpTemplate` arrive with it set."""
         if self._issue_stream is None:
-            (self._issue_stream, self._num_regs,
-             self._unit_counts) = lower(self.instructions)
+            (self._issue_stream, self._num_regs, self._unit_counts,
+             self._mems) = lower(self.instructions)
         return self._issue_stream
+
+    @property
+    def mems(self) -> Tuple[Optional[MemAccess], ...]:
+        """The memory operand of each LDST instruction, in order: what
+        the stream's ``IE_MEM`` indexes."""
+        if self._issue_stream is None:
+            self.issue_stream()
+        return self._mems
 
     def num_renamed_regs(self) -> int:
         """Distinct registers the trace touches (the warp's flat scoreboard
@@ -107,6 +142,9 @@ class WarpTrace:
         return self._unit_counts
 
     def __len__(self) -> int:
+        stream = self._issue_stream
+        if stream is not None:
+            return len(stream)
         return len(self.instructions)
 
     def __iter__(self) -> Iterator[WarpInstruction]:
@@ -125,37 +163,63 @@ class WarpTemplate:
     without a :class:`MemAccess`), their lowered ``stream``, the
     ``mem_slots`` positions of the memory instructions, ``num_regs`` and
     the ``unit_counts`` histogram.
-    :meth:`instantiate` builds a warp by swapping a fresh memory
-    instruction into each slot.  The other instructions are immutable and
-    shared by every warp built from the template.
+    :meth:`instantiate` builds a warp from its memory operands alone: the
+    warp shares ``stream``, and its instructions are built only if a cold
+    reader asks for them (:meth:`bind`).
     """
 
     __slots__ = ("instructions", "stream", "mem_slots", "num_regs",
-                 "unit_counts")
+                 "unit_counts", "_fixed", "_slot_mems")
 
     def __init__(self, instructions: List[WarpInstruction],
                  mem_slots: Sequence[int]) -> None:
         self.instructions = instructions
         self.mem_slots = tuple(mem_slots)
-        self.stream, self.num_regs, self.unit_counts = lower(instructions)
+        (self.stream, self.num_regs, self.unit_counts,
+         fixed) = lower(instructions)
+        for pos in self.mem_slots:
+            if self.stream[pos][IE_MEM] < 0:
+                raise ValueError("memory slot %d holds non-memory opcode %s"
+                                 % (pos, instructions[pos].op))
+        #: Each slot's index into a warp's mems.  LDST instructions that
+        #: are not slots (shared-memory ops) keep their ``fixed`` operand;
+        #: when every LDST instruction is a slot, a warp's mems are the
+        #: operands exactly as given.
+        self._slot_mems = tuple(self.stream[pos][IE_MEM]
+                                for pos in self.mem_slots)
+        self._fixed = (None if self._slot_mems == tuple(range(len(fixed)))
+                       else fixed)
 
     def instantiate(self, mems: Sequence[MemAccess]) -> WarpTrace:
         """A warp whose memory slots carry ``mems``, in slot order."""
         if len(mems) != len(self.mem_slots):
             raise ValueError("template has %d memory slots, got %d operands"
                              % (len(self.mem_slots), len(mems)))
-        insts = list(self.instructions)
-        stream = list(self.stream)
-        for pos, mem in zip(self.mem_slots, mems):
-            inst = insts[pos].with_mem(mem)
-            insts[pos] = inst
-            stream[pos] = stream[pos][:IE_INST] + (inst,)
-        warp = WarpTrace()
-        warp.instructions = insts
-        warp._issue_stream = stream
+        if self._fixed is not None:
+            full = list(self._fixed)
+            for index, mem in zip(self._slot_mems, mems):
+                full[index] = mem
+            mems = full
+        warp = WarpTrace.__new__(WarpTrace)
+        warp._instructions = None
+        warp._template = self
+        warp._mems = tuple(mems)
+        warp._issue_stream = self.stream
         warp._num_regs = self.num_regs
         warp._unit_counts = self.unit_counts
         return warp
+
+    def bind(self, mems: Sequence[Optional[MemAccess]]
+             ) -> List[WarpInstruction]:
+        """The instruction list of a warp whose mems are ``mems``: the
+        skeleton, with a fresh memory instruction in each slot."""
+        insts = list(self.instructions)
+        for pos, index in zip(self.mem_slots, self._slot_mems):
+            inst = insts[pos]
+            insts[pos] = WarpInstruction(inst.op, dst=inst.dst,
+                                         srcs=inst.srcs, mem=mems[index],
+                                         active=inst.active)
+        return insts
 
 
 class CTATrace:

@@ -10,11 +10,12 @@ running workloads never alias by accident.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 LINE_SIZE = 128
+SECTOR_SIZE = 32
 
 #: Address-space regions, 1 TB apart so no workload can cross into another.
 _REGION_STRIDE = 1 << 40
@@ -79,48 +80,71 @@ def coalesce_array(addresses: np.ndarray, line_size: int = LINE_SIZE) -> List[in
 
 
 def coalesce_rows(addresses: np.ndarray, active,
-                  line_size: int = LINE_SIZE) -> List[List[int]]:
-    """:func:`coalesce_array` of every warp of a kernel at once.
+                  line_size: int = LINE_SIZE,
+                  sector_size: int = SECTOR_SIZE
+                  ) -> Tuple[List[List[int]], List[List[int]]]:
+    """:func:`coalesce_array` of every warp of a kernel at once, at line
+    and at sector granularity.
 
     ``addresses`` is a (warps, lanes, ...) block: row ``r`` is one warp,
     and any trailing axes (the four texels of a bilinear tap) belong to
     their lane, as in a raveled per-warp slice.  ``active`` gives each
     row's live lanes (a scalar applies to every row); the lanes after them
     are dead, as in the ragged last warp of a draw, and are padded with
-    the row's first line so they add nothing.  Row ``r`` of the result is
-    ``coalesce_array(addresses[r, :active[r]].ravel(), line_size)``: its
-    distinct lines in first-occurrence order.  One stable sort serves the
-    whole block instead of one ``np.unique`` per warp.
+    the row's first address so they add nothing.
+
+    Returns ``(lines, sectors)``: row ``r`` of ``lines`` is
+    ``coalesce_array(addresses[r, :active[r]].ravel(), line_size)``, its
+    distinct lines in first-occurrence order, and row ``r`` of ``sectors``
+    the same at ``sector_size``.  One stable sort of the sector addresses
+    serves the whole block and both granularities: a line's sectors form
+    one run of a sorted row, so the line's first occurrence is the lowest
+    lane index over that run.
     """
     block = np.asarray(addresses)
     if block.ndim < 2:
         raise ValueError("addresses must be a (warps, lanes, ...) block")
+    if line_size % sector_size:
+        raise ValueError("line_size must be a multiple of sector_size")
     rows, lanes = block.shape[:2]
     live = np.broadcast_to(np.asarray(active, dtype=np.int64), (rows,))
     if rows and (live.min() < 1 or live.max() > lanes):
         raise ValueError("active lanes must be in 1..%d" % lanes)
-    lines = (block.astype(np.int64) // line_size * line_size).reshape(rows, -1)
-    per_lane = lines.shape[1] // lanes if lanes else 0
-    dead = np.arange(lines.shape[1]) >= (live * per_lane)[:, None]
-    lines = np.where(dead, lines[:, :1], lines)
-    order = np.argsort(lines, axis=1, kind="stable")
-    ranked = np.take_along_axis(lines, order, axis=1)
+    if not rows:
+        return [], []
+    sectors = (block.astype(np.int64) // sector_size
+               * sector_size).reshape(rows, -1)
+    width = sectors.shape[1]
+    dead = np.arange(width) >= (live * (width // lanes))[:, None]
+    sectors = np.where(dead, sectors[:, :1], sectors)
+    order = np.argsort(sectors, axis=1, kind="stable")
+    # Row-major flat positions of each row's sorted order.
+    flat_order = (order + (np.arange(rows) * width)[:, None]).ravel()
+    ranked = sectors.ravel()[flat_order].reshape(rows, width)
+    # A stable sort puts each sector's first occurrence at the head of its
+    # run, so scattering the run starts back marks first occurrences.
     starts = np.ones(ranked.shape, dtype=bool)
     starts[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-    # A stable sort puts each line's first occurrence at the head of its
-    # run, so scattering the run starts back marks first occurrences.
-    first = np.empty_like(starts)
-    np.put_along_axis(first, order, starts, axis=1)
-    flat = lines[first].tolist()
-    out: List[List[int]] = []
-    pos = 0
-    for n in first.sum(axis=1).tolist():
-        out.append(flat[pos:pos + n])
-        pos += n
-    return out
+    first = np.empty(rows * width, dtype=bool)
+    first[flat_order] = starts.ravel()
+    first = first.reshape(rows, width)
+    lines = sectors // line_size * line_size
+    ranked //= line_size
+    line_starts = np.ones(ranked.shape, dtype=bool)
+    line_starts[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    # Every row opens a run, so no run spans two rows of the flat order.
+    heads = np.minimum.reduceat(flat_order, np.flatnonzero(line_starts))
+    line_first = np.zeros(rows * width, dtype=bool)
+    line_first[heads] = True
+    line_first = line_first.reshape(rows, width)
+    return (_split_rows(lines[line_first].tolist(), line_first.sum(axis=1)),
+            _split_rows(sectors[first].tolist(), first.sum(axis=1)))
 
 
-SECTOR_SIZE = 32
+def _split_rows(flat: List[int], counts: np.ndarray) -> List[List[int]]:
+    """Cut a row-major flat list into rows of ``counts`` items."""
+    ends = np.cumsum(counts).tolist()
+    return list(map(flat.__getitem__, map(slice, [0] + ends[:-1], ends)))
 
 
 def coalesce_sectors(addresses: np.ndarray,

@@ -2,8 +2,8 @@
 
 Runs the scenario suite under the adaptive controller and the static
 partition policies (MPS, MiG, TAP, Warped-Slicer) at one seed, and
-reduces each run to a comparison row: per-client p99 frame time and SLO
-verdicts.  The headline the ROADMAP's serving framing needs falls out of
+reduces each run to a comparison row: per-client p95 and p99 frame time
+and SLO verdicts (p95 frame time within budget).  The headline the ROADMAP's serving framing needs falls out of
 the table: scenarios where the adaptive controller meets an SLO that
 *every* static policy misses.
 
@@ -21,7 +21,8 @@ from typing import Callable, List, Optional, Sequence
 from .runner import qos_policy_names, run_scenario
 from .scenario import scenario_names
 
-__all__ = ["QOS_CAMPAIGN_SCHEMA", "run_campaign", "write_campaign"]
+__all__ = ["QOS_CAMPAIGN_SCHEMA", "adaptive_wins", "run_campaign",
+           "write_campaign"]
 
 QOS_CAMPAIGN_SCHEMA = 1
 
@@ -35,7 +36,9 @@ def _row(scenario: str, policy: str, report: dict) -> dict:
         clients[name] = {
             "p99_frame_ms": c["frame_time_ms"]["p99"],
             "p99_frame_cycles": c["frame_time_cycles"]["p99"],
+            "p95_frame_cycles": c["frame_time_cycles"]["p95"],
             "budget_ms": slo["budget_ms"],
+            "budget_cycles": slo["budget_cycles"],
             "violations": slo["violations"],
             "violation_rate": slo["violation_rate"],
             "met": slo["met"],
@@ -88,10 +91,26 @@ def run_campaign(scenarios: Optional[Sequence[str]] = None,
                             "SLOs met" if row["slo_met_all"] else "SLO MISS",
                             100 * row["worst_violation_rate"]))
 
-    # Headline: scenario/client pairs where adaptive meets the SLO and
-    # every runnable static policy misses it.
+    doc = {
+        "schema": QOS_CAMPAIGN_SCHEMA,
+        "kind": "qos-campaign",
+        "seed": seed,
+        "scenarios": scenarios,
+        "policies": policies,
+        "requests_override": requests,
+        "rows": rows,
+        "headline": {"adaptive_wins": adaptive_wins(rows, scenarios,
+                                                    policies)},
+    }
+    return json.loads(json.dumps(doc, sort_keys=True))
+
+
+def adaptive_wins(rows: List[dict], scenarios: Sequence[str],
+                  policies: Sequence[str]) -> List[dict]:
+    """The campaign headline: scenario/client pairs where adaptive meets
+    the SLO and every runnable static policy misses it."""
     by_key = {(r["scenario"], r["policy"]): r for r in rows}
-    adaptive_wins: List[dict] = []
+    wins: List[dict] = []
     statics = [p for p in policies if p != "adaptive"]
     for scenario in scenarios:
         adaptive = by_key.get((scenario, "adaptive"))
@@ -104,26 +123,17 @@ def run_campaign(scenarios: Optional[Sequence[str]] = None,
                         if by_key.get((scenario, p), {}).get("status") == "ok"]
             if runnable and all(
                     not r["clients"][client]["met"] for r in runnable):
-                adaptive_wins.append({
+                # The verdict's own terms: p95 frame cycles vs budget.
+                wins.append({
                     "scenario": scenario,
                     "client": client,
-                    "adaptive_p99_ms": verdict["p99_frame_ms"],
-                    "budget_ms": verdict["budget_ms"],
-                    "static_p99_ms": {r["policy"]:
-                                      r["clients"][client]["p99_frame_ms"]
-                                      for r in runnable},
+                    "adaptive_p95_cycles": verdict["p95_frame_cycles"],
+                    "budget_cycles": verdict["budget_cycles"],
+                    "static_p95_cycles": {
+                        r["policy"]: r["clients"][client]["p95_frame_cycles"]
+                        for r in runnable},
                 })
-    doc = {
-        "schema": QOS_CAMPAIGN_SCHEMA,
-        "kind": "qos-campaign",
-        "seed": seed,
-        "scenarios": scenarios,
-        "policies": policies,
-        "requests_override": requests,
-        "rows": rows,
-        "headline": {"adaptive_wins": adaptive_wins},
-    }
-    return json.loads(json.dumps(doc, sort_keys=True))
+    return wins
 
 
 def write_campaign(doc: dict, path: str) -> str:

@@ -12,8 +12,10 @@ Policy follows GPU convention: L1 is write-through / write-no-allocate
 
 from __future__ import annotations
 
+from typing import Optional
+
 from ..config import CacheConfig, GPUConfig
-from ..isa import Space, WarpInstruction
+from ..isa import MemAccess, OpInfo, Space
 from ..memory import L2Cache, SetAssocCache, sector_mask_of
 from .stats import StreamStats
 
@@ -83,25 +85,23 @@ class LDSTPath:
         ways = max(1, usable_bytes // (self._l1_sets * self._l1_line))
         self.l1.set_usable_ways(min(ways, self.l1.assoc))
 
-    def issue(self, inst: WarpInstruction, cycle: int, stream: int,
-              sstat: StreamStats) -> int:
-        """Execute a memory instruction; returns its completion cycle.
-        ``sstat`` (``stream``'s stats) takes one update per instruction."""
-        space = inst.info.space
+    def issue(self, info: OpInfo, mem: Optional[MemAccess], cycle: int,
+              stream: int, sstat: StreamStats) -> int:
+        """Execute a memory instruction of opcode ``info`` whose operand
+        is ``mem``; returns its completion cycle.  ``sstat``
+        (``stream``'s stats) takes one update per instruction."""
+        space = info.space
         if space is Space.SHARED:
             sstat.shared_accesses += 1
             return cycle + self.shared_latency
         if space is Space.CONST:
-            return cycle + inst.info.latency
-        if inst.mem is None or not inst.mem.lines:
-            return cycle + inst.info.latency
-        return self._global_access(inst, cycle, stream, sstat)
+            return cycle + info.latency
+        if mem is None or not mem.lines:
+            return cycle + info.latency
+        return self._global_access(info, mem, cycle, stream, sstat)
 
-    def _global_access(self, inst: WarpInstruction, cycle: int, stream: int,
-                       sstat: StreamStats) -> int:
-        mem = inst.mem
-        assert mem is not None
-        info = inst.info
+    def _global_access(self, info: OpInfo, mem: MemAccess, cycle: int,
+                       stream: int, sstat: StreamStats) -> int:
         is_store = info.is_store
         bypass_l1 = mem.bypass_l1
         data_class = mem.data_class

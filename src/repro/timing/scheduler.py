@@ -52,7 +52,7 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Tuple
 
-from ..isa.instructions import IE_UNIT_IDX, IE_USES_LDST
+from ..isa.instructions import IE_MEM, IE_UNIT_IDX
 from ..isa.opcodes import UNITS_ORDERED
 from .slots import SlotState
 from .warp import BLOCKED
@@ -199,7 +199,7 @@ class GTOScheduler:
         if st.next_ready[slot] > cycle:
             return STALL_SCOREBOARD
         if self._pnf[entry[IE_UNIT_IDX]] > cycle:
-            if entry[IE_USES_LDST]:
+            if entry[IE_MEM] >= 0:
                 return STALL_LDST_QUEUE
             return STALL_PIPE_BUSY
         return READY

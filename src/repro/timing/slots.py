@@ -46,7 +46,7 @@ class SlotState:
     __slots__ = (
         "pc", "stall_until", "next_ready", "last_commit",
         "done", "barrier", "warp_ids", "streams", "n_insts", "sb",
-        "entries", "cur", "warps", "sstats", "count",
+        "entries", "mems", "cur", "warps", "sstats", "count",
     )
 
     def __init__(self) -> None:
@@ -75,6 +75,8 @@ class SlotState:
         self.sb: List[Optional[List[int]]] = []
         #: Per-slot issue-tuple stream (shared with the trace's cache).
         self.entries: List[Optional[list]] = []
+        #: Per-slot memory operands, indexed by an entry's ``IE_MEM``.
+        self.mems: List[Optional[tuple]] = []
         #: ``entries[slot][pc[slot]]``, kept current so the pick loop does a
         #: single list index; None once the slot is done.
         self.cur: List[Optional[tuple]] = []
@@ -84,7 +86,7 @@ class SlotState:
         self.sstats: List = []
         self.count = 0
 
-    def alloc(self, warp, stream_entries: list, num_regs: int,
+    def alloc(self, warp, stream_entries: list, mems: tuple, num_regs: int,
               warp_id: int, sstat, stream: int) -> int:
         """Claim the next dense slot for ``warp``; returns the slot index."""
         slot = self.count
@@ -101,6 +103,7 @@ class SlotState:
         self.n_insts.append(n)
         self.sb.append([0] * num_regs)
         self.entries.append(stream_entries)
+        self.mems.append(mems)
         self.cur.append(stream_entries[0] if n else None)
         self.warps.append(warp)
         self.sstats.append(sstat)
@@ -119,6 +122,7 @@ class SlotState:
         self.warps[slot] = None
         self.sstats[slot] = None
         self.entries[slot] = None
+        self.mems[slot] = None
         self.sb[slot] = None
 
     def __len__(self) -> int:

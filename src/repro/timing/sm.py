@@ -336,14 +336,14 @@ class SM:
             # ---- commit: issue ``slot``'s current instruction ----
             # One tuple unpack replaces eight indexed entry reads.
             (_, ui, latency, initiation, _, rdst,
-             uses_ldst, is_bar, inst) = cur[slot]
+             mem, is_bar, info) = cur[slot]
             # Reserve the unit pipe for its initiation interval.
             pnf = sched._pnf
             pnf[ui] = cycle + initiation
             sstat = st.sstats[slot]
-            if uses_ldst:
-                complete = self.ldst.issue(inst, cycle, st.streams[slot],
-                                           sstat)
+            if mem >= 0:
+                complete = self.ldst.issue(info, st.mems[slot][mem], cycle,
+                                           st.streams[slot], sstat)
             else:
                 complete = cycle + latency
             if is_bar:

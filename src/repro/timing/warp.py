@@ -35,7 +35,7 @@ class WarpContext:
     """Identity handle of one resident warp; state lives in ``state[slot]``."""
 
     __slots__ = (
-        "trace", "insts", "stream_entries", "stream", "cta", "warp_id",
+        "trace", "stream_entries", "stream", "cta", "warp_id",
         "home_sched", "unit_counts", "state", "slot",
     )
 
@@ -43,7 +43,6 @@ class WarpContext:
                  warp_id: int, state: SlotState,
                  sstat: "StreamStats") -> None:
         self.trace = trace
-        self.insts = trace.instructions
         #: Flat per-warp issue tuples, shared with every replay of the trace.
         self.stream_entries = trace.issue_stream()
         self.stream = stream
@@ -57,7 +56,7 @@ class WarpContext:
         #: indexes into; the slot holds ``sstat``, the owning stream's
         #: StreamStats, so the issue path never calls ``stats.stream(id)``.
         self.state = state
-        self.slot = state.alloc(self, self.stream_entries,
+        self.slot = state.alloc(self, self.stream_entries, trace.mems,
                                 trace.num_renamed_regs(), warp_id,
                                 sstat, stream)
 

@@ -12,7 +12,6 @@ from repro.graphics.shaders import (
     ShaderTranslator,
     TexSample,
     VaryingStore,
-    WarpBindings,
     fragment_basic,
     fragment_pbr,
     fragment_textured_lit,
@@ -85,31 +84,37 @@ class TestLibrary:
             shader_pair("nonexistent")
 
 
-def vertex_bindings(active=32):
+def vertex_operands(active=32):
+    """One vertex warp's operands, as one-row kernel operands."""
     addrs = np.arange(active, dtype=np.int64) * 32
     out = 1 << 20 | np.arange(active, dtype=np.int64) * 32
-    return WarpBindings(
-        active=active,
-        attr_lines={"position": coalesce_array(addrs),
-                    "normal": coalesce_array(addrs + 12),
-                    "uv": coalesce_array(addrs + 24)},
-        varying_store_lines=[coalesce_array(out), coalesce_array(out + 16)],
-    )
+    return {
+        ("attr", "position"): ([coalesce_array(addrs)], None),
+        ("attr", "normal"): ([coalesce_array(addrs + 12)], None),
+        ("attr", "uv"): ([coalesce_array(addrs + 24)], None),
+        ("store", 0): ([coalesce_array(out)], None),
+        ("store", 1): ([coalesce_array(out + 16)], None),
+    }
 
 
-def fragment_bindings(active=32, tex_slots=(0,)):
-    return WarpBindings(
-        active=active,
-        varying_lines=[[1 << 20]] * 4,
-        tex_lines={s: [128 * s, 128 * s + 128] for s in tex_slots},
-        color_lines=coalesce_array(
-            (2 << 20) + np.arange(active, dtype=np.int64) * 4),
-    )
+def fragment_operands(active=32, tex_slots=(0,)):
+    operands = {("varying", i): ([[1 << 20]], None) for i in range(4)}
+    operands.update({("tex", s): ([[128 * s, 128 * s + 128]], None)
+                     for s in tex_slots})
+    operands[("color", None)] = ([coalesce_array(
+        (2 << 20) + np.arange(active, dtype=np.int64) * 4)], None)
+    return operands
+
+
+def emit_one(program, operands, active=32):
+    """The single warp a one-warp kernel of ``program`` emits."""
+    (warp,) = ShaderTranslator(program).emit([active], operands)
+    return warp
 
 
 class TestTranslator:
     def test_vertex_trace_shape(self):
-        trace = ShaderTranslator(vertex_basic()).emit_warp(vertex_bindings())
+        trace = emit_one(vertex_basic(), vertex_operands())
         ops = [i.op for i in trace]
         assert ops[-1] is Op.EXIT
         assert ops.count(Op.LDG) == 3          # three attribute fetches
@@ -117,41 +122,41 @@ class TestTranslator:
         assert ops.count(Op.FFMA) == 38        # 32 + 6 transform ALU
 
     def test_vertex_fetch_tagged_vertex_class(self):
-        trace = ShaderTranslator(vertex_basic()).emit_warp(vertex_bindings())
+        trace = emit_one(vertex_basic(), vertex_operands())
         ldg = [i for i in trace if i.op is Op.LDG]
         assert all(i.mem.data_class is DataClass.VERTEX for i in ldg)
 
     def test_varying_store_tagged_pipeline(self):
-        trace = ShaderTranslator(vertex_basic()).emit_warp(vertex_bindings())
+        trace = emit_one(vertex_basic(), vertex_operands())
         stg = [i for i in trace if i.op is Op.STG]
         assert all(i.mem.data_class is DataClass.PIPELINE for i in stg)
 
     def test_fragment_trace_shape(self):
-        trace = ShaderTranslator(fragment_basic()).emit_warp(fragment_bindings())
+        trace = emit_one(fragment_basic(), fragment_operands())
         ops = [i.op for i in trace]
         assert ops.count(Op.TEX) == 1
         assert Op.MUFU_RSQ in ops
         assert ops[-1] is Op.EXIT
 
     def test_tex_carries_merged_lines(self):
-        trace = ShaderTranslator(fragment_basic()).emit_warp(
-            fragment_bindings(tex_slots=(0,)))
+        trace = emit_one(fragment_basic(),
+                         fragment_operands(tex_slots=(0,)))
         tex = [i for i in trace if i.op is Op.TEX][0]
         assert tex.mem.data_class is DataClass.TEXTURE
         assert tex.mem.num_transactions == 2
 
     def test_color_store_tagged_framebuffer(self):
-        trace = ShaderTranslator(fragment_basic()).emit_warp(fragment_bindings())
+        trace = emit_one(fragment_basic(), fragment_operands())
         stg = [i for i in trace if i.op is Op.STG]
         assert stg[-1].mem.data_class is DataClass.FRAMEBUFFER
 
     def test_pbr_emits_eight_tex(self):
-        trace = ShaderTranslator(fragment_pbr()).emit_warp(
-            fragment_bindings(tex_slots=tuple(range(8))))
+        trace = emit_one(fragment_pbr(),
+                         fragment_operands(tex_slots=tuple(range(8))))
         assert sum(1 for i in trace if i.op is Op.TEX) == 8
 
     def test_dependency_chain_exists(self):
-        trace = ShaderTranslator(fragment_basic()).emit_warp(fragment_bindings())
+        trace = emit_one(fragment_basic(), fragment_operands())
         # Every ALU op reads a register some earlier op wrote.
         written = set()
         chained = 0
@@ -163,31 +168,47 @@ class TestTranslator:
         assert chained >= len(trace.instructions) // 2
 
     def test_partial_warp_active_lanes(self):
-        trace = ShaderTranslator(vertex_basic()).emit_warp(vertex_bindings(7))
+        trace = emit_one(vertex_basic(), vertex_operands(7), active=7)
         assert all(i.active == 7 for i in trace)
 
     def test_missing_attribute_raises(self):
-        b = WarpBindings(active=32, attr_lines={},
-                         varying_store_lines=[[0], [0]])
+        operands = {("store", 0): ([[0]], None), ("store", 1): ([[0]], None)}
         with pytest.raises(KeyError, match="position"):
-            ShaderTranslator(vertex_basic()).emit_warp(b)
+            emit_one(vertex_basic(), operands)
 
     def test_missing_tex_slot_raises(self):
-        b = fragment_bindings(tex_slots=())
+        operands = fragment_operands(tex_slots=())
         with pytest.raises(KeyError, match="slot 0"):
-            ShaderTranslator(fragment_basic()).emit_warp(b)
+            emit_one(fragment_basic(), operands)
 
     def test_missing_color_addresses_raises(self):
-        b = WarpBindings(active=32, varying_lines=[[0]] * 4,
-                         tex_lines={0: [0]})
+        operands = fragment_operands()
+        del operands[("color", None)]
         with pytest.raises(KeyError, match="color"):
-            ShaderTranslator(fragment_basic()).emit_warp(b)
+            emit_one(fragment_basic(), operands)
 
     def test_bindings_validate_active(self):
-        with pytest.raises(ValueError):
-            WarpBindings(active=0)
-        with pytest.raises(ValueError):
-            WarpBindings(active=33)
+        for lanes in (0, 33):
+            with pytest.raises(ValueError):
+                emit_one(fragment_basic(), fragment_operands(), active=lanes)
+
+    def test_kernel_binds_each_warp_by_index(self):
+        # Two full warps and a ragged third: each warp carries its own
+        # row of every operand, and the ragged one has its own template.
+        rows = [[0], [128], [256]]
+        operands = fragment_operands()
+        operands[("tex", 0)] = (rows, [[0], [160], [288]])
+        operands[("color", None)] = (rows, None)
+        operands.update({("varying", i): (rows, None) for i in range(4)})
+        warps = ShaderTranslator(fragment_basic()).emit([32, 32, 5],
+                                                        operands)
+        for w, warp in enumerate(warps):
+            tex = [i for i in warp if i.op is Op.TEX][0]
+            assert tex.mem.lines == tuple(rows[w])
+            assert tex.mem.sectors == tuple(operands[("tex", 0)][1][w])
+            assert all(i.active == (5 if w == 2 else 32) for i in warp)
+        assert warps[0].issue_stream() is warps[1].issue_stream()
+        assert warps[2].issue_stream() is not warps[0].issue_stream()
 
     def test_register_demand_reasonable(self):
         for prog in (vertex_basic(), fragment_pbr(), fragment_basic()):

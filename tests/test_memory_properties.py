@@ -181,9 +181,11 @@ def warp_blocks(draw):
 @given(block=warp_blocks(), line_size=st.sampled_from((LINE_SIZE, SECTOR_SIZE)))
 def test_coalesce_rows_equals_per_warp_coalesce_array(block, line_size):
     addrs, active = block
-    rows = coalesce_rows(addrs, active, line_size)
-    assert rows == [coalesce_array(addrs[r, :n].ravel(), line_size)
-                    for r, n in enumerate(active)]
+    lines, sectors = coalesce_rows(addrs, active, line_size)
+    assert lines == [coalesce_array(addrs[r, :n].ravel(), line_size)
+                     for r, n in enumerate(active)]
+    assert sectors == [coalesce_array(addrs[r, :n].ravel(), SECTOR_SIZE)
+                       for r, n in enumerate(active)]
 
 
 def test_coalesce_rows_rejects_bad_active():
@@ -193,6 +195,8 @@ def test_coalesce_rows_rejects_bad_active():
         coalesce_rows(np.zeros((2, 4), dtype=np.int64), 5)
     with pytest.raises(ValueError):
         coalesce_rows(np.zeros(4, dtype=np.int64), 4)
+    with pytest.raises(ValueError):
+        coalesce_rows(np.zeros((2, 4), dtype=np.int64), 4, LINE_SIZE, 48)
 
 
 @given(base=addresses, num_bytes=st.integers(1, 4 * LINE_SIZE))

@@ -97,3 +97,27 @@ class TestValidationAndIO:
             rows = [json.loads(line) for line in f]
         assert rows == steady_report["events"]
         assert len(rows) >= 3 * REQUESTS
+
+
+def test_campaign_win_line_reports_the_p95_verdict():
+    # The SLO verdict is p95 frame cycles within the budget, so the
+    # headline prints exactly those two numbers, even where p99 is over.
+    from repro.harness.report import render_qos_campaign
+    from repro.qos.campaign import adaptive_wins
+
+    def row(policy, p95, met):
+        return {"scenario": "flood", "policy": policy, "status": "ok",
+                "clients": {"vio": {
+                    "met": met, "budget_ms": 0.0019, "budget_cycles": 2200,
+                    "p95_frame_cycles": p95, "p99_frame_cycles": 2611,
+                    "p99_frame_ms": 0.0023}},
+                "slo_met_all": met, "worst_violation_rate": 0.0,
+                "total_cycles": 10_000, "interventions": 0}
+    rows = [row("adaptive", 2150, True), row("mps", 5000, False),
+            row("tap", 4800, False)]
+    wins = adaptive_wins(rows, ["flood"], ["adaptive", "mps", "tap"])
+    text = render_qos_campaign({"seed": 7, "scenarios": ["flood"],
+                                "rows": rows,
+                                "headline": {"adaptive_wins": wins}})
+    assert ("flood/vio: adaptive p95 2150 cycles within budget 2200 "
+            "cycles; statics p95 mps=5000, tap=4800") in text

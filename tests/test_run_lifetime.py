@@ -3,7 +3,9 @@
 A run's objects -- SMs, warps, CTAs, caches, the policy's hooks and the
 traces they keep alive -- must form no reference cycle, so they are freed
 the moment the caller drops the result, without waiting for the cyclic
-garbage collector.  Each test runs one call with the collector disabled,
+garbage collector.  That is why ``simulate()`` pauses the collector for
+the trace and the run, and the last tests here hold it to restoring the
+caller's collector state.  Each test runs one call with the collector disabled,
 drops what it returned, and asserts that ``gc.collect()`` then finds no
 unreachable object whose type lives in ``repro``.  Objects of other
 modules are not counted: the stdlib ``json`` encoder, for one, builds
@@ -17,7 +19,7 @@ import weakref
 
 import pytest
 
-from repro.api import simulate
+from repro.api import WorkloadSpec, simulate
 from repro.campaign import Job, execute
 from repro.config import get_preset
 from repro.core.platform import POLICY_NAMES, collect_streams
@@ -161,3 +163,63 @@ def test_retired_warps_are_freed_during_the_run(spl_vio):
     finally:
         gc.enable()
     assert count.live == 0
+
+
+def test_traced_run_leaves_no_cycles():
+    # Tracing included: the scene, textures, translators, templates and
+    # warps a WorkloadSpec run builds are freed by reference counting too.
+    assert cyclic_garbage(lambda: simulate(
+        config="JetsonOrin-mini",
+        workload=WorkloadSpec(scene="SPL", res="nano", compute="VIO"),
+        policy="tap")) == []
+
+
+class _CollectorProbe(NullTelemetry):
+    """Records whether the cyclic collector runs during the run."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def on_run_start(self, gpu):
+        self.seen.append(gc.isenabled())
+
+
+@pytest.fixture()
+def collector_state():
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_simulate_restores_collector_state(spl_vio, monkeypatch,
+                                           collector_state, enabled):
+    config, streams = spl_vio
+    traced = []
+    collect = WorkloadSpec.collect
+
+    def probed_collect(spec, cfg):
+        traced.append(gc.isenabled())
+        return collect(spec, cfg)
+    monkeypatch.setattr(WorkloadSpec, "collect", probed_collect)
+    (gc.enable if enabled else gc.disable)()
+    probe = _CollectorProbe()
+    simulate(config=config, workload=WorkloadSpec(scene="SPL", res="nano"),
+             telemetry=probe)
+    assert traced == [False] and probe.seen == [False]
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_simulate_restores_collector_after_raise(spl_vio, collector_state,
+                                                 enabled):
+    config, streams = spl_vio
+    (gc.enable if enabled else gc.disable)()
+    with pytest.raises(RuntimeError, match="exceeded 500 cycles"):
+        simulate(config=config, streams=streams, policy="mps",
+                 max_cycles=500)
+    assert gc.isenabled() is enabled

@@ -30,57 +30,63 @@ def load_inst(lines, data_class=DataClass.COMPUTE, bypass=False):
         lines, data_class, bypass_l1=bypass))
 
 
+def issue(p, inst, cycle, stream, sstat):
+    """Issue ``inst`` down the path the way the SM does: its opcode info
+    and its memory operand."""
+    return p.issue(inst.info, inst.mem, cycle, stream, sstat)
+
+
 class TestLDSTPath:
     def test_cold_load_pays_full_path(self, path):
         p, stats = path
-        done = p.issue(load_inst([0]), 0, 0, stats.stream(0))
+        done = issue(p, load_inst([0]), 0, 0, stats.stream(0))
         cfg = RTX_3070_MINI
         assert done >= cfg.icnt_latency * 2 + cfg.l2.hit_latency
 
     def test_warm_load_is_l1_hit(self, path):
         p, stats = path
-        t1 = p.issue(load_inst([0]), 0, 0, stats.stream(0))
-        t2 = p.issue(load_inst([0]), t1, 0, stats.stream(0))
+        t1 = issue(p, load_inst([0]), 0, 0, stats.stream(0))
+        t2 = issue(p, load_inst([0]), t1, 0, stats.stream(0))
         assert t2 - t1 == RTX_3070_MINI.l1.hit_latency
 
     def test_transactions_serialise_on_port(self, path):
         p, stats = path
-        p.issue(load_inst([0, 128, 256, 384]), 0, 0, stats.stream(0))
-        one = p.issue(load_inst([0]), 1000, 0, stats.stream(0))
-        four = p.issue(load_inst([0, 128, 256, 384]), 1000, 0, stats.stream(0))
+        issue(p, load_inst([0, 128, 256, 384]), 0, 0, stats.stream(0))
+        one = issue(p, load_inst([0]), 1000, 0, stats.stream(0))
+        four = issue(p, load_inst([0, 128, 256, 384]), 1000, 0, stats.stream(0))
         assert four > one
 
     def test_store_is_write_through(self, path):
         p, stats = path
         store = WarpInstruction(Op.STG, srcs=(4,),
                                 mem=MemAccess([0], DataClass.COMPUTE))
-        p.issue(store, 0, 0, stats.stream(0))
+        issue(p, store, 0, 0, stats.stream(0))
         # Store did not allocate in L1: a subsequent load misses.
-        t1 = p.issue(load_inst([0]), 500, 0, stats.stream(0))
+        t1 = issue(p, load_inst([0]), 500, 0, stats.stream(0))
         assert t1 - 500 > RTX_3070_MINI.l1.hit_latency
 
     def test_store_reaches_l2(self, path):
         p, stats = path
         store = WarpInstruction(Op.STG, srcs=(4,),
                                 mem=MemAccess([0], DataClass.COMPUTE))
-        p.issue(store, 0, 0, stats.stream(0))
+        issue(p, store, 0, 0, stats.stream(0))
         assert p.l2.stats_for(0).accesses == 1
 
     def test_shared_memory_fixed_latency(self, path):
         p, stats = path
         lds = WarpInstruction(Op.LDS, dst=4, srcs=(1,))
-        done = p.issue(lds, 10, 0, stats.stream(0))
+        done = issue(p, lds, 10, 0, stats.stream(0))
         assert done == 10 + p.shared_latency
         assert stats.stream(0).shared_accesses == 1
 
     def test_const_cheap(self, path):
         p, stats = path
         ldc = WarpInstruction(Op.LDC, dst=4, srcs=(1,))
-        assert p.issue(ldc, 0, 0, stats.stream(0)) <= 10
+        assert issue(p, ldc, 0, 0, stats.stream(0)) <= 10
 
     def test_bypass_skips_l1(self, path):
         p, stats = path
-        p.issue(load_inst([0], bypass=True), 0, 0, stats.stream(0))
+        issue(p, load_inst([0], bypass=True), 0, 0, stats.stream(0))
         assert stats.stream(0).l1_accesses == 0
         # The line is in L2 now but NOT in L1.
         assert not p.l1.probe(0)
@@ -89,7 +95,7 @@ class TestLDSTPath:
         p, stats = path
         tex = WarpInstruction(Op.TEX, dst=4,
                               mem=MemAccess([0, 128], DataClass.TEXTURE))
-        p.issue(tex, 0, 0, stats.stream(0))
+        issue(p, tex, 0, 0, stats.stream(0))
         s = stats.stream(0)
         assert s.l1_tex_accesses == 2
         assert s.l1_accesses == 2
@@ -98,7 +104,7 @@ class TestLDSTPath:
         # A fill that has returned by the sample cycle is not in flight,
         # though its entry retires only at the line's next access.
         p, stats = path
-        done = p.issue(load_inst([0]), 0, 0, stats.stream(0))
+        done = issue(p, load_inst([0]), 0, 0, stats.stream(0))
         assert p.mshr_inflight(done - 1) == 1
         assert p.mshr_inflight(done) == 0
         assert p.l1.mshr_entries_held() == 1
@@ -107,8 +113,8 @@ class TestLDSTPath:
 
     def test_per_stream_isolation(self, path):
         p, stats = path
-        p.issue(load_inst([0]), 0, 0, stats.stream(0))
-        p.issue(load_inst([1 << 20]), 0, 1, stats.stream(1))
+        issue(p, load_inst([0]), 0, 0, stats.stream(0))
+        issue(p, load_inst([1 << 20]), 0, 1, stats.stream(1))
         assert stats.stream(0).l1_accesses == 1
         assert stats.stream(1).l1_accesses == 1
 

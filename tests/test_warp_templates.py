@@ -1,10 +1,11 @@
 """Warps built from lowered templates must equal lazily lowered traces.
 
 Shader programs and compute kernels are lowered once into a
-:class:`~repro.isa.WarpTemplate`; every warp copies the template's issue
-stream and swaps its own memory instructions into the memory slots.  The
-lazy :meth:`WarpTrace.issue_stream` path (loaded and hand-built traces)
-must produce exactly the same stream from the same instructions.
+:class:`~repro.isa.WarpTemplate`; every warp shares the template's issue
+stream and carries only its own memory operands, from which its
+instruction list is built on first read.  The lazy
+:meth:`WarpTrace.issue_stream` path (loaded and hand-built traces) must
+produce exactly the same stream and operands from those instructions.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from repro.isa import (
     WarpTemplate,
     WarpTrace,
 )
-from repro.isa.instructions import IE_INST
+from repro.isa.instructions import IE_INFO, IE_MEM
 
 from .test_trace_digests import render_nano
 
@@ -46,9 +47,14 @@ def test_template_streams_equal_lazy_lowering(name):
         lazy = WarpTrace(list(warp.instructions))
         assert warp.issue_stream() == lazy.issue_stream()
         assert warp.num_renamed_regs() == lazy.num_renamed_regs()
-        # The stream's instructions are the warp's own, in order.
-        assert [e[IE_INST] for e in warp.issue_stream()] == \
-            warp.instructions
+        assert warp.mems == lazy.mems
+        # The stream describes the warp's own instructions, in order, and
+        # its memory entries index the warp's own operands.
+        stream = warp.issue_stream()
+        assert [e[IE_INFO] for e in stream] == \
+            [i.info for i in warp.instructions]
+        assert [warp.mems[e[IE_MEM]] for e in stream if e[IE_MEM] >= 0] \
+            == [i.mem for i in warp.instructions if i.is_mem]
 
 
 def test_index_fetch_heads_first_vertex_warp_only():
@@ -84,6 +90,9 @@ def test_instantiate_shares_non_memory_instructions():
     assert tpl.instructions[0].mem is None
     assert a.num_renamed_regs() == 3
     assert a.issue_stream() == WarpTrace(list(a.instructions)).issue_stream()
+    # The warps share the template's stream; nothing is copied per warp.
+    assert a.issue_stream() is b.issue_stream() is tpl.stream
+    assert len(a) == len(tpl.instructions)
 
 
 def test_instantiate_rejects_wrong_operand_count():
@@ -99,7 +108,26 @@ def test_append_after_instantiate_relowers():
     assert warp.num_renamed_regs() == 4
 
 
-def test_with_mem_rejects_non_memory_opcode():
+def test_memory_operand_rejects_non_memory_opcode():
     with pytest.raises(ValueError):
-        WarpInstruction(Op.FFMA, dst=1).with_mem(
-            MemAccess([0], DataClass.COMPUTE))
+        WarpInstruction(Op.FFMA, dst=1, mem=MemAccess([0], DataClass.COMPUTE))
+    insts = [WarpInstruction(Op.FFMA, dst=1), WarpInstruction(Op.EXIT)]
+    with pytest.raises(ValueError):
+        WarpTemplate(insts, [0])
+
+
+def test_shared_memory_ops_keep_their_place_among_operands():
+    # LDS/STS go down the LDST path without a template operand: a warp's
+    # mems hold None there, and its global operands stay at their slots.
+    insts = [WarpInstruction(Op.LDS, dst=3),
+             WarpInstruction(Op.LDG, dst=4, srcs=(3,)),
+             WarpInstruction(Op.STS, srcs=(4,)),
+             WarpInstruction(Op.STG, srcs=(4,)),
+             WarpInstruction(Op.EXIT)]
+    tpl = WarpTemplate(insts, [1, 3])
+    warp = tpl.instantiate([MemAccess([0], DataClass.COMPUTE),
+                            MemAccess([128], DataClass.COMPUTE)])
+    lazy = WarpTrace(list(warp.instructions))
+    assert warp.issue_stream() == lazy.issue_stream()
+    assert warp.mems == lazy.mems
+    assert [m and m.lines for m in warp.mems] == [None, (0,), None, (128,)]
