@@ -10,7 +10,7 @@ running workloads never alias by accident.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -82,7 +82,7 @@ def coalesce_array(addresses: np.ndarray, line_size: int = LINE_SIZE) -> List[in
 def coalesce_rows(addresses: np.ndarray, active,
                   line_size: int = LINE_SIZE,
                   sector_size: int = SECTOR_SIZE
-                  ) -> Tuple[List[List[int]], List[List[int]]]:
+                  ) -> Tuple[List[Tuple[int, ...]], List[Tuple[int, ...]]]:
     """:func:`coalesce_array` of every warp of a kernel at once, at line
     and at sector granularity.
 
@@ -93,10 +93,10 @@ def coalesce_rows(addresses: np.ndarray, active,
     are dead, as in the ragged last warp of a draw, and are padded with
     the row's first address so they add nothing.
 
-    Returns ``(lines, sectors)``: row ``r`` of ``lines`` is
+    Returns ``(lines, sectors)``: row ``r`` of ``lines`` holds
     ``coalesce_array(addresses[r, :active[r]].ravel(), line_size)``, its
-    distinct lines in first-occurrence order, and row ``r`` of ``sectors``
-    the same at ``sector_size``.  One stable sort of the sector addresses
+    distinct lines in first-occurrence order, as a tuple, and row ``r`` of
+    ``sectors`` the same at ``sector_size``.  One stable sort of the sector addresses
     serves the whole block and both granularities: a line's sectors form
     one run of a sorted row, so the line's first occurrence is the lowest
     lane index over that run.
@@ -137,14 +137,40 @@ def coalesce_rows(addresses: np.ndarray, active,
     line_first = np.zeros(rows * width, dtype=bool)
     line_first[heads] = True
     line_first = line_first.reshape(rows, width)
-    return (_split_rows(lines[line_first].tolist(), line_first.sum(axis=1)),
-            _split_rows(sectors[first].tolist(), first.sum(axis=1)))
+    return (_split_rows(lines[line_first], line_first.sum(axis=1)),
+            _split_rows(sectors[first], first.sum(axis=1)))
 
 
-def _split_rows(flat: List[int], counts: np.ndarray) -> List[List[int]]:
-    """Cut a row-major flat list into rows of ``counts`` items."""
+def coalesce_blocks(blocks: Sequence[np.ndarray], active
+                    ) -> List[Tuple[List[Tuple[int, ...]],
+                                    List[Tuple[int, ...]]]]:
+    """:func:`coalesce_rows` of each (warps, lanes, ...) block in
+    ``blocks``, all of one kernel's warps (``active``).  Blocks of one
+    shape are stacked into a single call: rows never interact, so the
+    stacked result splits back exactly, and a kernel's operands cost one
+    sort instead of one each."""
+    out: list = [None] * len(blocks)
+    by_shape: Dict[tuple, List[int]] = {}
+    for i, block in enumerate(blocks):
+        by_shape.setdefault(block.shape, []).append(i)
+    for shape, members in by_shape.items():
+        rows = shape[0]
+        lines, sectors = coalesce_rows(
+            np.concatenate([blocks[i] for i in members]),
+            np.tile(np.broadcast_to(active, (rows,)), len(members)))
+        for k, i in enumerate(members):
+            out[i] = (lines[k * rows:(k + 1) * rows],
+                      sectors[k * rows:(k + 1) * rows])
+    return out
+
+
+def _split_rows(flat: np.ndarray, counts: np.ndarray
+                ) -> List[Tuple[int, ...]]:
+    """Cut a row-major flat array into tuples of ``counts`` items (the
+    form a :class:`~repro.isa.MemAccess` keeps, so it copies nothing)."""
+    items = tuple(flat.tolist())
     ends = np.cumsum(counts).tolist()
-    return list(map(flat.__getitem__, map(slice, [0] + ends[:-1], ends)))
+    return list(map(items.__getitem__, map(slice, [0] + ends[:-1], ends)))
 
 
 def coalesce_sectors(addresses: np.ndarray,
