@@ -140,14 +140,10 @@ class ShaderTranslator:
 
     def _missing(self, okey: tuple) -> str:
         kind, name = okey
-        if kind == "tex":
-            return ("shader %r samples texture slot %d but the kernel "
-                    "operands do not provide it" % (self.program.name, name))
-        if kind == "attr":
-            return ("shader %r needs attribute %r but the kernel operands "
-                    "do not provide it" % (self.program.name, name))
-        return ("shader %r needs %s operand %r but the kernel operands do "
-                "not provide it" % (self.program.name, kind, name))
+        what = {"tex": "texture slot", "attr": "attribute"}.get(
+            kind, kind + " operand")
+        return ("shader %r reads %s %r but the kernel operands do not "
+                "provide it" % (self.program.name, what, name))
 
     def _lower(self, active: int, index_fetch: bool
                ) -> Tuple[WarpTemplate, list]:

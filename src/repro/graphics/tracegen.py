@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..isa import CTATrace, KernelTrace, ShaderKind
-from ..memory.address import AddressAllocator, coalesce_blocks, span_lines
+from ..memory.address import AddressAllocator, coalesce_rows, span_lines
 from .framebuffer import Framebuffer
 from .geometry import INSTANCE_STRIDE, VERTEX_STRIDE, DrawCall
 from .lod import lod_from_gradients
@@ -242,25 +242,22 @@ class TraceGenerator:
         draw: DrawCall,
     ) -> CTATrace:
         verts, active = warp_rows(batch.unique_vertices, self.warp_size)
-        blocks = {}
+        operands = {}
         for name in translator.attributes:
             if name in _ATTR_OFFSETS:
-                blocks[("attr", name)] = (
-                    vb_base + verts * VERTEX_STRIDE + _ATTR_OFFSETS[name])
+                addrs = vb_base + verts * VERTEX_STRIDE + _ATTR_OFFSETS[name]
             elif name == "instance" and draw.instances is not None:
-                blocks[("attr", name)] = np.full(
-                    verts.shape, inst_base + instance * INSTANCE_STRIDE,
-                    dtype=np.int64)
-            # else: the translator names the missing attribute
+                addrs = np.full(verts.shape,
+                                inst_base + instance * INSTANCE_STRIDE,
+                                dtype=np.int64)
+            else:
+                continue  # the translator names what is missing
+            operands[("attr", name)] = coalesce_rows(addrs, active)
         slots = np.arange(verts.size, dtype=np.int64).reshape(verts.shape)
         out = out_base + slots * _VARYING_BYTES
         for i in range(translator.varying_stores):
-            blocks[("store", i)] = out + i * 16
-        operands = dict(zip(blocks, coalesce_blocks(list(blocks.values()),
-                                                    active)))
-        for i in range(translator.varying_stores):
-            # VS-output stores are whole-line traffic.
-            operands[("store", i)] = (operands[("store", i)][0], None)
+            operands[("store", i)] = (
+                coalesce_rows(out + i * 16, active)[0], None)
         # The batch's index fetch rides on its first warp.
         index_lines = span_lines(ib_base + batch.first_index_offset * 4,
                                  batch.num_triangles * 12)
@@ -367,20 +364,18 @@ class TraceGenerator:
         framebuffer.write_color(x, y, shaded)
 
         fb_addr = framebuffer.pixel_addresses(x, y)
-        # Coalesce every operand of the whole kernel at once, not per
-        # warp: texture slots, interpolant loads and the colour store.
+        # Coalesce each operand of the whole kernel at once: one call per
+        # texture slot, interpolant load and colour store, not per warp.
         vary_block, active = warp_rows(vary, self.warp_size)
-        blocks = {("tex", slot): warp_rows(addrs_by_slot[slot],
-                                           self.warp_size)[0]
-                  for slot in slot_textures}
+        operands = {}
+        for slot in slot_textures:
+            block, _ = warp_rows(addrs_by_slot[slot], self.warp_size)
+            operands[("tex", slot)] = coalesce_rows(block, active)
         for i in range(translator.varying_loads):
-            blocks[("varying", i)] = vary_block + i * 16
-        blocks[("color", None)] = warp_rows(fb_addr, self.warp_size)[0]
-        operands = dict(zip(blocks, coalesce_blocks(list(blocks.values()),
-                                                    active)))
-        for i in range(translator.varying_loads):
-            # Interpolant loads are whole-line traffic.
-            operands[("varying", i)] = (operands[("varying", i)][0], None)
+            operands[("varying", i)] = (
+                coalesce_rows(vary_block + i * 16, active)[0], None)
+        fb_block, _ = warp_rows(fb_addr, self.warp_size)
+        operands[("color", None)] = coalesce_rows(fb_block, active)
         warps = translator.emit(active.tolist(), operands)
 
         tex_rows = [operands[("tex", slot)][0] for slot in slot_textures]

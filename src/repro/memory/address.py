@@ -10,7 +10,7 @@ running workloads never alias by accident.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -139,29 +139,6 @@ def coalesce_rows(addresses: np.ndarray, active,
     line_first = line_first.reshape(rows, width)
     return (_split_rows(lines[line_first], line_first.sum(axis=1)),
             _split_rows(sectors[first], first.sum(axis=1)))
-
-
-def coalesce_blocks(blocks: Sequence[np.ndarray], active
-                    ) -> List[Tuple[List[Tuple[int, ...]],
-                                    List[Tuple[int, ...]]]]:
-    """:func:`coalesce_rows` of each (warps, lanes, ...) block in
-    ``blocks``, all of one kernel's warps (``active``).  Blocks of one
-    shape are stacked into a single call: rows never interact, so the
-    stacked result splits back exactly, and a kernel's operands cost one
-    sort instead of one each."""
-    out: list = [None] * len(blocks)
-    by_shape: Dict[tuple, List[int]] = {}
-    for i, block in enumerate(blocks):
-        by_shape.setdefault(block.shape, []).append(i)
-    for shape, members in by_shape.items():
-        rows = shape[0]
-        lines, sectors = coalesce_rows(
-            np.concatenate([blocks[i] for i in members]),
-            np.tile(np.broadcast_to(active, (rows,)), len(members)))
-        for k, i in enumerate(members):
-            out[i] = (lines[k * rows:(k + 1) * rows],
-                      sectors[k * rows:(k + 1) * rows])
-    return out
 
 
 def _split_rows(flat: np.ndarray, counts: np.ndarray

@@ -24,7 +24,6 @@ from repro.memory.address import (
     AddressAllocator,
     coalesce,
     coalesce_array,
-    coalesce_blocks,
     coalesce_rows,
     coalesce_sectors,
     line_of,
@@ -188,17 +187,6 @@ def test_coalesce_rows_equals_per_warp_coalesce_array(block, line_size):
     assert sectors == [
         tuple(coalesce_array(addrs[r, :n].ravel(), SECTOR_SIZE))
         for r, n in enumerate(active)]
-
-
-@given(block=warp_blocks())
-def test_coalesce_blocks_equals_coalesce_rows_per_block(block):
-    addrs, active = block
-    rows, lanes = addrs.shape[:2]
-    # Two blocks of one shape share a sort; the third shape gets its own.
-    blocks = [addrs, addrs[::-1] + 3 * LINE_SIZE,
-              addrs.reshape(rows, lanes, -1)[:, :, :1] + 5]
-    assert coalesce_blocks(blocks, active) == [
-        coalesce_rows(b, active) for b in blocks]
 
 
 def test_coalesce_rows_rejects_bad_active():
