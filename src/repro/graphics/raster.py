@@ -98,6 +98,12 @@ def frustum_cull(clip: np.ndarray, tris: np.ndarray) -> np.ndarray:
     return np.asarray(tris[keep], dtype=np.int64).reshape(-1, 3)
 
 
+#: Bounding-box pixels rasterized per step: consecutive triangles are
+#: taken together up to this many candidates (a larger triangle alone),
+#: which bounds the temporaries of a batch of large triangles.
+_STEP_PIXELS = 1 << 16
+
+
 def rasterize_batch(
     screen: np.ndarray,
     inv_w: np.ndarray,
@@ -116,14 +122,35 @@ def rasterize_batch(
     would within a batch.  ``depth_func`` is "less" (default) or "lequal"
     (used by the color pass after a depth pre-pass, where the visible
     surface's depth is already in the buffer).
+
+    Triangles are rasterized together, a step of consecutive triangles
+    at a time (:data:`_STEP_PIXELS`), with every per-triangle quantity
+    gathered per candidate pixel; each value is computed by the same
+    floating-point operations a one-triangle-at-a-time loop would use.
     """
     if depth_func not in ("less", "lequal"):
         raise ValueError("depth_func must be 'less' or 'lequal'")
     height, width = depth_buffer.shape
-    frags: List[FragmentBuffer] = []
     attr_names = tuple(attrs)
-    # Every attribute is interpolated in one call per triangle: pack them
-    # as the columns of one (V, k) array (``spans`` locates each).
+    tris = np.asarray(tris, dtype=np.int64).reshape(-1, 3)
+    corners = screen[tris]                   # (T, 3 vertices, xyz)
+    xs = corners[:, :, 0]
+    ys = corners[:, :, 1]
+    x_min = np.maximum(np.floor(xs.min(axis=1)), 0).astype(np.int64)
+    x_max = np.minimum(np.ceil(xs.max(axis=1)), width - 1).astype(np.int64)
+    y_min = np.maximum(np.floor(ys.min(axis=1)), 0).astype(np.int64)
+    y_max = np.minimum(np.ceil(ys.max(axis=1)), height - 1).astype(np.int64)
+    area2 = ((xs[:, 1] - xs[:, 0]) * (ys[:, 2] - ys[:, 0])
+             - (ys[:, 1] - ys[:, 0]) * (xs[:, 2] - xs[:, 0]))
+    keep = np.flatnonzero((x_min <= x_max) & (y_min <= y_max)
+                          & (area2 > 1e-12))
+    if not len(keep):
+        return FragmentBuffer.empty(attr_names)
+    tris, corners = tris[keep], corners[keep]
+    x_min, x_max = x_min[keep], x_max[keep]
+    y_min, y_max = y_min[keep], y_max[keep]
+    # Every attribute is interpolated in one pass: pack them as the
+    # columns of one (V, k) array (``spans`` locates each).
     spans: Dict[str, slice] = {}
     col = 0
     for name in attr_names:
@@ -131,90 +158,110 @@ def rasterize_batch(
         spans[name] = slice(col, col + k)
         col += k
     packed = np.concatenate([attrs[name] for name in attr_names], axis=1)
-    uv_cols = spans["uv"]
-    for tri in tris:
-        corners = screen[tri]
-        xs = corners[:, 0]
-        ys = corners[:, 1]
-        zs = corners[:, 2]
-        x_min = max(int(np.floor(xs.min())), 0)
-        x_max = min(int(np.ceil(xs.max())), width - 1)
-        y_min = max(int(np.floor(ys.min())), 0)
-        y_max = min(int(np.ceil(ys.max())), height - 1)
-        if x_min > x_max or y_min > y_max:
-            continue
-        area2 = (xs[1] - xs[0]) * (ys[2] - ys[0]) - (ys[1] - ys[0]) * (xs[2] - xs[0])
-        if area2 <= 1e-12:
-            continue
-        # Pixel centres: a row of x and a column of y, broadcast.
-        px = np.arange(x_min, x_max + 1)[None, :] + 0.5
-        py = np.arange(y_min, y_max + 1)[:, None] + 0.5
+    # Per-triangle setup: vertex x, y, z; the barycentric determinant
+    # and gradients (constant per triangle); attributes over w.
+    x0, x1, x2 = corners[:, 0, 0], corners[:, 1, 0], corners[:, 2, 0]
+    y0, y1, y2 = corners[:, 0, 1], corners[:, 1, 1], corners[:, 2, 1]
+    zs = corners[:, :, 2]
+    a0, b0 = y1 - y2, x2 - x1
+    a1, b1 = y2 - y0, x0 - x2
+    det = a0 * (x0 - x2) + b0 * (y0 - y2)
+    dl0dx, dl1dx = a0 / det, a1 / det
+    dl0dy, dl1dy = b0 / det, b1 / det
+    dl2dx = -dl0dx - dl1dx
+    dl2dy = -dl0dy - dl1dy
+    iw = inv_w[tris]                         # (T, 3)
+    over_w = packed[tris] * iw[:, :, None]   # (T, 3, k)
+    uv_over_w = over_w[:, :, spans["uv"]]
+    nx = x_max - x_min + 1
+    pixels = nx * (y_max - y_min + 1)
+    ends = np.cumsum(pixels)
+    parts: List[Tuple[np.ndarray, ...]] = []
+    first = 0
+    while first < len(tris):
+        done = ends[first - 1] if first else 0
+        stop = max(first + 1, int(np.searchsorted(
+            ends, done + _STEP_PIXELS, side="right")))
+        # Candidate pixels of triangles [first, stop), triangle-major
+        # and row-major within each bounding box.
+        t = np.repeat(np.arange(first, stop), pixels[first:stop])
+        k = np.arange(done, done + len(t)) - (ends[t] - pixels[t])
+        fx = k % nx[t] + x_min[t]
+        fy = k // nx[t] + y_min[t]
+        px = fx + 0.5
+        py = fy + 0.5
         # Affine barycentric weights in screen space (standard formula:
         # lambda_0 = [(y1-y2)(px-x2) + (x2-x1)(py-y2)] / det).
-        det = (ys[1] - ys[2]) * (xs[0] - xs[2]) + (xs[2] - xs[1]) * (ys[0] - ys[2])
-        w0 = ((ys[1] - ys[2]) * (px - xs[2]) + (xs[2] - xs[1]) * (py - ys[2])) / det
-        w1 = ((ys[2] - ys[0]) * (px - xs[2]) + (xs[0] - xs[2]) * (py - ys[2])) / det
+        dx = px - x2[t]
+        dy = py - y2[t]
+        dt = det[t]
+        w0 = (a0[t] * dx + b0[t] * dy) / dt
+        w1 = (a1[t] * dx + b1[t] * dy) / dt
         w2 = 1.0 - w0 - w1
-        inside = (w0 >= 0) & (w1 >= 0) & (w2 >= 0)
-        if not inside.any():
-            continue
+        inside = np.flatnonzero((w0 >= 0) & (w1 >= 0) & (w2 >= 0))
+        t, fx, fy = t[inside], fx[inside], fy[inside]
         l0, l1, l2 = w0[inside], w1[inside], w2[inside]
-        rows, cols = np.nonzero(inside)
-        fx = cols + x_min
-        fy = rows + y_min
-        z = l0 * zs[0] + l1 * zs[1] + l2 * zs[2]
+        z = l0 * zs[t, 0] + l1 * zs[t, 1] + l2 * zs[t, 2]
         if early_z:
-            if depth_func == "less":
-                passed = z < depth_buffer[fy, fx]
-            else:
-                passed = z <= depth_buffer[fy, fx] + 1e-12
-            if not passed.any():
-                continue
-            fx, fy, z = fx[passed], fy[passed], z[passed]
+            passed = _early_z(fx, fy, z, depth_buffer, depth_func)
+            t, fx, fy, z = t[passed], fx[passed], fy[passed], z[passed]
             l0, l1, l2 = l0[passed], l1[passed], l2[passed]
-            # In-order update; later triangles in this batch see it.
-            depth_buffer[fy, fx] = z
-        iw = inv_w[tri]
-        # Affine barycentric gradients (constant per triangle).
-        dl0dx = (ys[1] - ys[2]) / det
-        dl1dx = (ys[2] - ys[0]) / det
-        dl0dy = (xs[2] - xs[1]) / det
-        dl1dy = (xs[0] - xs[2]) / det
-        dl2dx = -dl0dx - dl1dx
-        dl2dy = -dl0dy - dl1dy
-        vals = packed[tri]
-        interp = _persp(vals, iw, l0, l1, l2)
-        out_attrs = {name: interp[:, span] for name, span in spans.items()}
-        uv_c = out_attrs["uv"]
-        # UV one pixel right and one pixel down, stacked: one call.
-        count = len(l0)
-        uv_step = _persp(vals[:, uv_cols], iw,
-                         np.concatenate([l0 + dl0dx, l0 + dl0dy]),
-                         np.concatenate([l1 + dl1dx, l1 + dl1dy]),
-                         np.concatenate([l2 + dl2dx, l2 + dl2dy]))
-        uv_xp = uv_step[:count]
-        uv_yp = uv_step[count:]
-        frags.append(FragmentBuffer(
-            fx, fy, z, out_attrs,
-            dudx=uv_xp[:, 0] - uv_c[:, 0],
-            dvdx=uv_xp[:, 1] - uv_c[:, 1],
-            dudy=uv_yp[:, 0] - uv_c[:, 0],
-            dvdy=uv_yp[:, 1] - uv_c[:, 1],
-        ))
-    if not frags:
+        parts.append((t, fx, fy, z, l0, l1, l2))
+        first = stop
+    t, fx, fy, z, l0, l1, l2 = (np.concatenate(c) for c in zip(*parts))
+    if not len(t):
         return FragmentBuffer.empty(attr_names)
-    return FragmentBuffer.concatenate(frags)
+    ow = over_w[t]
+    interp = _persp(ow, iw[t], l0, l1, l2)
+    out_attrs = {name: interp[:, span] for name, span in spans.items()}
+    uv_c = out_attrs["uv"]
+    # UV one pixel right and one pixel down.
+    uw = uv_over_w[t]
+    uv_xp = _persp(uw, iw[t], l0 + dl0dx[t], l1 + dl1dx[t], l2 + dl2dx[t])
+    uv_yp = _persp(uw, iw[t], l0 + dl0dy[t], l1 + dl1dy[t], l2 + dl2dy[t])
+    return FragmentBuffer(
+        fx, fy, z, out_attrs,
+        dudx=uv_xp[:, 0] - uv_c[:, 0],
+        dvdx=uv_xp[:, 1] - uv_c[:, 1],
+        dudy=uv_yp[:, 0] - uv_c[:, 0],
+        dvdy=uv_yp[:, 1] - uv_c[:, 1],
+    )
 
 
-def _persp(values: np.ndarray, iw: np.ndarray, a0: np.ndarray,
+def _early_z(fx: np.ndarray, fy: np.ndarray, z: np.ndarray,
+             depth_buffer: np.ndarray, depth_func: str) -> np.ndarray:
+    """Depth-test fragments in order, updating ``depth_buffer``; returns
+    which passed.  A fragment sees the writes of every earlier fragment
+    at its pixel: the ``r``-th fragment of each pixel is tested in round
+    ``r``, and within a round no two fragments share a pixel."""
+    pixel = fy * depth_buffer.shape[1] + fx
+    order = np.argsort(pixel, kind="stable")
+    ranked = pixel[order]
+    index = np.arange(len(pixel))
+    opens = np.ones(len(pixel), dtype=bool)
+    opens[1:] = ranked[1:] != ranked[:-1]
+    rank = np.empty(len(pixel), dtype=np.int64)
+    rank[order] = index - np.maximum.accumulate(np.where(opens, index, 0))
+    passed = np.zeros(len(pixel), dtype=bool)
+    for r in range(int(rank.max()) + 1 if len(rank) else 0):
+        sel = np.flatnonzero(rank == r)
+        zs = z[sel]
+        depth = depth_buffer[fy[sel], fx[sel]]
+        sel = sel[zs < depth if depth_func == "less"
+                  else zs <= depth + 1e-12]
+        depth_buffer[fy[sel], fx[sel]] = z[sel]
+        passed[sel] = True
+    return passed
+
+
+def _persp(over_w: np.ndarray, iw: np.ndarray, a0: np.ndarray,
            a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
-    """Perspective-correct interpolation of a triangle's (3, k) vertex
-    ``values`` at barycentrics ``a0``, ``a1``, ``a2``; ``iw`` holds the
-    vertices' reciprocal clip w."""
-    over_w = values * iw[:, None]
-    num = (a0[:, None] * over_w[0] + a1[:, None] * over_w[1]
-           + a2[:, None] * over_w[2])
-    den = a0 * iw[0] + a1 * iw[1] + a2 * iw[2]
+    """Perspective-correct interpolation at barycentrics ``a0``, ``a1``,
+    ``a2`` of per-fragment (N, 3, k) vertex values over w, ``over_w``;
+    ``iw`` (N, 3) holds the vertices' reciprocal clip w."""
+    num = (a0[:, None] * over_w[:, 0] + a1[:, None] * over_w[:, 1]
+           + a2[:, None] * over_w[:, 2])
+    den = a0 * iw[:, 0] + a1 * iw[:, 1] + a2 * iw[:, 2]
     return num / den[:, None]
 
 

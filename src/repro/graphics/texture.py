@@ -251,29 +251,51 @@ class Texture2D:
         addresses)``: (N,) texel addresses for nearest, (N, 4) for
         bilinear, (N, 8) for trilinear (the full 8-texel footprint
         reaching the texture unit)."""
+        return self.colors(footprint), self.addresses(footprint)
+
+    def colors(self, footprint: "Footprint") -> np.ndarray:
+        """The filtered (N, 4) colours of :meth:`gather`."""
+        self._check_footprint(footprint)
+        colors = [self._pass_colors(p) for p in footprint.passes]
+        if footprint.filter != "trilinear" or footprint.frac is None:
+            return colors[0]
+        c_lo, c_hi = colors
+        frac = footprint.frac
+        return (c_lo * (1.0 - frac) + c_hi * frac).astype(np.float32)
+
+    def addresses(self, footprint: "Footprint") -> np.ndarray:
+        """The texel addresses of :meth:`gather`."""
+        self._check_footprint(footprint)
+        addresses = [self.texel_addresses(p.x, p.y, p.levels, p.lay)
+                     for p in footprint.passes]
+        if footprint.filter != "trilinear":
+            return addresses[0]
+        if footprint.frac is None:
+            return np.concatenate([addresses[0], addresses[0]], axis=1)
+        return np.concatenate(addresses, axis=1)
+
+    @property
+    def address_layout(self) -> tuple:
+        """All a texel's byte offset from ``level_bases[0]`` depends on:
+        textures of one layout read a footprint's texels at the same
+        offsets from their first level."""
+        bases = self._require_placed()
+        return (self.geometry, self.compression, self.bytes_per_texel,
+                tuple(b - bases[0] for b in bases))
+
+    def _check_footprint(self, footprint: "Footprint") -> None:
         if footprint.geometry != self.geometry:
             raise ValueError("footprint of a %r texture cannot sample %r"
                              % (footprint.geometry, self))
-        passes = [self._gather_pass(p) for p in footprint.passes]
-        colors, addresses = passes[0]
-        if footprint.filter != "trilinear":
-            return colors, addresses
-        if footprint.frac is None:
-            return colors, np.concatenate([addresses, addresses], axis=1)
-        (c_lo, a_lo), (c_hi, a_hi) = passes
-        frac = footprint.frac
-        colors = c_lo * (1.0 - frac) + c_hi * frac
-        return colors.astype(np.float32), np.concatenate([a_lo, a_hi], axis=1)
 
-    def _gather_pass(self, p: "_Pass") -> Tuple[np.ndarray, np.ndarray]:
+    def _pass_colors(self, p: "_Pass") -> np.ndarray:
         texels = self.texels[p.rows]
         if p.weights is None:
-            colors = texels
-        else:
-            colors = np.zeros((len(texels), 4), dtype=np.float32)
-            for tap, weight in enumerate(p.weights):
-                colors += texels[:, tap] * weight
-        return colors, self.texel_addresses(p.x, p.y, p.levels, p.lay)
+            return texels
+        colors = np.zeros((len(texels), 4), dtype=np.float32)
+        for tap, weight in enumerate(p.weights):
+            colors += texels[:, tap] * weight
+        return colors
 
     def sample_nearest(
         self,

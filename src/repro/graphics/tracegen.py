@@ -23,7 +23,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..isa import CTATrace, KernelTrace, ShaderKind
-from ..memory.address import AddressAllocator, coalesce_rows, span_lines
+from ..memory.address import (LINE_SIZE, AddressAllocator, coalesce_flat,
+                              coalesce_rows, span_lines, split_rows)
 from .framebuffer import Framebuffer
 from .geometry import INSTANCE_STRIDE, VERTEX_STRIDE, DrawCall
 from .lod import lod_from_gradients
@@ -347,9 +348,16 @@ class TraceGenerator:
         # trailing axes as part of their lane either way.  LoD, mip level
         # and texel coordinates depend only on a texture's geometry, so
         # slots of one geometry (SPH's eight PBR maps) share a footprint.
+        # Textures of one address layout read it at the same offsets from
+        # their first level, and coalescing commutes with a line-aligned
+        # shift, so such slots also share one coalescing of the kernel's
+        # texel addresses (made relative to a line-aligned origin) and
+        # differ only in the origin added back.
+        vary_block, active = warp_rows(vary, self.warp_size)
         footprints: Dict[Tuple[int, int, int, int], Footprint] = {}
+        coalesced: Dict[tuple, tuple] = {}
         colors_by_slot: Dict[int, np.ndarray] = {}
-        addrs_by_slot: Dict[int, np.ndarray] = {}
+        operands = {}
         for slot, tex in slot_textures.items():
             footprint = footprints.get(tex.geometry)
             if footprint is None:
@@ -358,19 +366,26 @@ class TraceGenerator:
                        if self.lod_enabled else None)
                 footprint = footprints[tex.geometry] = tex.footprint(
                     uv[:, 0], uv[:, 1], lod, layer, self.tex_filter)
-            colors_by_slot[slot], addrs_by_slot[slot] = tex.gather(footprint)
+            colors_by_slot[slot] = tex.colors(footprint)
+            base = tex.level_bases[0]
+            origin = base - base % LINE_SIZE
+            key = (tex.address_layout, base - origin)
+            flat = coalesced.get(key)
+            if flat is None:
+                block, _ = warp_rows(tex.addresses(footprint) - origin,
+                                     self.warp_size)
+                flat = coalesced[key] = coalesce_flat(block, active)
+            lines, line_counts, sectors, sector_counts = flat
+            operands[("tex", slot)] = (
+                split_rows(lines + origin, line_counts),
+                split_rows(sectors + origin, sector_counts))
 
         shaded = _shade(draw.shader, colors_by_slot, normal)
         framebuffer.write_color(x, y, shaded)
 
         fb_addr = framebuffer.pixel_addresses(x, y)
         # Coalesce each operand of the whole kernel at once: one call per
-        # texture slot, interpolant load and colour store, not per warp.
-        vary_block, active = warp_rows(vary, self.warp_size)
-        operands = {}
-        for slot in slot_textures:
-            block, _ = warp_rows(addrs_by_slot[slot], self.warp_size)
-            operands[("tex", slot)] = coalesce_rows(block, active)
+        # interpolant load and colour store, not per warp.
         for i in range(translator.varying_loads):
             operands[("varying", i)] = (
                 coalesce_rows(vary_block + i * 16, active)[0], None)

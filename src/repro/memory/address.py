@@ -79,9 +79,7 @@ def coalesce_array(addresses: np.ndarray, line_size: int = LINE_SIZE) -> List[in
     return [int(lines[i]) for i in np.sort(idx)]
 
 
-def coalesce_rows(addresses: np.ndarray, active,
-                  line_size: int = LINE_SIZE,
-                  sector_size: int = SECTOR_SIZE
+def coalesce_rows(addresses: np.ndarray, active
                   ) -> Tuple[List[Tuple[int, ...]], List[Tuple[int, ...]]]:
     """:func:`coalesce_array` of every warp of a kernel at once, at line
     and at sector granularity.
@@ -94,26 +92,42 @@ def coalesce_rows(addresses: np.ndarray, active,
     the row's first address so they add nothing.
 
     Returns ``(lines, sectors)``: row ``r`` of ``lines`` holds
-    ``coalesce_array(addresses[r, :active[r]].ravel(), line_size)``, its
+    ``coalesce_array(addresses[r, :active[r]].ravel(), LINE_SIZE)``, its
     distinct lines in first-occurrence order, as a tuple, and row ``r`` of
-    ``sectors`` the same at ``sector_size``.  One stable sort of the sector addresses
-    serves the whole block and both granularities: a line's sectors form
-    one run of a sorted row, so the line's first occurrence is the lowest
-    lane index over that run.
+    ``sectors`` the same at ``SECTOR_SIZE``.
+    """
+    lines, line_counts, sectors, sector_counts = coalesce_flat(addresses,
+                                                               active)
+    return split_rows(lines, line_counts), split_rows(sectors, sector_counts)
+
+
+def coalesce_flat(addresses: np.ndarray, active
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`coalesce_rows` before the rows are cut apart.
+
+    Returns ``(lines, line_counts, sectors, sector_counts)``: every row's
+    distinct lines, concatenated row after row, and how many each row
+    has; the same for sectors.  Shifting a block's addresses by a
+    multiple of ``LINE_SIZE`` shifts these by the same amount and leaves
+    the counts alone, so a caller can coalesce one block and
+    :func:`split_rows` it at several such offsets.
+
+    One stable sort of the sector addresses serves the whole block and
+    both granularities: a line's sectors form one run of a sorted row, so
+    the line's first occurrence is the lowest lane index over that run.
     """
     block = np.asarray(addresses)
     if block.ndim < 2:
         raise ValueError("addresses must be a (warps, lanes, ...) block")
-    if line_size % sector_size:
-        raise ValueError("line_size must be a multiple of sector_size")
     rows, lanes = block.shape[:2]
     live = np.broadcast_to(np.asarray(active, dtype=np.int64), (rows,))
     if rows and (live.min() < 1 or live.max() > lanes):
         raise ValueError("active lanes must be in 1..%d" % lanes)
     if not rows:
-        return [], []
-    sectors = (block.astype(np.int64) // sector_size
-               * sector_size).reshape(rows, -1)
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty, empty
+    sectors = (block.astype(np.int64) // SECTOR_SIZE
+               * SECTOR_SIZE).reshape(rows, -1)
     width = sectors.shape[1]
     dead = np.arange(width) >= (live * (width // lanes))[:, None]
     sectors = np.where(dead, sectors[:, :1], sectors)
@@ -128,8 +142,8 @@ def coalesce_rows(addresses: np.ndarray, active,
     first = np.empty(rows * width, dtype=bool)
     first[flat_order] = starts.ravel()
     first = first.reshape(rows, width)
-    lines = sectors // line_size * line_size
-    ranked //= line_size
+    lines = sectors // LINE_SIZE * LINE_SIZE
+    ranked //= LINE_SIZE
     line_starts = np.ones(ranked.shape, dtype=bool)
     line_starts[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
     # Every row opens a run, so no run spans two rows of the flat order.
@@ -137,12 +151,12 @@ def coalesce_rows(addresses: np.ndarray, active,
     line_first = np.zeros(rows * width, dtype=bool)
     line_first[heads] = True
     line_first = line_first.reshape(rows, width)
-    return (_split_rows(lines[line_first], line_first.sum(axis=1)),
-            _split_rows(sectors[first], first.sum(axis=1)))
+    return (lines[line_first], line_first.sum(axis=1),
+            sectors[first], first.sum(axis=1))
 
 
-def _split_rows(flat: np.ndarray, counts: np.ndarray
-                ) -> List[Tuple[int, ...]]:
+def split_rows(flat: np.ndarray, counts: np.ndarray
+               ) -> List[Tuple[int, ...]]:
     """Cut a row-major flat array into tuples of ``counts`` items (the
     form a :class:`~repro.isa.MemAccess` keeps, so it copies nothing)."""
     items = tuple(flat.tolist())

@@ -16,7 +16,6 @@ and each L2 bank.  Features the paper's studies rely on:
 
 from __future__ import annotations
 
-import heapq
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..config import CacheConfig
@@ -148,11 +147,6 @@ class SetAssocCache:
         self._rows: List[Optional[_Row]] = [None] * self.num_sets
         # line address -> fill-ready cycle, for MSHR merging.
         self._pending: Dict[int, int] = {}
-        # Min-heap of (ready, line) for every fill recorded in _pending,
-        # so a full MSHR file finds its earliest fill without a scan.  An
-        # entry whose line has since retired or re-filled is stale.  Built
-        # the first time the file fills (never, for an L2 bank).
-        self._ready_heap: Optional[List[Tuple[int, int]]] = None
         self._use_clock = 0
         self._full_mask = (1 << (self.line_size // 32)) - 1
         self.set_partition: Optional[SetPartition] = None
@@ -319,14 +313,7 @@ class SetAssocCache:
         the owner can issue the write-back; otherwise None.
         """
         if ready is not None:
-            pending = self._pending
-            pending[line_addr] = ready
-            heap = self._ready_heap
-            if heap is not None:
-                heapq.heappush(heap, (ready, line_addr))
-                if len(heap) > 2 * len(pending) + 64:
-                    # Mostly stale (lines retired on access): rebuild.
-                    self._ready_heap = None
+            self._pending[line_addr] = ready
         mask = sector_mask or self._full_mask
         set_idx, tag = self._index(line_addr, stream)
         row = self._rows[set_idx]
@@ -388,20 +375,9 @@ class SetAssocCache:
         fill returned by the cycle this returns retires.
         """
         pending = self._pending
-        if len(pending) < self.config.mshr_entries:
-            return cycle
-        heap = self._ready_heap
-        if heap is None:
-            heap = self._ready_heap = [(r, l) for l, r in pending.items()]
-            heapq.heapify(heap)
-        heappop = heapq.heappop
-        while pending.get(heap[0][1]) != heap[0][0]:
-            heappop(heap)  # stale
-        if heap[0][0] > cycle:
-            cycle = heap[0][0]
-        while heap and heap[0][0] <= cycle:
-            ready, line = heappop(heap)
-            if pending.get(line) == ready:
+        if len(pending) >= self.config.mshr_entries:
+            cycle = max(cycle, min(pending.values()))
+            for line in [l for l, ready in pending.items() if ready <= cycle]:
                 del pending[line]
         return cycle
 

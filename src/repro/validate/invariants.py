@@ -130,7 +130,7 @@ class InvariantChecker(NullTelemetry):
     def on_cta_retire(self, sm, cta, cycle: int) -> None:
         self._note_cycle("cta_retire", cycle)
         self.check_cta_retirement(sm, cta, cycle)
-        insts = sum(len(w.trace.instructions) for w in cta.warps)
+        insts = sum(len(w.trace) for w in cta.warps)
         self._retired_insts[cta.stream] = (
             self._retired_insts.get(cta.stream, 0) + insts)
         self._retired_ctas[cta.stream] = (
@@ -272,7 +272,7 @@ class InvariantChecker(NullTelemetry):
                        "parked at a barrier" % (cta.stream,
                                                 cta.barrier_arrived))
         for w in cta.warps:
-            n = len(w.trace.instructions)
+            n = len(w.trace)
             if not w.done:
                 self._fail("warp_commit", "stream %d warp %d not done at CTA "
                            "retirement (pc %d/%d)"

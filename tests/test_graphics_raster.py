@@ -129,6 +129,40 @@ class TestEarlyZ:
                             depth=depth, size=32, early_z=False)
         assert behind.count > 0
 
+    @pytest.mark.parametrize("depth_func", ["less", "lequal"])
+    def test_batch_equals_one_triangle_at_a_time(self, depth_func):
+        # Overlapping triangles whose bounding boxes add up to several
+        # rasterization steps: the batch must see exactly the depth
+        # writes of the triangles before it, as one call per triangle
+        # does, and interpolate to the same bits.
+        rng = np.random.default_rng(5)
+        size = 300
+        screen = np.column_stack([rng.uniform(-20, size + 20, (90, 2)),
+                                  rng.uniform(0.1, 0.9, 90)])
+        tris = np.arange(90).reshape(30, 3)
+        inv_w = rng.uniform(0.5, 2.0, 90)
+        attrs = {"uv": rng.uniform(0, 4, (90, 2)),
+                 "normal": rng.uniform(-1, 1, (90, 3))}
+        start = np.full((size, size), 0.5 if depth_func == "lequal"
+                        else np.inf)
+        depth = start.copy()
+        batch = rasterize_batch(screen, inv_w, tris, attrs, depth,
+                                depth_func=depth_func)
+        alone_depth = start.copy()
+        alone = FragmentBuffer.concatenate([
+            rasterize_batch(screen, inv_w, tri[None], attrs, alone_depth,
+                            depth_func=depth_func) for tri in tris])
+        assert 0 < batch.count < sum(
+            (np.ptp(screen[t, 0]) + 2) * (np.ptp(screen[t, 1]) + 2)
+            for t in tris)
+        np.testing.assert_array_equal(depth, alone_depth)
+        for field in ("x", "y", "depth", "dudx", "dvdx", "dudy", "dvdy"):
+            np.testing.assert_array_equal(getattr(batch, field),
+                                          getattr(alone, field))
+        for name in attrs:
+            np.testing.assert_array_equal(batch.attrs[name],
+                                          alone.attrs[name])
+
 
 class TestOrderingAndWarps:
     def test_resolve_order_groups_tiles(self):

@@ -140,6 +140,30 @@ class TestSampling:
         assert np.all(colors >= 0.0) and np.all(colors <= 1.0)
 
 
+    @pytest.mark.parametrize("tex_filter", ["nearest", "bilinear",
+                                            "trilinear"])
+    def test_one_layout_reads_a_footprint_at_one_offset(self, tex_filter):
+        # The fragment stage coalesces one texture's addresses per layout
+        # and shifts them for the others; that needs a constant offset.
+        alloc = AddressAllocator(region=5)
+        a, b, c = (Texture2D(name, noise_texture(16, seed=i),
+                             compression=fmt)
+                   for i, (name, fmt) in enumerate(
+                       [("a", "none"), ("b", "none"), ("c", "bc1")]))
+        for tex in (a, b, c):
+            tex.place(alloc)
+        assert a.address_layout == b.address_layout != c.address_layout
+        rng = np.random.default_rng(3)
+        fp = a.footprint(rng.uniform(-1, 2, 64), rng.uniform(-1, 2, 64),
+                         rng.uniform(0, 5, 64), tex_filter=tex_filter)
+        shift = b.level_bases[0] - a.level_bases[0]
+        np.testing.assert_array_equal(b.addresses(fp),
+                                      a.addresses(fp) + shift)
+        colors, addrs = b.gather(fp)
+        np.testing.assert_array_equal(colors, b.colors(fp))
+        np.testing.assert_array_equal(addrs, b.addresses(fp))
+
+
 class TestProceduralTextures:
     def test_checkerboard_two_colors(self):
         img = checkerboard(8, squares=4)

@@ -24,10 +24,12 @@ from repro.memory.address import (
     AddressAllocator,
     coalesce,
     coalesce_array,
+    coalesce_flat,
     coalesce_rows,
     coalesce_sectors,
     line_of,
     span_lines,
+    split_rows,
 )
 from repro.memory.cache import SetAssocCache, SetPartition
 
@@ -178,15 +180,27 @@ def warp_blocks(draw):
     return np.array(flat, dtype=np.int64).reshape(shape), active
 
 
-@given(block=warp_blocks(), line_size=st.sampled_from((LINE_SIZE, SECTOR_SIZE)))
-def test_coalesce_rows_equals_per_warp_coalesce_array(block, line_size):
+@given(block=warp_blocks())
+def test_coalesce_rows_equals_per_warp_coalesce_array(block):
     addrs, active = block
-    lines, sectors = coalesce_rows(addrs, active, line_size)
-    assert lines == [tuple(coalesce_array(addrs[r, :n].ravel(), line_size))
+    lines, sectors = coalesce_rows(addrs, active)
+    assert lines == [tuple(coalesce_array(addrs[r, :n].ravel(), LINE_SIZE))
                      for r, n in enumerate(active)]
     assert sectors == [
         tuple(coalesce_array(addrs[r, :n].ravel(), SECTOR_SIZE))
         for r, n in enumerate(active)]
+
+
+@given(block=warp_blocks(), lines_over=st.integers(0, 1 << 20))
+def test_coalesce_flat_commutes_with_a_line_shift(block, lines_over):
+    # What lets one texture's coalescing serve every texture of its
+    # address layout (graphics/tracegen.py).
+    addrs, active = block
+    shift = lines_over * LINE_SIZE
+    lines, line_counts, sectors, sector_counts = coalesce_flat(addrs, active)
+    assert (split_rows(lines + shift, line_counts),
+            split_rows(sectors + shift, sector_counts)) == coalesce_rows(
+                addrs + shift, active)
 
 
 def test_coalesce_rows_rejects_bad_active():
@@ -196,8 +210,6 @@ def test_coalesce_rows_rejects_bad_active():
         coalesce_rows(np.zeros((2, 4), dtype=np.int64), 5)
     with pytest.raises(ValueError):
         coalesce_rows(np.zeros(4, dtype=np.int64), 4)
-    with pytest.raises(ValueError):
-        coalesce_rows(np.zeros((2, 4), dtype=np.int64), 4, LINE_SIZE, 48)
 
 
 @given(base=addresses, num_bytes=st.integers(1, 4 * LINE_SIZE))
