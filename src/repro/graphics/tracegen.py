@@ -258,7 +258,7 @@ class TraceGenerator:
         out = out_base + slots * _VARYING_BYTES
         for i in range(translator.varying_stores):
             operands[("store", i)] = (
-                coalesce_rows(out + i * 16, active)[0], None)
+                split_rows(*coalesce_flat(out + i * 16, active)[:2]), None)
         # The batch's index fetch rides on its first warp.
         index_lines = span_lines(ib_base + batch.first_index_offset * 4,
                                  batch.num_triangles * 12)
@@ -388,7 +388,8 @@ class TraceGenerator:
         # interpolant load and colour store, not per warp.
         for i in range(translator.varying_loads):
             operands[("varying", i)] = (
-                coalesce_rows(vary_block + i * 16, active)[0], None)
+                split_rows(*coalesce_flat(vary_block + i * 16, active)[:2]),
+                None)
         fb_block, _ = warp_rows(fb_addr, self.warp_size)
         operands[("color", None)] = coalesce_rows(fb_block, active)
         warps = translator.emit(active.tolist(), operands)
