@@ -79,15 +79,15 @@ qos-campaign:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro qos campaign \
 		--out benchmarks/QOS_campaign.json
 
-# Simulation-as-a-service smoke: ingest the checked-in benchmark history
-# into a scratch repository, start the dashboard and job queue on an
-# ephemeral port, assert /runs and /compare serve real payloads, POST a
-# nano job and a two-job campaign and wait for them to finish, then tear
-# down.
+# Simulation-as-a-service smoke: ingest the checked-in QoS history and
+# golden snapshots into a scratch repository, start the dashboard and job
+# queue on an ephemeral port, assert /runs serves them, POST a nano job and
+# a two-job campaign, wait for them to finish and assert /compare draws a
+# sim-rate trend from their stored runs, then tear down.
 serve-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) scripts/serve_smoke.py
 
-# The speed harnesses: sim-rate, telemetry overhead, cache replay, campaign
-# and scheduler throughput (the paper's claims are `make reproduce`).
+# The speed harnesses: sim-rate, telemetry overhead, cache replay and
+# campaign throughput (the paper's claims are `make reproduce`).
 bench:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks -q

@@ -1,7 +1,7 @@
 """repro.api — the unified execution surface.
 
 Every way of running a simulation — CLI subcommands, campaign jobs,
-profiling, benchmarks, library use — funnels through one function::
+benchmarks, library use — funnels through one function::
 
     from repro.api import RunRequest, WorkloadSpec, simulate
 
@@ -17,6 +17,10 @@ or a declarative :class:`WorkloadSpec`) and under which policy;
 :func:`simulate` runs it on the serial timing model and returns a
 :class:`RunResult`.  Runs parallelise across whole jobs, through
 :class:`repro.campaign.CampaignRunner`, never inside one simulation.
+
+:meth:`RunResult.to_record` is the one speed record: its ``instructions``
+and ``wall_seconds`` give the run repository's ``instructions_per_second``,
+which the dashboard's sim-rate trend reads.
 """
 
 from __future__ import annotations

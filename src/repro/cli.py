@@ -469,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     dsub = p.add_subparsers(dest="action", required=True)
     dp = dsub.add_parser(
         "ingest",
-        help="backfill BENCH_*.json, QoS reports, campaign summaries/"
+        help="backfill run records, QoS reports, campaign summaries/"
              "manifests, golden snapshots and telemetry directories")
     dp.add_argument("paths", nargs="+", metavar="PATH",
                     help="files or directories to scan")
@@ -481,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     dp = dsub.add_parser("ls", help="list stored runs, newest first")
     dp.add_argument("--db", metavar="PATH", default=None)
     dp.add_argument("--kind", default=None,
-                    choices=("run", "simrate", "qos", "campaign"))
+                    choices=("run", "qos", "campaign"))
     dp.add_argument("--fp", default=None, help="config fingerprint filter")
     dp.add_argument("--label", default=None)
     dp.add_argument("--source", default=None)
@@ -514,29 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="read-only dashboard: no job queue, no POST /submit")
     p.add_argument("--verbose", action="store_true",
                    help="log every HTTP request to stderr")
-
-    p = sub.add_parser(
-        "profile",
-        help="profile the timing core on one workload and report sim-rate")
-    p.add_argument("--scene", default="SPL", choices=scene_codes())
-    p.add_argument("--compute", default="HOLO",
-                   choices=sorted(WORKLOAD_BUILDERS))
-    p.add_argument("--res", default="nano", choices=sorted(RESOLUTIONS))
-    p.add_argument("--policy", default="mps", choices=POLICY_NAMES)
-    p.add_argument("--config", default="JetsonOrin-mini",
-                   choices=sorted(PRESETS))
-    p.add_argument("--top", type=int, default=20,
-                   help="profile entries to print")
-    p.add_argument("--sort", default="cumulative",
-                   choices=("cumulative", "tottime", "ncalls"),
-                   help="cProfile sort order")
-    p.add_argument("--repeats", type=int, default=1,
-                   help="unprofiled timing runs for the sim-rate record "
-                        "(best wall-clock wins)")
-    p.add_argument("--no-cprofile", action="store_true",
-                   help="skip the cProfile pass; just measure sim-rate")
-    p.add_argument("--out", help="append the sim-rate record to this JSON "
-                                 "file (BENCH_timing.json layout)")
 
     p = sub.add_parser("reproduce", help="run every experiment and write "
                                          "RESULTS.md")
@@ -738,44 +715,6 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_profile(args) -> int:
-    import json
-
-    from .core.platform import collect_streams
-    from .profiling import measure_simrate, profile_simulation
-
-    config = get_preset(args.config)
-    label = "%s+%s @ %s, policy=%s, %s" % (
-        args.scene, args.compute, args.res, args.policy, args.config)
-    print("collecting traces: %s" % label)
-    streams = collect_streams(config, scene=args.scene, res=args.res,
-                              compute=args.compute)
-    if not args.no_cprofile:
-        report, prof_record = profile_simulation(
-            config, streams, policy=args.policy, top=args.top,
-            sort=args.sort, label=label)
-        print(report, end="")
-        print("profiled run: %d cycles in %.2fs (profiler overhead included)"
-              % (prof_record["cycles"], prof_record["wall_seconds"]))
-    record = measure_simrate(config, streams, policy=args.policy,
-                             repeats=args.repeats, label=label)
-    print("sim-rate: %.0f instr/s, %.0f cycles/s "
-          "(%d instr, %d cycles, %.2fs wall, best of %d)"
-          % (record["instructions_per_second"],
-             record["cycles_per_second"], record["instructions"],
-             record["cycles"], record["wall_seconds"], args.repeats))
-    print(json.dumps(record, sort_keys=True))
-    if args.out:
-        from .service.records import load_bench_doc
-        doc = load_bench_doc(args.out)
-        doc["runs"].append(record)
-        with open(args.out, "w", encoding="utf-8") as f:
-            json.dump(doc, f, indent=1, sort_keys=True)
-            f.write("\n")
-        print("record -> %s" % args.out)
-    return 0
-
-
 def _cmd_reproduce(args) -> int:
     from .harness.reproduce import reproduce_all
     records = reproduce_all(args.out, only=args.only)
@@ -828,7 +767,6 @@ _COMMANDS = {
     "telemetry": _cmd_telemetry,
     "db": _cmd_db,
     "serve": _cmd_serve,
-    "profile": _cmd_profile,
     "reproduce": _cmd_reproduce,
     "inspect": _cmd_inspect,
 }

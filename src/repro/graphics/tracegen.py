@@ -302,7 +302,6 @@ class TraceGenerator:
             "uv": mesh.uvs[batch.unique_vertices],
             "normal": mesh.normals[batch.unique_vertices],
             "vary": vary_addr[:, None].astype(np.float64),
-            "layer": np.full((len(positions), 1), float(layer)),
         }
         frag = rasterize_batch(screen, inv_w, tris, attrs,
                                framebuffer.depth, early_z=self.early_z,
@@ -316,6 +315,10 @@ class TraceGenerator:
                 out_base + ((vary - out_base) // _VARYING_BYTES) * _VARYING_BYTES
             )[:, None]
             frag.attrs["_tris"] = np.full((frag.count, 1), float(len(tris)))
+            # The array layer is per instance, flat across every fragment:
+            # interpolated, it could land just under the integer and be
+            # truncated to the layer below.
+            frag.attrs["layer"] = np.full((frag.count, 1), float(layer))
         return frag
 
     # -- fragment stage ---------------------------------------------------------------

@@ -7,21 +7,15 @@ they pull in the campaign/execution stack.
 
 from .records import (
     RUN_RECORD_SCHEMA,
-    SIMRATE_SCHEMA,
     classify_document,
     content_key,
-    load_bench_doc,
-    normalize_simrate_record,
 )
 from .repository import DB_ENV_VAR, RunRepository, default_db_path
 
 __all__ = [
     "RUN_RECORD_SCHEMA",
-    "SIMRATE_SCHEMA",
     "classify_document",
     "content_key",
-    "load_bench_doc",
-    "normalize_simrate_record",
     "DB_ENV_VAR",
     "RunRepository",
     "default_db_path",

@@ -231,8 +231,9 @@ function renderTrend(groups) {
   groups = groups.filter(g => g.runs.length);
   if (!groups.length) {
     $("trend").innerHTML =
-      '<div class="empty">no sim-rate records yet — try ' +
-      '<span class="mono">repro db ingest benchmarks/</span></div>';
+      '<div class="empty">no timed runs yet — store some with ' +
+      '<span class="mono">repro campaign … --db PATH</span> ' +
+      'or POST /submit</div>';
     return;
   }
   const shown = groups.slice(0, 6), folded = groups.length - shown.length;

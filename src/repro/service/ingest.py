@@ -4,7 +4,7 @@
 recognised artifact through the tolerant readers in
 :mod:`repro.service.records`:
 
-* ``BENCH_*.json`` documents (schema-1 and schema-2 sim-rate rows),
+* run records (``RunResult.to_record()``),
 * QoS scenario reports and campaign documents,
 * campaign summaries (``--out``) and manifests (resume bookkeeping),
 * golden ``GPUStats`` snapshots under ``tests/golden``,
@@ -23,7 +23,6 @@ import os
 from typing import Callable, Dict, List, Optional
 
 from .records import (
-    DOC_BENCH,
     DOC_CAMPAIGN_MANIFEST,
     DOC_CAMPAIGN_SUMMARY,
     DOC_QOS_CAMPAIGN,
@@ -31,7 +30,6 @@ from .records import (
     DOC_RUN_RECORD,
     DOC_STATS,
     classify_document,
-    load_bench_doc,
 )
 from .repository import RunRepository
 
@@ -44,21 +42,6 @@ Progress = Optional[Callable[[str], None]]
 def _say(progress: Progress, msg: str) -> None:
     if progress is not None:
         progress(msg)
-
-
-def ingest_bench_doc(repo: RunRepository, path: str) -> int:
-    """Import every run (and the baseline) of one BENCH_*.json."""
-    doc = load_bench_doc(path)
-    created = doc.get("recorded_unix")
-    n = 0
-    rows = list(doc["runs"])
-    if isinstance(doc.get("baseline"), dict):
-        rows.insert(0, doc["baseline"])
-    for record in rows:
-        repo.add_simrate(record, source=os.path.basename(path),
-                         created_unix=created)
-        n += 1
-    return n
 
 
 def ingest_stats_snapshot(repo: RunRepository, path: str, doc: dict) -> int:
@@ -198,9 +181,7 @@ def ingest_file(repo: RunRepository, path: str,
     shape = classify_document(doc)
     if shape is None:
         return 0
-    if shape == DOC_BENCH:
-        n = ingest_bench_doc(repo, path)
-    elif shape == DOC_QOS_REPORT:
+    if shape == DOC_QOS_REPORT:
         n = repo.add_qos(doc, source=os.path.basename(path)) and 1
     elif shape == DOC_QOS_CAMPAIGN:
         n = ingest_qos_campaign(repo, path, doc)

@@ -1,12 +1,11 @@
-"""Schema-tolerant record readers — the repository's single migration point.
+"""Record layouts the run repository reads: versions, shapes, identity.
 
 Every persisted observability artifact the project has accumulated flows
-through here on its way into (or out of) the run repository: schema-1/2
-sim-rate records, ``BENCH_*.json`` documents, QoS reports, golden
-``GPUStats`` snapshots and campaign manifests.  When a record layout is
-bumped, this module is the one place that learns to read the old shape —
-``repro profile --out``, ``repro db ingest`` and the dashboard all share
-these readers instead of carrying private copies.
+through here on its way into the run repository: run records, QoS
+reports, golden ``GPUStats`` snapshots and campaign summaries and
+manifests.  :func:`classify_document` names a document's shape for
+``repro db ingest``; :func:`content_key` gives a record the identity that
+makes ingest idempotent.
 """
 
 from __future__ import annotations
@@ -15,56 +14,13 @@ import hashlib
 import json
 from typing import Optional
 
-#: Version of the sim-rate record layout.  Schema 2 added ``schema`` itself
-#: and ``config_fingerprint`` so BENCH_timing.json rows from different
-#: presets are distinguishable; schema-1 rows (no ``schema`` key) are still
-#: accepted by :func:`normalize_simrate_record`.
-SIMRATE_SCHEMA = 2
-
 #: Version of the repository run-record layout produced by
 #: :meth:`repro.api.RunResult.to_record`.
 RUN_RECORD_SCHEMA = 1
 
 
-def normalize_simrate_record(record: dict) -> dict:
-    """Upgrade an old (schema-1) record in place to the current layout.
-
-    Pre-schema rows carry neither ``schema`` nor ``config_fingerprint``;
-    both are filled with explicit markers so readers can group rows by
-    fingerprint without special-casing missing keys.  Schema-1 rows also
-    used ``workload`` where schema 2 says ``label``.
-    """
-    if "schema" not in record:
-        record["schema"] = 1
-    if "config_fingerprint" not in record:
-        record["config_fingerprint"] = None
-    if "label" not in record and "workload" in record:
-        record["label"] = record["workload"]
-    return record
-
-
-def load_bench_doc(path: str) -> dict:
-    """Read a BENCH_*.json document, tolerating old-schema rows and a
-    missing/corrupt file (returns an empty document in that case)."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except (OSError, ValueError):
-        return {"baseline": None, "runs": []}
-    if not isinstance(doc, dict):
-        return {"baseline": None, "runs": []}
-    doc.setdefault("baseline", None)
-    doc.setdefault("runs", [])
-    if isinstance(doc["baseline"], dict):
-        normalize_simrate_record(doc["baseline"])
-    doc["runs"] = [normalize_simrate_record(r) for r in doc["runs"]
-                   if isinstance(r, dict)]
-    return doc
-
-
 # -- document classification (repro db ingest) ------------------------------
 
-DOC_BENCH = "bench"              # {"baseline":..., "runs": [...]}
 DOC_QOS_REPORT = "qos-report"    # runner.run_scenario canonical report
 DOC_QOS_CAMPAIGN = "qos-campaign"  # qos campaign doc ({"rows": [...]})
 DOC_CAMPAIGN_SUMMARY = "campaign-summary"  # CampaignResult.write_summary
@@ -81,8 +37,6 @@ def classify_document(doc: object) -> Optional[str]:
         return DOC_QOS_REPORT
     if doc.get("kind") == "run" and "stats" in doc:
         return DOC_RUN_RECORD
-    if "runs" in doc and isinstance(doc["runs"], list):
-        return DOC_BENCH
     if "rows" in doc and "headline" in doc:
         return DOC_QOS_CAMPAIGN
     if "campaign_id" in doc and isinstance(doc.get("jobs"), list):

@@ -1,11 +1,12 @@
 """The persistent run repository: sqlite-backed, fingerprint-keyed.
 
 One table, ``runs``, holds every kind of stored observability artifact —
-full ``RunResult`` records, bare sim-rate rows, QoS reports, campaign job
-outcomes and telemetry-derived views — keyed by
-``GPUConfig.fingerprint()`` + workload label.  Component payloads live in
-JSON columns so the schema survives record-layout bumps: the tolerant
-readers in :mod:`repro.service.records` are the only migration point.
+full ``RunResult`` records, QoS reports, campaign job outcomes and
+telemetry-derived views — keyed by ``GPUConfig.fingerprint()`` + workload
+label.  Component payloads live in JSON columns so the schema survives
+record-layout bumps.  A run record's ``instructions`` and ``wall_seconds``
+give its ``instructions_per_second``: the sim-rate trend (:meth:`compare`)
+reads the stored runs themselves.
 
 Concurrency: WAL mode, and one connection per thread (and process), kept
 until :meth:`close` or the thread's end; queue workers, dashboard request
@@ -25,7 +26,7 @@ import threading
 import time
 from typing import Dict, List, Optional
 
-from .records import content_key, normalize_simrate_record
+from .records import content_key
 
 DB_ENV_VAR = "REPRO_DB"
 
@@ -50,7 +51,6 @@ CREATE TABLE IF NOT EXISTS runs (
     instructions_per_second REAL,
     wall_seconds REAL,
     stats_json TEXT,
-    simrate_json TEXT,
     qos_json TEXT,
     views_json TEXT,
     artifacts_json TEXT,
@@ -70,8 +70,8 @@ _SUMMARY_COLS = ("id", "run_key", "kind", "source", "label",
                  "job_fingerprint", "created_unix", "cycles", "instructions",
                  "instructions_per_second", "wall_seconds")
 
-_JSON_COLS = ("stats_json", "simrate_json", "qos_json", "views_json",
-              "artifacts_json", "extras_json")
+_JSON_COLS = ("stats_json", "qos_json", "views_json", "artifacts_json",
+              "extras_json")
 
 
 def _dumps(payload) -> Optional[str]:
@@ -150,12 +150,7 @@ class RunRepository:
         stats = record.get("stats") or {}
         wall = record.get("wall_seconds")
         instructions = record.get("instructions")
-        simrate = record.get("simrate")
-        if simrate is not None:
-            simrate = normalize_simrate_record(dict(simrate))
-        ips = (simrate or {}).get("instructions_per_second")
-        if ips is None and wall and instructions:
-            ips = instructions / wall
+        ips = instructions / wall if wall and instructions else None
         key = content_key("run", source, record.get("label", ""),
                           record.get("config_fingerprint"), stats,
                           record.get("qos") or {}, record.get("views") or {})
@@ -173,29 +168,9 @@ class RunRepository:
             "instructions_per_second": ips,
             "wall_seconds": wall,
             "stats_json": _dumps(stats),
-            "simrate_json": _dumps(simrate),
         }
         for name in ("qos", "views", "artifacts", "extras"):
             row[name + "_json"] = _dumps(record.get(name))
-        return self._insert(key, row)
-
-    def add_simrate(self, record: Dict[str, object], source: str = "bench",
-                    created_unix: Optional[float] = None) -> int:
-        """Store one (possibly old-schema) sim-rate record."""
-        record = normalize_simrate_record(dict(record))
-        key = content_key("simrate", source, record)
-        row = {
-            "kind": "simrate",
-            "source": source,
-            "label": record.get("label", "") or "",
-            "config_fingerprint": record.get("config_fingerprint"),
-            "created_unix": created_unix or time.time(),
-            "cycles": record.get("cycles"),
-            "instructions": record.get("instructions"),
-            "instructions_per_second": record.get("instructions_per_second"),
-            "wall_seconds": record.get("wall_seconds"),
-            "simrate_json": json.dumps(record, sort_keys=True),
-        }
         return self._insert(key, row)
 
     def add_qos(self, report: Dict[str, object], source: str = "qos",

@@ -8,7 +8,7 @@
 ``GET /summary``      repository counts + queue totals (stat tiles)
 ``GET /runs``         run summaries; filters ``kind``/``fp``/``label``/
                       ``source``/``limit``
-``GET /runs/<id>``    full run detail (stats, sim-rate, QoS, views) plus a
+``GET /runs/<id>``    full run detail (stats, QoS, views) plus a
                       pre-rendered text report when telemetry views exist
 ``GET /compare``      cross-run sim-rate trend groups (``fp``/``label``)
 ``GET /queue``        queue snapshot (jobs newest-first, state totals)

@@ -159,6 +159,30 @@ class TestTraceContents:
                             tex_in_trace += inst.mem.num_transactions
         assert tex_in_trace == res.tex_transactions
 
+    def test_instanced_fragments_sample_their_instance_layer(self, monkeypatch):
+        """Every IT fragment reads the array layer of its own instance."""
+        from repro.graphics.tracegen import TraceGenerator
+        from repro.scenes import build_scene, resolution
+
+        seen = []
+        fragment_kernel = TraceGenerator._fragment_kernel
+
+        def spy(self, draw, fragments, *args):
+            if draw.instances is not None:
+                seen.extend((frag.attrs["layer"][:, 0].astype(np.int64),
+                             int(draw.instances.layers[instance]))
+                            for frag, instance in fragments)
+            return fragment_kernel(self, draw, fragments, *args)
+
+        monkeypatch.setattr(TraceGenerator, "_fragment_kernel", spy)
+        scene = build_scene("IT")
+        GraphicsPipeline(scene.textures).render_frame(
+            scene.draws, scene.camera, *resolution("nano"))
+        assert len({expected for _, expected in seen}) > 1
+        wrong = sum(int((layers != expected).sum())
+                    for layers, expected in seen)
+        assert wrong == 0
+
 
 class TestVulkanAPI:
     def make_device(self):

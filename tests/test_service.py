@@ -98,19 +98,6 @@ class TestRepositoryRoundTrip:
         assert detail["stats"] == _stats_doc()
         assert detail["instructions_per_second"] == pytest.approx(900 / 2.0)
 
-    def test_simrate_round_trips_and_normalises_schema1(self, tmp_path):
-        repo = RunRepository(str(tmp_path / "runs.sqlite"))
-        old = {"workload": "SPL+HOLO", "instructions": 5000,
-               "cycles": 800, "wall_seconds": 2.0,
-               "instructions_per_second": 2500.0}
-        rid = repo.add_simrate(old)
-        detail = repo.get(rid)
-        assert detail["kind"] == "simrate"
-        assert detail["label"] == "SPL+HOLO"
-        assert detail["simrate"]["schema"] == 1
-        assert detail["simrate"]["config_fingerprint"] is None
-        assert detail["instructions_per_second"] == 2500.0
-
     def test_qos_round_trips_without_events(self, tmp_path):
         repo = RunRepository(str(tmp_path / "runs.sqlite"))
         report = {"kind": "qos-report", "scenario": {"name": "bursty"},
@@ -148,6 +135,45 @@ class TestRepositoryRoundTrip:
         assert group["latest_instructions_per_second"] == pytest.approx(
             900.0)
 
+    def test_file_with_a_simrate_column_and_row_still_opens(self, tmp_path):
+        """A repository file written when ``simrate`` rows still existed:
+        the unread column needs no migration, and the old row stays in
+        its trend group."""
+        import sqlite3
+
+        path = str(tmp_path / "runs.sqlite")
+        con = sqlite3.connect(path)
+        con.execute("""CREATE TABLE runs (
+            id INTEGER PRIMARY KEY AUTOINCREMENT,
+            run_key TEXT UNIQUE NOT NULL, kind TEXT NOT NULL,
+            source TEXT NOT NULL, label TEXT NOT NULL DEFAULT '',
+            config_fingerprint TEXT, config_name TEXT, policy TEXT,
+            job_fingerprint TEXT, created_unix REAL NOT NULL,
+            cycles INTEGER, instructions INTEGER,
+            instructions_per_second REAL, wall_seconds REAL,
+            stats_json TEXT, simrate_json TEXT, qos_json TEXT,
+            views_json TEXT, artifacts_json TEXT, extras_json TEXT)""")
+        con.execute(
+            "INSERT INTO runs (run_key, kind, source, label, "
+            "config_fingerprint, created_unix, cycles, instructions, "
+            "instructions_per_second, wall_seconds, simrate_json) "
+            "VALUES ('old', 'simrate', 'BENCH_timing.json', 'w', ?, 1.0, "
+            "800, 5000, 2500.0, 2.0, '{\"schema\": 1}')", ("f" * 16,))
+        con.commit()
+        con.close()
+
+        repo = RunRepository(path)
+        new_id = repo.add_record(_run_record("w"))
+        old, = repo.list_runs(kind="simrate")
+        assert [r["id"] for r in repo.list_runs()] == [new_id, old["id"]]
+        detail = repo.get(old["id"])
+        assert detail["instructions_per_second"] == 2500.0
+        assert "simrate" not in detail and detail["stats"] is None
+        (group,) = repo.compare()
+        assert [(r["kind"], r["instructions_per_second"])
+                for r in group["runs"]] == [("simrate", 2500.0),
+                                            ("run", pytest.approx(450.0))]
+
     def test_gc_keep(self, tmp_path):
         repo = RunRepository(str(tmp_path / "runs.sqlite"))
         for i in range(5):
@@ -184,12 +210,12 @@ class TestIdempotentIngest:
         repo = RunRepository(str(tmp_path / "runs.sqlite"))
         backfill(repo, [BENCH_DIR, GOLDEN_DIR])
         kinds = repo.counts()["by_kind"]
-        assert kinds.get("simrate", 0) > 0     # BENCH_timing.json rows
-        assert kinds.get("qos", 0) > 0         # QoS goldens + BENCH_qos
-        assert kinds.get("run", 0) >= 6        # six policy golden snapshots
+        assert set(kinds) == {"qos", "run"}
+        assert kinds["qos"] > 0                # QoS goldens + QOS_campaign
+        assert kinds["run"] >= 6               # six policy golden snapshots
 
     def test_classifier_identifies_every_shape(self):
-        assert classify_document({"runs": [], "baseline": None}) == "bench"
+        assert classify_document({"runs": [], "baseline": None}) is None
         assert classify_document({"kind": "qos-report"}) == "qos-report"
         assert classify_document({"rows": [], "headline": {}}) \
             == "qos-campaign"
@@ -553,6 +579,9 @@ def serve_stack(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("serve")
     repo = RunRepository(str(tmp / "runs.sqlite"))
     backfill(repo, [BENCH_DIR])
+    # Timed runs: the sim-rate trend reads their wall_seconds.
+    repo.add_record(_run_record("timed", wall=2.0))
+    repo.add_record(_run_record("timed", wall=1.0, cycles=1201))
     queue = JobQueue(repo, workers=1)
     server = DashboardServer(repo, queue=queue, port=0).start()
     yield server, repo, queue
@@ -596,7 +625,7 @@ class TestServeSmoke:
         server, _, _ = serve_stack
         _, _, body = _get(server, "/compare")
         groups = json.loads(body)["groups"]
-        assert groups, "BENCH backfill should produce trend groups"
+        assert groups, "timed run records should produce trend groups"
         assert all("best_instructions_per_second" in g for g in groups)
 
     def test_queue_and_submit_dedupe_over_http(self, serve_stack,
@@ -710,7 +739,7 @@ class TestCliDb:
         assert "ingested" in out
         assert main(["db", "ls", "--db", db]) == 0
         out = capsys.readouterr().out
-        assert "simrate" in out or "qos" in out
+        assert "qos" in out
         first_id = int(out.splitlines()[1].split()[0])
         assert main(["db", "show", str(first_id), "--db", db]) == 0
         detail = json.loads(capsys.readouterr().out)

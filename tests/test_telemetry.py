@@ -314,39 +314,3 @@ class TestCLISurface:
                           "occupancy"]
         l2 = str(tmp_path / "stats_l2_timeline.csv")
         assert os.path.exists(l2)
-
-
-class TestSimrateSchema:
-    def test_record_has_schema_and_fingerprint(self):
-        from repro.profiling import simrate_record
-        from repro.service.records import SIMRATE_SCHEMA
-        from repro.timing import GPUStats
-        config = get_preset("JetsonOrin-mini")
-        stats = GPUStats()
-        stats.cycles = 100
-        record = simrate_record(stats, 0.5, label="x", config=config)
-        assert record["schema"] == SIMRATE_SCHEMA == 2
-        assert record["config_fingerprint"] == config.fingerprint()
-
-    def test_old_rows_tolerated(self, tmp_path):
-        from repro.service.records import (
-            load_bench_doc,
-            normalize_simrate_record,
-        )
-        old = {"label": "legacy", "instructions": 1, "cycles": 2,
-               "wall_seconds": 0.1, "instructions_per_second": 10.0,
-               "cycles_per_second": 20.0}
-        fixed = normalize_simrate_record(dict(old))
-        assert fixed["schema"] == 1
-        assert fixed["config_fingerprint"] is None
-        path = tmp_path / "BENCH_timing.json"
-        path.write_text(json.dumps({"baseline": dict(old),
-                                    "runs": [dict(old)]}))
-        doc = load_bench_doc(str(path))
-        assert doc["baseline"]["schema"] == 1
-        assert doc["runs"][0]["config_fingerprint"] is None
-
-    def test_missing_file_gives_empty_doc(self, tmp_path):
-        from repro.service.records import load_bench_doc
-        doc = load_bench_doc(str(tmp_path / "absent.json"))
-        assert doc == {"baseline": None, "runs": []}

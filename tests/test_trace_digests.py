@@ -43,8 +43,10 @@ GRAPHICS_DIGESTS = {
     # The 8-map PBR shader and the instanced vertex stage.
     ("SPH", "nearest", False):
         "27bfe27c4af18f1ef8fc0d78c72502c8d97b4d15dee99c49e67ed735a28dd20b",
+    # Re-pinned when the per-instance array layer stopped being
+    # interpolated (97 of 1,219 fragments had truncated to the layer below).
     ("IT", "nearest", False):
-        "f5d287a260ed83ea1661579e92f10817097e9b295e5baf13d72b821aa411f77f",
+        "3772d5f45ac6be1688da4023988a1947950cfbff0fb603e6b70e5454730ce9c7",
 }
 
 COMPUTE_DIGESTS = {
