@@ -12,8 +12,9 @@ test:
 lint:
 	$(PYTHON) -m ruff check src tests benchmarks
 
-# The two wall-clock gates, timing-core sim-rate and telemetry overhead,
-# plus the cache replay (stats gate; its ns/access is a trend only).
+# The timing core's host-work gate (bytecodes per instruction, pinned
+# for CPython 3.11), the telemetry-overhead wall-clock gate and the
+# cache replay (stats gate; its ns/access is a trend only).
 bench-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -m bench -s \
 		benchmarks/test_timing_simrate.py \

@@ -1,8 +1,12 @@
-"""Sim-rate regression benchmark for the timing core.
+"""Host-work regression gate for the timing core.
 
-Times ``repro.api.simulate`` on the reference workload (sponza + hologram
-at nano, mps, JetsonOrin-mini), best of 5, and asserts the cumulative
-hot-path speedup over the pre-optimisation baseline has not regressed.
+Counts the bytecodes CPython executes in ``repro.api.simulate`` on the
+reference workload (sponza + hologram at nano, mps, JetsonOrin-mini) and
+fails if the count per simulated instruction grows more than 2% past the
+pinned value.  The counter is ``scripts/opcount.py``'s tracer, so the
+gate and ``make opcount`` count the same way.  Unlike a wall-clock rate,
+the count repeats exactly on any machine for one CPython version, so the
+gate is pinned for CPython 3.11 and skips on the others.
 
 Run with::
 
@@ -11,7 +15,8 @@ Run with::
 
 from __future__ import annotations
 
-import time
+import os
+import sys
 
 import pytest
 
@@ -21,40 +26,49 @@ from repro.core.platform import collect_streams
 
 from bench_util import print_header
 
-#: The reference workload as the pre-optimisation core measured it: its
-#: instruction count (the workload must be this one or the ratio is
-#: meaningless) and its sim-rate, 98,120 instructions in 1.04 s.
-BASELINE_INSTRUCTIONS = 98120
-BASELINE_INSTR_PER_S = 94310.37339731454
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "scripts"))
+from opcount import count_opcodes  # noqa: E402
 
-#: Ongoing regression gate, bumped per optimisation PR: the issue-tuple
-#: overhaul measured 2.1x over the stored baseline, the structure-of-arrays
-#: core 3.3x; the floor keeps headroom for slow/noisy CI runners while
-#: making it impossible to silently give either win back.
-MIN_SPEEDUP = 2.5
-REPEATS = 5
+#: The reference workload's instruction count: the workload must be this
+#: one or the count per instruction is meaningless.
+BASELINE_INSTRUCTIONS = 98120
+
+#: Bytecodes per simulated instruction of one warm ``simulate()`` of the
+#: reference workload under CPython 3.11 (measured on 3.11.7), and the
+#: growth the gate allows.  A change that moves the count on purpose
+#: re-pins it.
+PINNED_PYTHON = (3, 11)
+PINNED_BYTECODES_PER_INSTRUCTION = 470.4
+TOLERANCE = 0.02
+
+
+def _run(config, streams):
+    return simulate(config=config, streams=streams, policy="mps").stats
 
 
 @pytest.mark.bench
-def test_timing_simrate():
+def test_timing_host_work():
+    if sys.version_info[:2] != PINNED_PYTHON:
+        pytest.skip("bytecode counts are pinned for CPython %d.%d; this is "
+                    "%d.%d" % (PINNED_PYTHON + sys.version_info[:2]))
     config = get_preset("JetsonOrin-mini")
     streams = collect_streams(config, scene="SPL", res="nano",
                               compute="HOLO")
-    best = None
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        stats = simulate(config=config, streams=streams, policy="mps").stats
-        wall = time.perf_counter() - t0
-        best = wall if best is None else min(best, wall)
-    rate = stats.total_instructions / best
-    speedup = rate / BASELINE_INSTR_PER_S
+    # A warm run first: what a cold one adds (first-call imports) is not
+    # per-instruction work.
+    _run(config, streams)
+    stats, counts, intact = count_opcodes(lambda: _run(config, streams))
+    assert intact, "the opcode tracer was dropped during the run"
+    per = sum(counts.values()) / stats.total_instructions
+    limit = PINNED_BYTECODES_PER_INSTRUCTION * (1 + TOLERANCE)
 
-    print_header("timing core sim-rate (best of %d)" % REPEATS)
-    print("baseline: %10.0f instr/s" % BASELINE_INSTR_PER_S)
-    print("current:  %10.0f instr/s  (%.2fs wall)" % (rate, best))
-    print("speedup:  %10.2fx  (gate: >= %.1fx)" % (speedup, MIN_SPEEDUP))
+    print_header("timing core host work (bytecodes per instruction)")
+    print("pinned:   %8.1f  (CPython %d.%d)" % (
+        PINNED_BYTECODES_PER_INSTRUCTION, *PINNED_PYTHON))
+    print("current:  %8.1f  (gate: <= %.1f)" % (per, limit))
 
     assert stats.total_instructions == BASELINE_INSTRUCTIONS
-    assert speedup >= MIN_SPEEDUP, (
-        "timing core sim-rate regressed: %.2fx < %.1fx"
-        % (speedup, MIN_SPEEDUP))
+    assert per <= limit, (
+        "timing core host work grew: %.1f bytecodes per instruction > %.1f"
+        % (per, limit))

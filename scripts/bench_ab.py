@@ -7,8 +7,9 @@ Usage, from the root of a checkout::
 (or ``make bench-ab WORKLOAD=frame-4k PAIRS=10 BASE=main``).  Extracts
 ``--base`` into a temporary directory with ``git archive`` (a plain
 directory, so an interrupted run leaves nothing registered in ``.git``),
-then runs the command ``BENCHMARK.json`` declares, for its
-``run_seconds``, alternately in that tree and in the working tree:
+warms both trees the same way (:func:`warm`), then runs the command
+``BENCHMARK.json`` declares, for its ``run_seconds``, alternately in
+that tree and in the working tree:
 pair ``i`` uses seed ``i`` on both sides, and odd pairs run the working
 tree first.  Prints each end-to-end metric's median and quartiles on
 both sides, how many pairs the working tree won, whether the gap
@@ -44,6 +45,21 @@ def run_once(tree: str, command: List[str], workload: str, seed: int,
         raise RuntimeError("%s in %s exited %d:\n%s" % (
             " ".join(argv), tree, proc.returncode, proc.stderr[-2000:]))
     return json.loads(lines[-1])
+
+
+def warm(tree: str, command: List[str], workload: str) -> None:
+    """Byte-compile ``tree``'s sources and run one untimed set-up in it.
+
+    Before pair 1 the freshly extracted base tree and the working tree
+    can differ in what a run does not measure: compiled bytecode (the
+    working tree may hold ``__pycache__`` from earlier runs, the base
+    tree never does) and file pages in the page cache.  Warming both the
+    same way leaves neither side a head start in set-up.
+    """
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src",
+                    "perfbench"], cwd=tree, capture_output=True, check=True)
+    subprocess.run(command + ["--workload", workload, "--setup-only"],
+                   cwd=tree, capture_output=True, check=True)
 
 
 def quartiles(values: List[float]):
@@ -127,6 +143,8 @@ def main(argv=None) -> int:
                                  capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", base_tree], input=archive,
                        check=True)
+        for tree in (base_tree, ROOT):
+            warm(tree, command, args.workload)
         base: List[dict] = []
         change: List[dict] = []
         for seed in range(1, args.pairs + 1):

@@ -22,8 +22,8 @@ from .opcodes import DataClass, Op, Space, op_info
 # (0..num_renamed_regs-1, first-use order) that index the flat per-warp
 # scoreboard slice directly.  A stream holds no memory operand: IE_MEM
 # indexes the warp's own ``mems``, so every warp of one program can share
-# one stream.
-IE_UNIT = 0        # Unit enum (for per-unit stat counters)
+# one stream.  Each tuple links to its successor (IE_NEXT).
+IE_PC = 0          # the entry's own index in its stream
 IE_UNIT_IDX = 1    # dense unit index (execution-pipe list index)
 IE_LATENCY = 2     # issue-to-writeback latency
 IE_INITIATION = 3  # pipe initiation interval
@@ -32,6 +32,7 @@ IE_DST = 5         # destination register (-1 = none)
 IE_MEM = 6         # index into the warp's mems (-1 = not an LDST op)
 IE_IS_BAR = 7      # True for CTA barriers
 IE_INFO = 8        # the opcode's OpInfo (the LDST path reads its space)
+IE_NEXT = 9        # the next entry of the stream (None after the last)
 
 
 class MemAccess:

@@ -31,6 +31,10 @@ def lower(instructions: Sequence[WarpInstruction]
     on the issue path.  Renaming is a bijection per trace, so dependency
     timing (and hence simulated behaviour) is bit-identical to raw ids.
 
+    Each tuple holds its own index (``IE_PC``) and its successor
+    (``IE_NEXT``), so a stream nests as deep as it is long: traces and
+    templates drop theirs when pickled.
+
     Returns the issue tuples, ``n``, the number of renamed registers, the
     unit histogram: ``(UNIT_INDEX, issues)`` pairs of the units the list
     uses, in index order, which the timing model adds to its per-unit
@@ -42,11 +46,11 @@ def lower(instructions: Sequence[WarpInstruction]
     per trace and :class:`WarpTemplate` once per shader program or kernel.
     """
     remap: Dict[int, int] = {}
-    stream: List[tuple] = []
+    fields: List[tuple] = []
     units: Dict[int, int] = {}
     mems: List[Optional[MemAccess]] = []
-    app = stream.append
-    for inst in instructions:
+    app = fields.append
+    for pc, inst in enumerate(instructions):
         info = inst.info
         ui = UNIT_INDEX[info.unit]
         units[ui] = units.get(ui, 0) + 1
@@ -64,7 +68,7 @@ def lower(instructions: Sequence[WarpInstruction]
         else:
             mem_index = -1
         app((
-            info.unit,
+            pc,
             ui,
             info.latency,
             info.initiation,
@@ -74,6 +78,10 @@ def lower(instructions: Sequence[WarpInstruction]
             inst.op is Op.BAR,
             info,
         ))
+    stream: List[tuple] = [()] * len(fields)
+    nxt = None
+    for pc in range(len(fields) - 1, -1, -1):
+        nxt = stream[pc] = fields[pc] + (nxt,)
     return stream, len(remap), tuple(sorted(units.items())), tuple(mems)
 
 
@@ -141,6 +149,10 @@ class WarpTrace:
             self.issue_stream()
         return self._unit_counts
 
+    def __reduce__(self):
+        # Pickle would recurse once per entry of a linked issue stream.
+        return WarpTrace, (self.instructions,)
+
     def __len__(self) -> int:
         stream = self._issue_stream
         if stream is not None:
@@ -189,6 +201,9 @@ class WarpTemplate:
                                 for pos in self.mem_slots)
         self._fixed = (None if self._slot_mems == tuple(range(len(fixed)))
                        else fixed)
+
+    def __reduce__(self):
+        return WarpTemplate, (self.instructions, self.mem_slots)
 
     def instantiate(self, mems: Sequence[MemAccess]) -> WarpTrace:
         """A warp whose memory slots carry ``mems``, in slot order."""

@@ -168,6 +168,10 @@ class SetAssocCache:
         #: physical array with shared memory; the SM shrinks/grows this as
         #: CTAs allocate/free shared memory (the carveout).
         self.usable_ways = self.assoc
+        #: Resident lines per class value (a str hash is cached; an Enum's
+        #: is a Python call) and per stream, kept by :meth:`fill`.
+        self._class_lines: Dict[Optional[str], int] = {}
+        self._stream_lines: Dict[int, int] = {}
 
     # -- partition control -------------------------------------------------
     def partition_sets(self, ratios: Optional[Dict[int, int]]) -> None:
@@ -329,6 +333,11 @@ class SetAssocCache:
             return None
         clock = self._use_clock + 1
         self._use_clock = clock
+        key = data_class._value_ if data_class is not None else None
+        class_lines = self._class_lines
+        class_lines[key] = class_lines.get(key, 0) + 1
+        stream_lines = self._stream_lines
+        stream_lines[stream] = stream_lines.get(stream, 0) + 1
         tags = row.tags
         n = len(tags)
         if n < usable:
@@ -348,6 +357,9 @@ class SetAssocCache:
         old = tags[w]
         old_stream = row.streams[w]
         self._stats(old_stream).evictions += 1
+        old_class = row.classes[w]
+        class_lines[old_class._value_ if old_class is not None else None] -= 1
+        stream_lines[old_stream] -= 1
         # Tags are full line addresses, so a dirty victim's address is
         # recoverable for the write-back.
         written_back = (old, old_stream) if row.dirty[w] else None
@@ -393,24 +405,14 @@ class SetAssocCache:
 
     # -- introspection -----------------------------------------------------
     def composition(self) -> Dict[DataClass, int]:
-        """Valid-line counts per data class (Fig 11 snapshots)."""
-        comp: Dict[DataClass, int] = {}
-        for row in self._rows:
-            if row is None:
-                continue
-            for cls in row.classes:
-                if cls is not None:
-                    comp[cls] = comp.get(cls, 0) + 1
-        return comp
+        """Resident-line counts per data class (Fig 11 snapshots),
+        stranded copies included, the None class and empty ones not."""
+        return {DataClass(key): n for key, n in self._class_lines.items()
+                if n and key is not None}
 
     def composition_by_stream(self) -> Dict[int, int]:
-        comp: Dict[int, int] = {}
-        for row in self._rows:
-            if row is None:
-                continue
-            for stream in row.streams:
-                comp[stream] = comp.get(stream, 0) + 1
-        return comp
+        """Resident-line counts per stream, as :meth:`composition`."""
+        return {stream: n for stream, n in self._stream_lines.items() if n}
 
     def occupancy(self) -> float:
         valid = sum(len(row.tags) for row in self._rows if row is not None)

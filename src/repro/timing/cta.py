@@ -314,7 +314,7 @@ class CTAScheduler:
             self.policy.on_kernel_start(self.gpu, sq.stream_id, kernel, cycle)
             self.gpu.telemetry.on_kernel_start(sq.stream_id, kernel, cycle)
         kernel_ref, cta = sq.take_cta(cycle)
-        resident = best_sm.launch_cta(kernel_ref, cta, sq.stream_id)
+        resident = best_sm.launch_cta(kernel_ref, cta, res, sq.stream_id)
         resident.launch_cycle = cycle
         return True
 

@@ -31,31 +31,26 @@ at each commit, exact because the scoreboard is single-writer) against the
 pipe's ``_pnf[unit_idx]``.  No scoreboard walk, no attribute chases,
 no nested calls.
 
-The ready queue itself has two representations:
-
-* **Bucket queue** (GTO, the default): a dict of ``estimate -> [cursor,
-  slot, slot, ...]`` plus a small min-heap of the bucket keys.  Every GTO
-  push uses a *fresh* monotone sequence number in the classic heap
-  formulation, so heap pop order ``(estimate, seq)`` is exactly "ascending
-  estimate, FIFO within estimate" — which buckets reproduce bit-identically
-  while replacing O(log n) sift operations (~3 heap pops per issued
-  instruction under contention) with list appends and cursor bumps, and
-  dropping the per-entry tuple allocation and seq draw entirely.
-* **Lazy min-heap** of ``(estimate, seq, slot)`` tuples: LRR only.  LRR
-  re-queues *losing* ready warps with their original, out-of-order seqs,
-  which breaks the FIFO-within-bucket equivalence.  ``_bucketed`` selects
-  the representation at construction.
+One ready queue serves both policies, popping in ``(estimate, push seq)``
+order.  An entry is one small int, ``estimate << _shift | seq``, and
+``_qslot[seq]`` is its slot, so a push allocates nothing; when ``seq``
+reaches the table's end, :meth:`_resequence` renumbers the live entries
+in pop order, which changes no pop.  GTO re-queues at a fresh seq; LRR
+re-pushes the ready warps it passes over with their original keys.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, List, Tuple
+from heapq import heappop, heappush
+from typing import List
 
 from ..isa.instructions import IE_MEM, IE_UNIT_IDX
 from ..isa.opcodes import UNITS_ORDERED
-from .slots import SlotState
+from .slots import DONE, PARKED, SlotState
 from .warp import BLOCKED
+
+#: Initial bits of a queue key below the estimate (the seq table's size).
+SEQ_BITS = 10
 
 
 class GTOScheduler:
@@ -78,16 +73,17 @@ class GTOScheduler:
         self._pnf: List[int] = [0] * len(UNITS_ORDERED)
         self.policy = policy
         self.state = state
-        #: Lazy min-heap of (estimated issue cycle, seq, warp slot) — the
-        #: LRR representation (see module docstring).
-        self._heap: List[Tuple[int, int, int]] = []
-        #: Monotone push sequence for the heap representation.
+        #: True for LRR, whose selection is :meth:`_pick_lrr`; GTO's is
+        #: inline in ``SM.tick``.
+        self._lrr = policy == "lrr"
+        #: The ready queue: a min-heap of ``estimate << _shift | seq``.
+        self._q: List[int] = []
+        #: ``seq -> warp slot`` of the queue's entries.
+        self._qslot: List[int] = [0] * (1 << SEQ_BITS)
+        #: Seq of the next push (< ``len(_qslot)`` == ``_mask + 1``).
         self._seq = 0
-        #: GTO bucket-queue representation: estimate -> [cursor, slot, ...]
-        #: (element 0 is the read cursor) plus a min-heap of live keys.
-        self._bucketed = policy == "gto"
-        self._buckets: Dict[int, List[int]] = {}
-        self._bkeys: List[int] = []
+        self._shift = SEQ_BITS
+        self._mask = (1 << SEQ_BITS) - 1
         #: Slot of the warp that issued last (-1 = none): the greedy pick.
         self._greedy = -1
         #: Exact earliest issue cycle of the greedy warp's next instruction
@@ -104,78 +100,112 @@ class GTOScheduler:
         self.next_event_cache = 0
 
     # -- ready queue ---------------------------------------------------------
-    def _qpush(self, est: int, slot: int) -> None:
-        """Queue ``slot`` at estimated issue cycle ``est`` (either repr)."""
-        if self._bucketed:
-            b = self._buckets.get(est)
-            if b is None:
-                self._buckets[est] = [1, slot]
-                heapq.heappush(self._bkeys, est)
-            else:
-                b.append(slot)
-        else:
-            seq = self._seq
-            self._seq = seq + 1
-            heapq.heappush(self._heap, (est, seq, slot))
+    def push(self, est: int, slot: int) -> None:
+        """Queue ``slot`` at estimated cycle ``est`` (inline in SM.tick)."""
+        seq = self._seq
+        try:
+            self._qslot[seq] = slot
+        except IndexError:
+            # The seq table is full: renumber, then queue behind the rest.
+            seq = self._resequence()
+            self._qslot[seq] = slot
+        self._seq = seq + 1
+        heappush(self._q, est << self._shift | seq)
+
+    def _resequence(self) -> int:
+        """Renumber the live entries ``0..k-1`` in pop order, dropping
+        finished warps', and return ``k``.  Both lists change in place
+        (``SM.tick`` holds them); a table left over half full doubles."""
+        q = self._q
+        qslot = self._qslot
+        shift = self._shift
+        mask = self._mask
+        flags = self.state.flags
+        live = [(key >> shift, qslot[key & mask]) for key in sorted(q)]
+        live = [(est, slot) for est, slot in live if not flags[slot] & DONE]
+        k = len(live)
+        while 2 * k > mask + 1:
+            shift += 1
+            mask = 2 * mask + 1
+        qslot.extend([0] * (mask + 1 - len(qslot)))
+        self._shift = shift
+        self._mask = mask
+        # A sorted list is a valid heap.
+        q[:] = [est << shift | seq for seq, (est, _) in enumerate(live)]
+        for seq, (_, slot) in enumerate(live):
+            qslot[seq] = slot
+        return k
+
+    def _requeue_lrr(self, q: List[int], key: int) -> None:
+        """Re-queue LRR's issued warp after its commit, which set a greedy
+        readiness that LRR, having no greedy probe, clears."""
+        heappush(q, key)
+        self._greedy_at = BLOCKED
 
     # -- membership ----------------------------------------------------------
     def add_warp(self, slot: int) -> None:
         """Queue a newly launched warp slot."""
-        self._qpush(0, slot)
+        self.push(0, slot)
         self.next_event_cache = 0
 
     def wake(self, slot: int, time: int) -> None:
         """Re-queue a warp slot parked on a barrier."""
-        self._qpush(time, slot)
+        self.push(time, slot)
         if time < self.next_event_cache:
             self.next_event_cache = time
-
-    def _issue_time(self, slot: int, cycle: int) -> int:
-        """Earliest cycle ``slot``'s next instruction can issue (>= cycle)."""
-        st = self.state
-        if st.done[slot] or st.barrier[slot]:
-            return BLOCKED
-        ready = st.next_ready[slot]
-        nf = self._pnf[st.cur[slot][IE_UNIT_IDX]]
-        if nf > ready:
-            ready = nf
-        return ready if ready > cycle else cycle
 
     # -- selection -------------------------------------------------------------
     def _pick_lrr(self, cycle: int) -> int:
         """Loose round robin: among warps ready now, pick the one whose id
         follows the last issued warp's (wrapping)."""
         st = self.state
-        heap = self._heap
-        done = st.done
-        barrier = st.barrier
-        ready: List[Tuple[int, int, int]] = []
-        while heap and heap[0][0] <= cycle:
-            item = heapq.heappop(heap)
-            s = item[2]
-            if done[s] or barrier[s]:
+        q = self._q
+        qslot = self._qslot
+        mask = self._mask
+        flags = st.flags
+        nr = st.next_ready
+        cur = st.cur
+        pnf = self._pnf
+        lim = (cycle + 1) << self._shift
+        ready: List[int] = []
+        later: List[tuple] = []
+        while q and q[0] < lim:
+            key = heappop(q)
+            s = qslot[key & mask]
+            if flags[s]:
                 continue
-            t = self._issue_time(s, cycle)
+            t = nr[s]
+            nf = pnf[cur[s][IE_UNIT_IDX]]
+            if nf > t:
+                t = nf
             if t <= cycle:
-                ready.append(item)
-            elif t != BLOCKED:
-                seq = self._seq
-                self._seq = seq + 1
-                heapq.heappush(heap, (t, seq, s))
-        if not ready:
-            return -1
-        last = self._last_warp_id
-        warp_ids = st.warp_ids
-
-        def rr_key(item):
-            return (warp_ids[item[2]] - last - 1) % 4096
-
-        chosen = min(ready, key=rr_key)
-        for item in ready:
-            if item is not chosen:
-                heapq.heappush(heap, item)
-        slot = chosen[2]
-        self._last_warp_id = warp_ids[slot]
+                ready.append(key)
+            else:
+                later.append((t, s))
+        if ready:
+            last = self._last_warp_id
+            warps = st.warps
+            chosen = min(ready, key=lambda key: (
+                warps[qslot[key & mask]].warp_id - last - 1) % 4096)
+            # The others keep their keys: their place in the queue.
+            for key in ready:
+                if key != chosen:
+                    heappush(q, key)
+            slot = qslot[chosen & mask]
+            self._last_warp_id = warps[slot].warp_id
+        else:
+            slot = -1
+        # Pushed last, so that no renumbering runs while a kept key is
+        # out of the heap.
+        for t, s in later:
+            self.push(t, s)
+        if slot < 0:
+            # ``SM.tick`` reads the next event off a live head.
+            while q:
+                s = qslot[q[0] & self._mask]
+                if not flags[s]:
+                    break
+                heappop(q)
         return slot
 
     # -- telemetry ---------------------------------------------------------
@@ -183,17 +213,18 @@ class GTOScheduler:
         """Why ``slot`` cannot issue at ``cycle`` (read-only, sampling only).
 
         Called by ``SM.sample_stalls`` at telemetry sample ticks, never from
-        the issue path.  Mirrors the ``_issue_time`` walk but names the first
-        binding constraint instead of computing a ready cycle.
+        the issue path.  Mirrors the issue re-validation but names the
+        first binding constraint instead of computing a ready cycle.
         """
         from ..telemetry.stall import (
             READY, STALL_BARRIER, STALL_LDST_QUEUE, STALL_NO_INSTRUCTION,
             STALL_PIPE_BUSY, STALL_SCOREBOARD,
         )
         st = self.state
-        if st.done[slot]:
+        flags = st.flags[slot]
+        if flags & DONE:
             return STALL_NO_INSTRUCTION
-        if st.barrier[slot]:
+        if flags & PARKED:
             return STALL_BARRIER
         entry = st.cur[slot]
         if st.next_ready[slot] > cycle:
@@ -203,46 +234,3 @@ class GTOScheduler:
                 return STALL_LDST_QUEUE
             return STALL_PIPE_BUSY
         return READY
-
-    # -- event horizon -----------------------------------------------------------
-    def next_event(self, cycle: int) -> int:
-        """Earliest future cycle at which this scheduler may act.
-
-        Estimates may be stale-low; the GPU loop simply visits that cycle
-        and re-validates, so under-estimates cost a visit, never accuracy.
-        """
-        st = self.state
-        done = st.done
-        barrier = st.barrier
-        if self._bucketed:
-            # Called only when the greedy probe failed, so the cached
-            # greedy readiness is already past ``cycle``.
-            best = self._greedy_at
-            keys = self._bkeys
-            buckets = self._buckets
-            while keys:
-                est = keys[0]
-                b = buckets[est]
-                i = b[0]
-                n = len(b)
-                while i < n and (done[b[i]] or barrier[b[i]]):
-                    i += 1
-                if i >= n:
-                    del buckets[heapq.heappop(keys)]
-                    continue
-                b[0] = i
-                if est < best:
-                    best = est
-                break
-            return best
-        best = BLOCKED
-        heap = self._heap
-        while heap:
-            est, _, s = heap[0]
-            if done[s] or barrier[s]:
-                heapq.heappop(heap)
-                continue
-            if est < best:
-                best = est
-            break
-        return best

@@ -3,15 +3,20 @@
 One :class:`SlotState` per SM holds every warp's dynamic timing state in
 flat parallel arrays indexed by a dense *warp slot* — an integer allocated
 at CTA launch, monotonically increasing over the SM's lifetime and never
-reused.  The scheduler heaps, issue commit, and re-validation sweeps all
+reused.  The scheduler queues, issue commit, and re-validation sweeps all
 operate on these arrays with plain integer indexing; the per-warp
 :class:`~repro.timing.warp.WarpContext` is reduced to an identity handle
 whose dynamic-state attributes are properties over its slot.
 
-Why monotonic slots: scheduler heaps delete lazily, so entries for retired
-warps linger until popped.  Because a slot is never recycled, ``done[slot]``
-stays set forever and a stale ``(est, seq, slot)`` heap entry is always
+Why monotonic slots: scheduler ready queues delete lazily, so entries
+for retired warps linger until popped.  Because a slot is never recycled,
+its DONE flag stays set forever and a stale queue entry is always
 recognised — no generation counters on the hot path.
+
+A slot's position in its trace is ``cur[slot]``, the tuple it issues
+next: tuples link to their successors (``IE_NEXT``) and know their own
+index (``IE_PC``), so a commit advances a slot with one field read and
+pc derives from the tuple.
 
 The register scoreboard is one plain list per slot, ``sb[slot]``, indexed
 by the dense renamed register ids that
@@ -39,19 +44,21 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+#: ``SlotState.flags`` bits.
+DONE = 1
+PARKED = 2
+
 
 class SlotState:
     """Flat dynamic state of every warp slot on one SM."""
 
     __slots__ = (
-        "pc", "stall_until", "next_ready", "last_commit",
-        "done", "barrier", "warp_ids", "streams", "n_insts", "sb",
-        "entries", "mems", "cur", "warps", "sstats", "count",
+        "stall_until", "next_ready", "last_commit",
+        "flags", "sb",
+        "mems", "cur", "warps", "sstats", "count",
     )
 
     def __init__(self) -> None:
-        #: Next instruction index per slot.
-        self.pc: List[int] = []
         #: Earliest issue cycle per slot (barrier release and the like).
         self.stall_until: List[int] = []
         #: ``max(stall_until, scoreboard dep readiness)`` of the slot's
@@ -60,25 +67,15 @@ class SlotState:
         self.next_ready: List[int] = []
         #: Latest completion cycle any of the slot's instructions reached.
         self.last_commit: List[int] = []
-        #: 1 once the slot's trace is fully issued (sticky — never reset,
-        #: which is what keeps stale lazy-heap entries harmless).
-        self.done = bytearray()
-        #: 1 while the slot is parked at a CTA barrier.
-        self.barrier = bytearray()
-        #: The warp's id within its CTA (LRR round-robin key).
-        self.warp_ids: List[int] = []
-        #: The warp's owning stream id (stat/LDST routing on the issue path).
-        self.streams: List[int] = []
-        #: Trace length per slot.
-        self.n_insts: List[int] = []
+        #: ``DONE`` once the trace is fully issued (sticky, which keeps
+        #: stale queue entries harmless) | ``PARKED`` at a CTA barrier.
+        self.flags = bytearray()
         #: Per-slot register scoreboard: renamed register -> ready cycle.
         self.sb: List[Optional[List[int]]] = []
-        #: Per-slot issue-tuple stream (shared with the trace's cache).
-        self.entries: List[Optional[list]] = []
         #: Per-slot memory operands, indexed by an entry's ``IE_MEM``.
         self.mems: List[Optional[tuple]] = []
-        #: ``entries[slot][pc[slot]]``, kept current so the pick loop does a
-        #: single list index; None once the slot is done.
+        #: The slot's next issue tuple (its stream's head at launch, then
+        #: each committed tuple's ``IE_NEXT``); None once the slot is done.
         self.cur: List[Optional[tuple]] = []
         #: Slot -> owning WarpContext handle (None after its CTA retires).
         self.warps: List = []
@@ -86,25 +83,19 @@ class SlotState:
         self.sstats: List = []
         self.count = 0
 
-    def alloc(self, warp, stream_entries: list, mems: tuple, num_regs: int,
-              warp_id: int, sstat, stream: int) -> int:
-        """Claim the next dense slot for ``warp``; returns the slot index."""
+    def alloc(self, warp, head: Optional[tuple], mems: tuple, num_regs: int,
+              sstat) -> int:
+        """Claim the next dense slot for ``warp``, whose first issue tuple
+        is ``head`` (None for an empty trace); returns the slot index."""
         slot = self.count
         self.count = slot + 1
-        n = len(stream_entries)
-        self.pc.append(0)
         self.stall_until.append(0)
         self.next_ready.append(0)
         self.last_commit.append(0)
-        self.done.append(0 if n else 1)
-        self.barrier.append(0)
-        self.warp_ids.append(warp_id)
-        self.streams.append(stream)
-        self.n_insts.append(n)
+        self.flags.append(0 if head is not None else DONE)
         self.sb.append([0] * num_regs)
-        self.entries.append(stream_entries)
         self.mems.append(mems)
-        self.cur.append(stream_entries[0] if n else None)
+        self.cur.append(head)
         self.warps.append(warp)
         self.sstats.append(sstat)
         return slot
@@ -112,8 +103,8 @@ class SlotState:
     def release_handle(self, slot: int) -> None:
         """Drop the slot's object references once its CTA has retired.
 
-        The flat int columns stay (stale heap entries still read
-        ``done[slot]``).  The object columns are cleared, which breaks the
+        The flat int columns stay (stale queue entries still read
+        ``flags[slot]``).  The object columns are cleared, which breaks the
         slot's cycle with its WarpContext, and so is the slot's scoreboard:
         a done slot never reads either again.  With the CTA's own warp list dropped
         too (``SM.process_completions``), reference counting frees the
@@ -121,7 +112,6 @@ class SlotState:
         """
         self.warps[slot] = None
         self.sstats[slot] = None
-        self.entries[slot] = None
         self.mems[slot] = None
         self.sb[slot] = None
 

@@ -18,16 +18,16 @@ profile); what can wait for a warp's end is folded once per warp, in
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush, heapreplace
 from typing import Callable, Dict, List, Optional
 
 from ..config import GPUConfig
 from ..isa import CTAResources, CTATrace, KernelTrace
-from ..isa.instructions import IE_REGS, IE_UNIT_IDX
+from ..isa.instructions import IE_PC, IE_REGS, IE_UNIT_IDX
 from ..memory import L2Cache
 from .ldst import LDSTPath
 from .scheduler import GTOScheduler
-from .slots import SlotState
+from .slots import DONE, PARKED, SlotState
 from .stats import GPUStats
 from .warp import BLOCKED, WarpContext
 
@@ -110,18 +110,17 @@ class SM:
         deltas of these to build its IPC-vs-quota curves).
 
         Exact at any point of the run without a per-issue update: a warp
-        that has not finished has issued exactly ``pc`` instructions, and
-        a finished one is folded in when it finishes.
+        that has not finished has issued its next tuple's ``IE_PC``
+        instructions, and a finished one is folded in when it finishes.
         """
         counts = dict(self._finished_by_stream)
-        st = self.slot_state
-        done = st.done
-        pcs = st.pc
+        cur = self.slot_state.cur
         for cta in self.resident:
             n = 0
             for w in cta.warps:
-                if not done[w.slot]:
-                    n += pcs[w.slot]
+                entry = cur[w.slot]
+                if entry is not None:
+                    n += entry[IE_PC]
             counts[cta.stream] += n
         return counts
 
@@ -133,8 +132,8 @@ class SM:
             warps=self.warps_used.get(stream, 0),
         )
 
-    def launch_cta(self, kernel: KernelTrace, trace: CTATrace, stream: int) -> ResidentCTA:
-        res = kernel.cta_resources(self.config.warp_size)
+    def launch_cta(self, kernel: KernelTrace, trace: CTATrace,
+                   res: CTAResources, stream: int) -> ResidentCTA:
         if not self.fits(res):
             raise RuntimeError("CTA does not fit on SM%d" % self.sm_id)
         cta = ResidentCTA(kernel, trace, res, stream)
@@ -155,16 +154,19 @@ class SM:
         if res.shared_mem:
             self.ldst.update_carveout(
                 self.config.shared_mem_per_sm - self.free_shared_mem)
-        for wt in trace.warps:
-            ctx = WarpContext(wt, stream, cta, warp_id=len(cta.warps),
-                              state=self.slot_state, sstat=sstat)
+        st = self.slot_state
+        scheds = self.schedulers
+        home = self._next_sched
+        for warp_id, wt in enumerate(trace.warps):
+            ctx = WarpContext(wt, stream, cta, warp_id, st, sstat)
             cta.warps.append(ctx)
-            if not ctx.done:
+            if ctx.stream_entries:
                 cta.live_warps += 1
             # Round-robin warps over schedulers, like hardware sub-partitions.
-            ctx.home_sched = self._next_sched
-            self.schedulers[self._next_sched].add_warp(ctx.slot)
-            self._next_sched = (self._next_sched + 1) % len(self.schedulers)
+            ctx.home_sched = home
+            scheds[home].add_warp(ctx.slot)
+            home = (home + 1) % len(scheds)
+        self._next_sched = home
         if cta.live_warps == 0:
             self._retire_cta(cta, complete_cycle=0)
         self.resident.append(cta)
@@ -173,7 +175,7 @@ class SM:
 
     def _retire_cta(self, cta: ResidentCTA, complete_cycle: int) -> None:
         self._completion_seq += 1
-        heapq.heappush(self._completions, (complete_cycle, self._completion_seq, cta))
+        heappush(self._completions, (complete_cycle, self._completion_seq, cta))
 
     def _free_cta(self, cta: ResidentCTA) -> None:
         res = cta.resources
@@ -202,7 +204,7 @@ class SM:
         freed = False
         release = self.slot_state.release_handle
         while self._completions and self._completions[0][0] <= cycle:
-            _, _, cta = heapq.heappop(self._completions)
+            _, _, cta = heappop(self._completions)
             self._free_cta(cta)
             freed = True
             if self.on_cta_complete is not None:
@@ -247,21 +249,20 @@ class SM:
         scheduler sweep so the run loop needs no second scan.
 
         Selection is the only step that differs between the scheduler
-        policies.  GTO (bucket mode, the default) selects inline: the
-        greedy warp if its cached readiness has come (one compare), else
-        the bucket-queue sweep.  LRR (heap mode) calls
-        :meth:`GTOScheduler._pick_lrr`.  Selection only picks a slot whose
-        pipe is free, so the chosen instruction issues at ``cycle``.  One
-        inline commit then issues it and re-queues the slot in its
-        scheduler's representation.  Counters read only at run end (the
-        unit histogram, the stream's last commit) and this SM's per-stream
-        issue count are folded once per warp, when it finishes
-        (:meth:`_finish_warp`).
+        policies.  GTO selects inline: the greedy warp if its cached
+        readiness has come (one compare), else the oldest ready warp of
+        the ready queue.  LRR calls :meth:`GTOScheduler._pick_lrr`.
+        Selection only picks a slot whose pipe is free, so the chosen
+        instruction issues at ``cycle``.  One inline commit then issues
+        it, advances the slot to the tuple's successor and re-queues the
+        slot if selection took it off the queue.  Counters read only at
+        run end (the unit histogram, the stream's last commit) and this
+        SM's per-stream issue count are folded once per warp, when it
+        finishes (:meth:`_finish_warp`).
         """
         best = BLOCKED
         st = self.slot_state
-        done = st.done
-        barrier = st.barrier
+        flags = st.flags
         nr = st.next_ready
         cur = st.cur
         wake_at = cycle + 1
@@ -271,34 +272,39 @@ class SM:
                 if t < best:
                     best = t
                 continue
+            pnf = sched._pnf
             if sched._greedy_at <= cycle:
                 # GTO: the greedy warp is ready (LRR never sets the cache
-                # below BLOCKED).
+                # below BLOCKED).  ``requeue``: how the slot re-enters
+                # the queue after it issues (it never left).
                 slot = sched._greedy
-                picked = False
-            elif sched._bucketed:
-                # GTO: the oldest ready warp of the bucket queue (see the
-                # scheduler module).  ``picked`` says the slot left the
-                # queue and must be re-queued after it issues.
-                picked = True
-                slot = -1
-                pnf = sched._pnf
-                buckets = sched._buckets
-                keys = sched._bkeys
-                # Sweep due buckets in ascending-estimate / FIFO order; a
-                # warp whose estimate under-shot is re-queued at its
-                # corrected cycle, which is always > cycle, so a bucket
-                # never grows while swept.
-                while keys and keys[0] <= cycle:
-                    b = buckets[keys[0]]
-                    i = b[0]
-                    n = len(b)
-                    while i < n:
-                        s = b[i]
-                        i += 1
-                        if done[s] or barrier[s]:
+                requeue = None
+            else:
+                q = sched._q
+                qslot = sched._qslot
+                if sched._lrr:
+                    # LRR's pick leaves the queue.
+                    slot = sched._pick_lrr(cycle)
+                    requeue = sched._requeue_lrr
+                else:
+                    # GTO: the oldest ready warp, which stays the queue's
+                    # head until its re-queue replaces it.
+                    slot = -1
+                    requeue = heapreplace
+                    mask = sched._mask
+                    lim = wake_at << sched._shift
+                    # Visit heads in (estimate, seq) order; an under-shot
+                    # warp is re-queued past ``cycle``.  Ends at a ready
+                    # warp or at a live head not due yet.
+                    while q:
+                        key = q[0]
+                        s = qslot[key & mask]
+                        if flags[s]:
                             # done: dropped; parked: re-queued by wake()
+                            heappop(q)
                             continue
+                        if key >= lim:
+                            break
                         ready = nr[s]
                         nf = pnf[cur[s][IE_UNIT_IDX]]
                         if nf > ready:
@@ -306,44 +312,39 @@ class SM:
                         if ready <= cycle:
                             slot = s
                             break
-                        nb = buckets.get(ready)
-                        if nb is None:
-                            buckets[ready] = [1, s]
-                            heapq.heappush(keys, ready)
-                        else:
-                            nb.append(s)
-                    else:
-                        # Swept to the end: drop the bucket.
-                        del buckets[heapq.heappop(keys)]
-                        continue
-                    # Picked: advance the cursor, or drop the bucket now
-                    # if that was its last entry (a later push at this
-                    # key starts a fresh bucket, in the same FIFO order).
-                    if i < n:
-                        b[0] = i
-                    else:
-                        del buckets[heapq.heappop(keys)]
-                    break
-            else:
-                slot = sched._pick_lrr(cycle)
-                picked = True
-            if slot < 0:
-                t = sched.next_event(cycle)
-                sched.next_event_cache = t
-                if t < best:
-                    best = t
-                continue
+                        seq = sched._seq
+                        try:
+                            qslot[seq] = s
+                        except IndexError:
+                            # The seq table is full (GTOScheduler.push).
+                            seq = sched._resequence()
+                            qslot[seq] = s
+                            mask = sched._mask
+                            lim = wake_at << sched._shift
+                        sched._seq = seq + 1
+                        heapreplace(q, ready << sched._shift | seq)
+                if slot < 0:
+                    # Nothing ready: next act at the greedy readiness or
+                    # the (live) queue head's estimate.
+                    t = sched._greedy_at
+                    if q:
+                        est = q[0] >> sched._shift
+                        if est < t:
+                            t = est
+                    sched.next_event_cache = t
+                    if t < best:
+                        best = t
+                    continue
             # ---- commit: issue ``slot``'s current instruction ----
             # One tuple unpack replaces eight indexed entry reads.
             (_, ui, latency, initiation, _, rdst,
-             mem, is_bar, info) = cur[slot]
+             mem, is_bar, info, nxt_entry) = cur[slot]
             # Reserve the unit pipe for its initiation interval.
-            pnf = sched._pnf
             pnf[ui] = cycle + initiation
             sstat = st.sstats[slot]
             if mem >= 0:
                 complete = self.ldst.issue(info, st.mems[slot][mem], cycle,
-                                           st.streams[slot], sstat)
+                                           sstat.stream, sstat)
             else:
                 complete = cycle + latency
             if is_bar:
@@ -361,17 +362,13 @@ class SM:
             sstat.instructions = n + 1
             if not n:
                 sstat.first_issue_cycle = cycle
-            pc = st.pc[slot] + 1
-            st.pc[slot] = pc
-            if pc >= st.n_insts[slot]:
-                done[slot] = 1
-                cur[slot] = None
+            cur[slot] = nxt_entry
+            if nxt_entry is None:
+                flags[slot] |= DONE
                 sched._greedy = -1
                 sched._greedy_at = BLOCKED
                 self._finish_warp(slot, sstat)
             else:
-                nxt_entry = st.entries[slot][pc]
-                cur[slot] = nxt_entry
                 # One dependency walk per commit refreshes the slot's
                 # cached readiness (exact until the next commit: the
                 # scoreboard is single-writer and only the barrier
@@ -383,31 +380,29 @@ class SM:
                     if t > ready:
                         ready = t
                 nr[slot] = ready
-                parked = barrier[slot]
+                # Not done, so any flag is PARKED.
+                parked = flags[slot]
                 sched._greedy = slot
                 if parked:
                     sched._greedy_at = BLOCKED
                 else:
                     nf = pnf[nxt_entry[IE_UNIT_IDX]]
                     sched._greedy_at = ready if ready > nf else nf
-                if picked:
-                    # Re-queue at the estimated next issue cycle.
+                if requeue is not None:
+                    # Re-queue at the estimated next issue cycle
+                    # (``GTOScheduler.push``, inline).  A GTO slot is
+                    # still the head: a wake during the commit queues at
+                    # ``wake_at`` or later, and renumbering keeps order.
                     estimate = wake_at if parked or ready <= wake_at \
                         else ready
-                    if sched._bucketed:
-                        buckets = sched._buckets
-                        b = buckets.get(estimate)
-                        if b is None:
-                            buckets[estimate] = [1, slot]
-                            heapq.heappush(sched._bkeys, estimate)
-                        else:
-                            b.append(slot)
-                    else:
-                        seq = sched._seq
-                        sched._seq = seq + 1
-                        heapq.heappush(sched._heap, (estimate, seq, slot))
-                        # LRR has no greedy probe.
-                        sched._greedy_at = BLOCKED
+                    seq = sched._seq
+                    try:
+                        qslot[seq] = slot
+                    except IndexError:
+                        seq = sched._resequence()
+                        qslot[seq] = slot
+                    sched._seq = seq + 1
+                    requeue(q, estimate << sched._shift | seq)
             sched.next_event_cache = wake_at
             # Every other wake cycle is past ``cycle``, so none is earlier.
             best = wake_at
@@ -423,7 +418,7 @@ class SM:
         warp = st.warps[slot]
         sstat.fold_warp(warp.unit_counts, st.last_commit[slot])
         fbs = self._finished_by_stream
-        fbs[warp.stream] = fbs.get(warp.stream, 0) + st.n_insts[slot]
+        fbs[warp.stream] = fbs.get(warp.stream, 0) + len(warp.stream_entries)
         cta = warp.cta
         cta.live_warps -= 1
         if cta.live_warps == 0:
@@ -444,8 +439,8 @@ class SM:
             st = self.slot_state
             for w in cta.warps:
                 slot = w.slot
-                if st.barrier[slot]:
-                    st.barrier[slot] = 0
+                if st.flags[slot] & PARKED:
+                    st.flags[slot] ^= PARKED
                     # The released warp may not issue before the barrier
                     # release point.
                     if release > st.stall_until[slot]:
@@ -454,14 +449,14 @@ class SM:
                         st.next_ready[slot] = release
                     sched = self.schedulers[w.home_sched]
                     sched.wake(slot, release)
-                    if sched._greedy == slot and sched._bucketed:
+                    if sched._greedy == slot and not sched._lrr:
                         # Its cached readiness was BLOCKED while parked.
                         ready = st.next_ready[slot]
                         nf = sched._pnf[st.cur[slot][IE_UNIT_IDX]]
                         sched._greedy_at = ready if ready > nf else nf
             cta.barrier_arrived = 0
         else:
-            self.slot_state.barrier[warp.slot] = 1
+            self.slot_state.flags[warp.slot] |= PARKED
 
     # -- telemetry ---------------------------------------------------------
     def sample_stalls(self, cycle: int,

@@ -2,11 +2,11 @@
 
 A :class:`WarpContext` replays one :class:`~repro.isa.trace.WarpTrace`.
 Since the structure-of-arrays refactor, the context is an *identity handle*:
-its dynamic state (pc, scoreboard, stall/done/barrier flags, commit
-cycle) lives in the owning SM's flat :class:`~repro.timing.slots.SlotState`
-arrays under the context's ``slot`` index.  The hot issue path reads those
-arrays directly; the attribute-style accessors here are properties kept for
-cold readers (telemetry sampling, the invariant checker, tests).
+its dynamic state (next issue tuple, scoreboard, flags, stall and commit
+cycles) lives in the owning SM's flat :class:`~repro.timing.slots.SlotState`
+arrays under its ``slot`` index.  The hot issue path reads those arrays
+directly; the properties here serve cold readers (telemetry sampling, the
+invariant checker, tests).
 
 Dependencies are tracked with a per-warp scoreboard list mapping
 *renamed* register ids (dense indices precomputed at trace load) to the
@@ -18,8 +18,8 @@ from __future__ import annotations
 from typing import Dict, Optional, TYPE_CHECKING
 
 from ..isa import WarpTrace
-from ..isa.instructions import IE_REGS
-from .slots import SlotState
+from ..isa.instructions import IE_PC, IE_REGS
+from .slots import DONE, PARKED, SlotState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .sm import ResidentCTA
@@ -56,30 +56,39 @@ class WarpContext:
         #: indexes into; the slot holds ``sstat``, the owning stream's
         #: StreamStats, so the issue path never calls ``stats.stream(id)``.
         self.state = state
-        self.slot = state.alloc(self, self.stream_entries, trace.mems,
-                                trace.num_renamed_regs(), warp_id,
-                                sstat, stream)
+        entries = self.stream_entries
+        self.slot = state.alloc(self, entries[0] if entries else None,
+                                trace.mems, trace.num_renamed_regs(), sstat)
 
     # -- flat-state accessors (cold paths; the hot loops index the arrays) --
     @property
     def pc(self) -> int:
-        return self.state.pc[self.slot]
+        """Instructions issued so far, derived from the next tuple."""
+        entry = self.state.cur[self.slot]
+        return len(self.stream_entries) if entry is None else entry[IE_PC]
 
     @pc.setter
     def pc(self, value: int) -> None:
-        self.state.pc[self.slot] = value
+        """Move the warp's next tuple (cold paths and tests only)."""
+        entries = self.stream_entries
+        self.state.cur[self.slot] = (entries[value] if value < len(entries)
+                                     else None)
 
     @property
     def done(self) -> bool:
-        return bool(self.state.done[self.slot])
+        return bool(self.state.flags[self.slot] & DONE)
 
     @property
     def barrier_wait(self) -> bool:
-        return bool(self.state.barrier[self.slot])
+        return bool(self.state.flags[self.slot] & PARKED)
 
     @barrier_wait.setter
     def barrier_wait(self, value: bool) -> None:
-        self.state.barrier[self.slot] = 1 if value else 0
+        flags = self.state.flags
+        if value:
+            flags[self.slot] |= PARKED
+        else:
+            flags[self.slot] &= ~PARKED
 
     @property
     def stall_until(self) -> int:
@@ -90,7 +99,7 @@ class WarpContext:
         st = self.state
         slot = self.slot
         st.stall_until[slot] = value
-        if not st.done[slot]:
+        if not st.flags[slot] & DONE:
             st.next_ready[slot] = self._dep_walk(value)
 
     @property

@@ -246,3 +246,42 @@ def test_matches_reference_under_carveout_churn(assoc, sequence):
     pair = Pair(1, assoc)
     for op in sequence:
         pair.run(op)
+
+
+def _row_walk(cache):
+    """Composition the way a walk over every row's ways counts it."""
+    comp, comp_stream = {}, {}
+    for row in cache._rows:
+        if row is None:
+            continue
+        for cls in row.classes:
+            if cls is not None:
+                comp[cls] = comp.get(cls, 0) + 1
+        for stream in row.streams:
+            comp_stream[stream] = comp_stream.get(stream, 0) + 1
+    return comp, comp_stream
+
+
+@settings(max_examples=300, deadline=None)
+@given(assoc=st.integers(1, 4),
+       sequence=st.lists(st.one_of(
+           st.tuples(st.just("fill"), st.integers(0, 9),
+                     st.sampled_from(CLASSES + (None,)), st.integers(0, 2)),
+           st.tuples(st.just("ways"), st.integers(1, 4))),
+           max_size=60))
+def test_composition_counters_match_row_walk(assoc, sequence):
+    """The per-class and per-stream line counters that fill keeps equal a
+    walk over the rows after random fills and carveout shrinks: stranded
+    copies counted, the None class and emptied keys left out."""
+    cfg = CacheConfig(size_bytes=2 * assoc * LINE, assoc=assoc,
+                      mshr_entries=4)
+    cache = SetAssocCache(cfg, "dut")
+    for op in sequence:
+        if op[0] == "fill":
+            _, line, cls, stream = op
+            cache.fill(line * LINE, cls, stream)
+        else:
+            cache.set_usable_ways(min(op[1], assoc))
+        comp, comp_stream = _row_walk(cache)
+        assert cache.composition() == comp
+        assert cache.composition_by_stream() == comp_stream

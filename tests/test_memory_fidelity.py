@@ -87,7 +87,7 @@ class TestCarveout:
         wt = WarpTrace([WarpInstruction(Op.EXIT)])
         k = KernelTrace("smem", [CTATrace([wt])], threads_per_cta=32,
                         shared_mem_per_cta=48 * 1024)
-        sm.launch_cta(k, k.ctas[0], stream=0)
+        sm.launch_cta(k, k.ctas[0], k.cta_resources(), stream=0)
         assert sm.ldst.l1.usable_ways < full_ways
         cycle = 0
         while sm.has_work:

@@ -1,8 +1,10 @@
 """Tests for warp issue: scheduling order, dependencies and unit pipes.
 
 Every case drives the production issue path, :meth:`SM.tick`, on an SM
-with one warp scheduler, and observes issues through ``slot_state.pc``.
+with one warp scheduler, and observes issues through ``WarpContext.pc``.
 """
+
+import pytest
 
 from repro.config import RTX_3070_MINI
 from repro.isa import (
@@ -16,6 +18,7 @@ from repro.isa import (
 )
 from repro.memory import L2Cache
 from repro.timing import BLOCKED, SM, GPUStats, ResidentCTA, WarpContext
+from repro.timing import scheduler as scheduler_module
 
 
 def one_sched_sm(policy="gto"):
@@ -23,14 +26,15 @@ def one_sched_sm(policy="gto"):
     return SM(0, cfg, L2Cache(cfg), GPUStats())
 
 
-def launch(sm, *warps):
+def launch(sm, *warps, stream=0):
     """Launch one CTA whose warps run the given instruction lists.
 
     Returns the CTA's WarpContexts; warp ids and slots follow list order.
     """
     k = KernelTrace("k", [CTATrace([WarpTrace(list(w)) for w in warps], 0)],
                     threads_per_cta=32 * len(warps))
-    return list(sm.launch_cta(k, k.ctas[0], stream=0).warps)
+    return list(sm.launch_cta(k, k.ctas[0], k.cta_resources(),
+                              stream=stream).warps)
 
 
 def place(sm, warp_ids, n_instrs):
@@ -51,12 +55,18 @@ def place(sm, warp_ids, n_instrs):
     return cta.warps
 
 
+def pcs(sm):
+    """Every slot's warp pc, in slot order."""
+    return [w.pc for w in sm.slot_state.warps]
+
+
 def tick(sm, cycle):
     """Tick ``sm`` at ``cycle``: (the warp that issued or None, next event)."""
     st = sm.slot_state
-    before = list(st.pc)
+    before = pcs(sm)
     nxt = sm.tick(cycle)
-    issued = [s for s, pc in enumerate(before) if st.pc[s] != pc]
+    after = pcs(sm)
+    issued = [s for s, pc in enumerate(before) if after[s] != pc]
     assert len(issued) <= 1  # one scheduler issues at most once a cycle
     return (st.warps[issued[0]] if issued else None), nxt
 
@@ -238,7 +248,7 @@ class TestLRRWrapAround:
 
 class TestBarrierWakeOrdering:
     """Parked warps re-enter the issue queue via wake(); order and timing
-    must follow (release cycle, wake call order) in the bucket queue."""
+    must follow (release cycle, wake call order) in the ready queue."""
 
     def park_all(self, sm, n):
         warps = launch(sm, *([ffma(dst=8)] for _ in range(n)))
@@ -300,12 +310,12 @@ class TestBarrierWakeOrdering:
 
 def issue_log(sm, cycles):
     """Tick ``sm`` at each cycle; returns ``[(cycle, slot), ...]`` issues."""
-    st = sm.slot_state
     log = []
     for cycle in cycles:
-        before = list(st.pc)
+        before = pcs(sm)
         sm.tick(cycle)
-        log += [(cycle, s) for s, pc in enumerate(before) if st.pc[s] != pc]
+        after = pcs(sm)
+        log += [(cycle, s) for s, pc in enumerate(before) if after[s] != pc]
     return log
 
 
@@ -326,6 +336,116 @@ class TestBarrierReleasesGreedyWarp:
                [bar, ffma(dst=4), ffma(dst=8)])
         assert issue_log(sm, range(2)) == [(0, 0), (0, 1), (1, 2)]
         assert sm.schedulers[0]._greedy == 2
-        assert sm.slot_state.barrier[2]
+        assert sm.slot_state.warps[2].barrier_wait
         assert issue_log(sm, range(2, 12)) == [
             (4, 1), (5, 1), (6, 1), (6, 2), (7, 2), (8, 0), (9, 0)]
+
+
+class TestDerivedIssueState:
+    """A warp's pc and ``SM.issued_by_stream`` derive from each slot's
+    next issue tuple; mid-run both must equal the issues each stream
+    counted one by one (``StreamStats.instructions``)."""
+
+    @pytest.mark.parametrize("policy", ["gto", "lrr"])
+    def test_pc_and_issued_by_stream_count_issues(self, policy):
+        cfg = RTX_3070_MINI.replace(schedulers_per_sm=2,
+                                    scheduler_policy=policy)
+        sm = SM(0, cfg, L2Cache(cfg), GPUStats())
+        bar = WarpInstruction(Op.BAR)
+        warps = {
+            0: launch(sm,
+                      [ffma(dst=4), bar, ffma(dst=8, srcs=(4,)), mufu(12)],
+                      [mufu(dst=4), ffma(dst=8, srcs=(4,)), bar, ffma(12)],
+                      [bar, ffma(dst=4), ffma(dst=8, srcs=(4,))],
+                      stream=0),
+            1: launch(sm, [mufu(dst=4), ffma(dst=8, srcs=(4,)), ffma()],
+                      stream=1),
+        }
+        parked = 0
+        for cycle in range(200):
+            sm.tick(cycle)
+            sm.process_completions(cycle)
+            issued_by_stream = sm.issued_by_stream
+            for sid, ws in warps.items():
+                issued = sm.stats.stream(sid).instructions
+                assert sum(w.pc for w in ws) == issued
+                assert issued_by_stream[sid] == issued
+            for w in warps[0]:
+                if w.barrier_wait:
+                    # Parked just past its barrier.
+                    parked += 1
+                    assert w.trace[w.pc - 1].op is Op.BAR
+        assert parked
+        for ws in warps.values():
+            for w in ws:
+                assert w.done and w.pc == len(w.trace)
+        assert sm.issued_by_stream == {0: 11, 1: 3}
+
+    def test_store_completing_last_sets_last_commit(self, monkeypatch):
+        # The store writes no register, yet its completion is the warp's
+        # last commit and so its stream's.
+        sm = one_sched_sm()
+        store = WarpInstruction(Op.STG, srcs=(8,),
+                                mem=MemAccess([0], DataClass.COMPUTE))
+        (w,) = launch(sm, [ffma(dst=8), store])
+        completions = []
+        real_issue = sm.ldst.issue
+
+        def issue(*args):
+            completions.append(real_issue(*args))
+            return completions[-1]
+
+        monkeypatch.setattr(sm.ldst, "issue", issue)
+        cycle = 0
+        while not w.done:
+            cycle = sm.tick(cycle)
+        (store_done,) = completions
+        assert store_done > 4  # the FFMA wrote back at cycle 4
+        assert w.last_commit_cycle == store_done
+        assert sm.stats.stream(0).last_commit_cycle == store_done
+
+    def test_pc_setter_moves_the_next_tuple(self):
+        sm = one_sched_sm()
+        (w,) = launch(sm, [ffma(dst=4), ffma(dst=8), mufu(dst=12)])
+        w.pc = 2
+        assert w.cur is w.stream_entries[2] and w.pc == 2
+        w.pc = 3
+        assert w.cur is None and w.pc == 3
+
+
+class TestReadyQueue:
+    @pytest.mark.parametrize("policy", ["gto", "lrr"])
+    def test_renumbering_changes_no_issue(self, monkeypatch, policy):
+        """With a seq table of two entries the ready queue renumbers every
+        push or two and grows its table; no issue may move."""
+        bar = WarpInstruction(Op.BAR)
+        programs = [[mufu(dst=4), ffma(dst=8, srcs=(4,)), bar,
+                     ffma(dst=12, srcs=(8,)), mufu(dst=16)],
+                    [ffma(dst=4), ffma(dst=8, srcs=(4,)), bar, mufu(12)],
+                    [bar, mufu(dst=4), mufu(dst=8), ffma(dst=12, srcs=(8,))]]
+
+        def run():
+            cfg = RTX_3070_MINI.replace(schedulers_per_sm=1,
+                                        scheduler_policy=policy)
+            sm = SM(0, cfg, L2Cache(cfg), GPUStats())
+            launch(sm, *(programs * 2))
+            launch(sm, *programs)
+            return issue_log(sm, range(400)), sm.schedulers[0]._shift
+
+        log, shift = run()
+        assert shift == scheduler_module.SEQ_BITS
+        monkeypatch.setattr(scheduler_module, "SEQ_BITS", 1)
+        calls = []
+        real = scheduler_module.GTOScheduler._resequence
+
+        def resequence(self):
+            calls.append(len(self._q))
+            return real(self)
+
+        monkeypatch.setattr(scheduler_module.GTOScheduler, "_resequence",
+                            resequence)
+        small_log, small_shift = run()
+        assert len(log) == sum(len(p) for p in programs) * 3
+        assert small_log == log
+        assert len(calls) > 3
+        assert small_shift > 1  # nine live warps outgrew two entries

@@ -143,7 +143,7 @@ class TestStreamStats:
         k = KernelTrace("k", [CTATrace([WarpTrace([
             load_inst([0]), WarpInstruction(Op.FFMA, dst=8, srcs=(1,)),
         ])], 0)], threads_per_cta=32)
-        (w,) = sm.launch_cta(k, k.ctas[0], stream=0).warps
+        (w,) = sm.launch_cta(k, k.ctas[0], k.cta_resources(), stream=0).warps
         sm.tick(5)
         load_done = w.last_commit_cycle
         sm.tick(6)

@@ -66,7 +66,7 @@ class TestSMResidency:
     def test_launch_consumes_resources(self):
         sm, _ = fresh_sm()
         k = make_kernel(regs=32, smem=1024)
-        sm.launch_cta(k, k.ctas[0], stream=0)
+        sm.launch_cta(k, k.ctas[0], k.cta_resources(), stream=0)
         assert sm.free_threads == RTX_3070_MINI.max_threads_per_sm - 64
         assert sm.free_registers == RTX_3070_MINI.registers_per_sm - 32 * 64
         assert sm.free_shared_mem == RTX_3070_MINI.shared_mem_per_sm - 1024
@@ -75,7 +75,7 @@ class TestSMResidency:
     def test_stream_usage_tracked(self):
         sm, _ = fresh_sm()
         k = make_kernel()
-        sm.launch_cta(k, k.ctas[0], stream=5)
+        sm.launch_cta(k, k.ctas[0], k.cta_resources(), stream=5)
         u = sm.stream_usage(5)
         assert u.threads == 64
         assert u.warps == 2
@@ -85,7 +85,7 @@ class TestSMResidency:
         k = make_kernel(warps=2, regs=64)
         res = k.cta_resources()
         while sm.fits(res):
-            sm.launch_cta(k, k.ctas[0], stream=0)
+            sm.launch_cta(k, k.ctas[0], k.cta_resources(), stream=0)
         assert not sm.fits(res)
 
     def test_launch_raises_if_no_fit(self):
@@ -93,12 +93,12 @@ class TestSMResidency:
         sm.free_threads = 0
         k = make_kernel()
         with pytest.raises(RuntimeError):
-            sm.launch_cta(k, k.ctas[0], 0)
+            sm.launch_cta(k, k.ctas[0], k.cta_resources(), 0)
 
     def test_completion_frees_resources(self):
         sm, stats = fresh_sm()
         k = make_kernel(n_ctas=1, warps=1, n=2)
-        sm.launch_cta(k, k.ctas[0], stream=0)
+        sm.launch_cta(k, k.ctas[0], k.cta_resources(), stream=0)
         cycle = 0
         for _ in range(200):
             sm.process_completions(cycle)
@@ -308,15 +308,15 @@ class TestGPURun:
 
         def tick(sm, cycle):
             st = sm.slot_state
-            before = [(w.slot, st.pc[w.slot], st.cur[w.slot])
+            before = [(w, w.pc, st.cur[w.slot])
                       for cta in sm.resident for w in cta.warps]
             nxt = real_tick(sm, cycle)
             scheds = set()
-            for slot, pc, entry in before:
-                if st.pc[slot] == pc:
+            for w, pc, entry in before:
+                if w.pc == pc:
                     continue
-                assert st.pc[slot] == pc + 1
-                home = st.warps[slot].home_sched
+                assert w.pc == pc + 1
+                home = w.home_sched
                 assert home not in scheds  # one issue per scheduler
                 scheds.add(home)
                 pipe_free = sm.schedulers[home]._pnf[entry[IE_UNIT_IDX]]

@@ -10,6 +10,9 @@ produce exactly the same stream and operands from those instructions.
 
 from __future__ import annotations
 
+import pickle
+import sys
+
 import pytest
 
 from repro.compute import build_compute_workload
@@ -21,7 +24,7 @@ from repro.isa import (
     WarpTemplate,
     WarpTrace,
 )
-from repro.isa.instructions import IE_INFO, IE_MEM
+from repro.isa.instructions import IE_INFO, IE_MEM, IE_NEXT, IE_PC
 
 from .test_trace_digests import render_nano
 
@@ -131,3 +134,36 @@ def test_shared_memory_ops_keep_their_place_among_operands():
     assert warp.issue_stream() == lazy.issue_stream()
     assert warp.mems == lazy.mems
     assert [m and m.lines for m in warp.mems] == [None, (0,), None, (128,)]
+
+
+def test_stream_links_each_entry_to_the_next():
+    stream = _template().stream
+    assert [e[IE_PC] for e in stream] == list(range(len(stream)))
+    assert [e[IE_NEXT] for e in stream] == stream[1:] + [None]
+    assert all(a[IE_NEXT] is b for a, b in zip(stream, stream[1:]))
+
+
+def test_long_traces_pickle_without_their_linked_streams():
+    """A linked stream is as deep as it is long, which pickle would
+    recurse through: traces and templates pickle as their instructions
+    and lower again."""
+    n = 3 * sys.getrecursionlimit()
+    insts = [WarpInstruction(Op.FFMA, dst=4 + i % 8, srcs=(4 + (i + 3) % 8,))
+             for i in range(n)]
+    insts[n // 2] = WarpInstruction(Op.LDG, dst=2, srcs=(3,))
+
+    def unlinked(warp):
+        return [e[:IE_NEXT] for e in warp.issue_stream()]
+
+    warp = WarpTrace(insts)
+    want = unlinked(warp)
+    copy = pickle.loads(pickle.dumps(warp))
+    assert len(copy) == n and unlinked(copy) == want
+
+    tpl = WarpTemplate(insts, [n // 2])
+    mem = MemAccess([256], DataClass.COMPUTE)
+    copy_tpl = pickle.loads(pickle.dumps(tpl))
+    assert [e[:IE_NEXT] for e in copy_tpl.stream] == want
+    copy_warp = pickle.loads(pickle.dumps(tpl.instantiate([mem])))
+    assert unlinked(copy_warp) == want
+    assert copy_warp.mems[0].lines == (256,)
