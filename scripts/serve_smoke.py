@@ -4,12 +4,14 @@ CI's tier-1 leg (and ``make serve-smoke``) runs this: backfill the
 checked-in QoS history and golden snapshots into a scratch repository,
 start the dashboard with a job queue on an ephemeral port, hit ``/runs``
 (plus the rest of the JSON surface) with urllib, and verify the payloads
-describe the ingested data.  Then ``POST /submit`` one nano job and one
-two-job campaign, wait until the queue reports them ``done``, and check
-that their runs are stored, that ``/compare`` draws a sim-rate trend from
-them (stored run records are the only speed record) and that
-``/events.json`` carries ``job_done`` and campaign ``heartbeat`` events.
-Exits nonzero on any mismatch.
+describe the ingested data.  Then ``POST /submit`` one nano job, one
+two-job campaign and one job whose trace fails (an unknown compute
+workload), wait until the queue reports the first three ``done`` and the
+last ``failed``, and check that exactly the three runs are stored, that
+``/runs?kind=campaign`` serves the failure's error, that ``/compare``
+draws a sim-rate trend from the runs (stored run records are the only
+speed record) and that ``/events.json`` carries ``job_done`` and campaign
+``heartbeat`` events.  Exits nonzero on any mismatch.
 """
 
 import json
@@ -51,19 +53,22 @@ def nano_job(policy):
             "policy": policy}
 
 
-def wait_done(base, job_ids):
-    """Poll ``/queue`` until every job in ``job_ids`` is done."""
+def wait_for(base, expected):
+    """Poll ``/queue`` until every job id in ``expected`` has finished in
+    its expected state (``done`` or ``failed``)."""
     deadline = time.monotonic() + SUBMIT_DEADLINE_S
     while True:
         jobs = {j["job_id"]: j
                 for j in json.loads(get(base, "/queue"))["jobs"]}
-        states = {jid: jobs[jid]["state"] for jid in job_ids}
-        failed = [jobs[jid] for jid, st in states.items() if st == "failed"]
-        assert not failed, "submitted job failed: %s" % failed[0]["error"]
-        if all(st == "done" for st in states.values()):
+        states = {jid: jobs[jid]["state"] for jid in expected}
+        wrong = [jobs[jid] for jid, st in states.items()
+                 if st in ("done", "failed") and st != expected[jid]]
+        assert not wrong, "submitted job %(label)s ended %(state)s: " \
+            "%(error)s" % wrong[0]
+        if states == expected:
             return
         assert time.monotonic() < deadline, \
-            "submitted jobs not done after %.0fs: %s" % (
+            "submitted jobs not finished after %.0fs: %s" % (
                 SUBMIT_DEADLINE_S, states)
         time.sleep(0.2)
 
@@ -106,12 +111,25 @@ def main() -> int:
             campaign = post(base, {"jobs": [nano_job("mig"),
                                             nano_job("tap")],
                                    "workers": 2})["jobs"]
+            broken = post(base, {"scene": "SPL", "compute": "NOPE",
+                                 "res": "nano"})
             job_ids = [single["job_id"]] + [e["job_id"] for e in campaign]
-            wait_done(base, job_ids)
-            stored = json.loads(get(base, "/runs"))["runs"]
-            assert len(stored) == len(runs) + 3, \
+            expected = dict.fromkeys(job_ids, "done")
+            expected[broken["job_id"]] = "failed"
+            wait_for(base, expected)
+            stored = json.loads(get(base, "/runs?kind=run"))["runs"]
+            ingested = sum(r["kind"] == "run" for r in runs)
+            assert len(stored) == ingested + 3, \
                 "expected 3 new stored runs, got %d" % (
-                    len(stored) - len(runs))
+                    len(stored) - ingested)
+            failures = json.loads(get(base, "/runs?kind=campaign"))["runs"]
+            assert [r["job_fingerprint"] for r in failures] == \
+                [broken["fingerprint"]], \
+                "expected the failed job's campaign row, got %s" % failures
+            entry = json.loads(get(base, "/runs/%d" % failures[0]["id"])
+                               )["extras"]
+            assert entry["status"] == "failed" and "NOPE" in entry["error"], \
+                "campaign row lacks the failure: %s" % entry
             groups = json.loads(get(base, "/compare"))["groups"]
             assert groups, "/compare produced no trend groups"
             assert all(g["runs"] and "best_instructions_per_second" in g
@@ -125,7 +143,7 @@ def main() -> int:
                 "expected job_done and heartbeat events, got %s" % kinds
 
             print("serve smoke OK: %d run(s), %d trend group(s), "
-                  "%d submitted job(s) done"
+                  "%d submitted job(s) done, 1 failure stored"
                   % (len(runs), len(groups), len(job_ids)))
         finally:
             server.stop()

@@ -5,9 +5,10 @@ machine config.  This subsystem turns the ad-hoc loops that ran those
 sweeps into data: a list of :class:`Job` specs handed to a
 :class:`CampaignRunner`, which traces each workload once for all the jobs
 that share it, fans them out over worker processes, serves
-repeats from an on-disk result cache keyed by content fingerprint, retries
-crashed jobs, and emits a machine-readable summary with per-job wall-clock
-and per-stream GPU counters.
+repeats from an on-disk result cache keyed by content fingerprint (which
+is also what resumes a killed campaign), retries crashed jobs, stores
+every outcome in an attached run repository, and emits a machine-readable
+summary with per-job wall-clock and per-stream GPU counters.
 
     from repro.campaign import Job, run_campaign
 
@@ -30,13 +31,11 @@ from .execute import (
     run_job,
 )
 from .job import FINGERPRINT_VERSION, Job
-from .manifest import CampaignManifest, campaign_id
 from .progress import ProgressReporter
-from .runner import CampaignResult, CampaignRunner, run_campaign
+from .runner import CampaignResult, CampaignRunner, campaign_id, run_campaign
 
 __all__ = [
     "CACHE_ENV_VAR",
-    "CampaignManifest",
     "CampaignResult",
     "CampaignRunner",
     "FINGERPRINT_VERSION",

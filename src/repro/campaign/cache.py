@@ -5,14 +5,15 @@ one directory)::
 
     <root>/
       results/<fp[:2]>/<fp>.json    one JSON blob per simulated job
-      manifests/<campaign_id>.json  per-campaign status (see manifest.py)
-      manifests/<campaign_id>.log   its journal: one line per finished job,
-                                    deleted when the campaign ends
 
-A blob stores the canonical job spec alongside the result so entries are
-self-describing and auditable.  Writes are atomic (temp file + ``rename``)
-— a campaign killed mid-write never leaves a truncated entry behind, which
-is what makes kill-and-resume safe.
+Nothing else is written under the root; a ``manifests/`` directory left
+there by older versions is ignored.  A blob stores the canonical job spec
+alongside the result so entries are self-describing and auditable.
+Writes are atomic (temp file + ``rename``) — a campaign killed mid-write
+never leaves a truncated entry behind, which is what makes kill-and-resume
+safe: a re-submitted campaign simulates only the jobs missing here.
+Failures are not cached; an attached run repository keeps their status
+and error.
 """
 
 from __future__ import annotations
@@ -30,25 +31,19 @@ CACHE_ENV_VAR = "REPRO_CAMPAIGN_CACHE"
 
 
 def default_cache_dir() -> str:
-    env = os.environ.get(CACHE_ENV_VAR)
-    if env:
-        return env
-    return os.path.join(os.path.expanduser("~"), ".cache", "repro-campaign")
+    return os.path.expanduser(os.environ.get(CACHE_ENV_VAR)
+                              or "~/.cache/repro-campaign")
 
 
 class ResultCache:
     """Fingerprint-addressed store of completed job results."""
 
     def __init__(self, root: Optional[str] = None) -> None:
-        self.root = root or default_cache_dir()
+        self.root = os.path.expanduser(root) if root else default_cache_dir()
 
     @property
     def results_dir(self) -> str:
         return os.path.join(self.root, "results")
-
-    @property
-    def manifests_dir(self) -> str:
-        return os.path.join(self.root, "manifests")
 
     def path_for(self, fingerprint: str) -> str:
         return os.path.join(self.results_dir, fingerprint[:2],

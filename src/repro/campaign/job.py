@@ -173,7 +173,7 @@ class Job:
         if unknown:
             raise ValueError("unknown job fields: %s" % sorted(unknown))
         kwargs = dict(data)
-        # Older job files, cache manifests and submissions carry an
+        # Older job files and submissions carry an
         # execution plan or a worker count; every job now runs serially.
         kwargs.pop("execution", None)
         kwargs.pop("workers", None)

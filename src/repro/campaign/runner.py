@@ -17,10 +17,14 @@ Execution model:
   every job keeps its timeout and a crash stays in its worker.
 * A job that crashes (including a died worker process) is retried once by
   default; per-job timeouts are enforced inside the worker itself.
+* Each finished job, failures included, goes to the attached run
+  repository as it completes: the result cache is what a resumed
+  campaign reads, the repository is the audit record.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import threading
@@ -41,8 +45,17 @@ from .execute import (
     run_group_guarded,
 )
 from .job import Job
-from .manifest import CampaignManifest
 from .progress import ProgressReporter
+
+
+def campaign_id(fingerprints: Sequence[str]) -> str:
+    """Stable identity of a job set (order- and duplicate-insensitive), so
+    re-submitting the same sweep names the same campaign."""
+    h = hashlib.sha256()
+    for fp in sorted(set(fingerprints)):
+        h.update(fp.encode("ascii"))
+        h.update(b"\n")
+    return h.hexdigest()[:16]
 
 
 @dataclass
@@ -53,7 +66,6 @@ class CampaignResult:
     jobs: List[Job]
     results: List[JobResult]
     wall_seconds: float = 0.0
-    manifest_path: Optional[str] = None
     _counts: Dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -147,8 +159,9 @@ class CampaignRunner:
         self.heartbeat_path = (os.path.join(telemetry_dir, HEARTBEAT_FILE)
                                if telemetry_dir else None)
         #: Optional :class:`~repro.service.repository.RunRepository`; every
-        #: finished-ok job (cache hits included — ingest is content-keyed,
-        #: so re-runs dedupe) is stored as it completes.
+        #: finished job is stored as it completes: a run row for a result
+        #: (cache hits included — ingest is content-keyed, so re-runs
+        #: dedupe), a campaign row with the error for a failure.
         self.repository = repository
         #: Optional callable receiving every heartbeat record as emitted
         #: (the job queue forwards these to ``/events`` subscribers).
@@ -186,9 +199,7 @@ class CampaignRunner:
         started = time.perf_counter()
         fingerprints = [job.fingerprint() for job in jobs]
         labels = [job.display_label for job in jobs]
-        manifest = CampaignManifest.open(
-            fingerprints, labels,
-            self.cache.manifests_dir if self.cache is not None else None)
+        cid = campaign_id(fingerprints)
         reporter = ProgressReporter(len(jobs), enabled=self.progress)
         if self.heartbeat_path is not None or self.heartbeat_sink is not None:
             if self.telemetry_dir is not None:
@@ -197,7 +208,7 @@ class CampaignRunner:
                               live=self.heartbeat_path is not None,
                               sink=self.heartbeat_sink)
             self._heartbeat("campaign_start",
-                            campaign_id=manifest.campaign_id,
+                            campaign_id=cid,
                             jobs=len(jobs), workers=self.workers,
                             labels=labels)
 
@@ -212,7 +223,7 @@ class CampaignRunner:
             if cached is not None:
                 cached.label = labels[i]
                 results[i] = cached
-                self._finish(manifest, reporter, job, fp, cached)
+                self._finish(reporter, job, fp, cached)
             elif fp in claimed:
                 pass  # duplicate spec: simulate once, share the result
             else:
@@ -234,7 +245,7 @@ class CampaignRunner:
                 if result.ok and self.cache is not None:
                     self.cache.put(job, result)
                 if result.ok or attempt > self.retries or self._cancelled:
-                    self._finish(manifest, reporter, job, fp, result)
+                    self._finish(reporter, job, fp, result)
 
             outcomes = self._execute_wave(wave, on_complete)
             retry: List[Tuple[int, Job, str]] = []
@@ -251,18 +262,16 @@ class CampaignRunner:
             if results[i] is None:
                 results[i] = results[claimed[fp]]
 
-        manifest.save()
         reporter.close()
         campaign = CampaignResult(
-            campaign_id=manifest.campaign_id,
+            campaign_id=cid,
             jobs=jobs,
             results=[r for r in results if r is not None],
             wall_seconds=time.perf_counter() - started,
-            manifest_path=manifest.path,
         )
         if self._hb is not None:
             self._heartbeat("campaign_end",
-                            campaign_id=manifest.campaign_id,
+                            campaign_id=cid,
                             executed=campaign.executed,
                             cached=campaign.cached,
                             failed=campaign.failed,
@@ -271,15 +280,10 @@ class CampaignRunner:
             self._hb = None
         return campaign
 
-    def _finish(self, manifest: CampaignManifest,
-                reporter: ProgressReporter, job: Job, fingerprint: str,
-                result: JobResult) -> None:
-        manifest.update(fingerprint, result.status,
-                        wall_seconds=result.wall_seconds,
-                        error=result.error)
+    def _finish(self, reporter: ProgressReporter, job: Job,
+                fingerprint: str, result: JobResult) -> None:
         if self.repository is not None:
-            # No-op for failed/statless results; content-keyed, so cache
-            # hits map onto the already-stored row.
+            # Content-keyed, so cache hits map onto the already-stored row.
             self.repository.ingest_job_result(job, result)
         self._heartbeat("job_done", fingerprint=fingerprint,
                         label=result.label, status=result.status,

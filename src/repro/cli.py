@@ -469,8 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
     dsub = p.add_subparsers(dest="action", required=True)
     dp = dsub.add_parser(
         "ingest",
-        help="backfill run records, QoS reports, campaign summaries/"
-             "manifests, golden snapshots and telemetry directories")
+        help="backfill run records, QoS reports, campaign summaries, "
+             "golden snapshots and telemetry directories")
     dp.add_argument("paths", nargs="+", metavar="PATH",
                     help="files or directories to scan")
     dp.add_argument("--db", metavar="PATH", default=None,
@@ -585,8 +585,6 @@ def _cmd_campaign(args) -> int:
     if args.out:
         campaign.write_summary(args.out)
         print("summary -> %s" % args.out)
-    if campaign.manifest_path:
-        print("manifest -> %s" % campaign.manifest_path)
     if args.telemetry:
         print("heartbeats -> %s" % runner.heartbeat_path)
     if repository is not None:

@@ -6,7 +6,7 @@ recognised artifact through the tolerant readers in
 
 * run records (``RunResult.to_record()``),
 * QoS scenario reports and campaign documents,
-* campaign summaries (``--out``) and manifests (resume bookkeeping),
+* campaign summaries (``--out``),
 * golden ``GPUStats`` snapshots under ``tests/golden``,
 * telemetry directories (``metrics.jsonl`` + ``trace.json``), whose
   kernel spans / stall attribution / IPC series are extracted into the
@@ -23,7 +23,6 @@ import os
 from typing import Callable, Dict, List, Optional
 
 from .records import (
-    DOC_CAMPAIGN_MANIFEST,
     DOC_CAMPAIGN_SUMMARY,
     DOC_QOS_CAMPAIGN,
     DOC_QOS_REPORT,
@@ -117,20 +116,7 @@ def ingest_campaign_summary(repo: RunRepository, path: str, doc: dict) -> int:
             repo.add_record(record, source="campaign",
                             created_unix=created)
         else:
-            repo.add_campaign_entry(fp, entry, source="campaign",
-                                    created_unix=created)
-        n += 1
-    return n
-
-
-def ingest_campaign_manifest(repo: RunRepository, path: str,
-                             doc: dict) -> int:
-    """Import a campaign manifest's per-job bookkeeping."""
-    created = doc.get("created_at")
-    n = 0
-    for fp, entry in sorted(doc.get("jobs", {}).items()):
-        repo.add_campaign_entry(fp, entry, source="manifest",
-                                created_unix=created)
+            repo.add_campaign_entry(fp, entry, created_unix=created)
         n += 1
     return n
 
@@ -187,8 +173,6 @@ def ingest_file(repo: RunRepository, path: str,
         n = ingest_qos_campaign(repo, path, doc)
     elif shape == DOC_CAMPAIGN_SUMMARY:
         n = ingest_campaign_summary(repo, path, doc)
-    elif shape == DOC_CAMPAIGN_MANIFEST:
-        n = ingest_campaign_manifest(repo, path, doc)
     elif shape == DOC_STATS:
         n = ingest_stats_snapshot(repo, path, doc)
     elif shape == DOC_RUN_RECORD:

@@ -2,8 +2,8 @@
 
 Every persisted observability artifact the project has accumulated flows
 through here on its way into the run repository: run records, QoS
-reports, golden ``GPUStats`` snapshots and campaign summaries and
-manifests.  :func:`classify_document` names a document's shape for
+reports, golden ``GPUStats`` snapshots and campaign summaries.
+:func:`classify_document` names a document's shape for
 ``repro db ingest``; :func:`content_key` gives a record the identity that
 makes ingest idempotent.
 """
@@ -24,7 +24,6 @@ RUN_RECORD_SCHEMA = 1
 DOC_QOS_REPORT = "qos-report"    # runner.run_scenario canonical report
 DOC_QOS_CAMPAIGN = "qos-campaign"  # qos campaign doc ({"rows": [...]})
 DOC_CAMPAIGN_SUMMARY = "campaign-summary"  # CampaignResult.write_summary
-DOC_CAMPAIGN_MANIFEST = "campaign-manifest"  # CampaignManifest.save
 DOC_STATS = "stats"              # bare GPUStats.to_dict (golden snapshots)
 DOC_RUN_RECORD = "run-record"    # RunResult.to_record()
 
@@ -41,8 +40,6 @@ def classify_document(doc: object) -> Optional[str]:
         return DOC_QOS_CAMPAIGN
     if "campaign_id" in doc and isinstance(doc.get("jobs"), list):
         return DOC_CAMPAIGN_SUMMARY
-    if "campaign_id" in doc and isinstance(doc.get("jobs"), dict):
-        return DOC_CAMPAIGN_MANIFEST
     if "cycles" in doc and isinstance(doc.get("streams"), dict):
         return DOC_STATS
     return None

@@ -30,6 +30,10 @@ from .records import content_key
 
 DB_ENV_VAR = "REPRO_DB"
 
+#: The fields a ``campaign`` row keeps of a job outcome without stats.
+_CAMPAIGN_ENTRY_KEYS = ("label", "status", "error", "wall_seconds",
+                        "attempts")
+
 #: Bumped when the table layout changes; old files are migrated in
 #: :meth:`RunRepository._init_schema` (so far: created-at-version only).
 DB_SCHEMA = 1
@@ -80,18 +84,15 @@ def _dumps(payload) -> Optional[str]:
 
 
 def default_db_path() -> str:
-    env = os.environ.get(DB_ENV_VAR)
-    if env:
-        return env
-    return os.path.join(os.path.expanduser("~"), ".cache", "repro",
-                        "runs.sqlite")
+    return os.path.expanduser(os.environ.get(DB_ENV_VAR)
+                              or "~/.cache/repro/runs.sqlite")
 
 
 class RunRepository:
     """Fingerprint-keyed store of completed runs and their observables."""
 
     def __init__(self, path: Optional[str] = None) -> None:
-        self.path = path or default_db_path()
+        self.path = os.path.expanduser(path) if path else default_db_path()
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)
         self._local = threading.local()
@@ -197,14 +198,17 @@ class RunRepository:
 
     def add_campaign_entry(self, job_fingerprint: str,
                            entry: Dict[str, object],
-                           source: str = "manifest",
                            created_unix: Optional[float] = None) -> int:
-        """Store one campaign manifest/summary job entry (no stats)."""
-        key = content_key("campaign", source, job_fingerprint, entry)
+        """Store one campaign job's outcome without stats (a failure or a
+        timeout) from a ``JobResult.to_dict()`` or a summary's job entry.
+        Only the ``_CAMPAIGN_ENTRY_KEYS`` fields are kept, so both forms
+        of one outcome map onto one row."""
+        entry = {k: entry.get(k) for k in _CAMPAIGN_ENTRY_KEYS}
+        key = content_key("campaign", "campaign", job_fingerprint, entry)
         row = {
             "kind": "campaign",
-            "source": source,
-            "label": str(entry.get("label", job_fingerprint[:12])),
+            "source": "campaign",
+            "label": str(entry["label"] or job_fingerprint[:12]),
             "job_fingerprint": job_fingerprint,
             "created_unix": created_unix or time.time(),
             "wall_seconds": entry.get("wall_seconds"),
@@ -212,15 +216,17 @@ class RunRepository:
         }
         return self._insert(key, row)
 
-    def ingest_job_result(self, job, result) -> Optional[int]:
+    def ingest_job_result(self, job, result) -> int:
         """Campaign sink: store one finished
-        :class:`~repro.campaign.execute.JobResult` as a full run.
+        :class:`~repro.campaign.execute.JobResult` — a full run, or a
+        campaign row with the status and error of a failure.
 
         Identity excludes wall-clock, so a re-run campaign whose jobs come
         back from the result cache maps onto the already-stored rows.
         """
-        if not result.ok or not result.stats:
-            return None
+        if not result.stats:
+            return self.add_campaign_entry(result.fingerprint,
+                                           result.to_dict())
         config = job.resolved_config()
         record = {
             "label": result.label,

@@ -8,10 +8,10 @@ import threading
 import pytest
 
 from repro.campaign import (
-    CampaignManifest,
     CampaignRunner,
     Job,
     ResultCache,
+    campaign_id,
     run_campaign,
 )
 from repro.cli import main
@@ -77,7 +77,7 @@ class TestJobFingerprint:
         assert restored.display_label == job.display_label
 
     def test_legacy_execution_fields_load_and_drop(self):
-        """Job files, cache manifests and submissions written when jobs
+        """Job files and submissions written when jobs
         carried an execution plan still load, and key identically."""
         plain = nano_job("tap").to_dict()
         for legacy in ({"execution": {"engine": "process", "workers": 2}},
@@ -103,6 +103,26 @@ class TestResultCache:
         cache = ResultCache(str(tmp_path))
         assert cache.get("0" * 64) is None
         assert "0" * 64 not in cache
+
+    def test_home_is_expanded(self, tmp_path, monkeypatch):
+        """``~`` in a cache or database path names the home directory,
+        never a directory called ``~`` in the working directory."""
+        from repro.service import RunRepository
+        home, cwd = tmp_path / "home", tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.setenv("HOME", str(home))
+        monkeypatch.chdir(cwd)
+        campaign = run_campaign([Job(compute="VIO")],
+                                cache_dir="~/.cache/example")
+        assert campaign.ok
+        assert len(ResultCache(str(home / ".cache" / "example"))) == 1
+        monkeypatch.setenv("REPRO_CAMPAIGN_CACHE", "~/env-cache")
+        assert ResultCache().root == str(home / "env-cache")
+        assert RunRepository("~/db/a.sqlite").path == \
+            str(home / "db" / "a.sqlite")
+        monkeypatch.setenv("REPRO_DB", "~/db/b.sqlite")
+        assert RunRepository().path == str(home / "db" / "b.sqlite")
+        assert os.listdir(str(cwd)) == []
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(str(tmp_path))
@@ -190,15 +210,6 @@ class TestCampaignRunner:
         assert "decisions" in slicer.extras
         assert slicer.extras["samples_taken"] >= 0
         assert "final_ratio" in tap.extras
-
-    def test_manifest_written(self, tmp_path):
-        campaign = run_campaign([nano_job()], cache_dir=str(tmp_path))
-        assert campaign.manifest_path
-        with open(campaign.manifest_path) as f:
-            doc = json.load(f)
-        assert doc["campaign_id"] == campaign.campaign_id
-        statuses = [e["status"] for e in doc["jobs"].values()]
-        assert statuses == ["ok"]
 
     def test_summary_roundtrips_stats(self, tmp_path):
         from repro.timing import GPUStats
@@ -346,60 +357,83 @@ def broken_job():
     return Job(scene="SPL", compute="NOPE", res="nano")
 
 
-class TestManifestJournal:
+class TestCampaignId:
     FPS = ("a" * 64, "b" * 64, "c" * 64)
 
-    def _open(self, directory):
-        return CampaignManifest.open(self.FPS, ["A", "B", "C"], directory)
+    def test_ignores_order_and_duplicates(self):
+        assert campaign_id(self.FPS) == "72400b18bd66d6b8"
+        assert campaign_id(self.FPS[::-1] + self.FPS[:1]) == \
+            "72400b18bd66d6b8"
+        assert campaign_id(self.FPS[:2]) != campaign_id(self.FPS)
 
-    def test_torn_journal_keeps_complete_entries(self, tmp_path):
-        manifest = self._open(str(tmp_path))
-        manifest.update(self.FPS[0], "ok", wall_seconds=1.5)
-        manifest.update(self.FPS[1], "failed", error="boom")
-        with open(manifest.journal, "a") as f:
-            f.write('["%s", {"label": "C", "sta' % self.FPS[2])
-        reopened = self._open(str(tmp_path))
-        assert [reopened.jobs[fp]["status"] for fp in self.FPS] == \
-            ["ok", "failed", "pending"]
-        assert reopened.jobs[self.FPS[0]]["wall_seconds"] == 1.5
-        # The torn tail is cut off, so a later append stays readable.
-        reopened.update(self.FPS[2], "ok")
-        assert self._open(str(tmp_path)).jobs[self.FPS[2]]["status"] == "ok"
+    def test_heartbeats_summary_and_cli_carry_it(self, tmp_path, capsys):
+        jobs = [nano_job("mps"), nano_job("tap"), nano_job("mps")]
+        cid = campaign_id([job.fingerprint() for job in jobs])
+        spec, out = str(tmp_path / "jobs.json"), str(tmp_path / "s.json")
+        with open(spec, "w") as f:
+            json.dump({"jobs": [job.to_dict() for job in jobs]}, f)
+        assert main(["campaign", "--spec", spec, "--no-cache", "--quiet",
+                     "--out", out, "--telemetry", str(tmp_path)]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.startswith("campaign %s: 3 jobs" % cid)
+        with open(out) as f:
+            assert json.load(f)["campaign_id"] == cid
+        with open(str(tmp_path / "heartbeats.jsonl")) as f:
+            beats = [json.loads(line) for line in f]
+        assert [b["campaign_id"] for b in beats
+                if b["kind"].startswith("campaign_")] == [cid, cid]
 
-    def test_journal_replays_over_the_snapshot(self, tmp_path):
-        manifest = self._open(str(tmp_path))
-        manifest.update(self.FPS[0], "failed", error="first try")
-        manifest.save()
-        assert not os.path.exists(manifest.journal)
-        manifest.update(self.FPS[0], "ok")
-        assert self._open(str(tmp_path)).jobs[self.FPS[0]]["status"] == "ok"
 
-    def test_killed_campaign_leaves_status_in_journal(self, tmp_path,
-                                                      monkeypatch):
-        def killed(self):
-            raise KeyboardInterrupt
+class TestFailureRecord:
+    """A failure is not cached; the run repository keeps its status and
+    error, as a ``campaign`` row stored when the job finishes."""
 
-        monkeypatch.setattr(CampaignManifest, "save", killed)
-        jobs = [broken_job()]
+    def _repo(self, tmp_path):
+        from repro.service import RunRepository
+        return RunRepository(str(tmp_path / "runs.sqlite"))
+
+    def test_stored_before_the_campaign_is_interrupted(self, tmp_path,
+                                                       monkeypatch):
+        """Killed in its third trace group, a campaign has stored the
+        first job's run and the second job's failure; re-submitted, it
+        simulates only what the cache lacks."""
+        import repro.campaign.execute as execute_mod
+        original = execute_mod.collect_streams
+
+        def collect_streams(config, **kwargs):
+            if kwargs.get("scene") is None:
+                raise KeyboardInterrupt
+            return original(config, **kwargs)
+
+        monkeypatch.setattr(execute_mod, "collect_streams", collect_streams)
+        repo = self._repo(tmp_path)
+        cache_dir = str(tmp_path / "cache")
+        jobs = [nano_job(), broken_job(), Job(compute="VIO")]
         with pytest.raises(KeyboardInterrupt):
-            run_campaign(jobs, cache_dir=str(tmp_path), retries=0)
-        monkeypatch.undo()
-        manifest = CampaignManifest.open(
-            [j.fingerprint() for j in jobs], ["x"],
-            ResultCache(str(tmp_path)).manifests_dir)
-        assert not os.path.exists(manifest.path)
-        (entry,) = manifest.jobs.values()
+            run_campaign(jobs, cache_dir=cache_dir, retries=0,
+                         repository=repo)
+        assert repo.counts()["by_kind"] == {"campaign": 1, "run": 1}
+        (row,) = repo.list_runs(kind="campaign")
+        assert row["job_fingerprint"] == broken_job().fingerprint()
+        entry = repo.get(row["id"])["extras"]
         assert entry["status"] == "failed" and "NOPE" in entry["error"]
+        assert repo.find_job(broken_job().fingerprint()) is None
+        monkeypatch.undo()
+        resumed = run_campaign([jobs[0], jobs[2]], cache_dir=cache_dir)
+        assert [r.status for r in resumed.results] == ["cached", "ok"]
 
-    def test_finished_campaign_leaves_only_the_snapshot(self, tmp_path):
-        from repro.service import classify_document
-        campaign = run_campaign([broken_job()], cache_dir=str(tmp_path),
-                                retries=0)
-        directory = os.path.dirname(campaign.manifest_path)
-        assert os.listdir(directory) == [
-            os.path.basename(campaign.manifest_path)]
-        with open(campaign.manifest_path) as f:
-            assert classify_document(json.load(f)) == "campaign-manifest"
+    def test_summary_reingest_adds_no_row(self, tmp_path):
+        from repro.service.ingest import ingest_file
+        repo = self._repo(tmp_path)
+        campaign = run_campaign([broken_job(), nano_job()], retries=0,
+                                repository=repo)
+        assert (campaign.executed, campaign.failed) == (1, 1)
+        assert repo.counts()["by_kind"] == {"campaign": 1, "run": 1}
+        out = str(tmp_path / "summary.json")
+        campaign.write_summary(out)
+        assert ingest_file(repo, out) == 2
+        assert repo.counts()["runs"] == 2
+        assert repo.find_job(broken_job().fingerprint()) is None
 
 
 def watch_io(monkeypatch):
@@ -455,22 +489,26 @@ class TestBookkeepingIO:
         assert not open_connections(seen["connections"])
         assert runner.repository.counts()["runs"] == 3
 
+    def test_cold_cache_holds_only_results(self, tmp_path):
+        runner = self._runner(tmp_path)
+        jobs = [nano_job(p) for p in ("mps", "tap")]
+        assert runner.run(jobs).executed == 2
+        root = runner.cache.root
+        written = sorted(os.path.relpath(os.path.join(d, name), root)
+                         for d, _, names in os.walk(root) for name in names)
+        fps = sorted(job.fingerprint() for job in jobs)
+        assert written == [os.path.join("results", fp[:2], fp + ".json")
+                           for fp in fps]
+
     def test_warm_rerun_renames_nothing(self, tmp_path, monkeypatch):
-        """A re-run served wholly from the cache leaves the manifest
-        snapshot as it is: no rename onto an existing file, no journal."""
+        """A re-run served wholly from the cache writes no file."""
         runner = self._runner(tmp_path)
         cold = runner.run([nano_job()])
         assert cold.executed == 1
         seen = watch_io(monkeypatch)
         warm = runner.run([nano_job()])
         assert warm.cached == 1
-        assert seen["existing"] == 0
-        manifest = CampaignManifest.open(
-            [nano_job().fingerprint()], ["x"],
-            runner.cache.manifests_dir)
-        assert not os.path.exists(manifest.journal)
-        (entry,) = manifest.jobs.values()
-        assert entry["status"] == "ok"
+        assert seen["new"] == seen["existing"] == 0
 
     def test_failed_jobs_and_errors_close_the_connection(self, tmp_path,
                                                          monkeypatch):

@@ -221,8 +221,7 @@ class TestIdempotentIngest:
             == "qos-campaign"
         assert classify_document({"campaign_id": "c", "jobs": []}) \
             == "campaign-summary"
-        assert classify_document({"campaign_id": "c", "jobs": {}}) \
-            == "campaign-manifest"
+        assert classify_document({"campaign_id": "c", "jobs": {}}) is None
         assert classify_document(_stats_doc()) == "stats"
         assert classify_document({"kind": "run", "stats": {}}) \
             == "run-record"
