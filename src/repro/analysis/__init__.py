@@ -3,7 +3,6 @@
 from .correlation import (
     concordance,
     correlation_percent,
-    geometric_mean,
     mape,
     pearson,
 )
@@ -11,7 +10,6 @@ from .l2comp import (
     composition_fractions,
     graphics_vs_compute,
     mean_fraction,
-    peak_fraction,
     summarize,
 )
 from .qos import (
@@ -39,14 +37,12 @@ __all__ = [
     "worst_slack",
     "composition_fractions",
     "correlation_percent",
-    "geometric_mean",
     "graphics_vs_compute",
     "histogram",
     "mape",
     "mean",
     "mean_fraction",
     "mode",
-    "peak_fraction",
     "pearson",
     "summarize",
 ]

@@ -60,12 +60,3 @@ def concordance(actual: Sequence[float], predicted: Sequence[float]) -> float:
     if denom == 0:
         raise ValueError("concordance undefined for identical constants")
     return 2.0 * cov / float(denom)
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    v = np.asarray(values, dtype=float)
-    if len(v) == 0:
-        raise ValueError("need at least one value")
-    if np.any(v <= 0):
-        raise ValueError("geometric mean needs positive values")
-    return float(np.exp(np.mean(np.log(v))))

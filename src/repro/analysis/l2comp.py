@@ -33,11 +33,6 @@ def mean_fraction(snapshots: Sequence[Snapshot], cls: DataClass) -> float:
     return sum(fracs) / len(fracs) if fracs else 0.0
 
 
-def peak_fraction(snapshots: Sequence[Snapshot], cls: DataClass) -> float:
-    fracs = [f.get(cls, 0.0) for _, f in composition_fractions(snapshots) if f]
-    return max(fracs) if fracs else 0.0
-
-
 def graphics_vs_compute(snapshots: Sequence[Snapshot]
                         ) -> List[Tuple[int, float, float]]:
     """(cycle, graphics fraction, compute fraction) series for Fig 15."""

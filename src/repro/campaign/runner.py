@@ -126,6 +126,7 @@ class CampaignResult:
         }
 
     def write_summary(self, path: str) -> None:
+        path = os.path.expanduser(path)
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
         with open(path, "w", encoding="utf-8") as f:
@@ -155,6 +156,8 @@ class CampaignRunner:
         self.timeout = timeout
         self.retries = max(0, int(retries))
         self.progress = progress
+        if telemetry_dir:
+            telemetry_dir = os.path.expanduser(telemetry_dir)
         self.telemetry_dir = telemetry_dir
         self.heartbeat_path = (os.path.join(telemetry_dir, HEARTBEAT_FILE)
                                if telemetry_dir else None)
@@ -164,7 +167,7 @@ class CampaignRunner:
         #: dedupe), a campaign row with the error for a failure.
         self.repository = repository
         #: Optional callable receiving every heartbeat record as emitted
-        #: (the job queue forwards these to ``/events`` subscribers).
+        #: (the job queue appends them to the event log ``/events`` serves).
         self.heartbeat_sink = heartbeat_sink
         self._hb: Optional[RunLog] = None
         #: Set by :meth:`cancel`; the process pool of the wave in flight.

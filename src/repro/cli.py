@@ -135,11 +135,6 @@ def _cmd_simulate(args) -> int:
         if args.sample_interval:
             for path in write_timeline_csvs(args.csv, stats):
                 print("timeline -> %s" % path)
-    if args.vlog:
-        from .harness.visualizer import dump_log
-        n = dump_log(args.vlog, stats,
-                     metadata={"config": args.config, "policy": args.policy})
-        print("visualizer log (%d records) -> %s" % (n, args.vlog))
     return 0
 
 
@@ -314,8 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="write per-stream stats CSV (with "
                                  "--sample-interval also writes sibling "
                                  "*_timeline.csv time series)")
-    p.add_argument("--vlog", help="write a visualizer log of the sampled "
-                                  "time series (requires --sample-interval)")
     p.add_argument("--telemetry", metavar="DIR",
                    help="record metrics.jsonl + Perfetto trace.json into DIR")
 

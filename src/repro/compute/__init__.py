@@ -6,7 +6,6 @@ from .builder import (
     Buffer,
     DeviceMemory,
     KernelBuilder,
-    kernel_sequence,
 )
 from .hologram import build_hologram_kernels
 from .nn import build_nn_kernels
@@ -54,6 +53,5 @@ __all__ = [
     "build_vio_kernels",
     "coverage_of",
     "kernel_count_per_frame",
-    "kernel_sequence",
     "principal_kernels",
 ]

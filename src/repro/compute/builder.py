@@ -12,7 +12,7 @@ the tracer output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Union
+from typing import Callable, List, Union
 
 import numpy as np
 
@@ -328,8 +328,3 @@ class KernelBuilder:
             shared_mem_per_cta=self.shared_mem,
             kind=ShaderKind.COMPUTE,
         )
-
-
-def kernel_sequence(builders: Sequence[KernelBuilder]) -> List[KernelTrace]:
-    """Build a list of kernels forming one workload stream."""
-    return [b.build() for b in builders]

@@ -10,6 +10,7 @@ helpers produce the same kind of flat files from a run's
 from __future__ import annotations
 
 import csv
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence
 
 from ..graphics.tracegen import FrameResult
@@ -92,35 +93,6 @@ def write_csv(path: str, rows: Sequence[Dict[str, object]],
         writer.writerows(rows)
 
 
-#: Column order of the per-kernel timeline report.
-TIMELINE_COLUMNS = ("stream", "kernel", "start_cycle", "complete_cycle",
-                    "duration")
-
-
-def timeline_rows(gpu) -> List[Dict[str, object]]:
-    """One row per completed kernel across all of a GPU's streams.
-
-    Takes the :class:`~repro.timing.GPU` instance (timelines live on its
-    stream queues, not in the stats object).
-    """
-    rows: List[Dict[str, object]] = []
-    for sid in sorted(gpu.cta_scheduler.streams):
-        sq = gpu.cta_scheduler.streams[sid]
-        for name, start, end in sq.timeline():
-            rows.append({
-                "stream": sid,
-                "kernel": name,
-                "start_cycle": start,
-                "complete_cycle": end,
-                "duration": end - start,
-            })
-    return rows
-
-
-def write_timeline_report(path: str, gpu) -> None:
-    write_csv(path, timeline_rows(gpu), TIMELINE_COLUMNS)
-
-
 def write_sim_report(path: str, stats: GPUStats) -> None:
     write_csv(path, sim_rows(stats), SIM_COLUMNS)
 
@@ -136,6 +108,8 @@ def write_draw_report(path: str, frame: FrameResult) -> None:
 OCCUPANCY_TIMELINE_COLUMNS = ("cycle", "stream", "warps", "total_warp_slots",
                               "occupancy")
 L2_TIMELINE_COLUMNS = ("cycle", "stream", "lines", "total_lines", "share")
+L2_CLASS_TIMELINE_COLUMNS = ("cycle", "data_class", "lines", "total_lines",
+                             "share")
 
 
 def occupancy_timeline_rows(stats: GPUStats) -> List[Dict[str, object]]:
@@ -153,42 +127,55 @@ def occupancy_timeline_rows(stats: GPUStats) -> List[Dict[str, object]]:
     return rows
 
 
-def l2_timeline_rows(stats: GPUStats) -> List[Dict[str, object]]:
-    """One row per (sample, stream) of the L2 line-share snapshots."""
+def _share_rows(snapshots, column: str, label=None
+                ) -> List[Dict[str, object]]:
+    """One row per (snapshot, key) of ``(cycle, {key: lines})`` snapshots:
+    the key's resident L2 lines and its share of the snapshot's total."""
     rows: List[Dict[str, object]] = []
-    for cycle, by_stream in stats.l2_stream_snapshots:
-        total = sum(by_stream.values())
-        for sid in sorted(by_stream):
+    for cycle, lines in snapshots:
+        total = sum(lines.values())
+        for key in sorted(lines, key=label):
             rows.append({
                 "cycle": cycle,
-                "stream": sid,
-                "lines": by_stream[sid],
+                column: label(key) if label else key,
+                "lines": lines[key],
                 "total_lines": total,
-                "share": round(by_stream[sid] / total, 4) if total else 0.0,
+                "share": round(lines[key] / total, 4) if total else 0.0,
             })
     return rows
+
+
+def l2_timeline_rows(stats: GPUStats) -> List[Dict[str, object]]:
+    """One row per (sample, stream) of the L2 line-share snapshots."""
+    return _share_rows(stats.l2_stream_snapshots, "stream")
+
+
+def l2_class_timeline_rows(stats: GPUStats) -> List[Dict[str, object]]:
+    """One row per (sample, data class) of the L2 composition snapshots."""
+    return _share_rows(stats.l2_snapshots, "data_class",
+                       attrgetter("value"))
 
 
 def write_timeline_csvs(base_path: str, stats: GPUStats) -> List[str]:
     """Write the sampled time series as siblings of ``base_path``.
 
-    ``stats.csv`` grows ``stats_occupancy_timeline.csv`` and
-    ``stats_l2_timeline.csv`` next to it; series with no samples are
-    skipped.  Returns the paths written.
+    ``stats.csv`` grows ``stats_occupancy_timeline.csv``,
+    ``stats_l2_timeline.csv`` and ``stats_l2_class_timeline.csv`` next to
+    it; series with no samples are skipped.  Returns the paths written.
     """
     import os
     stem, _ = os.path.splitext(base_path)
     written: List[str] = []
-    occ = occupancy_timeline_rows(stats)
-    if occ:
-        path = stem + "_occupancy_timeline.csv"
-        write_csv(path, occ, OCCUPANCY_TIMELINE_COLUMNS)
-        written.append(path)
-    l2 = l2_timeline_rows(stats)
-    if l2:
-        path = stem + "_l2_timeline.csv"
-        write_csv(path, l2, L2_TIMELINE_COLUMNS)
-        written.append(path)
+    for suffix, rows, columns in (
+            ("occupancy", occupancy_timeline_rows(stats),
+             OCCUPANCY_TIMELINE_COLUMNS),
+            ("l2", l2_timeline_rows(stats), L2_TIMELINE_COLUMNS),
+            ("l2_class", l2_class_timeline_rows(stats),
+             L2_CLASS_TIMELINE_COLUMNS)):
+        if rows:
+            path = "%s_%s_timeline.csv" % (stem, suffix)
+            write_csv(path, rows, columns)
+            written.append(path)
     return written
 
 

@@ -11,7 +11,6 @@ from .trace import (
     WarpTemplate,
     WarpTrace,
     lower,
-    merge_traces,
 )
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "load_metadata",
     "load_traces",
     "lower",
-    "merge_traces",
     "save_traces",
     "traces_equal",
     "op_info",

@@ -11,7 +11,7 @@ work on one architecture model (Section III).
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .instructions import IE_MEM, MemAccess, WarpInstruction
 from .opcodes import DataClass, Op, Space, UNIT_INDEX, Unit
@@ -370,15 +370,3 @@ class CTAResources:
     def __repr__(self) -> str:
         return "CTAResources(t=%d, r=%d, smem=%d, w=%d)" % (
             self.threads, self.registers, self.shared_mem, self.warps)
-
-
-def merge_traces(traces: Iterable[KernelTrace]) -> List[KernelTrace]:
-    """Flatten an iterable of traces into a list, validating uniqueness."""
-    out: List[KernelTrace] = []
-    seen = set()
-    for t in traces:
-        if t.uid in seen:
-            raise ValueError("duplicate trace %r" % t.name)
-        seen.add(t.uid)
-        out.append(t)
-    return out

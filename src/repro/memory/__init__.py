@@ -8,10 +8,8 @@ from .address import (
     coalesce_array,
     coalesce_rows,
     coalesce_sectors,
-    interleave_lines,
     line_of,
     span_lines,
-    total_unique_lines,
 )
 from .cache import CacheStats, SetAssocCache, SetPartition, sector_mask_of
 from .dram import DRAM, DRAMStats
@@ -31,9 +29,7 @@ __all__ = [
     "coalesce_array",
     "coalesce_rows",
     "coalesce_sectors",
-    "interleave_lines",
     "line_of",
     "sector_mask_of",
     "span_lines",
-    "total_unique_lines",
 ]

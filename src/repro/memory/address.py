@@ -10,7 +10,7 @@ running workloads never alias by accident.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -174,12 +174,6 @@ def coalesce_sectors(addresses: np.ndarray,
     return coalesce_array(np.asarray(addresses), line_size=sector_size)
 
 
-def interleave_lines(base: int, count: int, stride: int = LINE_SIZE) -> List[int]:
-    """Generate ``count`` consecutive line addresses from ``base``."""
-    start = line_of(base)
-    return [start + i * stride for i in range(count)]
-
-
 def span_lines(base: int, num_bytes: int, line_size: int = LINE_SIZE) -> List[int]:
     """All line addresses overlapped by ``[base, base + num_bytes)``."""
     if num_bytes <= 0:
@@ -187,11 +181,3 @@ def span_lines(base: int, num_bytes: int, line_size: int = LINE_SIZE) -> List[in
     first = line_of(base, line_size)
     last = line_of(base + num_bytes - 1, line_size)
     return list(range(first, last + line_size, line_size))
-
-
-def total_unique_lines(groups: Iterable[Sequence[int]]) -> int:
-    """Number of distinct lines across many coalesced groups."""
-    seen = set()
-    for g in groups:
-        seen.update(g)
-    return len(seen)

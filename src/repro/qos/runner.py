@@ -13,6 +13,7 @@ import json
 import os
 from typing import Dict, Optional, Union
 
+from ..analysis import cycles_to_ms
 from ..api import RunRequest, simulate
 from ..config import GPUConfig
 from .controller import AdaptiveQoSPolicy, ControllerPolicy
@@ -30,10 +31,6 @@ _STATIC_POLICIES = ("mps", "mig", "tap", "warped-slicer")
 
 def qos_policy_names():
     return ("adaptive",) + _STATIC_POLICIES
-
-
-def cycles_to_ms(cycles: int, config: GPUConfig) -> float:
-    return cycles / (config.core_clock_mhz * 1e3)
 
 
 def _ms_tree(cycles_tree: dict, config: GPUConfig) -> dict:

@@ -17,18 +17,17 @@ main thread, runs them in its worker processes.  So every job is bounded
 by :data:`JOB_TIMEOUT_S` (armed inside its worker), a crashed or killed
 worker ends its jobs ``failed`` instead of taking the server down, and
 the dashboard never waits on a simulation.  The runner's heartbeat RunLog
-records are forwarded to queue subscribers.
+records are appended to the queue's event log.
 
 Every state transition (``queued`` / ``running`` / ``done`` / ``failed``
 / ``cached``) is appended to a monotonic event log that ``/events``
-serves over SSE and :meth:`subscribe` exposes in-process.
+serves over SSE and :meth:`events` reads in-process.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-import queue as _queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
@@ -102,7 +101,6 @@ class JobQueue:
         self._by_fingerprint: Dict[str, int] = {}
         self._events: List[dict] = []
         self._event_cond = threading.Condition(self._lock)
-        self._subscribers: List[_queue.Queue] = []
         self._next_id = 1
         self._simulated = 0
         self._closed = False
@@ -116,12 +114,10 @@ class JobQueue:
                  "unix_time": time.time()}
         event.update(fields)
         self._events.append(event)
-        for sub in self._subscribers:
-            sub.put(event)
         self._event_cond.notify_all()
 
     def heartbeat(self, record: dict) -> None:
-        """Forward one campaign RunLog heartbeat record to subscribers;
+        """Append one campaign RunLog heartbeat record to the event log;
         the record's own kind travels as ``beat``."""
         with self._lock:
             self._emit("heartbeat", beat=record["kind"],
@@ -143,13 +139,6 @@ class JobQueue:
                     break
                 self._event_cond.wait(remaining)
             return self._events[since:]
-
-    def subscribe(self) -> "_queue.Queue":
-        """An in-process event feed; every future event lands in it."""
-        sub: _queue.Queue = _queue.Queue()
-        with self._lock:
-            self._subscribers.append(sub)
-        return sub
 
     # -- submission -----------------------------------------------------------
     def _enqueue(self, job, fingerprint: str):
@@ -201,7 +190,7 @@ class JobQueue:
         Already-stored and in-flight fingerprints are deduped by
         :meth:`_enqueue`; the remainder run as one campaign on up to
         ``workers`` processes (clamped to ``[1, self.workers]``), whose
-        heartbeats stream to subscribers and whose results land in the
+        heartbeats land in the event log and whose results land in the
         repository.
         """
         from ..campaign.job import Job

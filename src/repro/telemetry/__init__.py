@@ -22,7 +22,7 @@ from .recorder import (
 )
 from .runlog import RunLog, read_jsonl
 from .sink import TraceSink
-from .stall import READY, STALL_REASONS, sample_stalls, stalled_samples
+from .stall import READY, STALL_REASONS, sample_stalls
 
 __all__ = [
     "METRICS_FILE",
@@ -36,5 +36,4 @@ __all__ = [
     "TraceSink",
     "read_jsonl",
     "sample_stalls",
-    "stalled_samples",
 ]

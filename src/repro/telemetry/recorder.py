@@ -2,12 +2,13 @@
 
 The timing core calls telemetry through whatever object sits on
 ``gpu.telemetry``.  By default that is :data:`NULL_TELEMETRY`, a module
-singleton whose hooks are all no-ops and whose flags are precomputed
-``False`` attributes — the zero-overhead-when-off contract.  The hot issue
-path (``SM.tick``'s select-and-commit step) carries *no* telemetry calls
-at all; the only call sites are event-rate sites (kernel start/complete,
-CTA retire, repartition, the sample tick), so a disabled run adds nothing
-per simulated instruction and a handful of attribute loads per event.
+singleton whose hooks are all no-ops and whose ``sample_interval`` is
+``None``, so the GPU loop never ticks it — the zero-overhead-when-off
+contract.  The hot issue path (``SM.tick``'s select-and-commit step)
+carries *no* telemetry calls at all; the only call sites are event-rate
+sites (kernel start/complete, CTA retire, repartition, the sample tick),
+so a disabled run adds nothing per simulated instruction and a handful of
+attribute loads per event.
 
 :class:`Telemetry` buffers everything in memory during the run and writes
 ``metrics.jsonl`` + ``trace.json`` on :meth:`close` (or keeps them
@@ -30,11 +31,8 @@ TRACE_FILE = "trace.json"
 
 
 class NullTelemetry:
-    """Disabled telemetry: every hook is a no-op, every flag precomputed."""
+    """Disabled telemetry: every hook is a no-op, and nothing is sampled."""
 
-    enabled = False
-    sampling = False
-    spans = False
     sample_interval: Optional[int] = None
 
     def on_run_start(self, gpu) -> None:
@@ -73,18 +71,16 @@ NULL_TELEMETRY = NullTelemetry()
 
 
 class Telemetry(NullTelemetry):
-    """Live recorder: counter sampling + span tracing + structured run log."""
+    """Live recorder: counter sampling + span tracing + structured run log.
 
-    enabled = True
+    ``sample_interval=None`` records spans and events but no samples.
+    """
 
     def __init__(self, out_dir: Optional[str] = None,
                  sample_interval: Optional[int] = 1000,
-                 sampling: bool = True, spans: bool = True,
                  label: str = "") -> None:
         self.out_dir = out_dir
-        self.sampling = sampling and sample_interval is not None
-        self.sample_interval = sample_interval if self.sampling else None
-        self.spans = spans
+        self.sample_interval = sample_interval
         self.label = label
         self.metrics = MetricsRecorder()
         self.sink = TraceSink()
@@ -105,7 +101,6 @@ class Telemetry(NullTelemetry):
             streams=sorted(gpu.cta_scheduler.streams),
             num_sms=config.num_sms,
             sample_interval=self.sample_interval,
-            spans=self.spans,
             unix_time=time.time(),
         )
 
@@ -125,15 +120,11 @@ class Telemetry(NullTelemetry):
 
     # -- sampling ----------------------------------------------------------
     def on_sample(self, gpu, cycle: int) -> None:
-        if not self.sampling:
-            return
         record = self.metrics.sample(gpu, cycle)
         self.runlog.emit(KIND_SAMPLE, **record)
 
     # -- spans -------------------------------------------------------------
     def on_kernel_start(self, stream: int, kernel, cycle: int) -> None:
-        if not self.spans:
-            return
         tid = self.sink.stream_row(stream)
         span_id = self.sink.span_begin(
             "kernel", kernel.name, PID_STREAMS, tid, cycle,
@@ -143,8 +134,6 @@ class Telemetry(NullTelemetry):
 
     def on_kernel_complete(self, stream: int, uid: int, name: str,
                            start_cycle: int, end_cycle: int) -> None:
-        if not self.spans:
-            return
         tid = self.sink.stream_row(stream)
         span_id = self._open_kernels.pop((stream, uid), None)
         if span_id is None:
@@ -156,8 +145,6 @@ class Telemetry(NullTelemetry):
                            span_id)
 
     def on_cta_retire(self, sm, cta, cycle: int) -> None:
-        if not self.spans:
-            return
         tid = self.sink.sm_row(sm.sm_id)
         self.sink.span("cta", "%s cta" % cta.kernel.name, PID_SMS, tid,
                        cta.launch_cycle, cycle,
@@ -166,17 +153,14 @@ class Telemetry(NullTelemetry):
 
     def on_repartition(self, cycle: int, policy_name: str,
                        detail: Dict[str, Any]) -> None:
-        if self.spans:
-            self.sink.stream_row(0)
-            self.sink.instant("partition", "repartition:%s" % policy_name,
-                              PID_STREAMS, 0, cycle, args=detail)
+        self.sink.stream_row(0)
+        self.sink.instant("partition", "repartition:%s" % policy_name,
+                          PID_STREAMS, 0, cycle, args=detail)
         self.runlog.emit("repartition", cycle=cycle, policy=policy_name,
                          detail=detail)
 
     def on_instant(self, cycle: int, name: str,
                    args: Optional[Dict[str, Any]] = None) -> None:
-        if not self.spans:
-            return
         self.sink.stream_row(0)
         self.sink.instant("event", name, PID_STREAMS, 0, cycle, args=args)
 
@@ -191,8 +175,7 @@ class Telemetry(NullTelemetry):
         metrics_path = os.path.join(self.out_dir, METRICS_FILE)
         self.runlog.write(metrics_path)
         paths["metrics"] = metrics_path
-        if self.spans:
-            trace_path = os.path.join(self.out_dir, TRACE_FILE)
-            self.sink.write(trace_path)
-            paths["trace"] = trace_path
+        trace_path = os.path.join(self.out_dir, TRACE_FILE)
+        self.sink.write(trace_path)
+        paths["trace"] = trace_path
         return paths

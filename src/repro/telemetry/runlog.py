@@ -13,8 +13,8 @@ which is what campaign heartbeats need so an operator can tail the file
 while jobs run).
 
 Either mode can additionally stream: a ``sink`` callable receives every
-record as it is emitted, which is how campaign heartbeats reach job-queue
-subscribers (``/events``) without going through the filesystem.
+record as it is emitted, which is how campaign heartbeats reach the job
+queue's event log (``/events``) without going through the filesystem.
 """
 
 from __future__ import annotations

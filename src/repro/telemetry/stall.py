@@ -56,8 +56,3 @@ def sample_stalls(gpu, cycle: int) -> Dict[int, Dict[str, int]]:
     for sm in gpu.sms:
         sm.sample_stalls(cycle, out)
     return out
-
-
-def stalled_samples(breakdown: Dict[str, int]) -> int:
-    """Stalled warp-samples in one stream's breakdown (``READY`` excluded)."""
-    return sum(n for reason, n in breakdown.items() if reason != READY)

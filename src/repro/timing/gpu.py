@@ -113,14 +113,15 @@ class GPU:
         tel = self.telemetry
         tel.on_run_start(self)
         cta_sched.fill(cycle)
+        # Two sample schedules: the run's occupancy/L2 snapshots
+        # (``sample_interval``) and the telemetry recorder's own interval.
+        # ``next_sample`` is the earlier of the two due cycles, so a
+        # visited cycle tests one number, as with a single schedule.
         interval = self.sample_interval
-        # The sample tick serves two consumers on one schedule: the user's
-        # occupancy/L2 snapshots (``sample_interval``) and telemetry's
-        # MetricsRecorder.  When only telemetry wants samples, the tick
-        # fires on its interval but skips the (expensive) L2 composition
-        # walk in _sample.
-        eff_interval = interval if interval else tel.sample_interval
-        next_sample = eff_interval if eff_interval else BLOCKED
+        tel_interval = tel.sample_interval
+        next_stats = interval if interval else BLOCKED
+        next_tel = tel_interval if tel_interval else BLOCKED
+        next_sample = min(next_stats, next_tel)
         epoch = self.policy.epoch_interval
         next_epoch = epoch if epoch else BLOCKED
         # Open-loop arrivals: None when every stream is closed-loop, in
@@ -168,10 +169,13 @@ class GPU:
                 self.policy.on_epoch(self, cycle)
                 next_epoch = cycle + epoch
             if cycle >= next_sample:
-                if interval:
+                if cycle >= next_stats:
                     self._sample(cycle)
-                tel.on_sample(self, cycle)
-                next_sample = cycle + eff_interval
+                    next_stats = cycle + interval
+                if cycle >= next_tel:
+                    tel.on_sample(self, cycle)
+                    next_tel = cycle + tel_interval
+                next_sample = min(next_stats, next_tel)
             wakes = list(map(_wake_cycle, sms))
             nxt = min(wakes)
             if nxt == BLOCKED:

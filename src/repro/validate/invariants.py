@@ -69,10 +69,6 @@ class InvariantChecker(NullTelemetry):
     :class:`InvariantViolation` at the first broken invariant.
     """
 
-    enabled = True
-    # The checker records nothing, so the sampling/span recorder flags stay
-    # False; only sample_interval is consumed (by the GPU loop's tick).
-
     def __init__(self, sample_interval: Optional[int] = 1000) -> None:
         self.sample_interval = sample_interval
         #: Number of times each check group ran (for report()/tests).

@@ -8,14 +8,12 @@ from repro.analysis import (
     binned_histogram,
     concordance,
     correlation_percent,
-    geometric_mean,
     graphics_vs_compute,
     histogram,
     mape,
     mean,
     mean_fraction,
     mode,
-    peak_fraction,
     pearson,
     summarize,
 )
@@ -72,15 +70,6 @@ class TestCorrelation:
         assert concordance(xs, ys) <= pearson(xs, ys) + 1e-9
 
 
-class TestGeomean:
-    def test_simple(self):
-        assert geometric_mean([1, 4]) == pytest.approx(2.0)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
-
-
 class TestL2Comp:
     SNAPS = [
         (0, {DataClass.TEXTURE: 60, DataClass.PIPELINE: 40}),
@@ -90,9 +79,6 @@ class TestL2Comp:
 
     def test_mean_fraction(self):
         assert mean_fraction(self.SNAPS, DataClass.TEXTURE) == pytest.approx(0.4)
-
-    def test_peak_fraction(self):
-        assert peak_fraction(self.SNAPS, DataClass.TEXTURE) == pytest.approx(0.6)
 
     def test_graphics_vs_compute(self):
         series = graphics_vs_compute(self.SNAPS)

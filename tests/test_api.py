@@ -8,8 +8,10 @@ rather than a user bug report), and request resolution semantics
 
 from __future__ import annotations
 
+import importlib
 import inspect
 import os
+import pkgutil
 import re
 
 import pytest
@@ -46,6 +48,13 @@ def test_package_exports():
     for name in repro.__all__:
         assert hasattr(repro, name)
     assert repro.__version__ == "2.0.0"
+    # Every subpackage declares its exports, and every one resolves.
+    for info in pkgutil.iter_modules(repro.__path__):
+        if not info.ispkg:
+            continue
+        package = importlib.import_module("repro." + info.name)
+        for name in package.__all__:
+            assert hasattr(package, name), "repro.%s.%s" % (info.name, name)
 
 
 def test_version_matches_pyproject():

@@ -124,6 +124,22 @@ class TestResultCache:
         assert RunRepository().path == str(home / "db" / "b.sqlite")
         assert os.listdir(str(cwd)) == []
 
+    def test_telemetry_dir_and_summary_expand_home(self, tmp_path,
+                                                   monkeypatch):
+        """``~`` in a heartbeat directory or a summary path names the home
+        directory too."""
+        home, cwd = tmp_path / "home", tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.setenv("HOME", str(home))
+        monkeypatch.chdir(cwd)
+        campaign = run_campaign([Job(compute="VIO")], cache_dir="~/cache",
+                                telemetry_dir="~/tele")
+        campaign.write_summary("~/out/s.json")
+        assert campaign.ok
+        assert os.path.isfile(str(home / "tele" / "heartbeats.jsonl"))
+        assert os.path.isfile(str(home / "out" / "s.json"))
+        assert os.listdir(str(cwd)) == []
+
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         path = cache.path_for("ab" * 32)

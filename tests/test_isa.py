@@ -14,7 +14,6 @@ from repro.isa import (
     Unit,
     WarpInstruction,
     WarpTrace,
-    merge_traces,
     op_info,
 )
 
@@ -153,12 +152,3 @@ class TestKernelTrace:
 
     def test_kind_tag(self):
         assert _kernel().kind == ShaderKind.COMPUTE
-
-    def test_merge_traces_rejects_duplicates(self):
-        k = _kernel()
-        with pytest.raises(ValueError):
-            merge_traces([k, k])
-
-    def test_merge_traces_preserves_order(self):
-        a, b = _kernel(), _kernel()
-        assert merge_traces([a, b]) == [a, b]

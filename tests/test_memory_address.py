@@ -9,10 +9,8 @@ from repro.memory import (
     AddressAllocator,
     coalesce,
     coalesce_array,
-    interleave_lines,
     line_of,
     span_lines,
-    total_unique_lines,
 )
 
 
@@ -97,9 +95,3 @@ class TestSpans:
 
     def test_span_empty(self):
         assert span_lines(0, 0) == []
-
-    def test_interleave(self):
-        assert interleave_lines(130, 3) == [128, 256, 384]
-
-    def test_total_unique(self):
-        assert total_unique_lines([[0, 128], [128, 256]]) == 3

@@ -757,7 +757,7 @@ class TestCliDb:
 class TestCampaignRepositorySink:
     def test_runner_ingests_finished_jobs(self, tmp_path):
         """submit_campaign: results land in the repository and heartbeats
-        reach subscribers, using the real CampaignRunner (workers=1) with
+        reach the event log, using the real CampaignRunner (workers=1) with
         a stubbed executor."""
         from repro.campaign.runner import CampaignRunner
 

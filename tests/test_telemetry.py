@@ -1,12 +1,13 @@
 """repro.telemetry: zero-overhead-when-off contract, sampling invariants,
 trace structure, heartbeats, and the CLI surface."""
 
+import csv
 import json
 import os
 
 import pytest
 
-from repro.api import simulate
+from repro.api import WorkloadSpec, simulate
 from repro.config import get_preset
 from repro.core.platform import collect_streams
 from repro.telemetry import (
@@ -78,9 +79,6 @@ class TestZeroOverheadContract:
         config = get_preset("JetsonOrin-mini")
         gpu = GPU(config)
         assert gpu.telemetry is NULL_TELEMETRY
-        assert NULL_TELEMETRY.enabled is False
-        assert NULL_TELEMETRY.sampling is False
-        assert NULL_TELEMETRY.spans is False
         assert NULL_TELEMETRY.sample_interval is None
         assert NULL_TELEMETRY.close() == {}
 
@@ -131,6 +129,28 @@ class TestSampleSeries:
         # Samples land no closer together than the configured interval.
         for a, b in zip(cycles, cycles[1:]):
             assert b - a >= tel.sample_interval
+
+    def test_recorder_keeps_its_own_interval(self):
+        """A run sampled every 2000 cycles ticks a recorder that asks for
+        500 every 500 cycles, and its own series stay those of the
+        uninstrumented run."""
+        config = get_preset("JetsonOrin-mini")
+        spec = WorkloadSpec(compute="VIO")
+        plain = simulate(config=config, workload=spec,
+                         sample_interval=2000).stats
+        tel = Telemetry(sample_interval=500)
+        stats = simulate(config=config, workload=spec, sample_interval=2000,
+                         telemetry=tel).stats
+        # A sample fires at the first visited cycle once due: the spacing
+        # is at least 500 and, on this run, under 1000 (not the run's 2000).
+        cycles = [r["cycle"] for r in tel.metrics.samples]
+        assert len(cycles) > stats.cycles // 1000
+        assert 500 <= cycles[0] < 1000
+        for a, b in zip(cycles, cycles[1:]):
+            assert 500 <= b - a < 1000
+        assert tel.runlog.records[0]["sample_interval"] == 500
+        assert stats.l2_snapshots
+        assert _canonical(stats) == _canonical(plain)
 
     def test_instruction_deltas_sum_to_final_counts(self, telemetry_run):
         _, stats, tel = telemetry_run
@@ -214,7 +234,7 @@ class TestTraceEvents:
 class TestRepartitionEvents:
     def test_tap_emits_repartition_records(self, reference_workload):
         config, streams = reference_workload
-        tel = Telemetry(sample_interval=None, sampling=False)
+        tel = Telemetry(sample_interval=None)
         result = simulate(config=config, streams=streams, policy="tap",
                           telemetry=tel)
         pol = result.policy
@@ -314,3 +334,29 @@ class TestCLISurface:
                           "occupancy"]
         l2 = str(tmp_path / "stats_l2_timeline.csv")
         assert os.path.exists(l2)
+        # The L2 composition series: one row per (sample, data class),
+        # equal to the stats of the same run.
+        from repro.core import COMPUTE_STREAM
+        from repro.isa import load_traces
+        stats = simulate(config=get_preset("JetsonOrin-mini"),
+                         streams={COMPUTE_STREAM: load_traces(traced)},
+                         policy="mps", sample_interval=200).stats
+        assert stats.l2_snapshots
+        with open(str(tmp_path / "stats_l2_class_timeline.csv")) as f:
+            rows = list(csv.DictReader(f))
+        assert list(rows[0]) == ["cycle", "data_class", "lines",
+                                 "total_lines", "share"]
+        snapshots = {cycle: {cls.value: n for cls, n in comp.items()}
+                     for cycle, comp in stats.l2_snapshots}
+        series = {}
+        for row in rows:
+            cycle = int(row["cycle"])
+            series.setdefault(cycle, {})[row["data_class"]] = int(row["lines"])
+            assert int(row["total_lines"]) == sum(snapshots[cycle].values())
+        assert series == snapshots
+
+    def test_simulate_rejects_vlog(self, traced, tmp_path):
+        from repro.cli import main
+        with pytest.raises(SystemExit):
+            main(["simulate", "--compute", traced,
+                  "--vlog", str(tmp_path / "run.vlog")])

@@ -1,12 +1,9 @@
-"""Tests for per-kernel timelines and the timeline report."""
-
-import csv
+"""Tests for per-kernel timelines."""
 
 import pytest
 
 from repro.config import JETSON_ORIN_MINI
 from repro.core import COMPUTE_STREAM, CRISP, GRAPHICS_STREAM
-from repro.harness.report import timeline_rows, write_timeline_report
 from repro.timing import GPU
 
 
@@ -64,14 +61,3 @@ class TestTimeline:
                 if vs:
                     assert start >= vs[1], \
                         "%s started before its vertex kernel finished" % name
-
-    def test_timeline_rows_and_csv(self, run, tmp_path):
-        gpu, frame, vio = run
-        rows = timeline_rows(gpu)
-        assert len(rows) == len(frame.kernels) + len(vio)
-        assert all(r["duration"] >= 0 for r in rows)
-        path = str(tmp_path / "timeline.csv")
-        write_timeline_report(path, gpu)
-        with open(path) as f:
-            read = list(csv.DictReader(f))
-        assert len(read) == len(rows)
